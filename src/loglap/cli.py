@@ -57,7 +57,7 @@ from .serialize import (
     spectrum_to_csv,
     trace_to_csv,
 )
-from .solver import cauchy_record, operator_matrix, solve_schrodinger
+from .solver import cauchy_record, forward_map, solve_schrodinger
 
 
 def _emit(quiet: bool, *lines):
@@ -93,7 +93,7 @@ def _cmd_solve(cfg: ExperimentConfig, out: Path, quiet: bool) -> bool:
     src = config_sources(cfg, model, obs)[0]
     u = solve_schrodinger(model, cfg.m, V, src)
     residual = float(np.linalg.norm(
-        operator_matrix(model, cfg.m, V) @ u.values - src.coefficients))
+        forward_map(model, cfg.m, V).matrix @ u.values - src.coefficients))
     dump_solution(model, cfg.m, src.source_id, V.label, u.values, residual,
                   out / "solution.json")
     solution_to_csv(model, model.node_basis() @ u.values, out / "solution.csv")

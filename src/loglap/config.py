@@ -9,11 +9,13 @@ placement, keeping a fixed (config, seed) pair byte-deterministic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .errors import LoglapError
 from .extraction import default_time_grid
 from .models import (
     AngularInterval,
@@ -28,7 +30,7 @@ from .serialize import SerializationError, isometry_from_dict
 from .solver import PotentialField, make_source_basis, zero_potential
 
 
-class ConfigError(Exception):
+class ConfigError(LoglapError):
     """Invalid configuration; the message starts with the field path."""
 
     def __init__(self, path: str, message: str):
@@ -64,6 +66,8 @@ def _number(value, path: str, *, minimum=None, strict=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, found {value!r}")
     v = float(value)
+    if not math.isfinite(v):
+        raise ConfigError(path, f"expected a finite number, found {value!r}")
     if minimum is not None and (v <= minimum if strict else v < minimum):
         op = ">" if strict else ">="
         raise ConfigError(path, f"must be {op} {minimum}")
@@ -118,6 +122,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             if term.get("form", "cos") not in ("cos", "sin"):
                 raise ConfigError(p + "form", "expected 'cos' or 'sin'")
             _number(_require(term, "amplitude", p), p + "amplitude")
+            _number(term.get("phase", 0.0), p + "phase")
             _integer(term.get("frequency", 1), p + "frequency", minimum=1)
             _integer(term.get("axis", 0), p + "axis", minimum=0)
 

@@ -64,7 +64,3 @@ class InconsistentCandidatesError(LoglapError):
 
 class PreconditionError(LoglapError):
     """A documented operation precondition does not hold."""
-
-
-class ConfigError(LoglapError):
-    """Configuration document is malformed; message names the field."""

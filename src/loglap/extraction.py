@@ -23,7 +23,7 @@ from .errors import (
     UnderExcitedEigenspaceError,
 )
 from .models import ObservationSet, SpectralModel
-from .solver import SourceFunction, solve_schrodinger
+from .solver import SourceFunction, forward_map, solve_schrodinger
 
 __all__ = [
     "ExponentialFit",
@@ -314,11 +314,9 @@ def build_gelfand_data(model: SpectralModel, m: float, V, obs: ObservationSet,
     if max_order is None:
         max_order = model.truncation
 
-    traces = []
-    for src in sources:
-        tr = heat_trace_of_solution(model, m, V, src, obs, times,
-                                    cond_limit=cond_limit)
-        traces.append(tr.values)
+    U = forward_map(model, m, V).solve(
+        np.column_stack([src.coefficients for src in sources]), cond_limit=cond_limit)
+    traces = [heat_trace_of_field(model, m, u, obs, times).values for u in U.T]
     stacked = HeatTrace(times=np.asarray(times, dtype=float),
                         nodes=np.tile(obs.nodes, (len(sources), 1)),
                         values=np.hstack(traces), mass=m,

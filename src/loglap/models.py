@@ -83,6 +83,8 @@ class SpectralModel:
     basis_table: dict
     block_mixers: Optional[list] = None
     _node_basis_cache: Optional[np.ndarray] = field(default=None, repr=False)
+    # (key, ForwardMap) of the last factored operator; see solver.forward_map
+    _forward_map_cache: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -672,7 +674,8 @@ def with_mixed_blocks(model: SpectralModel, seed: int) -> SpectralModel:
         q, r = np.linalg.qr(rng.standard_normal((d, d)))
         q = q * np.sign(np.diag(r))[None, :]
         mixers.append(q)
-    return replace(model, block_mixers=mixers, _node_basis_cache=None)
+    return replace(model, block_mixers=mixers, _node_basis_cache=None,
+                   _forward_map_cache=None)
 
 
 # ---------------------------------------------------------------------------

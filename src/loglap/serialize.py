@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import HeatTrace
+from .errors import LoglapError
 from .extraction import GelfandData, MatchReport, SanityReport
 from .models import (
     AngularInterval,
@@ -37,8 +38,8 @@ from .solver import CauchyRecord
 FORMAT_VERSION = 1
 
 
-class SerializationError(Exception):
-    pass
+class SerializationError(LoglapError):
+    """An artifact is malformed or cannot represent the object."""
 
 
 def _listify(a):

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .calculus import FieldCoefficients, l_multiplier
 from .errors import (
@@ -89,16 +88,6 @@ def assemble_potential_matrix(model: SpectralModel, V: PotentialField) -> np.nda
     M = B.T @ ((model.weights * v)[:, None] * B)
     # symmetric up to roundoff by construction; make it exact
     return 0.5 * (M + M.T)
-
-
-def operator_matrix(model: SpectralModel, m: float, V: PotentialField) -> np.ndarray:
-    mult = l_multiplier(model.flat_eigenvalues(), m)
-    return np.diag(mult) + assemble_potential_matrix(model, V)
-
-
-def operator_spectrum(model: SpectralModel, m: float, V: PotentialField) -> np.ndarray:
-    """Sorted real eigenvalues of the truncated operator with potential."""
-    return np.linalg.eigvalsh(operator_matrix(model, m, V))
 
 
 # ---------------------------------------------------------------------------
@@ -303,39 +292,86 @@ def _coerce_rhs(model: SpectralModel, rhs) -> np.ndarray:
     return vec
 
 
-def solve_schrodinger(model: SpectralModel, m: float, V: PotentialField, rhs, *,
-                      cond_limit: Optional[float] = None) -> FieldCoefficients:
-    """Solve (multiplier + V) u = f in the truncated basis.
+@dataclass(frozen=True)
+class ForwardMap:
+    """The truncated operator H = diag(mult) + G_V with its eigendecomposition.
 
-    Raises SingularOperatorError when the smallest operator eigenvalue is
-    below 1e-10 x the largest multiplier, and IllConditionedError when the
-    spectral condition number exceeds `cond_limit` or the residual of the
-    direct solve is inconsistent with the conditioning.
+    One `eigh` serves every solve: U = Q diag(1/w) Q^T F.  Build it with
+    `forward_map`, which keeps the latest one on the model.
     """
-    f = _coerce_rhs(model, rhs)
-    mult = l_multiplier(model.flat_eigenvalues(), m)
-    H = np.diag(mult) + assemble_potential_matrix(model, V)
-    eigs = np.linalg.eigvalsh(H)
-    amin = float(np.min(np.abs(eigs)))
-    amax = float(np.max(np.abs(eigs)))
-    threshold = 1e-10 * float(np.max(mult))
-    if amin <= threshold:
-        raise SingularOperatorError(
-            f"operator with potential '{V.label}' is numerically singular: "
-            f"min |eigenvalue| = {amin:.3e} <= {threshold:.3e}")
-    cond = amax / amin
-    if cond_limit is not None and cond > cond_limit:
-        raise IllConditionedError(
-            f"operator condition number {cond:.3e} exceeds limit {cond_limit:.3e}")
-    u = scipy.linalg.solve(H, f, assume_a="sym")
-    fnorm = float(np.linalg.norm(f))
-    if fnorm > 0:
-        rel_res = float(np.linalg.norm(H @ u - f)) / fnorm
-        res_limit = max(1e-8, 100.0 * np.finfo(float).eps * cond)
+
+    matrix: np.ndarray          # H, (D, D)
+    eigenvalues: np.ndarray     # w, ascending
+    eigenvectors: np.ndarray    # Q, columns orthonormal
+    multipliers: np.ndarray     # mult, the V = 0 diagonal
+    cond: float
+    label: str
+
+    def solve(self, F, *, cond_limit: Optional[float] = None) -> np.ndarray:
+        """Solve H U = F for F of shape (D,) or (D, S).
+
+        Raises SingularOperatorError when the smallest |eigenvalue| is below
+        1e-10 x the largest multiplier, and IllConditionedError when the
+        condition number exceeds `cond_limit` or a column's relative
+        residual is inconsistent with the conditioning.
+        """
+        w = self.eigenvalues
+        amin = float(np.min(np.abs(w)))
+        threshold = 1e-10 * float(np.max(self.multipliers))
+        if amin <= threshold:
+            raise SingularOperatorError(
+                f"operator with potential '{self.label}' is numerically singular: "
+                f"min |eigenvalue| = {amin:.3e} <= {threshold:.3e}")
+        if cond_limit is not None and self.cond > cond_limit:
+            raise IllConditionedError(
+                f"operator condition number {self.cond:.3e} exceeds limit {cond_limit:.3e}")
+        F = np.asarray(F, dtype=float)
+        Q = self.eigenvectors
+        U = Q @ ((Q.T @ F) / (w if F.ndim == 1 else w[:, None]))
+        fnorm = np.linalg.norm(F, axis=0)
+        res = np.linalg.norm(self.matrix @ U - F, axis=0)
+        rel_res = float(np.max(np.divide(res, fnorm, out=np.zeros_like(res),
+                                         where=fnorm > 0)))
+        res_limit = max(1e-8, 100.0 * np.finfo(float).eps * self.cond)
         if rel_res > res_limit:
             raise IllConditionedError(
                 f"solve residual {rel_res:.3e} exceeds {res_limit:.3e}; "
                 "the truncated operator is too badly conditioned")
+        return U
+
+
+def forward_map(model: SpectralModel, m: float, V: PotentialField) -> ForwardMap:
+    """The factored operator for (model, m, V), reused while m and V's node
+    values stay the same.
+
+    The model holds one map.  It is keyed by m and the bytes of V's node
+    values, not by the identity of V, so a potential whose closure changed
+    is refactored rather than served stale.
+    """
+    key = (float(m), V.node_values(model).tobytes())
+    cached = model._forward_map_cache
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    mult = l_multiplier(model.flat_eigenvalues(), m)
+    H = np.diag(mult) + assemble_potential_matrix(model, V)
+    w, Q = np.linalg.eigh(H)
+    amin = float(np.min(np.abs(w)))
+    amax = float(np.max(np.abs(w)))
+    cond = amax / amin if amin > 0 else np.inf
+    for a in (H, w, Q, mult):
+        a.setflags(write=False)  # every caller shares the cached arrays
+    fmap = ForwardMap(matrix=H, eigenvalues=w, eigenvectors=Q, multipliers=mult,
+                      cond=cond, label=V.label)
+    model._forward_map_cache = (key, fmap)
+    return fmap
+
+
+def solve_schrodinger(model: SpectralModel, m: float, V: PotentialField, rhs, *,
+                      cond_limit: Optional[float] = None) -> FieldCoefficients:
+    """Solve (multiplier + V) u = f in the truncated basis through the
+    model's cached `forward_map`; raises as `ForwardMap.solve` does."""
+    f = _coerce_rhs(model, rhs)
+    u = forward_map(model, m, V).solve(f, cond_limit=cond_limit)
     return FieldCoefficients(model, u)
 
 

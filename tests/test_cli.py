@@ -17,8 +17,10 @@ from loglap.config import (
     load_config,
     validate_config,
 )
+from loglap.errors import LoglapError
 from loglap.models import build_model, restrict_to_observation, AngularInterval
-from loglap.serialize import load_gelfand, load_record, load_solution, load_manifest
+from loglap.serialize import (SerializationError, load_gelfand, load_record,
+                              load_solution, load_manifest)
 
 
 def circle_config(**overrides):
@@ -245,6 +247,21 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
         assert "m: missing required field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, message", [
+        (circle_config(m=float("inf")), "m: expected a finite number"),
+        (circle_config(potential={"id": "harmonic", "terms": [
+            {"form": "cos", "amplitude": 0.3, "phase": "half"}]}),
+         "potential.terms[0].phase: expected a number"),
+    ])
+    def test_bad_number_exits_two(self, tmp_path, capsys, cfg, message):
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_and_artifact_errors_are_loglap_errors(self):
+        assert issubclass(ConfigError, LoglapError)
+        assert issubclass(SerializationError, LoglapError)
 
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json"),

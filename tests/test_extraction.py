@@ -289,16 +289,16 @@ class TestBuildGelfandData:
         assert data.mode == "internal"
 
     def test_default_grid_conditioning_boundary(self):
-        # the uniform default grid undersamples the fastest mode at K=8 and
-        # the weakest residue block loses its rank; a denser explicit grid
+        # the uniform default grid undersamples the fastest mode at K=9 and
+        # a residue block picks up a spurious rank; a denser explicit grid
         # resolves the same data cleanly
-        model, obs, basis = circle_setup(8)
+        model, obs, basis = circle_setup(9)
         with pytest.raises(RankAmbiguousError):
             build_gelfand_data(model, 2.0, zero_potential, obs, basis)
-        times = np.linspace(0.2 / 51.0, 1.0, 64)
+        times = np.linspace(0.2 / 66.0, 1.0, 64)
         data = build_gelfand_data(model, 2.0, zero_potential, obs, basis,
                                   times=times)
-        assert np.allclose(data.eigenvalues, np.arange(8.0) ** 2, atol=1e-6)
+        assert np.allclose(data.eigenvalues, np.arange(9.0) ** 2, atol=1e-6)
 
     def test_single_source_single_mode_blind(self):
         model, obs, basis = circle_setup(5)

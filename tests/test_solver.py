@@ -6,6 +6,7 @@ written independently of the package (see helpers below).
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from loglap.calculus import FieldCoefficients, l_multiplier
 from loglap.errors import (
@@ -19,7 +20,9 @@ from loglap.models import (
     TorusBox,
     build_model,
     restrict_to_observation,
+    with_mixed_blocks,
 )
+from loglap.extraction import default_time_grid, heat_trace_of_solution
 from loglap.solver import (
     CauchyRecord,
     PotentialField,
@@ -29,9 +32,8 @@ from loglap.solver import (
     bump_profile,
     cauchy_record,
     constant_potential,
+    forward_map,
     make_source_basis,
-    operator_matrix,
-    operator_spectrum,
     solve_schrodinger,
     zero_potential,
 )
@@ -168,19 +170,19 @@ class TestAssembly:
 class TestOperatorSpectrum:
     def test_zero_potential_spectrum_is_multipliers(self):
         model = circle(10)
-        eigs = operator_spectrum(model, 2.0, zero_potential)
+        eigs = forward_map(model, 2.0, zero_potential).eigenvalues
         expect = np.sort(l_multiplier(model.flat_eigenvalues(), 2.0))
         assert np.max(np.abs(eigs - expect)) < 1e-12
 
     def test_constant_potential_shifts_spectrum(self):
         model = circle(8)
-        eigs = operator_spectrum(model, 2.0, constant_potential(1.0))
+        eigs = forward_map(model, 2.0, constant_potential(1.0)).eigenvalues
         assert abs(eigs[0] - SMALLEST_SHIFTED) < 1e-12
         expect = np.sort(l_multiplier(model.flat_eigenvalues(), 2.0) + 1.0)
         assert np.max(np.abs(eigs - expect)) < 1e-12
 
     def test_sorted_and_real(self):
-        eigs = operator_spectrum(circle(8), 2.0, cos_potential(0.5))
+        eigs = forward_map(circle(8), 2.0, cos_potential(0.5)).eigenvalues
         assert eigs.dtype == np.float64
         assert np.all(np.diff(eigs) >= 0)
 
@@ -245,7 +247,7 @@ class TestSolve:
             solve_schrodinger(model, 2.0, V, f, cond_limit=1e6)
         # without the limit the solve goes through and is consistent
         u = solve_schrodinger(model, 2.0, V, f)
-        H = operator_matrix(model, 2.0, V)
+        H = forward_map(model, 2.0, V).matrix
         assert np.linalg.norm(H @ u.values - f) < 1e-7 * np.linalg.norm(f)
 
     def test_rhs_forms_equivalent(self):
@@ -258,6 +260,65 @@ class TestSolve:
                                FieldCoefficients(model, src.coefficients))
         assert np.array_equal(u1.values, u2.values)
         assert np.array_equal(u1.values, u3.values)
+
+
+class TestForwardMap:
+    def test_batched_solve_matches_columns_and_dense_solve(self):
+        model = circle(16)
+        fmap = forward_map(model, 2.0, cos_potential(0.4))
+        F = np.random.default_rng(5).standard_normal((model.total_dim, 6))
+        U = fmap.solve(F)
+        for j in range(F.shape[1]):
+            col = fmap.solve(F[:, j])
+            assert np.linalg.norm(U[:, j] - col) <= 1e-14 * np.linalg.norm(col)
+            ref = scipy.linalg.solve(fmap.matrix, F[:, j], assume_a="sym")
+            assert np.linalg.norm(col - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_one_eigh_serves_records_and_traces(self, monkeypatch):
+        model = build_model("sphere", 6)
+        obs = restrict_to_observation(model, SphericalCap((0.0, 0.0), 1.2))
+        sources = make_source_basis(model, obs, 16, order=3, seed=1)
+        V = PotentialField(lambda p: 0.2 * np.cos(p[:, 0]), label="0.2*cos")
+        times = default_time_grid(model, 2.0)
+        eigh, shapes = np.linalg.eigh, []
+
+        def counting_eigh(a):
+            shapes.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for src in sources:
+            cauchy_record(model, 2.0, V, src, obs)
+            heat_trace_of_solution(model, 2.0, V, src, obs, times)
+        assert shapes == [(model.total_dim, model.total_dim)]
+
+    def test_rebuilt_when_m_or_closure_changes(self):
+        model = circle(8)
+        amp = np.array([0.3])
+        V = PotentialField(lambda th: amp[0] * np.cos(th), label="amp*cos")
+        first = forward_map(model, 2.0, V)
+        assert forward_map(model, 2.0, V) is first
+        second = forward_map(model, 3.0, V)
+        assert second is not first
+        assert np.array_equal(second.multipliers,
+                              l_multiplier(model.flat_eigenvalues(), 3.0))
+        amp[0] = 0.5
+        third = forward_map(model, 3.0, V)
+        assert third is not second
+        expect = np.diag(third.multipliers) + assemble_potential_matrix(model, V)
+        assert np.array_equal(third.matrix, expect)
+
+    def test_mixed_block_copy_refactors(self):
+        model = circle(8)
+        V = cos_potential(0.3)
+        fmap = forward_map(model, 2.0, V)
+        mixed = with_mixed_blocks(model, seed=1)
+        other = forward_map(mixed, 2.0, V)
+        assert other is not fmap
+        assert not np.allclose(other.matrix, fmap.matrix)
+        expect = np.diag(other.multipliers) + assemble_potential_matrix(mixed, V)
+        assert np.array_equal(other.matrix, expect)
+        assert np.allclose(other.eigenvalues, fmap.eigenvalues, atol=1e-12)
 
 
 # ---------------------------------------------------------------- sources
