@@ -23,7 +23,7 @@ from scipy import integrate as spi
 from scipy import special as sps
 
 from .errors import QuadratureConvergenceError
-from .models import SpectralModel, as_points, project_function
+from .models import SpectralModel, as_points, geodesic_distance, project_function
 
 __all__ = [
     "FieldCoefficients",
@@ -229,8 +229,8 @@ def heat_kernel(model: SpectralModel, m: float, t: float, x, y) -> KernelValue:
     """Kernel of exp(-tA) at one point pair, with a truncation-tail bound."""
     if t <= 0:
         raise ValueError("kernel evaluation needs t > 0")
-    val = heat_kernel_matrix(model, m, t, as_points(x, model.coord_dim),
-                             as_points(y, model.coord_dim))[0, 0]
+    val = heat_kernel_matrix(model, m, t, as_points(x, model.dimension),
+                             as_points(y, model.dimension))[0, 0]
     return KernelValue(float(val), _kernel_tail_bound(model, m, t))
 
 
@@ -260,10 +260,8 @@ def grigoryan_check(model: SpectralModel, m: float, times, pairs=None,
         idx_b[0] = idx_a[0]  # keep one on-diagonal probe
         pa, pb = model.nodes[idx_a], model.nodes[idx_b]
     else:
-        pa = np.vstack([as_points(p, model.coord_dim) for p, _ in pairs])
-        pb = np.vstack([as_points(q, model.coord_dim) for _, q in pairs])
-    from .models import geodesic_distance
-
+        pa = np.vstack([as_points(p, model.dimension) for p, _ in pairs])
+        pb = np.vstack([as_points(q, model.dimension) for _, q in pairs])
     dists = geodesic_distance(model, pa, pb)
     n = model.dimension
     phi_a = model.eigenfunction_values(pa)
@@ -361,7 +359,7 @@ def pointwise_L(field: FieldCoefficients, m: float, point, tol: Optional[float] 
     """
     check_mass(m)
     model = field.model
-    pts = as_points(point, model.coord_dim)
+    pts = as_points(point, model.dimension)
     if pts.shape[0] != 1:
         raise ValueError("pointwise evaluation takes a single point")
     phi = model.eigenfunction_values(pts)[0]

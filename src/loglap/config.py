@@ -10,23 +10,23 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import LoglapError
+from .errors import FieldError, LoglapError, PreconditionError
 from .extraction import default_time_grid
 from .models import (
-    AngularInterval,
+    ISOMETRIES,
     ObservationSet,
-    SphericalCap,
     SpectralModel,
-    TorusBox,
     build_model,
+    from_fields,
+    make_manifold,
     restrict_to_observation,
 )
-from .serialize import SerializationError, isometry_from_dict
 from .solver import PotentialField, make_source_basis, zero_potential
 
 
@@ -82,6 +82,23 @@ def _integer(value, path: str, *, minimum=None) -> int:
     return value
 
 
+def _list(value, path: str, item, **bounds) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(path, f"expected a nonempty list, found {value!r}")
+    return [item(v, f"{path}[{i}]", **bounds) for i, v in enumerate(value)]
+
+
+@contextmanager
+def _field_errors(section: str):
+    """Report the model layer's argument errors under the config section."""
+    try:
+        yield
+    except FieldError as exc:
+        raise ConfigError(f"{section}.{exc.field}", exc.reason) from exc
+    except PreconditionError as exc:
+        raise ConfigError(section, str(exc)) from exc
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("", "config document must be a mapping")
@@ -90,17 +107,21 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(model, dict):
         raise ConfigError("model", "must be a mapping")
     kind = _require(model, "kind", "model.")
-    if kind not in ("circle", "torus", "sphere"):
-        raise ConfigError("model.kind", f"unknown model kind {kind!r}")
     _integer(_require(model, "truncation", "model."), "model.truncation", minimum=2)
-    if kind == "torus":
-        edges = _require(model, "edges", "model.")
-        if (not isinstance(edges, (list, tuple)) or not edges
-                or any(isinstance(e, bool) or not isinstance(e, (int, float)) or e <= 0
-                       for e in edges)):
-            raise ConfigError("model.edges", "expected a list of positive lengths")
-    elif "radius" in model:
+    if "radius" in model:
         _number(model["radius"], "model.radius", minimum=0.0, strict=True)
+    if "edges" in model:
+        _list(model["edges"], "model.edges", _number, minimum=0.0, strict=True)
+    with _field_errors("model"):
+        manifold = make_manifold(kind, **{k: model[k] for k in ("radius", "edges")
+                                          if k in model})
+    quadrature = model.get("quadrature")
+    if isinstance(quadrature, list) and len(quadrature) != manifold.dimension:
+        raise ConfigError("model.quadrature", f"expected {manifold.dimension} entries, one per chart axis")
+    if isinstance(quadrature, list):
+        _list(quadrature, "model.quadrature", _integer, minimum=1)
+    elif quadrature is not None:
+        _integer(quadrature, "model.quadrature", minimum=1)
 
     m = _number(_require(raw, "m", ""), "m", minimum=1.0, strict=True)
 
@@ -130,27 +151,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if observation is not None:
         if not isinstance(observation, dict):
             raise ConfigError("observation", "must be a mapping")
-        okind = _require(observation, "kind", "observation.")
-        expected = {"circle": "interval", "torus": "box", "sphere": "cap"}[kind]
-        if okind != expected:
-            raise ConfigError("observation.kind",
-                              f"model kind {kind!r} takes {expected!r}, found {okind!r}")
-        if okind == "interval":
-            _number(_require(observation, "start", "observation."), "observation.start")
-            _number(_require(observation, "end", "observation."), "observation.end")
-        elif okind == "box":
-            ivs = _require(observation, "intervals", "observation.")
-            if (not isinstance(ivs, list)
-                    or any(not isinstance(iv, list) or len(iv) != 2 for iv in ivs)):
-                raise ConfigError("observation.intervals",
-                                  "expected a list of [low, high] pairs")
-        else:
-            center = _require(observation, "center", "observation.")
-            if not isinstance(center, list) or len(center) != 2:
-                raise ConfigError("observation.center",
-                                  "expected [colatitude, longitude]")
-            _number(_require(observation, "radius", "observation."),
-                    "observation.radius", minimum=0.0, strict=True)
+        with _field_errors("observation"):
+            manifold.check_window(from_fields(observation, (manifold.window,)))
 
     sources = raw.get("sources", {"count": 1})
     if not isinstance(sources, dict):
@@ -205,12 +207,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     isometry = raw.get("isometry")
     if isometry is not None:
-        if not isinstance(isometry, dict) or "kind" not in isometry:
-            raise ConfigError("isometry.kind", "missing required field")
-        try:
-            isometry_from_dict(isometry)
-        except (SerializationError, KeyError) as exc:
-            raise ConfigError("isometry", str(exc)) from exc
+        if not isinstance(isometry, dict):
+            raise ConfigError("isometry", "must be a mapping")
+        with _field_errors("isometry"):  # a foreign or malformed isometry raises
+            manifold.apply_isometry(from_fields(isometry, manifold.isometries),
+                                    np.zeros((1, manifold.dimension)))
 
     ucp = raw.get("ucp", {})
     if not isinstance(ucp, dict):
@@ -241,16 +242,10 @@ def load_config(path) -> ExperimentConfig:
 # builders --------------------------------------------------------------------
 
 def config_model(cfg: ExperimentConfig) -> SpectralModel:
-    model = cfg.model
-    kwargs = {}
-    if "quadrature" in model:
-        q = model["quadrature"]
-        kwargs["quadrature"] = tuple(q) if isinstance(q, list) else q
-    if model["kind"] == "torus":
-        kwargs["edges"] = tuple(model["edges"])
-    elif "radius" in model:
-        kwargs["radius"] = model["radius"]
-    return build_model(model["kind"], model["truncation"], **kwargs)
+    spec = cfg.model
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in spec.items()
+              if k in ("radius", "edges", "quadrature")}
+    return build_model(spec["kind"], spec["truncation"], **kwargs)
 
 
 def config_potential(cfg: ExperimentConfig) -> PotentialField:
@@ -265,9 +260,7 @@ def config_potential(cfg: ExperimentConfig) -> PotentialField:
               float(t.get("phase", 0.0))) for t in spec["terms"]]
 
     def harmonic(coords):
-        pts = np.atleast_2d(np.asarray(coords, dtype=float))
-        if pts.shape[0] == 1 and np.ndim(coords) == 1 and np.size(coords) > 1:
-            pts = pts.T
+        pts = np.asarray(coords, dtype=float).reshape(len(coords), -1)  # circle: (P,)
         out = np.zeros(pts.shape[0])
         for form, amp, freq, axis, phase in terms:
             if axis >= pts.shape[1]:
@@ -286,15 +279,7 @@ def config_observation(cfg: ExperimentConfig, model: SpectralModel) -> Observati
     spec = cfg.observation
     if spec is None:
         raise ConfigError("observation", "this subcommand needs an observation set")
-    if spec["kind"] == "interval":
-        descriptor = AngularInterval(float(spec["start"]), float(spec["end"]))
-    elif spec["kind"] == "box":
-        descriptor = TorusBox(tuple((float(a), float(b))
-                                    for a, b in spec["intervals"]))
-    else:
-        descriptor = SphericalCap(tuple(float(c) for c in spec["center"]),
-                                  float(spec["radius"]))
-    return restrict_to_observation(model, descriptor)
+    return restrict_to_observation(model, from_fields(spec, (model.manifold.window,)))
 
 
 def config_sources(cfg: ExperimentConfig, model: SpectralModel,
@@ -326,4 +311,4 @@ def config_times(cfg: ExperimentConfig, model: SpectralModel) -> Optional[np.nda
 def config_isometry(cfg: ExperimentConfig):
     if cfg.isometry is None:
         raise ConfigError("isometry", "this subcommand needs an isometry")
-    return isometry_from_dict(cfg.isometry)
+    return from_fields(cfg.isometry, ISOMETRIES)

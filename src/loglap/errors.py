@@ -6,12 +6,16 @@ kinds, out-of-range parameters).
 """
 
 
+class FieldError(ValueError):
+    """A malformed argument; `field` names it and `reason` says what is wrong."""
+
+    def __init__(self, field: str, reason: str):
+        self.field, self.reason = field, reason
+        super().__init__(f"{field}: {reason}")
+
+
 class LoglapError(Exception):
     """Base class for all package-specific failures."""
-
-
-class QuadratureResolutionError(LoglapError):
-    """Quadrature grid cannot resolve the requested basis products."""
 
 
 class QuadratureConvergenceError(LoglapError):

@@ -209,7 +209,7 @@ def extract_exponents(trace: HeatTrace, max_order: int, *,
         col = vals[:, c]
         hankel[c * rows:(c + 1) * rows] = scipy.linalg.hankel(col[:rows], col[rows - 1:])
 
-    sv = scipy.linalg.svd(hankel, compute_uv=False)
+    _, sv, vt = scipy.linalg.svd(hankel, full_matrices=False)
     smax = sv[0]
     if smax == 0.0:
         raise RankAmbiguousError("trace is identically zero")
@@ -222,7 +222,6 @@ def extract_exponents(trace: HeatTrace, max_order: int, *,
             "no clean singular-value gap at the detected rank "
             f"({sv[rank]:.3e} vs {sv[rank - 1]:.3e})")
 
-    _, _, vt = scipy.linalg.svd(hankel, full_matrices=False)
     W = vt[:rank].T                      # (L+1, rank) row-space basis
     pencil = np.linalg.pinv(W[:-1]) @ W[1:]
     zs = np.linalg.eigvals(pencil)

@@ -1,10 +1,13 @@
 """Closed model manifolds with explicit Laplace-Beltrami eigendata.
 
-Catalog: circles of radius r, flat tori R^n modulo a rectangular lattice,
-and round 2-spheres of radius r. A model materializes its first K distinct
-Laplace eigenvalues together with multiplicities and a real orthonormal
-eigenbasis, plus a quadrature rule that integrates products of any two
-basis functions exactly up to roundoff.
+Catalog: flat tori R^n modulo a rectangular lattice (the circle of radius r
+is the 1-torus with period 2 pi and scale r) and round 2-spheres of radius
+r. Each geometry is one class, `FlatTorus` or `RoundSphere`, owning all
+that differs between manifolds: eigendata and quadrature, basis values,
+geodesic distance, observation windows and isometries. A `SpectralModel`
+holds one of them together with its first K distinct Laplace eigenvalues,
+their multiplicities, a real orthonormal eigenbasis, and a quadrature rule
+that integrates products of any two basis functions exactly up to roundoff.
 
 Chart coordinates used throughout:
     circle  -- (theta,) with theta in [0, 2 pi)
@@ -12,24 +15,27 @@ Chart coordinates used throughout:
     sphere  -- (colatitude, longitude)
 
 Basis ordering is deterministic: eigenvalues ascending; inside a block the
-circle uses (cos, sin), the torus lexicographic canonical lattice vectors
-each contributing (cos, sin), and the sphere order m = 0 then m = 1..l with
+torus (circle included) takes lexicographic canonical lattice vectors each
+contributing (cos, sin), and the sphere order m = 0 then m = 1..l with
 cosine before sine. Any fixed convention is as good as any other; nothing
 downstream depends on signs, only on block spans.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Optional
+import math
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import ClassVar, Optional
 
 import numpy as np
 from scipy import special as sps
 
-from .errors import PreconditionError
+from .errors import FieldError, PreconditionError
 
 __all__ = [
     "SpectralModel",
+    "FlatTorus",
+    "RoundSphere",
     "ObservationSet",
     "OrthonormalityReport",
     "AngularInterval",
@@ -41,6 +47,10 @@ __all__ = [
     "TorusAxisReflection",
     "SphereAxialRotation",
     "SphereMeridianReflection",
+    "WINDOWS",
+    "ISOMETRIES",
+    "from_fields",
+    "make_manifold",
     "build_model",
     "evaluate_eigenfunction",
     "inner_product",
@@ -58,6 +68,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+GOLDEN_ANGLE = 2.399963229728653
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +83,8 @@ class SpectralModel:
     (block mixing, different truncation) build a new instance.
     """
 
-    kind: str
+    manifold: object  # FlatTorus or RoundSphere
     truncation: int
-    params: dict
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
     nodes: np.ndarray
@@ -87,24 +97,21 @@ class SpectralModel:
     _forward_map_cache: Optional[tuple] = field(default=None, repr=False)
 
     @property
-    def dimension(self) -> int:
-        if self.kind == "circle":
-            return 1
-        if self.kind == "sphere":
-            return 2
-        return len(self.params["edges"])
+    def kind(self) -> str:
+        return self.manifold.kind
 
     @property
-    def coord_dim(self) -> int:
-        return 1 if self.kind == "circle" else 2 if self.kind == "sphere" else self.dimension
+    def params(self) -> dict:
+        return self.manifold.params
+
+    @property
+    def dimension(self) -> int:
+        """Manifold dimension, which is also the number of chart coordinates."""
+        return self.manifold.dimension
 
     @property
     def total_dim(self) -> int:
         return int(np.sum(self.multiplicities))
-
-    @property
-    def volume(self) -> float:
-        return float(np.sum(self.weights))
 
     @property
     def block_offsets(self) -> np.ndarray:
@@ -114,21 +121,19 @@ class SpectralModel:
         off = self.block_offsets
         return slice(int(off[k]), int(off[k + 1]))
 
+    def _mixed(self, mat: np.ndarray) -> np.ndarray:
+        if self.block_mixers is None:
+            return mat
+        mat = mat.copy()
+        for k, mixer in enumerate(self.block_mixers):
+            sl = self.block_slice(k)
+            mat[:, sl] = mat[:, sl] @ mixer
+        return mat
+
     def eigenfunction_values(self, points) -> np.ndarray:
         """Matrix of all basis functions at the given points, (P, total_dim)."""
-        pts = as_points(points, self.coord_dim)
-        if self.kind == "circle":
-            mat = _circle_values(pts, self.basis_table, self.params["radius"])
-        elif self.kind == "torus":
-            mat = _torus_values(pts, self.basis_table, self.params["edges"])
-        else:
-            mat = _sphere_values(pts, self.basis_table, self.params["radius"])
-        if self.block_mixers is not None:
-            mat = mat.copy()
-            for k, mixer in enumerate(self.block_mixers):
-                sl = self.block_slice(k)
-                mat[:, sl] = mat[:, sl] @ mixer
-        return mat
+        pts = as_points(points, self.dimension)
+        return self._mixed(self.manifold.basis_values(pts, self.basis_table))
 
     def node_basis(self) -> np.ndarray:
         if self._node_basis_cache is None:
@@ -168,6 +173,7 @@ class OrthonormalityReport:
 
 
 # observation descriptors ----------------------------------------------------
+# `name` is the "kind" tag of the JSON form in configs and artifacts.
 
 
 @dataclass(frozen=True)
@@ -176,6 +182,15 @@ class AngularInterval:
 
     start: float
     end: float
+    name: ClassVar[str] = "interval"
+
+    @property
+    def intervals(self) -> tuple:
+        """The arc as the one-axis box of the 1-torus chart."""
+        return ((self.start, self.end),)
+
+    def bound_field(self, axis: int, upper: bool) -> str:
+        return "end" if upper else "start"
 
 
 @dataclass(frozen=True)
@@ -183,6 +198,10 @@ class TorusBox:
     """Product of open per-axis intervals."""
 
     intervals: tuple
+    name: ClassVar[str] = "box"
+
+    def bound_field(self, axis: int, upper: bool) -> str:
+        return f"intervals[{axis}][{int(upper)}]"
 
 
 @dataclass(frozen=True)
@@ -191,54 +210,482 @@ class SphericalCap:
 
     center: tuple
     radius: float
+    name: ClassVar[str] = "cap"
 
 
 # catalog isometries ---------------------------------------------------------
+# Each manifold maps the isometry classes acting on it to their chart action,
+# x -> signs * x + offsets (modulo the chart periods).
 
 
 @dataclass(frozen=True)
 class CircleRotation:
     angle: float
+    name: ClassVar[str] = "circle_rotation"
 
 
 @dataclass(frozen=True)
 class CircleReflection:
     axis: float
+    name: ClassVar[str] = "circle_reflection"
 
 
 @dataclass(frozen=True)
 class TorusTranslation:
     shift: tuple
+    name: ClassVar[str] = "torus_translation"
 
 
 @dataclass(frozen=True)
 class TorusAxisReflection:
     axis: int
     center: float = 0.0
+    name: ClassVar[str] = "torus_axis_reflection"
 
 
 @dataclass(frozen=True)
 class SphereAxialRotation:
     angle: float
+    name: ClassVar[str] = "sphere_axial_rotation"
 
 
 @dataclass(frozen=True)
 class SphereMeridianReflection:
     meridian: float
+    name: ClassVar[str] = "sphere_meridian_reflection"
 
 
-_ISOMETRY_KINDS = {
-    CircleRotation: "circle",
-    CircleReflection: "circle",
-    TorusTranslation: "torus",
-    TorusAxisReflection: "torus",
-    SphereAxialRotation: "sphere",
-    SphereMeridianReflection: "sphere",
-}
+WINDOWS = (AngularInterval, TorusBox, SphericalCap)
+ISOMETRIES = (CircleRotation, CircleReflection, TorusTranslation,
+              TorusAxisReflection, SphereAxialRotation, SphereMeridianReflection)
+
+
+def from_fields(mapping: dict, family):
+    """The member of `family` named by mapping["kind"], built from the other
+    entries of a JSON-style mapping: lists become tuples and every value must
+    be a finite number (an integer for integer fields). Raises FieldError
+    naming the offending field."""
+    kind = mapping.get("kind")
+    cls = next((c for c in family if c.name == kind), None)
+    if cls is None:
+        raise FieldError("kind", f"expected one of {[c.name for c in family]}, "
+                                 f"found {kind!r}")
+    args = {}
+    for f in fields(cls):
+        if f.name in mapping:
+            args[f.name] = _field_value(mapping[f.name], f.name, f.type)
+        elif f.default is MISSING:
+            raise FieldError(f.name, "missing required field")
+    return cls(**args)
+
+
+def _field_value(value, path: str, ftype: str):
+    """Lists become tuples (for tuple fields); the manifold checks their shape."""
+    if ftype == "tuple" and isinstance(value, (list, tuple)):
+        return tuple(_field_value(v, f"{path}[{i}]", ftype) for i, v in enumerate(value))
+    kind = int if ftype == "int" else float
+    if (isinstance(value, bool) or not isinstance(value, (int, kind))
+            or not math.isfinite(value)):
+        what = "an integer" if kind is int else "a finite number"
+        raise FieldError(path, f"expected {what}, found {value!r}")
+    return kind(value)
+
+
+def _has_shape(value, shape: tuple) -> bool:
+    try:
+        return np.shape(np.asarray(value, dtype=float)) == shape
+    except (TypeError, ValueError):
+        return False
+
+
+def _check_family(manifold, obj, family) -> None:
+    if type(obj) not in family:
+        raise FieldError("kind", f"{type(obj).__name__} does not apply to a {manifold.kind}")
+
+
+def _chart_affine(manifold, isometry, pts, inverse: bool) -> np.ndarray:
+    _check_family(manifold, isometry, manifold.isometries)
+    signs, offsets = manifold.isometries[type(isometry)](isometry, manifold.dimension)
+    signs, offsets = np.asarray(signs), np.asarray(offsets, dtype=float)
+    # signs are +-1, so the inverse of x -> s x + t is y -> s (y - t)
+    return signs * (pts - offsets) if inverse else signs * pts + offsets
+
+
+def _torus_translation(iso, n: int) -> tuple:
+    if not _has_shape(iso.shift, (n,)):
+        raise FieldError("shift", f"expected {n} entries, one per torus axis")
+    return 1.0, iso.shift
+
+
+def _torus_axis_reflection(iso, n: int) -> tuple:
+    if not 0 <= iso.axis < n:
+        raise FieldError("axis", f"expected a torus axis in [0, {n})")
+    signs, offsets = np.ones(n), np.zeros(n)
+    signs[iso.axis], offsets[iso.axis] = -1.0, 2.0 * iso.center
+    return signs, offsets
 
 
 # ---------------------------------------------------------------------------
-# construction
+# manifolds
+
+
+def _canonical_lattice(n, bound):
+    """All canonical representatives j with |j_i| <= bound, in lexicographic
+    order: j = 0 or the first nonzero entry positive, since the pair {j, -j}
+    spans one cosine and one sine direction."""
+    return [j for j in itertools.product(range(-bound, bound + 1), repeat=n)
+            if next((v for v in j if v), 1) > 0]
+
+
+def _node_counts(quadrature, n: int) -> tuple:
+    counts = ((int(quadrature),) * n if np.isscalar(quadrature)
+              else tuple(int(c) for c in quadrature))
+    if len(counts) != n or min(counts) < 1:
+        raise FieldError("quadrature", f"expected {n} positive node counts")
+    return counts
+
+
+@dataclass(frozen=True, eq=False)
+class FlatTorus:
+    """R^n modulo a rectangular lattice, in chart coordinates.
+
+    Axis i has chart coordinate x_i in [0, period_i) and metric length
+    scale_i dx_i, so its edge is period_i * scale_i. A torus is built with
+    `box(edges)` (unit scales); the circle of radius r is `circle(r)`, the
+    1-torus with period 2 pi and scale r, whose chart coordinate is the angle.
+    The default node count per axis is max(4 j_max + 4, node_floor).
+    """
+
+    kind: str
+    params: dict
+    periods: tuple
+    scales: tuple
+    window: type
+    isometries: dict  # isometry class -> (isometry, n) -> (signs, offsets)
+    node_floor: int
+    angular: bool  # potential callables receive bare angles (P,), not rows
+
+    @classmethod
+    def circle(cls, radius=1.0) -> "FlatTorus":
+        if not radius > 0:
+            raise FieldError("radius", "must be positive")
+        actions = {CircleRotation: lambda iso, n: (1.0, iso.angle),
+                   CircleReflection: lambda iso, n: (-1.0, 2.0 * iso.axis)}
+        return cls("circle", {"radius": float(radius)}, (TWO_PI,), (float(radius),),
+                   AngularInterval, actions, 64, True)
+
+    @classmethod
+    def box(cls, edges) -> "FlatTorus":
+        if edges is None:
+            raise FieldError("edges", "torus model needs edge lengths")
+        edges = tuple(float(e) for e in edges)
+        if not edges or any(not e > 0 for e in edges):
+            raise FieldError("edges", "expected a list of positive lengths")
+        actions = {TorusTranslation: _torus_translation,
+                   TorusAxisReflection: _torus_axis_reflection}
+        return cls("torus", {"edges": edges}, edges, (1.0,) * len(edges), TorusBox,
+                   actions, 16, False)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.periods)
+
+    def _wavenumbers(self, lattice) -> np.ndarray:
+        """Metric wavenumber vectors of lattice rows: j_i (2 pi / period_i) / scale_i."""
+        freq = np.array([TWO_PI / p for p in self.periods])
+        return np.asarray(lattice) * freq / np.asarray(self.scales)
+
+    # eigendata and quadrature
+
+    def build(self, K: int, quadrature) -> SpectralModel:
+        n = self.dimension
+        lengths = [p * s for p, s in zip(self.periods, self.scales)]
+        bound = max(2, int(np.ceil(np.sqrt(K) * max(lengths) / TWO_PI)) + 1)
+        while True:
+            reps = _canonical_lattice(n, bound)
+            lam_of = {j: float(v) for j, v in
+                      zip(reps, np.sum(self._wavenumbers(reps) ** 2, axis=1))}
+            # eigenvalues are grouped by their 9-decimal rounding and stored exact
+            distinct = sorted(set(round(v, 9) for v in lam_of.values()))
+            # values below this threshold cannot be missed by the box
+            complete_below = float(np.min(self._wavenumbers([[bound + 1] * n]) ** 2))
+            usable = [v for v in distinct if v < complete_below - 1e-9]
+            if len(usable) >= K:
+                break
+            bound *= 2
+        eigenvalues, lattice_rows, kinds, multiplicities = [], [], [], []
+        for key in usable[:K]:
+            members = [j for j in reps if round(lam_of[j], 9) == key]
+            eigenvalues.append(lam_of[members[0]])
+            start = len(kinds)
+            for j in members:  # j = 0 gives the constant, others a (cos, sin) pair
+                for kind in ((1, 2) if any(j) else (0,)):
+                    lattice_rows.append(j)
+                    kinds.append(kind)
+            multiplicities.append(len(kinds) - start)
+        table = {"lattice": np.array(lattice_rows, dtype=int),
+                 "kinds": np.array(kinds, dtype=np.int8)}
+        if quadrature is None:
+            j_max = np.max(np.abs(table["lattice"]), axis=0)
+            counts = tuple(int(max(4 * jm + 4, self.node_floor)) for jm in j_max)
+        else:
+            counts = _node_counts(quadrature, n)
+        axes = [p * np.arange(c) / c for p, c in zip(self.periods, counts)]
+        grids = np.meshgrid(*axes, indexing="ij")
+        nodes = np.column_stack([g.ravel() for g in grids])
+        cell = np.prod([p * s / c for p, s, c in zip(self.periods, self.scales, counts)])
+        weights = np.full(nodes.shape[0], cell)
+        return SpectralModel(self, K, np.array(eigenvalues),
+                             np.array(multiplicities, dtype=int), nodes, weights,
+                             counts, table)
+
+    def basis_values(self, pts, table) -> np.ndarray:
+        freq = np.array([TWO_PI / p for p in self.periods])
+        phase = pts @ (table["lattice"] * freq).T
+        vol = float(np.prod([p * s for p, s in zip(self.periods, self.scales)]))
+        out = np.where(table["kinds"][None, :] == 2, np.sin(phase), np.cos(phase))
+        norm = np.where(table["kinds"] == 0, 1.0 / np.sqrt(vol), np.sqrt(2.0 / vol))
+        return out * norm[None, :]
+
+    def laplacian_factors(self, table) -> np.ndarray:
+        return np.sum(self._wavenumbers(table["lattice"]) ** 2, axis=1)
+
+    def resolves_products(self, spec, table) -> bool:
+        j_max = np.max(np.abs(table["lattice"]), axis=0)
+        return all(c > 2 * j for c, j in zip(spec, j_max))
+
+    def natural_coordinates(self, pts) -> np.ndarray:
+        return pts[:, 0] if self.angular else pts
+
+    def distance(self, p, q) -> np.ndarray:
+        periods = np.asarray(self.periods)
+        d = np.abs(np.mod(p - q, periods))
+        d = np.minimum(d, periods - d) * np.asarray(self.scales)
+        return np.sqrt(np.sum(d ** 2, axis=1))
+
+    # observation windows
+
+    def check_window(self, desc) -> None:
+        _check_family(self, desc, (self.window,))
+        ivs = desc.intervals
+        if not _has_shape(ivs, (self.dimension, 2)):
+            raise FieldError("intervals", "expected one [start, end] pair per torus axis")
+        for i, ((a, b), p) in enumerate(zip(ivs, self.periods)):
+            if not 0.0 <= a < b <= p:
+                raise FieldError(desc.bound_field(i, upper=a >= 0.0),
+                                 f"bounds must satisfy 0 <= start < end <= {p:.6g}")
+        if all(b - a >= p - 1e-12 for (a, b), p in zip(ivs, self.periods)):
+            raise PreconditionError("observation window must leave a nonempty complement")
+
+    def window_contains(self, desc, pts) -> np.ndarray:
+        x = np.mod(pts, self.periods)
+        lows, highs = np.array(desc.intervals, dtype=float).T
+        return np.all((x > lows) & (x < highs), axis=1)
+
+    def window_points(self, desc, count: int) -> np.ndarray:
+        per_axis = int(np.ceil(count ** (1.0 / self.dimension)))
+        axes = [np.linspace(a, b, per_axis + 2)[1:-1] for a, b in desc.intervals]
+        grids = np.meshgrid(*axes, indexing="ij")
+        return np.column_stack([g.ravel() for g in grids])
+
+    def window_margin(self, desc, center) -> float:
+        """Geodesic distance from `center` to the window boundary."""
+        lows, highs = np.array(desc.intervals, dtype=float).T
+        gaps = np.minimum(center - lows, highs - center) * np.asarray(self.scales)
+        return float(np.min(gaps))
+
+    def default_centers(self, desc, count: int, rng) -> list:
+        """Evenly spaced along the box diagonal, jittered by <= 20% of the
+        spacing when `rng` is given."""
+        lows, highs = np.array(desc.intervals, dtype=float).T
+        spacing = (highs - lows) / (count + 1)
+        out = []
+        for i in range(count):
+            c = lows + spacing * (i + 1)
+            if rng is not None:
+                c = c + rng.uniform(-0.2, 0.2, size=c.size) * spacing
+            out.append(c)
+        return out
+
+    # isometries
+
+    def apply_isometry(self, isometry, pts, inverse: bool = False) -> np.ndarray:
+        return np.mod(_chart_affine(self, isometry, pts, inverse), self.periods)
+
+
+def _sphere_angle(p, q):
+    c = (np.cos(p[:, 0]) * np.cos(q[:, 0])
+         + np.sin(p[:, 0]) * np.sin(q[:, 0]) * np.cos(p[:, 1] - q[:, 1]))
+    return np.arccos(np.clip(c, -1.0, 1.0))
+
+
+def _cap_chart_to_sphere(center, gamma, azimuth):
+    """Map (angle-from-center, azimuth) pairs to (colatitude, longitude)."""
+    tc, pc = float(center[0]), float(center[1])
+    nhat = np.array([np.sin(tc) * np.cos(pc), np.sin(tc) * np.sin(pc), np.cos(tc)])
+    e1 = np.array([np.cos(tc) * np.cos(pc), np.cos(tc) * np.sin(pc), -np.sin(tc)])
+    e2 = np.array([-np.sin(pc), np.cos(pc), 0.0])
+    vec = (np.cos(gamma)[:, None] * nhat[None, :]
+           + np.sin(gamma)[:, None] * (np.cos(azimuth)[:, None] * e1[None, :]
+                                       + np.sin(azimuth)[:, None] * e2[None, :]))
+    colat = np.arccos(np.clip(vec[:, 2], -1.0, 1.0))
+    lon = np.mod(np.arctan2(vec[:, 1], vec[:, 0]), TWO_PI)
+    return np.column_stack([colat, lon])
+
+
+@dataclass(frozen=True)
+class RoundSphere:
+    """Round 2-sphere of radius r in (colatitude, longitude)."""
+
+    radius: float
+    kind: ClassVar[str] = "sphere"
+    dimension: ClassVar[int] = 2
+    window: ClassVar[type] = SphericalCap
+    isometries: ClassVar[dict] = {
+        SphereAxialRotation: lambda iso, n: ((1.0, 1.0), (0.0, iso.angle)),
+        SphereMeridianReflection: lambda iso, n: ((1.0, -1.0), (0.0, 2.0 * iso.meridian))}
+
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise FieldError("radius", "must be positive")
+
+    @property
+    def params(self) -> dict:
+        return {"radius": float(self.radius)}
+
+    # eigendata and quadrature
+
+    def build(self, K: int, quadrature) -> SpectralModel:
+        degrees_distinct = np.arange(K)
+        eigenvalues = degrees_distinct * (degrees_distinct + 1) / self.radius ** 2
+        multiplicities = 2 * degrees_distinct + 1
+        degs, orders, kinds = [], [], []
+        for l in range(K):
+            for m, kind in [(0, 0)] + [(m, k) for m in range(1, l + 1) for k in (1, 2)]:
+                degs.append(l); orders.append(m); kinds.append(kind)
+        if quadrature is None:
+            n_colat, n_lon = max(K + 2, 8), max(4 * K + 4, 16)
+        elif np.isscalar(quadrature):
+            n_colat, n_lon = int(quadrature), 2 * int(quadrature)
+        else:
+            n_colat, n_lon = _node_counts(quadrature, 2)
+        mu, wmu = np.polynomial.legendre.leggauss(n_colat)
+        order = np.argsort(-mu)  # colatitude ascending
+        mu, wmu = mu[order], wmu[order]
+        colat = np.arccos(mu)
+        lon = TWO_PI * np.arange(n_lon) / n_lon
+        cg, lg = np.meshgrid(colat, lon, indexing="ij")
+        nodes = np.column_stack([cg.ravel(), lg.ravel()])
+        wg = np.repeat(wmu, n_lon) * (TWO_PI / n_lon) * self.radius ** 2
+        table = {"degrees": np.array(degs), "orders": np.array(orders),
+                 "kinds": np.array(kinds, dtype=np.int8)}
+        return SpectralModel(self, K, np.asarray(eigenvalues, dtype=float),
+                             np.asarray(multiplicities, dtype=int),
+                             nodes, wg, (n_colat, n_lon), table)
+
+    def basis_values(self, pts, table) -> np.ndarray:
+        colat, lon = pts[:, 0], pts[:, 1]
+        x = np.cos(colat)
+        degs, orders, kinds = table["degrees"], table["orders"], table["kinds"]
+        out = np.empty((pts.shape[0], degs.size))
+        legendre_cache = {}
+        for col in range(degs.size):
+            l, m, kind = int(degs[col]), int(orders[col]), int(kinds[col])
+            key = (l, m)
+            if key not in legendre_cache:
+                legendre_cache[key] = sps.lpmv(m, l, x)
+            plm = legendre_cache[key]
+            lognorm = 0.5 * (np.log(2 * l + 1.0) - np.log(4.0 * np.pi)
+                             + sps.gammaln(l - m + 1) - sps.gammaln(l + m + 1))
+            norm = np.exp(lognorm) / self.radius
+            if kind == 0:
+                out[:, col] = norm * plm
+            elif kind == 1:
+                out[:, col] = np.sqrt(2.0) * norm * plm * np.cos(m * lon)
+            else:
+                out[:, col] = np.sqrt(2.0) * norm * plm * np.sin(m * lon)
+        return out
+
+    def laplacian_factors(self, table) -> np.ndarray:
+        raise ValueError("analytic stencil only available for flat models")
+
+    def resolves_products(self, spec, table) -> bool:
+        n_colat, n_lon = spec
+        lmax = int(np.max(table["degrees"]))
+        return 2 * n_colat - 1 >= 2 * lmax and n_lon > 2 * lmax
+
+    def natural_coordinates(self, pts) -> np.ndarray:
+        return pts
+
+    def distance(self, p, q) -> np.ndarray:
+        return self.radius * _sphere_angle(p, q)
+
+    # observation windows
+
+    def check_window(self, desc) -> None:
+        _check_family(self, desc, (self.window,))
+        if not _has_shape(desc.center, (2,)):
+            raise FieldError("center", "expected [colatitude, longitude]")
+        if not desc.radius > 0.0:
+            raise FieldError("radius", "must be > 0")
+        if not desc.radius < np.pi - 1e-12:
+            raise PreconditionError(
+                "cap radius must lie in (0, pi) so the complement is nonempty")
+
+    def _from_center(self, desc, pts) -> np.ndarray:
+        center = np.repeat(as_points(desc.center, 2), pts.shape[0], axis=0)
+        return _sphere_angle(pts, center)
+
+    def window_contains(self, desc, pts) -> np.ndarray:
+        return self._from_center(desc, pts) < desc.radius
+
+    def window_points(self, desc, count: int) -> np.ndarray:
+        n_rings = max(2, int(np.ceil(np.sqrt(count / 2.0))))
+        n_az = int(np.ceil(count / n_rings))
+        gammas = np.linspace(0.0, desc.radius, n_rings + 2)[1:-1]
+        az = TWO_PI * np.arange(n_az) / n_az
+        gg, aa = np.meshgrid(gammas, az, indexing="ij")
+        return _cap_chart_to_sphere(desc.center, gg.ravel(), aa.ravel())
+
+    def window_margin(self, desc, center) -> float:
+        """Geodesic distance from `center` to the cap boundary."""
+        gamma = float(self._from_center(desc, as_points(center, 2))[0])
+        return float(self.radius * (desc.radius - gamma))
+
+    def default_centers(self, desc, count: int, rng) -> list:
+        """Walk outward from the cap center along a golden spiral, jittered
+        when `rng` is given."""
+        out = []
+        for i in range(count):
+            gamma = desc.radius * i / max(count, 2)
+            azimuth = GOLDEN_ANGLE * i
+            if rng is not None and count > 1:
+                gamma = abs(gamma + rng.uniform(-0.2, 0.2) * desc.radius / count)
+                azimuth = azimuth + rng.uniform(-0.2, 0.2)
+            out.append(_cap_chart_to_sphere(desc.center, np.array([gamma]),
+                                            np.array([azimuth]))[0])
+        return out
+
+    # isometries
+
+    def apply_isometry(self, isometry, pts, inverse: bool = False) -> np.ndarray:
+        out = _chart_affine(self, isometry, pts, inverse)
+        out[:, 1] = np.mod(out[:, 1], TWO_PI)
+        return out
+
+
+_MANIFOLDS = {
+    "circle": lambda radius, edges: FlatTorus.circle(radius),
+    "torus": lambda radius, edges: FlatTorus.box(edges),
+    "sphere": lambda radius, edges: RoundSphere(radius),
+}
+
+
+def make_manifold(kind: str, *, radius: float = 1.0, edges=None):
+    """The catalog geometry named `kind`, without eigendata."""
+    if not isinstance(kind, str) or kind not in _MANIFOLDS:
+        raise FieldError("kind", f"unknown model kind {kind!r}")
+    return _MANIFOLDS[kind](radius, edges)
 
 
 def build_model(kind: str, truncation: int, *, radius: float = 1.0,
@@ -252,194 +699,20 @@ def build_model(kind: str, truncation: int, *, radius: float = 1.0,
     """
     if truncation < 1:
         raise ValueError("truncation must be a positive integer")
-    if kind == "circle":
-        return _build_circle(truncation, radius, quadrature)
-    if kind == "torus":
-        if edges is None:
-            raise ValueError("torus model needs edge lengths")
-        return _build_torus(truncation, tuple(float(e) for e in edges), quadrature)
-    if kind == "sphere":
-        return _build_sphere(truncation, radius, quadrature)
-    raise ValueError(f"unknown model kind: {kind!r}")
-
-
-def _build_circle(K, radius, quadrature):
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    eigenvalues = np.array([(k / radius) ** 2 for k in range(K)])
-    multiplicities = np.array([1] + [2] * (K - 1), dtype=int)
-    freqs, kinds = [0], [0]
-    for k in range(1, K):
-        freqs += [k, k]
-        kinds += [1, 2]
-    n_nodes = int(quadrature) if quadrature is not None else max(4 * K, 64)
-    theta = TWO_PI * np.arange(n_nodes) / n_nodes
-    nodes = theta[:, None]
-    weights = np.full(n_nodes, TWO_PI * radius / n_nodes)
-    table = {"freqs": np.array(freqs), "kinds": np.array(kinds, dtype=np.int8)}
-    return SpectralModel("circle", K, {"radius": float(radius)}, eigenvalues,
-                         multiplicities, nodes, weights, (n_nodes,), table)
-
-
-def _canonical_lattice(n, bound):
-    """All canonical representatives j with |j_i| <= bound.
-
-    Canonical means j = 0 or the first nonzero entry positive; the pair
-    {j, -j} spans one cosine and one sine direction.
-    """
-    reps = []
-    for j in itertools.product(range(-bound, bound + 1), repeat=n):
-        arr = tuple(j)
-        nz = next((v for v in arr if v != 0), 0)
-        if nz > 0 or all(v == 0 for v in arr):
-            reps.append(arr)
-    return reps
-
-
-def _build_torus(K, edges, quadrature):
-    if any(e <= 0 for e in edges):
-        raise ValueError("edges must be positive")
-    n = len(edges)
-    edges_arr = np.asarray(edges)
-    bound = max(2, int(np.ceil(np.sqrt(K) * max(edges) / TWO_PI)) + 1)
-    while True:
-        reps = _canonical_lattice(n, bound)
-        lam_of = {j: float(np.sum((TWO_PI * np.asarray(j) / edges_arr) ** 2)) for j in reps}
-        distinct = sorted(set(round(v, 9) for v in lam_of.values()))
-        # values below this threshold cannot be missed by the box
-        complete_below = min((TWO_PI * (bound + 1) / e) ** 2 for e in edges)
-        usable = [v for v in distinct if v < complete_below - 1e-9]
-        if len(usable) >= K:
-            break
-        bound *= 2
-    kept = usable[:K]
-    eigenvalues = np.array(kept)
-    lattice_rows, kinds, multiplicities = [], [], []
-    for lam in kept:
-        members = sorted(j for j in reps if abs(round(lam_of[j], 9) - lam) < 1e-9)
-        count = 0
-        for j in members:
-            if all(v == 0 for v in j):
-                lattice_rows.append(j)
-                kinds.append(0)
-                count += 1
-            else:
-                lattice_rows.append(j)
-                kinds.append(1)
-                lattice_rows.append(j)
-                kinds.append(2)
-                count += 2
-        multiplicities.append(count)
-    table = {"lattice": np.array(lattice_rows, dtype=int),
-             "kinds": np.array(kinds, dtype=np.int8)}
-    j_max = np.max(np.abs(table["lattice"]), axis=0)
-    if quadrature is None:
-        counts = tuple(int(max(4 * jm + 4, 16)) for jm in j_max)
-    elif np.isscalar(quadrature):
-        counts = (int(quadrature),) * n
-    else:
-        counts = tuple(int(c) for c in quadrature)
-    axes = [edges[i] * np.arange(counts[i]) / counts[i] for i in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    nodes = np.column_stack([g.ravel() for g in grids])
-    cell = np.prod([edges[i] / counts[i] for i in range(n)])
-    weights = np.full(nodes.shape[0], cell)
-    multiplicities = np.array(multiplicities, dtype=int)
-    return SpectralModel("torus", K, {"edges": tuple(edges)}, eigenvalues,
-                         multiplicities, nodes, weights, counts, table)
-
-
-def _build_sphere(K, radius, quadrature):
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    degrees_distinct = np.arange(K)
-    eigenvalues = degrees_distinct * (degrees_distinct + 1) / radius ** 2
-    multiplicities = 2 * degrees_distinct + 1
-    degs, orders, kinds = [], [], []
-    for l in range(K):
-        degs.append(l); orders.append(0); kinds.append(0)
-        for m in range(1, l + 1):
-            degs.append(l); orders.append(m); kinds.append(1)
-            degs.append(l); orders.append(m); kinds.append(2)
-    if quadrature is None:
-        n_colat, n_lon = max(K + 2, 8), max(4 * K + 4, 16)
-    elif np.isscalar(quadrature):
-        n_colat, n_lon = int(quadrature), 2 * int(quadrature)
-    else:
-        n_colat, n_lon = int(quadrature[0]), int(quadrature[1])
-    mu, wmu = np.polynomial.legendre.leggauss(n_colat)
-    order = np.argsort(-mu)  # colatitude ascending
-    mu, wmu = mu[order], wmu[order]
-    colat = np.arccos(mu)
-    lon = TWO_PI * np.arange(n_lon) / n_lon
-    cg, lg = np.meshgrid(colat, lon, indexing="ij")
-    nodes = np.column_stack([cg.ravel(), lg.ravel()])
-    wg = np.repeat(wmu, n_lon) * (TWO_PI / n_lon) * radius ** 2
-    table = {"degrees": np.array(degs), "orders": np.array(orders),
-             "kinds": np.array(kinds, dtype=np.int8)}
-    return SpectralModel("sphere", K, {"radius": float(radius)},
-                         np.asarray(eigenvalues, dtype=float),
-                         np.asarray(multiplicities, dtype=int),
-                         nodes, wg, (n_colat, n_lon), table)
+    return make_manifold(kind, radius=radius, edges=edges).build(truncation, quadrature)
 
 
 # ---------------------------------------------------------------------------
 # basis evaluation
 
 
-def as_points(points, coord_dim: int) -> np.ndarray:
+def as_points(points, dim: int) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
-        if coord_dim == 1:
-            pts = pts[:, None]
-        else:
-            pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != coord_dim:
-        raise ValueError(f"points must have shape (P, {coord_dim})")
+        pts = pts[:, None] if dim == 1 else pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"points must have shape (P, {dim})")
     return pts
-
-
-def _circle_values(pts, table, radius):
-    theta = pts[:, 0]
-    freqs, kinds = table["freqs"], table["kinds"]
-    ang = theta[:, None] * freqs[None, :]
-    out = np.where(kinds[None, :] == 2, np.sin(ang), np.cos(ang))
-    norm = np.where(kinds == 0, 1.0 / np.sqrt(TWO_PI * radius), 1.0 / np.sqrt(np.pi * radius))
-    return out * norm[None, :]
-
-
-def _torus_values(pts, table, edges):
-    lattice, kinds = table["lattice"], table["kinds"]
-    xi = TWO_PI * lattice / np.asarray(edges)[None, :]
-    phase = pts @ xi.T
-    vol = float(np.prod(edges))
-    out = np.where(kinds[None, :] == 2, np.sin(phase), np.cos(phase))
-    norm = np.where(kinds == 0, 1.0 / np.sqrt(vol), np.sqrt(2.0 / vol))
-    return out * norm[None, :]
-
-
-def _sphere_values(pts, table, radius):
-    colat, lon = pts[:, 0], pts[:, 1]
-    x = np.cos(colat)
-    degs, orders, kinds = table["degrees"], table["orders"], table["kinds"]
-    out = np.empty((pts.shape[0], degs.size))
-    legendre_cache = {}
-    for col in range(degs.size):
-        l, m, kind = int(degs[col]), int(orders[col]), int(kinds[col])
-        key = (l, m)
-        if key not in legendre_cache:
-            legendre_cache[key] = sps.lpmv(m, l, x)
-        plm = legendre_cache[key]
-        lognorm = 0.5 * (np.log(2 * l + 1.0) - np.log(4.0 * np.pi)
-                         + sps.gammaln(l - m + 1) - sps.gammaln(l + m + 1))
-        norm = np.exp(lognorm) / radius
-        if kind == 0:
-            out[:, col] = norm * plm
-        elif kind == 1:
-            out[:, col] = np.sqrt(2.0) * norm * plm * np.cos(m * lon)
-        else:
-            out[:, col] = np.sqrt(2.0) * norm * plm * np.sin(m * lon)
-    return out
 
 
 def evaluate_eigenfunction(model: SpectralModel, k: int, ell: int, points) -> np.ndarray:
@@ -454,29 +727,15 @@ def evaluate_eigenfunction(model: SpectralModel, k: int, ell: int, points) -> np
 
 def second_derivative_values(model: SpectralModel, points) -> np.ndarray:
     """Minus the flat Laplacian of every basis function, differentiated
-    analytically from the frequency tables (circle and torus only).
+    analytically from the frequency tables (flat models only).
 
     Deliberately avoids the stored eigenvalue array so it can serve as an
     independent consistency check of the catalog wiring.
     """
-    pts = as_points(points, model.coord_dim)
-    if model.kind == "circle":
-        base = _circle_values(pts, model.basis_table, model.params["radius"])
-        freqs = model.basis_table["freqs"]
-        factors = (freqs / model.params["radius"]) ** 2
-    elif model.kind == "torus":
-        base = _torus_values(pts, model.basis_table, model.params["edges"])
-        xi = TWO_PI * model.basis_table["lattice"] / np.asarray(model.params["edges"])[None, :]
-        factors = np.sum(xi ** 2, axis=1)
-    else:
-        raise ValueError("analytic stencil only available for flat models")
-    out = base * factors[None, :]
-    if model.block_mixers is not None:
-        out = out.copy()
-        for k, mixer in enumerate(model.block_mixers):
-            sl = model.block_slice(k)
-            out[:, sl] = out[:, sl] @ mixer
-    return out
+    pts = as_points(points, model.dimension)
+    factors = model.manifold.laplacian_factors(model.basis_table)
+    base = model.manifold.basis_values(pts, model.basis_table)
+    return model._mixed(base * factors[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -500,18 +759,6 @@ def project_function(model: SpectralModel, f_values) -> np.ndarray:
     return model.node_basis().T @ (model.weights * f)
 
 
-def _quadrature_resolves_products(model: SpectralModel) -> bool:
-    if model.kind == "circle":
-        max_freq = int(np.max(model.basis_table["freqs"]))
-        return model.quadrature_spec[0] > 2 * max_freq
-    if model.kind == "torus":
-        j_max = np.max(np.abs(model.basis_table["lattice"]), axis=0)
-        return all(c > 2 * j for c, j in zip(model.quadrature_spec, j_max))
-    n_colat, n_lon = model.quadrature_spec
-    lmax = int(np.max(model.basis_table["degrees"]))
-    return 2 * n_colat - 1 >= 2 * lmax and n_lon > 2 * lmax
-
-
 def verify_orthonormality(model: SpectralModel, tol: float = 1e-10) -> OrthonormalityReport:
     """Gram-matrix check of the basis under the model quadrature."""
     basis = model.node_basis()
@@ -522,7 +769,8 @@ def verify_orthonormality(model: SpectralModel, tol: float = 1e-10) -> Orthonorm
     max_off = float(np.max(np.abs(off))) if defect.shape[0] > 1 else 0.0
     max_defect = max(max_diag, max_off)
     passed = max_defect <= tol
-    aliasing = (not passed) and (not _quadrature_resolves_products(model))
+    aliasing = (not passed) and (not model.manifold.resolves_products(
+        model.quadrature_spec, model.basis_table))
     return OrthonormalityReport(passed, max_defect, max_diag, max_off, aliasing)
 
 
@@ -531,58 +779,14 @@ def verify_orthonormality(model: SpectralModel, tol: float = 1e-10) -> Orthonorm
 
 
 def descriptor_contains(model: SpectralModel, descriptor, points) -> np.ndarray:
-    pts = as_points(points, model.coord_dim)
-    if isinstance(descriptor, AngularInterval):
-        theta = np.mod(pts[:, 0], TWO_PI)
-        return (theta > descriptor.start) & (theta < descriptor.end)
-    if isinstance(descriptor, TorusBox):
-        edges = model.params["edges"]
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for i, (a, b) in enumerate(descriptor.intervals):
-            xi = np.mod(pts[:, i], edges[i])
-            ok &= (xi > a) & (xi < b)
-        return ok
-    if isinstance(descriptor, SphericalCap):
-        center = as_points(np.asarray(descriptor.center), 2)
-        ang = _sphere_angle(pts, np.repeat(center, pts.shape[0], axis=0))
-        return ang < descriptor.radius
-    raise ValueError(f"unknown observation descriptor: {descriptor!r}")
-
-
-def _validate_descriptor(model: SpectralModel, descriptor) -> None:
-    kind_map = {AngularInterval: "circle", TorusBox: "torus", SphericalCap: "sphere"}
-    want = kind_map.get(type(descriptor))
-    if want is None:
-        raise ValueError(f"unknown observation descriptor: {descriptor!r}")
-    if model.kind != want:
-        raise ValueError(f"{type(descriptor).__name__} does not apply to a {model.kind}")
-    if isinstance(descriptor, AngularInterval):
-        if not (0.0 <= descriptor.start < descriptor.end <= TWO_PI):
-            raise ValueError("interval must satisfy 0 <= start < end <= 2 pi")
-        if descriptor.end - descriptor.start >= TWO_PI - 1e-12:
-            raise PreconditionError("observation arc must leave a nonempty complement")
-    elif isinstance(descriptor, TorusBox):
-        edges = model.params["edges"]
-        if len(descriptor.intervals) != len(edges):
-            raise ValueError("box needs one interval per torus axis")
-        proper = False
-        for (a, b), e in zip(descriptor.intervals, edges):
-            if not (0.0 <= a < b <= e):
-                raise ValueError("box intervals must satisfy 0 <= a < b <= edge")
-            if b - a < e - 1e-12:
-                proper = True
-        if not proper:
-            raise PreconditionError("observation box must leave a nonempty complement")
-    else:
-        if not (0.0 < descriptor.radius < np.pi - 1e-12):
-            raise PreconditionError(
-                "cap radius must lie in (0, pi) so the complement is nonempty")
+    _check_family(model.manifold, descriptor, (model.manifold.window,))
+    return model.manifold.window_contains(descriptor, as_points(points, model.dimension))
 
 
 def restrict_to_observation(model: SpectralModel, descriptor) -> ObservationSet:
     """Collect the quadrature nodes falling inside an open observation set."""
-    _validate_descriptor(model, descriptor)
-    inside = descriptor_contains(model, descriptor, model.nodes)
+    model.manifold.check_window(descriptor)
+    inside = model.manifold.window_contains(descriptor, model.nodes)
     idx = np.nonzero(inside)[0]
     if idx.size == 0:
         raise PreconditionError(
@@ -595,66 +799,23 @@ def restrict_to_observation(model: SpectralModel, descriptor) -> ObservationSet:
 def interior_points(model: SpectralModel, descriptor, count: int) -> np.ndarray:
     """At least `count` points strictly inside the descriptor, on a regular
     chart grid. Used for sampling maps that should not be tied to quadrature."""
-    _validate_descriptor(model, descriptor)
+    model.manifold.check_window(descriptor)
     if count < 1:
         raise ValueError("count must be positive")
-    if isinstance(descriptor, AngularInterval):
-        pts = np.linspace(descriptor.start, descriptor.end, count + 2)[1:-1]
-        return pts[:, None]
-    if isinstance(descriptor, TorusBox):
-        n = len(descriptor.intervals)
-        per_axis = int(np.ceil(count ** (1.0 / n)))
-        axes = [np.linspace(a, b, per_axis + 2)[1:-1] for a, b in descriptor.intervals]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([g.ravel() for g in grids])
-    n_rings = max(2, int(np.ceil(np.sqrt(count / 2.0))))
-    n_az = int(np.ceil(count / n_rings))
-    gammas = np.linspace(0.0, descriptor.radius, n_rings + 2)[1:-1]
-    az = TWO_PI * np.arange(n_az) / n_az
-    gg, aa = np.meshgrid(gammas, az, indexing="ij")
-    return _cap_chart_to_sphere(descriptor.center, gg.ravel(), aa.ravel())
-
-
-def _cap_chart_to_sphere(center, gamma, azimuth):
-    """Map (angle-from-center, azimuth) pairs to (colatitude, longitude)."""
-    tc, pc = float(center[0]), float(center[1])
-    nhat = np.array([np.sin(tc) * np.cos(pc), np.sin(tc) * np.sin(pc), np.cos(tc)])
-    e1 = np.array([np.cos(tc) * np.cos(pc), np.cos(tc) * np.sin(pc), -np.sin(tc)])
-    e2 = np.array([-np.sin(pc), np.cos(pc), 0.0])
-    vec = (np.cos(gamma)[:, None] * nhat[None, :]
-           + np.sin(gamma)[:, None] * (np.cos(azimuth)[:, None] * e1[None, :]
-                                       + np.sin(azimuth)[:, None] * e2[None, :]))
-    colat = np.arccos(np.clip(vec[:, 2], -1.0, 1.0))
-    lon = np.mod(np.arctan2(vec[:, 1], vec[:, 0]), TWO_PI)
-    return np.column_stack([colat, lon])
+    return model.manifold.window_points(descriptor, count)
 
 
 # ---------------------------------------------------------------------------
 # distances
 
 
-def _sphere_angle(p, q):
-    c = (np.cos(p[:, 0]) * np.cos(q[:, 0])
-         + np.sin(p[:, 0]) * np.sin(q[:, 0]) * np.cos(p[:, 1] - q[:, 1]))
-    return np.arccos(np.clip(c, -1.0, 1.0))
-
-
 def geodesic_distance(model: SpectralModel, p, q) -> np.ndarray:
     """Geodesic distance between paired point lists."""
-    pp = as_points(p, model.coord_dim)
-    qq = as_points(q, model.coord_dim)
+    pp = as_points(p, model.dimension)
+    qq = as_points(q, model.dimension)
     if pp.shape != qq.shape:
         raise ValueError("point lists must pair up")
-    if model.kind == "circle":
-        r = model.params["radius"]
-        d = np.abs(np.mod(pp[:, 0] - qq[:, 0], TWO_PI))
-        return r * np.minimum(d, TWO_PI - d)
-    if model.kind == "torus":
-        edges = np.asarray(model.params["edges"])
-        d = np.abs(np.mod(pp - qq, edges[None, :]))
-        d = np.minimum(d, edges[None, :] - d)
-        return np.sqrt(np.sum(d ** 2, axis=1))
-    return model.params["radius"] * _sphere_angle(pp, qq)
+    return model.manifold.distance(pp, qq)
 
 
 # ---------------------------------------------------------------------------
@@ -682,29 +843,11 @@ def with_mixed_blocks(model: SpectralModel, seed: int) -> SpectralModel:
 # isometries
 
 
-def apply_isometry(model: SpectralModel, isometry, points) -> np.ndarray:
-    """Apply a catalog isometry to chart points."""
-    want = _ISOMETRY_KINDS.get(type(isometry))
-    if want is None:
-        raise ValueError(f"unknown isometry: {isometry!r}")
-    if want != model.kind:
-        raise ValueError(f"{type(isometry).__name__} does not act on a {model.kind}")
-    pts = as_points(points, model.coord_dim).copy()
-    if isinstance(isometry, CircleRotation):
-        pts[:, 0] = np.mod(pts[:, 0] + isometry.angle, TWO_PI)
-    elif isinstance(isometry, CircleReflection):
-        pts[:, 0] = np.mod(2.0 * isometry.axis - pts[:, 0], TWO_PI)
-    elif isinstance(isometry, TorusTranslation):
-        edges = np.asarray(model.params["edges"])
-        pts = np.mod(pts + np.asarray(isometry.shift)[None, :], edges[None, :])
-    elif isinstance(isometry, TorusAxisReflection):
-        e = model.params["edges"][isometry.axis]
-        pts[:, isometry.axis] = np.mod(2.0 * isometry.center - pts[:, isometry.axis], e)
-    elif isinstance(isometry, SphereAxialRotation):
-        pts[:, 1] = np.mod(pts[:, 1] + isometry.angle, TWO_PI)
-    elif isinstance(isometry, SphereMeridianReflection):
-        pts[:, 1] = np.mod(2.0 * isometry.meridian - pts[:, 1], TWO_PI)
-    return pts
+def apply_isometry(model: SpectralModel, isometry, points,
+                   inverse: bool = False) -> np.ndarray:
+    """Apply a catalog isometry (or its inverse) to chart points."""
+    return model.manifold.apply_isometry(isometry, as_points(points, model.dimension),
+                                         inverse)
 
 
 def isometry_fixes_pointwise(model: SpectralModel, isometry, obs: ObservationSet,

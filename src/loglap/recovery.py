@@ -8,6 +8,7 @@ away from zero.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -24,15 +25,10 @@ from .errors import (
     UnderdeterminedSamplingError,
 )
 from .models import (
-    CircleReflection,
-    CircleRotation,
     ObservationSet,
-    SphereAxialRotation,
-    SphereMeridianReflection,
     SpectralModel,
-    TorusAxisReflection,
-    TorusTranslation,
     apply_isometry,
+    as_points,
     interior_points,
     isometry_preserves_set,
     project_function,
@@ -98,7 +94,7 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet,
     if points is None:
         points = interior_points(model, obs.descriptor, node_multiplier * dim)
     else:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = as_points(points, model.dimension)
     if points.shape[0] < 2 * dim:
         raise UnderdeterminedSamplingError(
             f"{points.shape[0]} sample points cannot overdetermine a "
@@ -349,19 +345,6 @@ def heat_kernel_equality_check(model_a: SpectralModel, model_b: SpectralModel,
 # ------------------------------------------------------------------ gauge
 
 
-def _inverse_isometry(iso):
-    if isinstance(iso, CircleRotation):
-        return CircleRotation(-iso.angle)
-    if isinstance(iso, TorusTranslation):
-        return TorusTranslation(tuple(-x for x in iso.shift))
-    if isinstance(iso, SphereAxialRotation):
-        return SphereAxialRotation(-iso.angle)
-    if isinstance(iso, (CircleReflection, TorusAxisReflection,
-                        SphereMeridianReflection)):
-        return iso
-    raise ValueError(f"unknown isometry: {iso!r}")
-
-
 def _pullback_field(model: SpectralModel, node_values) -> FieldCoefficients:
     """Project node samples onto the truncated basis via quadrature."""
     return FieldCoefficients(model, project_function(model, node_values))
@@ -390,7 +373,6 @@ def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,
     f o Phi^{-1}) on the window nodes.
     """
     check_mass(m)
-    inverse = _inverse_isometry(isometry)
     if not isometry_preserves_set(model, isometry, obs):
         raise PreconditionError(
             "isometry moves observation nodes out of the window")
@@ -413,10 +395,10 @@ def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,
                             model.truncation)
     rec = cauchy_record(model, m, V, src, obs, cond_limit=cond_limit)
 
-    v_pulled = PotentialField(
-        lambda pts: V.values_at(model, apply_isometry(model, inverse, pts)),
-        label=f"{V.label}~pullback")
-    inv_nodes = apply_isometry(model, inverse, model.nodes)
+    pull_back = partial(apply_isometry, model, isometry, inverse=True)
+    v_pulled = PotentialField(lambda pts: V.values_at(model, pull_back(pts)),
+                              label=f"{V.label}~pullback")
+    inv_nodes = pull_back(model.nodes)
     f_coeffs = project_function(model, src.evaluate(inv_nodes))
     src_pulled = SourceFunction(
         model=model, source_id=f"{src.source_id}~pullback", center=src.center,
@@ -426,7 +408,7 @@ def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,
     rec2 = cauchy_record(model, m, v_pulled, src_pulled, obs,
                          cond_limit=cond_limit)
 
-    inv_obs = apply_isometry(model, inverse, obs.nodes)
+    inv_obs = pull_back(obs.nodes)
     du = np.max(np.abs(rec2.u_values - rec.solution.evaluate(inv_obs)))
     dlu = np.max(np.abs(rec2.lu_values - apply_L(rec.solution, m).evaluate(inv_obs)))
     ref = max(float(np.max(np.abs(rec.u_values))), 1e-300)

@@ -10,27 +10,15 @@ NaN is confined to the CSV tables (coverage gaps); JSON payloads refuse it.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
-from typing import Optional
 
 import numpy as np
 
 from .calculus import HeatTrace
-from .errors import LoglapError
+from .errors import FieldError, LoglapError
 from .extraction import GelfandData, MatchReport, SanityReport
-from .models import (
-    AngularInterval,
-    CircleReflection,
-    CircleRotation,
-    SphereAxialRotation,
-    SphereMeridianReflection,
-    SphericalCap,
-    SpectralModel,
-    TorusAxisReflection,
-    TorusBox,
-    TorusTranslation,
-    build_model,
-)
+from .models import ISOMETRIES, WINDOWS, SpectralModel, build_model, from_fields
 from .recovery import GaugeReport, KernelMatchReport, RecoveredPotential, UcpReport
 from .calculus import GrigoryanReport
 from .solver import CauchyRecord
@@ -64,62 +52,32 @@ def _read_json(path, expected_format: str) -> dict:
 
 
 # descriptors and symmetries --------------------------------------------------
+# {"kind": <the class's JSON name>, <field>: <value>, ...}; tuples become lists.
 
-def descriptor_to_dict(descriptor) -> dict:
-    if isinstance(descriptor, AngularInterval):
-        return {"kind": "interval", "start": float(descriptor.start),
-                "end": float(descriptor.end)}
-    if isinstance(descriptor, TorusBox):
-        return {"kind": "box",
-                "intervals": [[float(a), float(b)] for a, b in descriptor.intervals]}
-    if isinstance(descriptor, SphericalCap):
-        return {"kind": "cap", "center": [float(c) for c in descriptor.center],
-                "radius": float(descriptor.radius)}
-    raise SerializationError(f"unknown observation descriptor {type(descriptor).__name__}")
+def _plain(value):
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_plain(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
 
 
-def descriptor_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "interval":
-        return AngularInterval(d["start"], d["end"])
-    if kind == "box":
-        return TorusBox(tuple(tuple(iv) for iv in d["intervals"]))
-    if kind == "cap":
-        return SphericalCap(tuple(d["center"]), d["radius"])
-    raise SerializationError(f"unknown descriptor kind {kind!r}")
+def _to_dict(obj) -> dict:
+    if type(obj) not in WINDOWS + ISOMETRIES:
+        raise SerializationError(f"cannot serialize {type(obj).__name__}")
+    return {"kind": obj.name, **{f.name: _plain(getattr(obj, f.name))
+                                 for f in dataclasses.fields(obj)}}
 
 
-_ISO_CODECS = {
-    "circle_rotation": (CircleRotation, ("angle",)),
-    "circle_reflection": (CircleReflection, ("axis",)),
-    "torus_translation": (TorusTranslation, ("shift",)),
-    "torus_axis_reflection": (TorusAxisReflection, ("axis", "center")),
-    "sphere_axial_rotation": (SphereAxialRotation, ("angle",)),
-    "sphere_meridian_reflection": (SphereMeridianReflection, ("meridian",)),
-}
+def _decoder(family):
+    def decode(d: dict):
+        try:
+            return from_fields(d, family)
+        except FieldError as exc:
+            raise SerializationError(str(exc)) from exc
+    return decode
 
 
-def isometry_to_dict(isometry) -> dict:
-    for name, (cls, fields) in _ISO_CODECS.items():
-        if isinstance(isometry, cls):
-            out = {"kind": name}
-            for f in fields:
-                v = getattr(isometry, f)
-                out[f] = list(v) if isinstance(v, tuple) else v
-            return out
-    raise SerializationError(f"unknown isometry {type(isometry).__name__}")
-
-
-def isometry_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind not in _ISO_CODECS:
-        raise SerializationError(f"unknown isometry kind {kind!r}")
-    cls, fields = _ISO_CODECS[kind]
-    args = []
-    for f in fields:
-        v = d[f]
-        args.append(tuple(v) if isinstance(v, list) else v)
-    return cls(*args)
+descriptor_to_dict = isometry_to_dict = _to_dict
+descriptor_from_dict, isometry_from_dict = _decoder(WINDOWS), _decoder(ISOMETRIES)
 
 
 # models ----------------------------------------------------------------------
@@ -147,16 +105,11 @@ def dump_model(model: SpectralModel, path) -> None:
 def load_model(path) -> SpectralModel:
     """Rebuild from the stored builder arguments and verify the tables."""
     p = _read_json(path, "loglap/model")
-    kwargs = {"quadrature": tuple(p["quadrature"])}
-    if p["kind"] == "torus":
-        kwargs["edges"] = tuple(p["params"]["edges"])
-        if len(kwargs["quadrature"]) == 1:
-            kwargs["quadrature"] = kwargs["quadrature"][0]
-    else:
-        kwargs["radius"] = p["params"]["radius"]
-        if p["kind"] == "circle":
-            kwargs["quadrature"] = kwargs["quadrature"][0]
-    model = build_model(p["kind"], p["truncation"], **kwargs)
+    try:
+        model = build_model(p["kind"], p["truncation"],
+                            quadrature=tuple(p["quadrature"]), **p["params"])
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"cannot rebuild the stored model: {exc}") from exc
     stored = {"eigenvalues": np.asarray(p["eigenvalues"]),
               "multiplicities": np.asarray(p["multiplicities"]),
               "nodes": np.asarray(p["nodes"]).reshape(model.nodes.shape),
@@ -191,15 +144,12 @@ def dump_record(record: CauchyRecord, path) -> None:
 
 def load_record(path) -> CauchyRecord:
     p = _read_json(path, "loglap/record")
-    nodes = np.asarray(p["nodes"], dtype=float)
-    if nodes.ndim == 1:
-        nodes = nodes[:, None]
     return CauchyRecord(
         kind=p["kind"], truncation=p["truncation"], mass=p["mass"],
         source_id=p["source_id"], potential_label=p["potential_label"],
         descriptor=descriptor_from_dict(p["descriptor"]),
         node_indices=np.asarray(p["node_indices"], dtype=int),
-        nodes=nodes,
+        nodes=np.asarray(p["nodes"], dtype=float),
         weights=np.asarray(p["weights"], dtype=float),
         u_values=np.asarray(p["u_values"], dtype=float),
         lu_values=np.asarray(p["lu_values"], dtype=float),
@@ -213,7 +163,7 @@ def records_equal(a: CauchyRecord, b: CauchyRecord) -> bool:
             and a.potential_label == b.potential_label
             and a.descriptor == b.descriptor
             and np.array_equal(a.node_indices, b.node_indices)
-            and np.array_equal(np.atleast_2d(a.nodes), np.atleast_2d(b.nodes))
+            and np.array_equal(a.nodes, b.nodes)
             and np.array_equal(a.weights, b.weights)
             and np.array_equal(a.u_values, b.u_values)
             and np.array_equal(a.lu_values, b.lu_values))
@@ -252,14 +202,11 @@ def dump_gelfand(data: GelfandData, path) -> None:
 
 def load_gelfand(path) -> GelfandData:
     p = _read_json(path, "loglap/gelfand")
-    nodes = np.asarray(p["nodes"], dtype=float)
-    if nodes.ndim == 1:
-        nodes = nodes[:, None]
     return GelfandData(
         eigenvalues=np.asarray(p["eigenvalues"], dtype=float),
         multiplicities=np.asarray(p["multiplicities"], dtype=int),
         families=[np.asarray(f, dtype=float) for f in p["families"]],
-        nodes=nodes,
+        nodes=np.asarray(p["nodes"], dtype=float),
         weights=np.asarray(p["weights"], dtype=float),
         node_indices=np.asarray(p["node_indices"], dtype=int),
         mass=p["mass"], mode=p["mode"], provenance=list(p["provenance"]),
@@ -272,7 +219,7 @@ def gelfand_equal(a: GelfandData, b: GelfandData) -> bool:
             and np.array_equal(a.multiplicities, b.multiplicities)
             and len(a.families) == len(b.families)
             and all(np.array_equal(x, y) for x, y in zip(a.families, b.families))
-            and np.array_equal(np.atleast_2d(a.nodes), np.atleast_2d(b.nodes))
+            and np.array_equal(a.nodes, b.nodes)
             and np.array_equal(a.weights, b.weights)
             and np.array_equal(a.node_indices, b.node_indices)
             and a.mass == b.mass and a.mode == b.mode
@@ -418,9 +365,7 @@ def trace_from_csv(path):
 
 def recovered_to_csv(recovered: RecoveredPotential, path) -> None:
     """Node/value/mask table; window rows are flagged, gaps carry nan."""
-    nodes = np.atleast_2d(np.asarray(recovered.nodes, dtype=float))
-    if nodes.shape[0] == 1 and recovered.values.size != 1:
-        nodes = nodes.T
+    nodes = np.asarray(recovered.nodes, dtype=float)
     n, d = nodes.shape
     window = np.zeros(n, dtype=int)
     window[recovered.observation_indices] = 1
@@ -477,9 +422,7 @@ def match_report_to_csv(report: MatchReport, path) -> None:
 
 def solution_to_csv(model: SpectralModel, values: np.ndarray, path) -> None:
     """Node table of a solved field (node id, coordinates, value)."""
-    nodes = np.atleast_2d(model.nodes)
-    if nodes.shape[0] == 1 and values.size != 1:
-        nodes = nodes.T
+    nodes = model.nodes
     fh, writer = _open_csv_writer(path)
     with fh:
         writer.writerow(["node_id"] + [f"x{i}" for i in range(nodes.shape[1])]

@@ -18,18 +18,12 @@ from .errors import (
     SupportViolationError,
 )
 from .models import (
-    AngularInterval,
     ObservationSet,
     SpectralModel,
-    TorusBox,
-    _cap_chart_to_sphere,
-    _sphere_angle,
     as_points,
     geodesic_distance,
     project_function,
 )
-
-GOLDEN_ANGLE = 2.399963229728653
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +45,11 @@ class PotentialField:
     label: str = ""
 
     def values_at(self, model: SpectralModel, points) -> np.ndarray:
-        pts = as_points(points, model.coord_dim)
+        pts = as_points(points, model.dimension)
         n = pts.shape[0]
         if self.func is not None:
-            coords = pts[:, 0] if model.kind == "circle" else pts
-            out = np.asarray(self.func(coords), dtype=float)
+            out = np.asarray(self.func(model.manifold.natural_coordinates(pts)),
+                             dtype=float)
             if out.shape != (n,):
                 raise ValueError("potential callable returned a wrong shape")
             return out
@@ -124,7 +118,7 @@ class SourceFunction:
     band_limited: bool = False
 
     def evaluate(self, points) -> np.ndarray:
-        pts = as_points(points, self.model.coord_dim)
+        pts = as_points(points, self.model.dimension)
         if self.band_limited:
             return self.model.eigenfunction_values(pts) @ self.coefficients
         ctr = np.broadcast_to(self.center, pts.shape)
@@ -148,55 +142,6 @@ class SourceBasis:
         return self.sources[i]
 
 
-def _default_centers(descriptor, count: int, rng) -> list:
-    """Evenly spread interior centers, optionally jittered by <= 20% of the
-    center spacing. Returns (center point, boundary margin) pairs."""
-    out = []
-    if isinstance(descriptor, AngularInterval):
-        length = descriptor.end - descriptor.start
-        spacing = length / (count + 1)
-        for i in range(count):
-            c = descriptor.start + spacing * (i + 1)
-            if rng is not None:
-                c = c + rng.uniform(-0.2, 0.2) * spacing
-            out.append(np.array([c]))
-        return out
-    if isinstance(descriptor, TorusBox):
-        lows = np.array([ab[0] for ab in descriptor.intervals])
-        highs = np.array([ab[1] for ab in descriptor.intervals])
-        for i in range(count):
-            frac = (i + 1.0) / (count + 1.0)
-            c = lows + frac * (highs - lows)
-            if rng is not None:
-                c = c + rng.uniform(-0.2, 0.2, size=c.size) * (highs - lows) / (count + 1)
-            out.append(c)
-        return out
-    # spherical cap: walk outward from the cap center along a golden spiral
-    for i in range(count):
-        gamma = descriptor.radius * i / max(count, 2)
-        azimuth = GOLDEN_ANGLE * i
-        if rng is not None and count > 1:
-            gamma = abs(gamma + rng.uniform(-0.2, 0.2) * descriptor.radius / count)
-            azimuth = azimuth + rng.uniform(-0.2, 0.2)
-        out.append(_cap_chart_to_sphere(descriptor.center,
-                                        np.array([gamma]),
-                                        np.array([azimuth]))[0])
-    return out
-
-
-def _boundary_margin(descriptor, center) -> float:
-    """Largest radius whose support ball stays inside the descriptor."""
-    if isinstance(descriptor, AngularInterval):
-        return float(min(center[0] - descriptor.start, descriptor.end - center[0]))
-    if isinstance(descriptor, TorusBox):
-        lows = np.array([ab[0] for ab in descriptor.intervals])
-        highs = np.array([ab[1] for ab in descriptor.intervals])
-        return float(np.min(np.minimum(center - lows, highs - center)))
-    cap_ctr = as_points(np.asarray(descriptor.center, dtype=float), 2)
-    gamma = float(_sphere_angle(as_points(center, 2), cap_ctr)[0])
-    return float(descriptor.radius - gamma)
-
-
 def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
                       radius=None, order: int = 1, amplitude: float = 1.0,
                       seed: Optional[int] = None,
@@ -205,23 +150,23 @@ def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
     set, project them, and report their mutual Gram conditioning.
 
     Default centers sit at interior fractions (i+1)/(count+1); `seed` jitters
-    them. Default radius is 0.9x the distance from each center to the
-    boundary. Explicit centers or radii that push the support outside the
-    set raise SupportViolationError.
+    them. Radii are geodesic distances; the default is 0.9x the distance from
+    each center to the window boundary. Explicit centers or radii that push
+    the support outside the set raise SupportViolationError.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    desc = obs.descriptor
     if centers is not None:
         if len(centers) != count:
             raise ValueError("need exactly one center per source")
         ctrs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in centers]
     else:
         rng = np.random.default_rng(seed) if seed is not None else None
-        ctrs = _default_centers(desc, count, rng)
+        ctrs = model.manifold.default_centers(obs.descriptor, count, rng)
+    margins = [model.manifold.window_margin(obs.descriptor, c) for c in ctrs]
 
     if radius is None:
-        radii = [0.9 * _boundary_margin(desc, c) for c in ctrs]
+        radii = [0.9 * margin for margin in margins]
     elif np.ndim(radius) == 0:
         radii = [float(radius)] * count
     else:
@@ -230,8 +175,7 @@ def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
             raise ValueError("need exactly one radius per source")
 
     sources = []
-    for i, (c, rho) in enumerate(zip(ctrs, radii)):
-        margin = _boundary_margin(desc, c)
+    for i, (c, rho, margin) in enumerate(zip(ctrs, radii, margins)):
         if rho <= 0 or rho >= margin:
             raise SupportViolationError(
                 f"source {i}: support radius {rho:.4g} does not fit inside the "

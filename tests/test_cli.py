@@ -37,6 +37,20 @@ def circle_config(**overrides):
     return cfg
 
 
+def torus_config(**overrides):
+    return circle_config(**{
+        "model": {"kind": "torus", "truncation": 4, "edges": [6.0, 6.0]},
+        "observation": {"kind": "box", "intervals": [[0.5, 4.5], [1.0, 5.0]]},
+        **overrides})
+
+
+def sphere_config(**overrides):
+    return circle_config(**{
+        "model": {"kind": "sphere", "truncation": 4},
+        "observation": {"kind": "cap", "center": [0.0, 0.0], "radius": 1.0},
+        **overrides})
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -257,6 +271,34 @@ class TestExitCodes:
     def test_bad_number_exits_two(self, tmp_path, capsys, cfg, message):
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, cfg, message", [
+        ("solve", torus_config(observation={
+            "kind": "box", "intervals": [["a", 2.0], [1.0, 5.0]]}),
+         "observation.intervals[0][0]: expected a finite number"),
+        ("solve", sphere_config(observation={
+            "kind": "cap", "center": ["x", 0], "radius": 1.0}),
+         "observation.center[0]: expected a finite number"),
+        ("solve", circle_config(observation={
+            "kind": "interval", "start": 0.0, "end": 7.0}),
+         "observation.end: bounds must satisfy"),
+        ("gauge", circle_config(isometry={"kind": "circle_rotation", "angle": None}),
+         "isometry.angle: expected a finite number"),
+        ("gauge", sphere_config(isometry={"kind": "torus_translation",
+                                          "shift": [0.1, 0.2]}),
+         "isometry.kind: expected one of"),
+        ("spectrum", circle_config(model={"kind": "circle", "truncation": 5,
+                                          "quadrature": "abc"}),
+         "model.quadrature: expected an integer"),
+        ("spectrum", circle_config(model={"kind": "circle", "truncation": 5,
+                                          "quadrature": [64, 64]}),
+         "model.quadrature: expected 1 entries, one per chart axis"),
+    ])
+    def test_window_and_isometry_mistakes_exit_two(self, tmp_path, capsys,
+                                                   sub, cfg, message):
+        path = write_config(tmp_path, cfg)
+        assert run_cli(sub, path, tmp_path / "out") == 2
         assert message in capsys.readouterr().err
 
     def test_config_and_artifact_errors_are_loglap_errors(self):

@@ -60,6 +60,37 @@ def brute_force_torus_eigendata(edges, count, bound=40):
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
+def circle_oracle(theta, K, radius):
+    """Closed-form circle basis: 1/sqrt(2 pi r), then cos(k theta)/sqrt(pi r)
+    and sin(k theta)/sqrt(pi r) for k = 1..K-1."""
+    cols = [np.full(theta.shape, 1.0 / np.sqrt(2.0 * np.pi * radius))]
+    for k in range(1, K):
+        cols += [np.cos(k * theta) / np.sqrt(np.pi * radius),
+                 np.sin(k * theta) / np.sqrt(np.pi * radius)]
+    return np.column_stack(cols)
+
+
+class TestCircleOracle:
+    """The circle is the 1-torus with period 2 pi and scale r; its tables
+    must reproduce the closed forms."""
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("K", [4, 16, 33])
+    def test_matches_closed_form(self, K, radius):
+        model = build_model("circle", K, radius=radius)
+        n = max(4 * K, 64)
+        theta = 2 * np.pi * np.arange(n) / n
+        assert np.array_equal(model.eigenvalues, np.array([(k / radius) ** 2 for k in range(K)]))
+        assert list(model.multiplicities) == [1] + [2] * (K - 1)
+        assert np.array_equal(model.nodes, theta[:, None])
+        assert np.array_equal(model.weights, np.full(n, 2 * np.pi * radius / n))
+        assert model.quadrature_spec == (n,)
+        assert np.max(np.abs(model.node_basis() - circle_oracle(theta, K, radius))) <= 1e-13
+        off_grid = np.linspace(0.0, 2 * np.pi, 37)
+        assert np.max(np.abs(model.eigenfunction_values(off_grid)
+                             - circle_oracle(off_grid, K, radius))) <= 1e-13
+
+
 class TestCatalogEigendata:
     def test_circle_unit(self):
         model = build_model("circle", 4)
@@ -81,6 +112,18 @@ class TestCatalogEigendata:
         lams, mults = brute_force_torus_eigendata(edges, 6)
         assert np.allclose(model.eigenvalues, lams, atol=1e-9)
         assert list(model.multiplicities) == mults
+
+    def test_torus_eigenvalues_stored_exact(self):
+        # grouping rounds to 9 decimals; the stored values must not be rounded
+        edges = (1.0, 1.3)
+        model = build_model("torus", 8, edges=edges)
+        j = np.array(list(itertools.product(range(-6, 7), repeat=2)))
+        exact = np.sum((2 * np.pi * j / np.asarray(edges)) ** 2, axis=1)
+        for lam in model.eigenvalues[1:]:
+            assert np.min(np.abs(exact - lam)) <= 1e-13 * lam
+        ring = build_model("torus", 8, edges=(2 * np.pi * 0.7,))
+        circle = build_model("circle", 8, radius=0.7)
+        assert np.allclose(ring.eigenvalues, circle.eigenvalues, rtol=1e-13, atol=0.0)
 
     def test_torus_square_frozen(self):
         # 2 pi x 2 pi torus: integer lattice, first three shells.

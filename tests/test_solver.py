@@ -421,25 +421,53 @@ class TestSourceBasis:
         assert s16.projection_residual > s48.projection_residual
         assert s48.projection_residual > 0.0
 
+    # support radii are geodesic distances, so the window margin scales with r
+    def test_circle_sources_supported_in_interval(self):
+        for r in (0.5, 2.0):
+            model = build_model("circle", 16, radius=r)
+            obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
+            basis = make_source_basis(model, obs, 2)
+            inside = obs.contains(model.nodes)
+            for src in basis:
+                assert np.all(src.node_values[~inside] == 0.0)
+                assert np.max(src.node_values) > 0.0
+                c = src.center[0]
+                assert src.radius == pytest.approx(0.9 * r * min(c, np.pi - c))
+
     def test_torus_sources_supported_in_box(self):
-        torus = build_model("torus", 4, edges=(2 * np.pi, 2 * np.pi))
-        box = TorusBox(((0.5, 4.5), (1.0, 5.0)))
-        obs = restrict_to_observation(torus, box)
-        basis = make_source_basis(torus, obs, 2)
-        inside = obs.contains(torus.nodes)
-        for src in basis:
-            assert np.all(src.node_values[~inside] == 0.0)
-            assert np.max(src.node_values) > 0.0
+        for r in (1.0, 0.5, 2.0):
+            torus = build_model("torus", 4, edges=(2 * np.pi * r, 2 * np.pi * r))
+            box = TorusBox(((0.5 * r, 4.5 * r), (1.0 * r, 5.0 * r)))
+            obs = restrict_to_observation(torus, box)
+            basis = make_source_basis(torus, obs, 2)
+            inside = obs.contains(torus.nodes)
+            for src in basis:
+                assert np.all(src.node_values[~inside] == 0.0)
+                assert np.max(src.node_values) > 0.0
 
     def test_sphere_sources_supported_in_cap(self):
-        sphere = build_model("sphere", 8)
-        cap = SphericalCap((0.0, 0.0), np.pi / 2)
-        obs = restrict_to_observation(sphere, cap)
-        basis = make_source_basis(sphere, obs, 2)
-        inside = obs.contains(sphere.nodes)
-        for src in basis:
-            assert np.all(src.node_values[~inside] == 0.0)
-            assert np.max(src.node_values) > 0.0
+        for r in (1.0, 0.5, 2.0):
+            sphere = build_model("sphere", 8, radius=r)
+            cap = SphericalCap((0.0, 0.0), np.pi / 2)
+            obs = restrict_to_observation(sphere, cap)
+            basis = make_source_basis(sphere, obs, 2)
+            inside = obs.contains(sphere.nodes)
+            for src in basis:
+                assert np.all(src.node_values[~inside] == 0.0)
+                assert np.max(src.node_values) > 0.0
+
+    @pytest.mark.parametrize("r", [0.5, 2.0])
+    def test_explicit_radius_checked_against_geodesic_margin(self, r):
+        circle_model = build_model("circle", 16, radius=r)
+        arc = restrict_to_observation(circle_model, AngularInterval(0.0, np.pi))
+        sphere = build_model("sphere", 6, radius=r)
+        cap = restrict_to_observation(sphere, SphericalCap((0.0, 0.0), 1.0))
+        for model, obs, center, margin in ((circle_model, arc, [np.pi / 2], np.pi / 2),
+                                           (sphere, cap, [0.0, 0.0], 1.0)):
+            make_source_basis(model, obs, 1, centers=[center], radius=0.999 * margin * r)
+            with pytest.raises(SupportViolationError):
+                make_source_basis(model, obs, 1, centers=[center],
+                                  radius=1.001 * margin * r)
 
     def test_sphere_radius_violation(self):
         sphere = build_model("sphere", 6)
