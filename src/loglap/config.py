@@ -88,6 +88,21 @@ def _list(value, path: str, item, **bounds) -> list:
     return [item(v, f"{path}[{i}]", **bounds) for i, v in enumerate(value)]
 
 
+def _centers(centers, count: int, dim: int) -> None:
+    """One center per source: `dim` chart coordinates (a bare number if dim is 1)."""
+    if not isinstance(centers, list) or len(centers) != count:
+        raise ConfigError("sources.centers", f"expected a list of {count} centers, "
+                                             "one per source (sources.count)")
+    for i, c in enumerate(centers):
+        path = f"sources.centers[{i}]"
+        if isinstance(c, list) and len(c) == dim:
+            _list(c, path, _number)
+        elif dim == 1 and not isinstance(c, list):
+            _number(c, path)
+        else:
+            raise ConfigError(path, f"expected a list of {dim} chart coordinates")
+
+
 @contextmanager
 def _field_errors(section: str):
     """Report the model layer's argument errors under the config section."""
@@ -145,7 +160,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
             _number(_require(term, "amplitude", p), p + "amplitude")
             _number(term.get("phase", 0.0), p + "phase")
             _integer(term.get("frequency", 1), p + "frequency", minimum=1)
-            _integer(term.get("axis", 0), p + "axis", minimum=0)
+            if _integer(term.get("axis", 0), p + "axis", minimum=0) >= manifold.dimension:
+                raise ConfigError(p + "axis",
+                                  f"expected a chart axis in [0, {manifold.dimension})")
 
     observation = raw.get("observation")
     if observation is not None:
@@ -157,13 +174,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
     sources = raw.get("sources", {"count": 1})
     if not isinstance(sources, dict):
         raise ConfigError("sources", "must be a mapping")
-    _integer(sources.get("count", 1), "sources.count", minimum=1)
+    count = _integer(sources.get("count", 1), "sources.count", minimum=1)
     if "radius" in sources:
         _number(sources["radius"], "sources.radius", minimum=0.0, strict=True)
     if "order" in sources:
         _integer(sources["order"], "sources.order", minimum=1)
-    if "centers" in sources and not isinstance(sources["centers"], list):
-        raise ConfigError("sources.centers", "expected a list of centers")
+    if "centers" in sources:
+        _centers(sources["centers"], count, manifold.dimension)
 
     times = raw.get("times")
     if times is not None:
@@ -263,9 +280,6 @@ def config_potential(cfg: ExperimentConfig) -> PotentialField:
         pts = np.asarray(coords, dtype=float).reshape(len(coords), -1)  # circle: (P,)
         out = np.zeros(pts.shape[0])
         for form, amp, freq, axis, phase in terms:
-            if axis >= pts.shape[1]:
-                raise ConfigError("potential.terms",
-                                  f"axis {axis} out of range for this model")
             angle = freq * pts[:, axis] + phase
             out += amp * (np.cos(angle) if form == "cos" else np.sin(angle))
         return out

@@ -267,14 +267,14 @@ class GelfandData:
 
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
-    families: list
+    families: list[np.ndarray]
     nodes: np.ndarray
     weights: np.ndarray
     node_indices: np.ndarray
     mass: float
     mode: str
     provenance: list = field(default_factory=list)
-    ambient: Optional[list] = None
+    ambient: Optional[list[np.ndarray]] = None
 
 
 def _excitation_mask(model: SpectralModel, sources) -> np.ndarray:
@@ -398,7 +398,7 @@ def _assemble_internal(model, m, obs, sources, fit, amps, sw):
     return GelfandData(eigenvalues=eigenvalues,
                        multiplicities=np.array(mults, dtype=int),
                        families=families, nodes=obs.nodes, weights=obs.weights,
-                       node_indices=obs.node_indices, mass=m, mode="internal",
+                       node_indices=obs.node_indices, mass=float(m), mode="internal",
                        provenance=[s.source_id for s in sources],
                        ambient=ambient)
 
@@ -415,7 +415,7 @@ def _assemble_blind(model, m, obs, sources, fit, amps, sw):
     return GelfandData(eigenvalues=fit.exponents - m,
                        multiplicities=np.array(mults, dtype=int),
                        families=families, nodes=obs.nodes, weights=obs.weights,
-                       node_indices=obs.node_indices, mass=m, mode="blind",
+                       node_indices=obs.node_indices, mass=float(m), mode="blind",
                        provenance=[s.source_id for s in sources],
                        ambient=None)
 
@@ -483,6 +483,10 @@ class SanityReport:
     exponent: float
     violations: int
     n_checked: int
+
+    @property
+    def passed(self) -> bool:
+        return self.violations == 0
 
 
 def weyl_sanity_check(model: SpectralModel) -> SanityReport:

@@ -264,12 +264,15 @@ def from_fields(mapping: dict, family):
     """The member of `family` named by mapping["kind"], built from the other
     entries of a JSON-style mapping: lists become tuples and every value must
     be a finite number (an integer for integer fields). Raises FieldError
-    naming the offending field."""
+    naming the offending field, also for an entry that is no field."""
     kind = mapping.get("kind")
     cls = next((c for c in family if c.name == kind), None)
     if cls is None:
         raise FieldError("kind", f"expected one of {[c.name for c in family]}, "
                                  f"found {kind!r}")
+    unknown = sorted(set(mapping) - {"kind"} - {f.name for f in fields(cls)})
+    if unknown:
+        raise FieldError(unknown[0], f"unknown field of {kind!r}")
     args = {}
     for f in fields(cls):
         if f.name in mapping:

@@ -5,22 +5,30 @@ columnar tables are CSV with a fixed header row. Floats are written with
 Python's shortest round-trip repr, so identical inputs produce
 byte-identical files and every numeric value survives write -> read exactly.
 NaN is confined to the CSV tables (coverage gaps); JSON payloads refuse it.
+
+Records, spectral data and reports are dataclasses, and their JSON payload
+is their fields (`to_payload`, `from_payload`): arrays are nested lists,
+numpy scalars plain numbers, windows and isometries {"kind": name, ...}.
+Loading reads each field back by its annotation, so adding a field needs no
+edit here. A field whose metadata sets "in_memory" (CauchyRecord.solution)
+is left out of the payload and takes its default on load.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
+import typing
 
 import numpy as np
 
-from .calculus import HeatTrace
+from .calculus import GrigoryanReport, HeatTrace
 from .errors import FieldError, LoglapError
 from .extraction import GelfandData, MatchReport, SanityReport
 from .models import ISOMETRIES, WINDOWS, SpectralModel, build_model, from_fields
 from .recovery import GaugeReport, KernelMatchReport, RecoveredPotential, UcpReport
-from .calculus import GrigoryanReport
 from .solver import CauchyRecord
 
 FORMAT_VERSION = 1
@@ -30,76 +38,139 @@ class SerializationError(LoglapError):
     """An artifact is malformed or cannot represent the object."""
 
 
-def _listify(a):
-    return np.asarray(a).tolist()
-
-
-def _write_json(payload: dict, path) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+def _write_json(path, fmt: str, payload: dict) -> None:
+    text = json.dumps({"format": fmt, "version": FORMAT_VERSION, **payload},
+                      sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
 
 
 def _read_json(path, expected_format: str) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != expected_format:
-        raise SerializationError(
-            f"expected format {expected_format!r}, found {payload.get('format')!r}")
-    if payload.get("version") != FORMAT_VERSION:
-        raise SerializationError(f"unsupported version {payload.get('version')!r}")
+    """The document's fields, without its format/version header."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SerializationError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise SerializationError(f"{path}: expected a JSON object, found "
+                                 f"{type(payload).__name__}")
+    if payload.pop("format", None) != expected_format:
+        raise SerializationError(f"{path}: format: expected {expected_format!r}")
+    version = payload.pop("version", None)
+    if version != FORMAT_VERSION:
+        raise SerializationError(f"{path}: version: unsupported version {version!r}")
     return payload
 
 
-# descriptors and symmetries --------------------------------------------------
-# {"kind": <the class's JSON name>, <field>: <value>, ...}; tuples become lists.
+# the dataclass codec ---------------------------------------------------------
 
 def _plain(value):
-    if isinstance(value, (tuple, list, np.ndarray)):
+    if type(value) in WINDOWS + ISOMETRIES:
+        return {"kind": value.name, **{f.name: _plain(getattr(value, f.name))
+                                       for f in dataclasses.fields(value)}}
+    if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
-    return value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
 
-def _to_dict(obj) -> dict:
-    if type(obj) not in WINDOWS + ISOMETRIES:
-        raise SerializationError(f"cannot serialize {type(obj).__name__}")
-    return {"kind": obj.name, **{f.name: _plain(getattr(obj, f.name))
-                                 for f in dataclasses.fields(obj)}}
+def _payload_fields(cls) -> list:
+    return [f for f in dataclasses.fields(cls) if not f.metadata.get("in_memory")]
 
 
-def _decoder(family):
-    def decode(d: dict):
+def to_payload(obj) -> dict:
+    """The JSON payload of a record, spectral data or report: its fields."""
+    return {f.name: _plain(getattr(obj, f.name)) for f in _payload_fields(type(obj))}
+
+
+def payload_equal(a, b) -> bool:
+    """Equality on what an artifact stores (in-memory fields are not part of it)."""
+    return type(a) is type(b) and to_payload(a) == to_payload(b)
+
+
+def _kind_object(mapping, family=WINDOWS + ISOMETRIES, path: str = ""):
+    """The window or isometry named by mapping["kind"]."""
+    if not isinstance(mapping, dict):
+        raise SerializationError(f"{path or 'value'}: expected a mapping with a 'kind', "
+                                 f"found {mapping!r}")
+    try:
+        return from_fields(mapping, family)
+    except FieldError as exc:
+        raise SerializationError(f"{path}.{exc}" if path else str(exc)) from exc
+
+
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _field_value(value, hint, path: str):
+    """`value` read back as the annotation `hint` says."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        if value is None and type(None) in args:
+            return None
+        return _field_value(value, next(a for a in args if a is not type(None)), path)
+    if hint is np.ndarray:
         try:
-            return from_fields(d, family)
-        except FieldError as exc:
-            raise SerializationError(str(exc)) from exc
-    return decode
+            arr = np.asarray(value)  # JSON keeps int, float and bool apart
+        except ValueError as exc:
+            raise SerializationError(f"{path}: not a rectangular array") from exc
+        if arr.dtype.kind not in "biuf":
+            raise SerializationError(f"{path}: expected an array of numbers")
+        return arr
+    if hint is list or typing.get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise SerializationError(f"{path}: expected a list, found {value!r}")
+        item = args[0] if args else typing.Any
+        return [_field_value(v, item, f"{path}[{i}]") for i, v in enumerate(value)]
+    if hint is object:
+        return _kind_object(value, path=path)
+    if hint in _SCALARS and (not isinstance(value, _SCALARS[hint])
+                             or (hint is not bool and isinstance(value, bool))):
+        raise SerializationError(f"{path}: expected {hint.__name__}, found {value!r}")
+    return value
 
 
-descriptor_to_dict = isometry_to_dict = _to_dict
-descriptor_from_dict, isometry_from_dict = _decoder(WINDOWS), _decoder(ISOMETRIES)
+def from_payload(cls, payload, where: str = ""):
+    """Build the dataclass `cls` from its payload; every stored field must be
+    present and no other. Raises SerializationError naming the field, after
+    the prefix `where`."""
+    if not isinstance(payload, dict):
+        raise SerializationError(f"{where.rstrip('. :') or 'payload'}: expected the "
+                                 f"fields of a {cls.__name__}, found {type(payload).__name__}")
+    fields = _payload_fields(cls)
+    unknown = sorted(set(payload) - {f.name for f in fields})
+    if unknown:
+        raise SerializationError(f"{where}{unknown[0]}: unknown field of {cls.__name__}")
+    hints = typing.get_type_hints(cls)
+    args = {}
+    for f in fields:
+        if f.name not in payload:
+            raise SerializationError(f"{where}{f.name}: missing field of {cls.__name__}")
+        args[f.name] = _field_value(payload[f.name], hints[f.name], where + f.name)
+    return cls(**args)
+
+
+descriptor_to_dict = isometry_to_dict = _plain
+descriptor_from_dict = functools.partial(_kind_object, family=WINDOWS)
+isometry_from_dict = functools.partial(_kind_object, family=ISOMETRIES)
 
 
 # models ----------------------------------------------------------------------
+
+_MODEL_TABLES = ("eigenvalues", "multiplicities", "nodes", "weights")
+
 
 def dump_model(model: SpectralModel, path) -> None:
     """Versioned eigendata dump; the builder arguments travel with the tables."""
     if model.block_mixers is not None:
         raise SerializationError("derived models with mixed blocks are not serializable")
-    payload = {
-        "format": "loglap/model",
-        "version": FORMAT_VERSION,
-        "kind": model.kind,
-        "truncation": int(model.truncation),
-        "params": {k: (_listify(v) if isinstance(v, (tuple, list, np.ndarray)) else v)
-                   for k, v in model.params.items()},
-        "quadrature": _listify(model.quadrature_spec),
-        "eigenvalues": _listify(model.eigenvalues),
-        "multiplicities": _listify(model.multiplicities),
-        "nodes": _listify(model.nodes),
-        "weights": _listify(model.weights),
-    }
-    _write_json(payload, path)
+    _write_json(path, "loglap/model", {
+        "kind": model.kind, "truncation": int(model.truncation),
+        "params": {k: _plain(v) for k, v in model.params.items()},
+        "quadrature": _plain(model.quadrature_spec),
+        **{name: _plain(getattr(model, name)) for name in _MODEL_TABLES}})
 
 
 def load_model(path) -> SpectralModel:
@@ -108,12 +179,11 @@ def load_model(path) -> SpectralModel:
     try:
         model = build_model(p["kind"], p["truncation"],
                             quadrature=tuple(p["quadrature"]), **p["params"])
+        stored = {name: np.asarray(p[name]) for name in _MODEL_TABLES}
+    except KeyError as exc:
+        raise SerializationError(f"{path}: {exc.args[0]}: missing field") from exc
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"cannot rebuild the stored model: {exc}") from exc
-    stored = {"eigenvalues": np.asarray(p["eigenvalues"]),
-              "multiplicities": np.asarray(p["multiplicities"]),
-              "nodes": np.asarray(p["nodes"]).reshape(model.nodes.shape),
-              "weights": np.asarray(p["weights"])}
     for name, arr in stored.items():
         if not np.array_equal(arr, getattr(model, name)):
             raise SerializationError(f"stored {name} disagree with the rebuilt model")
@@ -124,206 +194,74 @@ def load_model(path) -> SpectralModel:
 
 def dump_record(record: CauchyRecord, path) -> None:
     """Observation payload only; the full solution field stays in memory."""
-    payload = {
-        "format": "loglap/record",
-        "version": FORMAT_VERSION,
-        "kind": record.kind,
-        "truncation": int(record.truncation),
-        "mass": float(record.mass),
-        "source_id": record.source_id,
-        "potential_label": record.potential_label,
-        "descriptor": descriptor_to_dict(record.descriptor),
-        "node_indices": _listify(record.node_indices),
-        "nodes": _listify(record.nodes),
-        "weights": _listify(record.weights),
-        "u_values": _listify(record.u_values),
-        "lu_values": _listify(record.lu_values),
-    }
-    _write_json(payload, path)
+    _write_json(path, "loglap/record", to_payload(record))
 
 
 def load_record(path) -> CauchyRecord:
-    p = _read_json(path, "loglap/record")
-    return CauchyRecord(
-        kind=p["kind"], truncation=p["truncation"], mass=p["mass"],
-        source_id=p["source_id"], potential_label=p["potential_label"],
-        descriptor=descriptor_from_dict(p["descriptor"]),
-        node_indices=np.asarray(p["node_indices"], dtype=int),
-        nodes=np.asarray(p["nodes"], dtype=float),
-        weights=np.asarray(p["weights"], dtype=float),
-        u_values=np.asarray(p["u_values"], dtype=float),
-        lu_values=np.asarray(p["lu_values"], dtype=float),
-        solution=None)
-
-
-def records_equal(a: CauchyRecord, b: CauchyRecord) -> bool:
-    """Equality on the serialized payload (the in-memory solution is not part of it)."""
-    return (a.kind == b.kind and a.truncation == b.truncation
-            and a.mass == b.mass and a.source_id == b.source_id
-            and a.potential_label == b.potential_label
-            and a.descriptor == b.descriptor
-            and np.array_equal(a.node_indices, b.node_indices)
-            and np.array_equal(a.nodes, b.nodes)
-            and np.array_equal(a.weights, b.weights)
-            and np.array_equal(a.u_values, b.u_values)
-            and np.array_equal(a.lu_values, b.lu_values))
+    return from_payload(CauchyRecord, _read_json(path, "loglap/record"), f"{path}: ")
 
 
 def dump_manifest(entries: list, path) -> None:
     """entries: list of {file, source_id, kind, truncation, mass}."""
-    payload = {"format": "loglap/manifest", "version": FORMAT_VERSION,
-               "records": entries}
-    _write_json(payload, path)
+    _write_json(path, "loglap/manifest", {"records": entries})
 
 
 def load_manifest(path) -> list:
-    return _read_json(path, "loglap/manifest")["records"]
+    records = _read_json(path, "loglap/manifest").get("records")
+    if not isinstance(records, list):
+        raise SerializationError(f"{path}: records: expected a list, found {records!r}")
+    return records
 
 
 # spectral data ---------------------------------------------------------------
 
 def dump_gelfand(data: GelfandData, path) -> None:
-    payload = {
-        "format": "loglap/gelfand",
-        "version": FORMAT_VERSION,
-        "eigenvalues": _listify(data.eigenvalues),
-        "multiplicities": _listify(data.multiplicities),
-        "families": [_listify(f) for f in data.families],
-        "nodes": _listify(data.nodes),
-        "weights": _listify(data.weights),
-        "node_indices": _listify(data.node_indices),
-        "mass": float(data.mass),
-        "mode": data.mode,
-        "provenance": list(data.provenance),
-        "ambient": None if data.ambient is None else [_listify(a) for a in data.ambient],
-    }
-    _write_json(payload, path)
+    _write_json(path, "loglap/gelfand", to_payload(data))
 
 
 def load_gelfand(path) -> GelfandData:
-    p = _read_json(path, "loglap/gelfand")
-    return GelfandData(
-        eigenvalues=np.asarray(p["eigenvalues"], dtype=float),
-        multiplicities=np.asarray(p["multiplicities"], dtype=int),
-        families=[np.asarray(f, dtype=float) for f in p["families"]],
-        nodes=np.asarray(p["nodes"], dtype=float),
-        weights=np.asarray(p["weights"], dtype=float),
-        node_indices=np.asarray(p["node_indices"], dtype=int),
-        mass=p["mass"], mode=p["mode"], provenance=list(p["provenance"]),
-        ambient=None if p["ambient"] is None
-        else [np.asarray(a, dtype=float) for a in p["ambient"]])
-
-
-def gelfand_equal(a: GelfandData, b: GelfandData) -> bool:
-    base = (np.array_equal(a.eigenvalues, b.eigenvalues)
-            and np.array_equal(a.multiplicities, b.multiplicities)
-            and len(a.families) == len(b.families)
-            and all(np.array_equal(x, y) for x, y in zip(a.families, b.families))
-            and np.array_equal(a.nodes, b.nodes)
-            and np.array_equal(a.weights, b.weights)
-            and np.array_equal(a.node_indices, b.node_indices)
-            and a.mass == b.mass and a.mode == b.mode
-            and list(a.provenance) == list(b.provenance))
-    if not base:
-        return False
-    if (a.ambient is None) != (b.ambient is None):
-        return False
-    if a.ambient is None:
-        return True
-    return (len(a.ambient) == len(b.ambient)
-            and all(np.array_equal(x, y) for x, y in zip(a.ambient, b.ambient)))
+    return from_payload(GelfandData, _read_json(path, "loglap/gelfand"), f"{path}: ")
 
 
 # reports ---------------------------------------------------------------------
-
-_ARRAY_FIELDS = {
-    "MatchReport": {"eigenvalue_gaps": float, "multiplicity_matches": bool,
-                    "max_angles": float},
-    "KernelMatchReport": {"deviations": float, "times": float},
-}
-
-_SPECIAL_FIELDS = {
-    "UcpReport": {"descriptor": (descriptor_to_dict, descriptor_from_dict)},
-    "GaugeReport": {"isometry": (isometry_to_dict, isometry_from_dict)},
-}
 
 _REPORT_TYPES = {cls.__name__: cls for cls in
                  (UcpReport, MatchReport, SanityReport, KernelMatchReport,
                   GaugeReport, GrigoryanReport)}
 
 
-def _report_passed(report) -> bool:
-    if hasattr(report, "passed"):
-        return bool(report.passed)
-    return int(report.violations) == 0
-
-
 def dump_report(report, path) -> None:
     """Any diagnostic report, with a machine-readable top-level pass flag."""
     name = type(report).__name__
-    if name not in _REPORT_TYPES:
+    if _REPORT_TYPES.get(name) is not type(report):
         raise SerializationError(f"unknown report type {name}")
-    arrays = _ARRAY_FIELDS.get(name, {})
-    special = _SPECIAL_FIELDS.get(name, {})
-    fields = {}
-    for key, value in vars(report).items():
-        if key in special:
-            fields[key] = special[key][0](value)
-        elif key in arrays:
-            fields[key] = _listify(value)
-        elif isinstance(value, (np.floating, np.integer, np.bool_)):
-            fields[key] = value.item()
-        else:
-            fields[key] = value
-    payload = {"format": "loglap/report", "version": FORMAT_VERSION,
-               "report": name, "passed": _report_passed(report),
-               "fields": fields}
-    _write_json(payload, path)
+    _write_json(path, "loglap/report", {"report": name, "passed": bool(report.passed),
+                                        "fields": to_payload(report)})
 
 
 def load_report(path):
     p = _read_json(path, "loglap/report")
-    name = p["report"]
-    if name not in _REPORT_TYPES:
-        raise SerializationError(f"unknown report type {name}")
-    arrays = _ARRAY_FIELDS.get(name, {})
-    special = _SPECIAL_FIELDS.get(name, {})
-    fields = dict(p["fields"])
-    for key, dtype in arrays.items():
-        fields[key] = np.asarray(fields[key], dtype=dtype)
-    for key, (_, decode) in special.items():
-        fields[key] = decode(fields[key])
-    return _REPORT_TYPES[name](**fields)
-
-
-def reports_equal(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    arrays = _ARRAY_FIELDS.get(type(a).__name__, {})
-    for key, va in vars(a).items():
-        vb = getattr(b, key)
-        same = np.array_equal(va, vb) if key in arrays else va == vb
-        if not same:
-            return False
-    return True
+    cls = _REPORT_TYPES.get(str(p.get("report")))
+    if cls is None:
+        raise SerializationError(f"{path}: report: unknown report type {p.get('report')!r}")
+    return from_payload(cls, p.get("fields"), f"{path}: fields.")
 
 
 def dump_solution(model: SpectralModel, mass: float, source_id: str,
                   potential_label: str, coefficients: np.ndarray,
                   residual: float, path) -> None:
-    payload = {"format": "loglap/solution", "version": FORMAT_VERSION,
-               "kind": model.kind, "truncation": int(model.truncation),
-               "mass": float(mass), "source_id": source_id,
-               "potential_label": potential_label,
-               "coefficients": _listify(coefficients),
-               "residual": float(residual)}
-    _write_json(payload, path)
+    _write_json(path, "loglap/solution", {
+        "kind": model.kind, "truncation": int(model.truncation),
+        "mass": float(mass), "source_id": source_id,
+        "potential_label": potential_label,
+        "coefficients": _plain(coefficients), "residual": float(residual)})
 
 
 def load_solution(path) -> dict:
     p = _read_json(path, "loglap/solution")
-    p["coefficients"] = np.asarray(p["coefficients"], dtype=float)
-    return {k: v for k, v in p.items() if k not in ("format", "version")}
+    p["coefficients"] = _field_value(p.get("coefficients"), np.ndarray,
+                                    f"{path}: coefficients")
+    return p
 
 
 # columnar tables -------------------------------------------------------------

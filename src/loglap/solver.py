@@ -328,8 +328,8 @@ class CauchyRecord:
     """Solution and operator samples on the observation nodes.
 
     `solution` keeps the full coefficient vector so downstream checks can
-    evaluate off the observation set; serialized records carry only the
-    observation payload.
+    evaluate off the observation set; it is in-memory only, so serialized
+    records carry only the observation payload and load with solution None.
     """
 
     kind: str
@@ -343,7 +343,8 @@ class CauchyRecord:
     weights: np.ndarray
     u_values: np.ndarray
     lu_values: np.ndarray
-    solution: FieldCoefficients
+    solution: Optional[FieldCoefficients] = field(default=None,
+                                                  metadata={"in_memory": True})
 
 
 def cauchy_record(model: SpectralModel, m: float, V: PotentialField,

@@ -1,5 +1,6 @@
 """Config validation and end-to-end subcommand runs (in-process)."""
 
+import copy
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loglap.cli import main
 from loglap.config import (
@@ -49,6 +51,44 @@ def sphere_config(**overrides):
         "model": {"kind": "sphere", "truncation": 4},
         "observation": {"kind": "cap", "center": [0.0, 0.0], "radius": 1.0},
         **overrides})
+
+
+# every section filled in, so that a mutation can reach every field
+FULL_CONFIGS = [
+    circle_config(
+        model={"kind": "circle", "truncation": 5, "radius": 1.0, "quadrature": 64},
+        potential={"id": "harmonic", "terms": [
+            {"form": "sin", "amplitude": 0.3, "phase": 0.1, "frequency": 2, "axis": 0}]},
+        sources={"count": 2, "radius": 0.3, "order": 2, "centers": [[1.2], 1.8]},
+        times={"kind": "uniform", "start": 0.01, "stop": 1.0, "samples": 16},
+        tolerances={"eig_rtol": 1e-6}, out="out", mode="blind",
+        compare={"first": "a.json", "second": "b.json"},
+        isometry={"kind": "circle_reflection", "axis": 1.5},
+        ucp={"node_multiplier": 4, "include_image": True}, heatcheck={"pairs": 5}),
+    torus_config(potential={"id": "constant", "value": 0.5},
+                 sources={"count": 1, "centers": [[2.0, 3.0]]},
+                 times={"kind": "default", "samples": 8},
+                 isometry={"kind": "torus_axis_reflection", "axis": 1, "center": 0.5}),
+    sphere_config(model={"kind": "sphere", "truncation": 4, "quadrature": [8, 16]},
+                  potential={"id": "harmonic", "terms": [
+                      {"form": "cos", "amplitude": 0.2, "axis": 1}]},
+                  isometry={"kind": "sphere_axial_rotation", "angle": 0.3}),
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def field_paths(doc, prefix=()):
+    """The key path of every field and list entry, at every depth."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, prefix + (key,))
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -118,6 +158,27 @@ class TestValidation:
     def test_bad_isometry(self):
         with pytest.raises(ConfigError, match="isometry"):
             validate_config(circle_config(isometry={"kind": "glide"}))
+
+    def test_full_configs_are_valid(self):
+        for cfg in FULL_CONFIGS:
+            validate_config(cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_field_mutation_raises_only_config_error(self, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(FULL_CONFIGS)))
+        path = data.draw(st.sampled_from(list(field_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(json_values)
+        try:
+            validate_config(doc)
+        except ConfigError:
+            pass
 
     def test_bad_json_document(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -294,6 +355,21 @@ class TestExitCodes:
         ("spectrum", circle_config(model={"kind": "circle", "truncation": 5,
                                           "quadrature": [64, 64]}),
          "model.quadrature: expected 1 entries, one per chart axis"),
+        ("spectrum", circle_config(potential={"id": "harmonic", "terms": [
+            {"form": "cos", "amplitude": 0.3, "axis": 1}]}),
+         "potential.terms[0].axis: expected a chart axis in [0, 1)"),
+        ("solve", circle_config(potential={"id": "harmonic", "terms": [
+            {"form": "cos", "amplitude": 0.3, "axis": 1}]}),
+         "potential.terms[0].axis: expected a chart axis in [0, 1)"),
+        ("solve", circle_config(sources={"count": 2, "centers": [["a"], [1.0]]}),
+         "sources.centers[0][0]: expected a number"),
+        ("solve", circle_config(sources={"count": 2, "centers": [[1.0]]}),
+         "sources.centers: expected a list of 2 centers"),
+        ("solve", circle_config(sources={"count": 2, "centers": [[1.0, 1.2, 1.4], [1.5]]}),
+         "sources.centers[0]: expected a list of 1 chart coordinates"),
+        ("spectrum", circle_config(observation={
+            "kind": "interval", "start": 0.0, "end": 3.0, "stop": 1.0}),
+         "observation.stop: unknown field of 'interval'"),
     ])
     def test_window_and_isometry_mistakes_exit_two(self, tmp_path, capsys,
                                                    sub, cfg, message):
@@ -315,6 +391,20 @@ class TestExitCodes:
             sources={"count": 1, "radius": 3.0}))
         assert run_cli("solve", cfg, tmp_path / "out") == 1
         assert "SupportViolationError" in capsys.readouterr().err
+
+    def test_malformed_artifact_exits_one_naming_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, circle_config())
+        assert run_cli("extract", cfg, tmp_path / "run") == 0
+        good = tmp_path / "run" / "gelfand.json"
+        payload = json.loads(good.read_text())
+        del payload["families"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        cmp_cfg = write_config(tmp_path, circle_config(
+            compare={"first": str(bad), "second": str(good)}), "cmp.json")
+        assert run_cli("compare", cmp_cfg, tmp_path / "cmp") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("artifact error:") and "families: missing field" in err
 
     def test_gauge_needs_isometry(self, tmp_path, capsys):
         cfg = write_config(tmp_path, circle_config())

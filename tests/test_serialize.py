@@ -1,10 +1,16 @@
 """Round-trip and determinism tests for the artifact serializers."""
 
+import json
+import typing
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from loglap.calculus import GrigoryanReport, HeatTrace
-from loglap.extraction import MatchReport, SanityReport, build_gelfand_data
+from loglap.extraction import GelfandData, MatchReport, SanityReport, build_gelfand_data
 from loglap.models import (
     AngularInterval,
     CircleReflection,
@@ -28,6 +34,7 @@ from loglap.recovery import (
     ucp_nullspace_test,
 )
 from loglap.serialize import (
+    _REPORT_TYPES,
     SerializationError,
     descriptor_from_dict,
     descriptor_to_dict,
@@ -37,7 +44,6 @@ from loglap.serialize import (
     dump_record,
     dump_report,
     dump_solution,
-    gelfand_equal,
     isometry_from_dict,
     isometry_to_dict,
     load_gelfand,
@@ -46,16 +52,16 @@ from loglap.serialize import (
     load_record,
     load_report,
     load_solution,
-    records_equal,
+    payload_equal,
     recovered_from_csv,
     recovered_to_csv,
-    reports_equal,
     spectrum_to_csv,
+    to_payload,
     trace_from_csv,
     trace_to_csv,
 )
-from loglap.solver import (PotentialField, cauchy_record, make_source_basis,
-                           zero_potential)
+from loglap.solver import (CauchyRecord, PotentialField, cauchy_record,
+                           make_source_basis, zero_potential)
 
 
 def half_circle(K=5, m=2.0):
@@ -149,7 +155,7 @@ class TestRecordDump:
         path = tmp_path / "rec.json"
         dump_record(rec, path)
         loaded = load_record(path)
-        assert records_equal(rec, loaded)
+        assert payload_equal(rec, loaded)
         assert loaded.solution is None
 
     def test_manifest(self, tmp_path):
@@ -169,7 +175,7 @@ class TestGelfandDump:
         path = tmp_path / "gd.json"
         dump_gelfand(data, path)
         loaded = load_gelfand(path)
-        assert gelfand_equal(data, loaded)
+        assert payload_equal(data, loaded)
         assert loaded.ambient is not None
 
     def test_blind_round_trip(self, tmp_path):
@@ -179,7 +185,7 @@ class TestGelfandDump:
         path = tmp_path / "gd.json"
         dump_gelfand(data, path)
         loaded = load_gelfand(path)
-        assert gelfand_equal(data, loaded)
+        assert payload_equal(data, loaded)
         assert loaded.ambient is None
 
     def test_byte_deterministic(self, tmp_path):
@@ -220,7 +226,7 @@ class TestReportDump:
         for i, report in enumerate(self._cases()):
             path = tmp_path / f"report{i}.json"
             dump_report(report, path)
-            assert reports_equal(load_report(path), report), type(report).__name__
+            assert payload_equal(load_report(path), report), type(report).__name__
 
     def test_machine_readable_pass_flag(self, tmp_path):
         import json
@@ -240,7 +246,7 @@ class TestReportDump:
         report = ucp_nullspace_test(model, m, obs)
         path = tmp_path / "ucp.json"
         dump_report(report, path)
-        assert reports_equal(load_report(path), report)
+        assert payload_equal(load_report(path), report)
 
 
 class TestTables:
@@ -310,3 +316,167 @@ class TestSolutionDump:
         assert loaded["mass"] == 2.0
         assert loaded["residual"] == 3e-16
         assert np.array_equal(loaded["coefficients"], coeffs)
+
+
+# generated artifacts ---------------------------------------------------------
+# Strategies follow the dataclass annotations, as the codec does: arrays of
+# any shape (empty included) in float64, int64 or bool; windows and
+# isometries for `object` fields; finite floats (JSON refuses NaN).
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+arrays = st.one_of(hnp.arrays(np.float64, shapes, elements=finite),
+                   hnp.arrays(np.int64, shapes),
+                   hnp.arrays(np.bool_, shapes))
+pairs = st.tuples(finite, finite)
+windows_and_isometries = st.one_of(
+    st.builds(AngularInterval, finite, finite),
+    st.builds(TorusBox, st.lists(pairs, min_size=1, max_size=3).map(tuple)),
+    st.builds(SphericalCap, pairs, finite),
+    st.builds(CircleRotation, finite), st.builds(CircleReflection, finite),
+    st.builds(TorusTranslation, st.lists(finite, min_size=1, max_size=3).map(tuple)),
+    st.builds(TorusAxisReflection, st.integers(0, 3), finite),
+    st.builds(SphereAxialRotation, finite), st.builds(SphereMeridianReflection, finite))
+SCALARS = {bool: st.booleans(), int: st.integers(), float: finite, str: st.text(max_size=8)}
+
+
+def values_of(hint):
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union:
+        return st.none() | values_of(next(a for a in args if a is not type(None)))
+    if hint is np.ndarray:
+        return arrays
+    if hint is list or typing.get_origin(hint) is list:
+        return st.lists(values_of(args[0]) if args else st.text(max_size=8), max_size=4)
+    if hint is object:
+        return windows_and_isometries
+    return SCALARS[hint]
+
+
+def instances(cls):
+    hints = typing.get_type_hints(cls)
+    return st.builds(cls, **{f.name: values_of(hints[f.name]) for f in fields(cls)
+                             if not f.metadata.get("in_memory")})
+
+
+def array_pairs(a, b):
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, list) and isinstance(y, list):
+            yield from (pair for pair in zip(x, y) if isinstance(pair[0], np.ndarray))
+        elif isinstance(x, np.ndarray):
+            yield x, y
+
+
+def assert_round_trip(obj, loaded):
+    assert payload_equal(obj, loaded)
+    for x, y in array_pairs(obj, loaded):
+        assert isinstance(y, np.ndarray)
+        # JSON keeps int, float and bool apart, but an empty list has no
+        # element to tell: empty arrays load as float64 with shape (0,) or
+        # (n, 0), where the per-field codecs gave int/bool dtypes.
+        assert y.dtype == (x.dtype if x.size else np.float64)
+        if x.size:
+            assert y.shape == x.shape
+
+
+ROUND_TRIP = settings(max_examples=60, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestGeneratedRoundTrips:
+
+    @ROUND_TRIP
+    @given(record=instances(CauchyRecord))
+    def test_record(self, tmp_path, record):
+        dump_record(record, tmp_path / "rec.json")
+        loaded = load_record(tmp_path / "rec.json")
+        assert_round_trip(record, loaded)
+        assert loaded.solution is None
+
+    @ROUND_TRIP
+    @given(data=instances(GelfandData))
+    def test_gelfand(self, tmp_path, data):
+        dump_gelfand(data, tmp_path / "gd.json")
+        assert_round_trip(data, load_gelfand(tmp_path / "gd.json"))
+
+    @ROUND_TRIP
+    @given(report=st.sampled_from(list(_REPORT_TYPES.values())).flatmap(instances))
+    def test_report(self, tmp_path, report):
+        dump_report(report, tmp_path / "report.json")
+        assert_round_trip(report, load_report(tmp_path / "report.json"))
+        envelope = json.loads((tmp_path / "report.json").read_text())
+        assert envelope["passed"] is bool(report.passed)
+
+
+class TestFieldCoverage:
+    """A payload is its dataclass's fields, minus the in-memory ones, so a new
+    field needs no serializer edit."""
+
+    SKIPPED = {CauchyRecord: {"solution"}}
+
+    @pytest.mark.parametrize("cls", [CauchyRecord, GelfandData, *_REPORT_TYPES.values()],
+                             ids=lambda cls: cls.__name__)
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_payload_keys_are_the_fields(self, cls, data):
+        obj = data.draw(instances(cls))
+        expected = {f.name for f in fields(cls)} - self.SKIPPED.get(cls, set())
+        assert set(to_payload(obj)) == expected
+
+
+def _gelfand_path(tmp_path):
+    model, obs, m = half_circle()
+    data = build_gelfand_data(model, m, zero_potential, obs,
+                              list(make_source_basis(model, obs, 5)))
+    path = tmp_path / "gd.json"
+    dump_gelfand(data, path)
+    return path
+
+
+class TestMalformedArtifacts:
+
+    @pytest.mark.parametrize("doctor, message", [
+        (lambda p: {k: v for k, v in p.items() if k != "families"},
+         "families: missing field"),
+        (lambda p: {**p, "extra": 1}, "extra: unknown field"),
+        (lambda p: [p], "expected a JSON object, found list"),
+        (lambda p: {**p, "mass": "two"}, "mass: expected float"),
+        (lambda p: {**p, "mode": 3}, "mode: expected str"),
+        (lambda p: {**p, "node_indices": [[1, 2], [3]]}, "node_indices: not a rectangular array"),
+        (lambda p: {**p, "families": [["a"]]}, "families[0]: expected an array of numbers"),
+        (lambda p: {**p, "families": {"0": []}}, "families: expected a list"),
+        (lambda p: {**p, "version": 2}, "version: unsupported version 2"),
+        (lambda p: {**p, "format": "loglap/record"}, "format: expected 'loglap/gelfand'"),
+    ], ids=["missing", "unknown", "list", "scalar", "string", "ragged", "strings",
+            "not-a-list", "version", "format"])
+    def test_gelfand_errors_name_the_field(self, tmp_path, doctor, message):
+        path = _gelfand_path(tmp_path)
+        path.write_text(json.dumps(doctor(json.loads(path.read_text()))))
+        with pytest.raises(SerializationError, match=f"^{path}: ") as info:
+            load_gelfand(path)
+        assert message in str(info.value)
+
+    def test_truncated_json(self, tmp_path):
+        path = _gelfand_path(tmp_path)
+        path.write_text(path.read_text()[:200])
+        with pytest.raises(SerializationError, match="not valid JSON"):
+            load_gelfand(path)
+
+    @pytest.mark.parametrize("doctor, message", [
+        (lambda p: {**p, "fields": {**p["fields"], "descriptor": {"kind": "pentagon"}}},
+         "fields.descriptor.kind: expected one of"),
+        (lambda p: {**p, "fields": {**p["fields"], "descriptor": {
+            **p["fields"]["descriptor"], "radius": 1.0}}},
+         "fields.descriptor.radius: unknown field of 'interval'"),
+        (lambda p: {**p, "fields": None}, "fields: expected the fields of a UcpReport"),
+        (lambda p: {**p, "report": "PaperReport"}, "report: unknown report type"),
+    ], ids=["descriptor", "descriptor-field", "fields", "type"])
+    def test_report_errors_name_the_field(self, tmp_path, doctor, message):
+        path = tmp_path / "ucp.json"
+        dump_report(UcpReport(truncation=8, descriptor=AngularInterval(0.0, 4.7),
+                              null_dimension=0, smallest_singular=1.3e-4, passed=True,
+                              n_points=16, include_image=True), path)
+        path.write_text(json.dumps(doctor(json.loads(path.read_text()))))
+        with pytest.raises(SerializationError, match=message):
+            load_report(path)
