@@ -30,7 +30,6 @@ from .config import (
 from .extraction import (
     build_gelfand_data,
     compare_gelfand,
-    default_time_grid,
     heat_trace_of_solution,
     supnorm_sanity_check,
     weyl_sanity_check,
@@ -57,7 +56,7 @@ from .serialize import (
     spectrum_to_csv,
     trace_to_csv,
 )
-from .solver import cauchy_record, forward_map, solve_schrodinger
+from .solver import Solution, cauchy_record, forward_map, solve_schrodinger
 
 
 def _emit(quiet: bool, *lines):
@@ -94,11 +93,12 @@ def _cmd_solve(cfg: ExperimentConfig, out: Path, quiet: bool) -> bool:
     u = solve_schrodinger(model, cfg.m, V, src)
     residual = float(np.linalg.norm(
         forward_map(model, cfg.m, V).matrix @ u.values - src.coefficients))
-    dump_solution(model, cfg.m, src.source_id, V.label, u.values, residual,
+    dump_solution(Solution(kind=model.kind, truncation=model.truncation, mass=cfg.m,
+                           source_id=src.source_id, potential_label=V.label,
+                           coefficients=u.values, residual=residual),
                   out / "solution.json")
     solution_to_csv(model, model.node_basis() @ u.values, out / "solution.csv")
-    limit = cfg.tolerances.get("solve_residual", 1e-10)
-    ok = residual <= limit
+    ok = residual <= cfg.tolerances.solve_residual
     _emit(quiet, f"solved with source {src.source_id}: "
                  f"residual {residual:.3e} ({'ok' if ok else 'FAILED'})")
     return ok
@@ -130,9 +130,8 @@ def _cmd_extract(cfg: ExperimentConfig, out: Path, quiet: bool) -> bool:
     obs = config_observation(cfg, model)
     sources = config_sources(cfg, model, obs)
     times = config_times(cfg, model)
-    grid = times if times is not None else default_time_grid(model, cfg.m)
     for src in sources:
-        trace = heat_trace_of_solution(model, cfg.m, V, src, obs, grid)
+        trace = heat_trace_of_solution(model, cfg.m, V, src, obs, times)
         trace_to_csv(trace, out / f"trace_{src.source_id}.csv")
     data = build_gelfand_data(model, cfg.m, V, obs, sources, times=times,
                               mode=cfg.mode)
@@ -145,11 +144,9 @@ def _cmd_extract(cfg: ExperimentConfig, out: Path, quiet: bool) -> bool:
 def _cmd_compare(cfg: ExperimentConfig, out: Path, quiet: bool) -> bool:
     if cfg.compare is None:
         raise ConfigError("compare", "this subcommand needs compare.first/second")
-    a = load_gelfand(cfg.compare["first"])
-    b = load_gelfand(cfg.compare["second"])
     report = compare_gelfand(
-        a, b, eig_rtol=cfg.tolerances.get("eig_rtol", 1e-6),
-        angle_tol=cfg.tolerances.get("angle_tol", 1e-5))
+        load_gelfand(cfg.compare.first), load_gelfand(cfg.compare.second),
+        eig_rtol=cfg.tolerances.eig_rtol, angle_tol=cfg.tolerances.angle_tol)
     dump_report(report, out / "compare_report.json")
     match_report_to_csv(report, out / "compare_table.csv")
     for k in range(report.n_compared):
@@ -166,8 +163,7 @@ def _cmd_ucp(cfg: ExperimentConfig, out: Path, quiet: bool) -> bool:
     obs = config_observation(cfg, model)
     report = ucp_nullspace_test(
         model, cfg.m, obs,
-        node_multiplier=cfg.ucp.get("node_multiplier", 4),
-        include_image=cfg.ucp.get("include_image", True))
+        node_multiplier=cfg.ucp.node_multiplier, include_image=cfg.ucp.include_image)
     dump_report(report, out / "ucp_report.json")
     _emit(quiet, f"null dimension {report.null_dimension}, smallest singular "
                  f"value {report.smallest_singular:.3e} "
@@ -189,7 +185,7 @@ def _cmd_recover(cfg: ExperimentConfig, out: Path, quiet: bool) -> bool:
     err = (float(np.max(np.abs(recovered.values[covered] - truth[covered])))
            if covered.size else float("nan"))
     ok = recovered.covered_fraction == 1.0
-    tol = cfg.tolerances.get("recover_tol")
+    tol = cfg.tolerances.recover_tol
     if tol is not None:
         ok = ok and covered.size > 0 and err <= tol
     _emit(quiet, f"coverage {recovered.covered_fraction:.2%}, "
@@ -205,7 +201,7 @@ def _cmd_gauge(cfg: ExperimentConfig, out: Path, quiet: bool) -> bool:
     isometry = config_isometry(cfg)
     report = isometry_gauge_check(
         model, cfg.m, V, obs, isometry, seed=cfg.seed,
-        tolerance=cfg.tolerances.get("gauge_tol", 1e-10))
+        tolerance=cfg.tolerances.gauge_tol)
     dump_report(report, out / "gauge_report.json")
     _emit(quiet, f"intertwining defect {report.intertwining_defect:.3e}, "
                  f"record defect {report.record_defect:.3e} "
@@ -216,15 +212,13 @@ def _cmd_gauge(cfg: ExperimentConfig, out: Path, quiet: bool) -> bool:
 def _cmd_heatcheck(cfg: ExperimentConfig, out: Path, quiet: bool) -> bool:
     model = config_model(cfg)
     obs = config_observation(cfg, model)
-    spec = cfg.heatcheck
-    times = np.asarray(spec.get("times", [0.05, 0.2, 1.0]), dtype=float)
+    times = np.asarray(cfg.heatcheck.times)
     equality = heat_kernel_equality_check(
-        model, model, cfg.m, obs, obs, times,
-        tolerance=cfg.tolerances.get("heat_tol", 1e-10))
+        model, model, cfg.m, obs, obs, times, tolerance=cfg.tolerances.heat_tol)
     dump_report(equality, out / "heat_equality_report.json")
     gaussian = grigoryan_check(model, cfg.m,
                                np.geomspace(times.min(), times.max(), 12),
-                               n_pairs=int(spec.get("pairs", 20)),
+                               n_pairs=cfg.heatcheck.pairs,
                                seed=cfg.seed)
     dump_report(gaussian, out / "gaussian_bound_report.json")
     weyl = weyl_sanity_check(model)
@@ -286,18 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-    out = Path(args.out or cfg.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+        cfg = load_config(args.config, seed=args.seed)
+        out = Path(args.out or cfg.out or ".")
+        out.mkdir(parents=True, exist_ok=True)
         passed = _HANDLERS[args.subcommand](cfg, out, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

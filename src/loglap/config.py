@@ -1,258 +1,239 @@
 """Experiment configuration: one JSON document drives every CLI subcommand.
 
-Validation reports dotted field paths ("model.kind", "sources.count") so a
-batch failure names the offending entry. Builders turn validated sections
-into live objects; the random seed only enters through randomized source
-placement, keeping a fixed (config, seed) pair byte-deterministic.
+The document decodes (`fields.decode`) into `ExperimentConfig`, one frozen
+section per top-level key, whose field defaults are the only defaults; a
+mistake raises ConfigError naming the dotted field path ("sources.count").
+Builders turn sections into live objects; the random seed only enters
+through randomized source placement, keeping a fixed (config, seed) pair
+byte-deterministic.
 """
 
-from __future__ import annotations
-
+import inspect
 import json
-import math
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Literal, Optional, Union
 
 import numpy as np
 
-from .errors import FieldError, LoglapError, PreconditionError
-from .extraction import default_time_grid
+from .calculus import grigoryan_check
+from .errors import ConfigError, FieldError, PreconditionError
+from .extraction import compare_gelfand, default_time_grid
+from .fields import decode, require
 from .models import (
-    ISOMETRIES,
+    Isometry,
     ObservationSet,
     SpectralModel,
+    Window,
     build_model,
-    from_fields,
     make_manifold,
     restrict_to_observation,
 )
+from .recovery import heat_kernel_equality_check, isometry_gauge_check, ucp_nullspace_test
 from .solver import PotentialField, make_source_basis, zero_potential
 
 
-class ConfigError(LoglapError):
-    """Invalid configuration; the message starts with the field path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
+def _default_of(fn, name: str):
+    """The default that the library call `fn` declares for `name`."""
+    return inspect.signature(fn).parameters[name].default
 
 
-@dataclass
+@dataclass(frozen=True)
+class ModelSection:
+    """The manifold ("circle", "torus" with `edges`, "sphere") and truncation K."""
+
+    kind: str
+    truncation: int
+    radius: float = _default_of(make_manifold, "radius")
+    edges: Optional[tuple[float, ...]] = None
+    quadrature: Union[tuple[int, ...], int, None] = None
+
+    def __post_init__(self):
+        require(self.truncation >= 2, "truncation", "must be >= 2")
+        q, dim = self.quadrature, self.manifold.dimension
+        counts = q if isinstance(q, tuple) else (1 if q is None else q,) * dim
+        require(len(counts) == dim, "quadrature", f"expected {dim} entries, one per chart axis")
+        require(min(counts) >= 1, "quadrature", "node counts must be >= 1")
+
+    @property
+    def manifold(self):
+        """The geometry without eigendata (FieldError for a bad kind, radius or edges)."""
+        return make_manifold(self.kind, radius=self.radius, edges=self.edges)
+
+
+@dataclass(frozen=True)
+class HarmonicTerm:
+    """amplitude * form(frequency * x[axis] + phase), form "cos" or "sin"."""
+
+    amplitude: float
+    form: Literal["cos", "sin"] = "cos"
+    frequency: int = 1
+    axis: int = 0
+    phase: float = 0.0
+
+    def __post_init__(self):
+        require(self.frequency >= 1, "frequency", "must be >= 1")
+
+
+@dataclass(frozen=True)
+class PotentialSection:
+    """V: "zero", "constant" (`value`) or "harmonic" (the sum of `terms`)."""
+
+    id: Literal["zero", "constant", "harmonic"]
+    value: Union[int, float, None] = None  # an int keeps its label: constant(1)
+    terms: tuple[HarmonicTerm, ...] = ()
+
+    def __post_init__(self):
+        constant, harmonic = self.id == "constant", self.id == "harmonic"
+        require((self.value is not None) == constant, "value",
+                "missing required field" if constant else "only for a constant potential")
+        require(bool(self.terms) == harmonic, "terms",
+                "expected a nonempty list" if harmonic else "only for a harmonic potential")
+
+
+@dataclass(frozen=True)
+class SourcesSection:
+    """Bump sources inside the window; `make_source_basis` places them."""
+
+    count: int = 1
+    radius: Optional[float] = None
+    order: int = _default_of(make_source_basis, "order")
+    centers: Optional[tuple[Union[tuple[float, ...], float], ...]] = None
+
+    def __post_init__(self):
+        require(self.count >= 1, "count", "must be >= 1")
+        require(self.radius is None or self.radius > 0, "radius", "must be > 0")
+        require(self.order >= 1, "order", "must be >= 1")
+        require(self.centers is None or len(self.centers) == self.count, "centers",
+                f"expected a list of {self.count} centers, one per source (sources.count)")
+
+
+@dataclass(frozen=True)
+class TimesSection:
+    """Heat-trace times: `default_time_grid`, or uniform on [start, stop]."""
+
+    kind: Literal["default", "uniform"] = "default"
+    start: Optional[float] = None
+    stop: Optional[float] = None
+    samples: Optional[int] = None
+
+    def __post_init__(self):
+        uniform = self.kind == "uniform"
+        for name in ("start", "stop"):
+            require((getattr(self, name) is not None) == uniform, name,
+                    "missing required field" if uniform else "only for a uniform grid")
+        require(not uniform or self.start > 0, "start", "must be > 0")
+        require(not uniform or self.stop > self.start, "stop", "must exceed times.start")
+        require(self.samples is None or self.samples >= 2, "samples", "must be >= 2")
+
+
+@dataclass(frozen=True)
+class TolerancesSection:
+    """Pass thresholds of the subcommands (recover_tol is checked only when set)."""
+
+    solve_residual: float = 1e-10
+    eig_rtol: float = _default_of(compare_gelfand, "eig_rtol")
+    angle_tol: float = _default_of(compare_gelfand, "angle_tol")
+    recover_tol: Optional[float] = None
+    gauge_tol: float = _default_of(isometry_gauge_check, "tolerance")
+    heat_tol: float = _default_of(heat_kernel_equality_check, "tolerance")
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            require(value is None or value > 0, name, "must be > 0")
+
+
+@dataclass(frozen=True)
+class CompareSection:
+    """The two spectral-data files `loglap compare` reads."""
+
+    first: str
+    second: str
+
+
+@dataclass(frozen=True)
+class UcpSection:
+    node_multiplier: int = _default_of(ucp_nullspace_test, "node_multiplier")
+    include_image: bool = _default_of(ucp_nullspace_test, "include_image")
+
+    def __post_init__(self):
+        require(self.node_multiplier >= 1, "node_multiplier", "must be >= 1")
+
+
+@dataclass(frozen=True)
+class HeatcheckSection:
+    """Kernel-equality times and the point pairs of the Gaussian bound check."""
+
+    times: tuple[float, ...] = (0.05, 0.2, 1.0)
+    pairs: int = _default_of(grigoryan_check, "n_pairs")
+
+    def __post_init__(self):
+        require(self.times and min(self.times) > 0, "times",
+                "expected a nonempty list of positive times")
+        require(self.pairs >= 1, "pairs", "must be >= 1")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    model: dict
+    """A config document: its sections, the decoded window and isometry, and
+    the checks that need the manifold."""
+
+    model: ModelSection
     m: float
-    potential: dict = field(default_factory=lambda: {"id": "zero"})
-    observation: Optional[dict] = None
-    sources: dict = field(default_factory=lambda: {"count": 1})
-    times: Optional[dict] = None
-    tolerances: dict = field(default_factory=dict)
+    potential: PotentialSection = PotentialSection("zero")
+    observation: Optional[Window] = None
+    sources: SourcesSection = SourcesSection()
+    times: TimesSection = TimesSection()
+    tolerances: TolerancesSection = TolerancesSection()
     out: Optional[str] = None
     seed: int = 0
-    mode: str = "internal"
-    compare: Optional[dict] = None
-    isometry: Optional[dict] = None
-    ucp: dict = field(default_factory=dict)
-    heatcheck: dict = field(default_factory=dict)
+    mode: Literal["internal", "blind"] = "internal"
+    compare: Optional[CompareSection] = None
+    isometry: Optional[Isometry] = None
+    ucp: UcpSection = UcpSection()
+    heatcheck: HeatcheckSection = HeatcheckSection()
+
+    def __post_init__(self):
+        require(self.m > 1, "m", "must be > 1")
+        require(self.seed >= 0, "seed", "must be >= 0")
+        manifold = self.model.manifold
+        dim = manifold.dimension
+        for i, term in enumerate(self.potential.terms):
+            require(0 <= term.axis < dim, f"potential.terms[{i}].axis",
+                    f"expected a chart axis in [0, {dim})")
+        for i, c in enumerate(self.sources.centers or ()):
+            require(len(c) == dim if isinstance(c, tuple) else dim == 1,
+                    f"sources.centers[{i}]", f"expected a list of {dim} chart coordinates")
+        checks = {"observation": manifold.check_window,  # a foreign or malformed one raises
+                  "isometry": lambda iso: manifold.apply_isometry(iso, np.zeros((1, dim)))}
+        for name, check in checks.items():
+            try:
+                if getattr(self, name) is not None:
+                    check(getattr(self, name))
+            except FieldError as exc:
+                raise FieldError(f"{name}.{exc.field}", exc.reason) from exc
+            except PreconditionError as exc:
+                raise FieldError(name, str(exc)) from exc
 
 
-def _require(cfg: dict, key: str, path: str):
-    if key not in cfg:
-        raise ConfigError(f"{path}{key}", "missing required field")
-    return cfg[key]
-
-
-def _number(value, path: str, *, minimum=None, strict=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, found {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(path, f"expected a finite number, found {value!r}")
-    if minimum is not None and (v <= minimum if strict else v < minimum):
-        op = ">" if strict else ">="
-        raise ConfigError(path, f"must be {op} {minimum}")
-    return v
-
-
-def _integer(value, path: str, *, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, found {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}")
-    return value
-
-
-def _list(value, path: str, item, **bounds) -> list:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(path, f"expected a nonempty list, found {value!r}")
-    return [item(v, f"{path}[{i}]", **bounds) for i, v in enumerate(value)]
-
-
-def _centers(centers, count: int, dim: int) -> None:
-    """One center per source: `dim` chart coordinates (a bare number if dim is 1)."""
-    if not isinstance(centers, list) or len(centers) != count:
-        raise ConfigError("sources.centers", f"expected a list of {count} centers, "
-                                             "one per source (sources.count)")
-    for i, c in enumerate(centers):
-        path = f"sources.centers[{i}]"
-        if isinstance(c, list) and len(c) == dim:
-            _list(c, path, _number)
-        elif dim == 1 and not isinstance(c, list):
-            _number(c, path)
-        else:
-            raise ConfigError(path, f"expected a list of {dim} chart coordinates")
-
-
-@contextmanager
-def _field_errors(section: str):
-    """Report the model layer's argument errors under the config section."""
+def validate_config(raw) -> ExperimentConfig:
+    """The config document decoded; ConfigError names the field path."""
     try:
-        yield
+        return decode(ExperimentConfig, raw)
     except FieldError as exc:
-        raise ConfigError(f"{section}.{exc.field}", exc.reason) from exc
-    except PreconditionError as exc:
-        raise ConfigError(section, str(exc)) from exc
+        raise ConfigError(exc.field, exc.reason) from exc
 
 
-def validate_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("", "config document must be a mapping")
-
-    model = _require(raw, "model", "")
-    if not isinstance(model, dict):
-        raise ConfigError("model", "must be a mapping")
-    kind = _require(model, "kind", "model.")
-    _integer(_require(model, "truncation", "model."), "model.truncation", minimum=2)
-    if "radius" in model:
-        _number(model["radius"], "model.radius", minimum=0.0, strict=True)
-    if "edges" in model:
-        _list(model["edges"], "model.edges", _number, minimum=0.0, strict=True)
-    with _field_errors("model"):
-        manifold = make_manifold(kind, **{k: model[k] for k in ("radius", "edges")
-                                          if k in model})
-    quadrature = model.get("quadrature")
-    if isinstance(quadrature, list) and len(quadrature) != manifold.dimension:
-        raise ConfigError("model.quadrature", f"expected {manifold.dimension} entries, one per chart axis")
-    if isinstance(quadrature, list):
-        _list(quadrature, "model.quadrature", _integer, minimum=1)
-    elif quadrature is not None:
-        _integer(quadrature, "model.quadrature", minimum=1)
-
-    m = _number(_require(raw, "m", ""), "m", minimum=1.0, strict=True)
-
-    potential = raw.get("potential", {"id": "zero"})
-    if not isinstance(potential, dict) or "id" not in potential:
-        raise ConfigError("potential.id", "missing required field")
-    if potential["id"] not in ("zero", "constant", "harmonic"):
-        raise ConfigError("potential.id", f"unknown potential {potential['id']!r}")
-    if potential["id"] == "constant":
-        _number(_require(potential, "value", "potential."), "potential.value")
-    if potential["id"] == "harmonic":
-        terms = _require(potential, "terms", "potential.")
-        if not isinstance(terms, list) or not terms:
-            raise ConfigError("potential.terms", "expected a nonempty list")
-        for i, term in enumerate(terms):
-            p = f"potential.terms[{i}]."
-            if not isinstance(term, dict):
-                raise ConfigError(p[:-1], "expected a mapping")
-            if term.get("form", "cos") not in ("cos", "sin"):
-                raise ConfigError(p + "form", "expected 'cos' or 'sin'")
-            _number(_require(term, "amplitude", p), p + "amplitude")
-            _number(term.get("phase", 0.0), p + "phase")
-            _integer(term.get("frequency", 1), p + "frequency", minimum=1)
-            if _integer(term.get("axis", 0), p + "axis", minimum=0) >= manifold.dimension:
-                raise ConfigError(p + "axis",
-                                  f"expected a chart axis in [0, {manifold.dimension})")
-
-    observation = raw.get("observation")
-    if observation is not None:
-        if not isinstance(observation, dict):
-            raise ConfigError("observation", "must be a mapping")
-        with _field_errors("observation"):
-            manifold.check_window(from_fields(observation, (manifold.window,)))
-
-    sources = raw.get("sources", {"count": 1})
-    if not isinstance(sources, dict):
-        raise ConfigError("sources", "must be a mapping")
-    count = _integer(sources.get("count", 1), "sources.count", minimum=1)
-    if "radius" in sources:
-        _number(sources["radius"], "sources.radius", minimum=0.0, strict=True)
-    if "order" in sources:
-        _integer(sources["order"], "sources.order", minimum=1)
-    if "centers" in sources:
-        _centers(sources["centers"], count, manifold.dimension)
-
-    times = raw.get("times")
-    if times is not None:
-        if not isinstance(times, dict):
-            raise ConfigError("times", "must be a mapping")
-        tkind = times.get("kind", "default")
-        if tkind not in ("default", "uniform"):
-            raise ConfigError("times.kind", f"unknown grid kind {tkind!r}")
-        if tkind == "uniform":
-            start = _number(_require(times, "start", "times."), "times.start",
-                            minimum=0.0, strict=True)
-            stop = _number(_require(times, "stop", "times."), "times.stop")
-            if stop <= start:
-                raise ConfigError("times.stop", "must exceed times.start")
-        if "samples" in times:
-            _integer(times["samples"], "times.samples", minimum=2)
-
-    tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("tolerances", "must be a mapping")
-    for key, value in tolerances.items():
-        _number(value, f"tolerances.{key}", minimum=0.0, strict=True)
-
-    seed = raw.get("seed", 0)
-    _integer(seed, "seed", minimum=0)
-
-    mode = raw.get("mode", "internal")
-    if mode not in ("internal", "blind"):
-        raise ConfigError("mode", f"expected 'internal' or 'blind', found {mode!r}")
-
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out", "expected a directory path string")
-
-    compare = raw.get("compare")
-    if compare is not None:
-        if not isinstance(compare, dict):
-            raise ConfigError("compare", "must be a mapping")
-        _require(compare, "first", "compare.")
-        _require(compare, "second", "compare.")
-
-    isometry = raw.get("isometry")
-    if isometry is not None:
-        if not isinstance(isometry, dict):
-            raise ConfigError("isometry", "must be a mapping")
-        with _field_errors("isometry"):  # a foreign or malformed isometry raises
-            manifold.apply_isometry(from_fields(isometry, manifold.isometries),
-                                    np.zeros((1, manifold.dimension)))
-
-    ucp = raw.get("ucp", {})
-    if not isinstance(ucp, dict):
-        raise ConfigError("ucp", "must be a mapping")
-    if "node_multiplier" in ucp:
-        _integer(ucp["node_multiplier"], "ucp.node_multiplier", minimum=1)
-
-    heatcheck = raw.get("heatcheck", {})
-    if not isinstance(heatcheck, dict):
-        raise ConfigError("heatcheck", "must be a mapping")
-
-    return ExperimentConfig(model=model, m=m, potential=potential,
-                            observation=observation, sources=sources,
-                            times=times, tolerances=tolerances, out=out,
-                            seed=seed, mode=mode, compare=compare,
-                            isometry=isometry, ucp=ucp, heatcheck=heatcheck)
-
-
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed: Optional[int] = None) -> ExperimentConfig:
+    """Read and validate a config file; `seed`, when given, replaces its seed."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError("", f"cannot read the config ({exc})") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError("", f"config is not valid JSON ({exc})") from exc
+    if seed is not None and isinstance(raw, dict):
+        raw = {**raw, "seed": seed}
     return validate_config(raw)
 
 
@@ -260,69 +241,49 @@ def load_config(path) -> ExperimentConfig:
 
 def config_model(cfg: ExperimentConfig) -> SpectralModel:
     spec = cfg.model
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in spec.items()
-              if k in ("radius", "edges", "quadrature")}
-    return build_model(spec["kind"], spec["truncation"], **kwargs)
+    return build_model(spec.kind, spec.truncation, radius=spec.radius,
+                       edges=spec.edges, quadrature=spec.quadrature)
 
 
 def config_potential(cfg: ExperimentConfig) -> PotentialField:
     spec = cfg.potential
-    if spec["id"] == "zero":
+    if spec.id == "zero":
         return zero_potential
-    if spec["id"] == "constant":
-        return PotentialField(const=float(spec["value"]),
-                              label=f"constant({spec['value']})")
-    terms = [(t.get("form", "cos"), float(t["amplitude"]),
-              int(t.get("frequency", 1)), int(t.get("axis", 0)),
-              float(t.get("phase", 0.0))) for t in spec["terms"]]
+    if spec.id == "constant":
+        return PotentialField(const=float(spec.value), label=f"constant({spec.value})")
 
     def harmonic(coords):
         pts = np.asarray(coords, dtype=float).reshape(len(coords), -1)  # circle: (P,)
-        out = np.zeros(pts.shape[0])
-        for form, amp, freq, axis, phase in terms:
-            angle = freq * pts[:, axis] + phase
-            out += amp * (np.cos(angle) if form == "cos" else np.sin(angle))
-        return out
+        return sum(t.amplitude * (np.cos if t.form == "cos" else np.sin)(
+            t.frequency * pts[:, t.axis] + t.phase) for t in spec.terms)
 
-    label = "+".join(f"{amp}*{form}({freq}*x{axis})"
-                     for form, amp, freq, axis, _ in terms)
-    return PotentialField(func=lambda c: harmonic(c), label=label)
+    label = "+".join(f"{t.amplitude}*{t.form}({t.frequency}*x{t.axis})" for t in spec.terms)
+    return PotentialField(func=harmonic, label=label)
 
 
 def config_observation(cfg: ExperimentConfig, model: SpectralModel) -> ObservationSet:
-    spec = cfg.observation
-    if spec is None:
+    if cfg.observation is None:
         raise ConfigError("observation", "this subcommand needs an observation set")
-    return restrict_to_observation(model, from_fields(spec, (model.manifold.window,)))
+    return restrict_to_observation(model, cfg.observation)
 
 
 def config_sources(cfg: ExperimentConfig, model: SpectralModel,
                    obs: ObservationSet, seed: Optional[int] = None) -> list:
     spec = cfg.sources
-    kwargs = {}
-    if "radius" in spec:
-        kwargs["radius"] = float(spec["radius"])
-    if "order" in spec:
-        kwargs["order"] = int(spec["order"])
-    if "centers" in spec:
-        kwargs["centers"] = [tuple(c) if isinstance(c, list) else c
-                             for c in spec["centers"]]
-    kwargs["seed"] = cfg.seed if seed is None else seed
-    return list(make_source_basis(model, obs, int(spec.get("count", 1)), **kwargs))
+    return list(make_source_basis(model, obs, spec.count, radius=spec.radius,
+                                  order=spec.order, centers=spec.centers,
+                                  seed=cfg.seed if seed is None else seed))
 
 
-def config_times(cfg: ExperimentConfig, model: SpectralModel) -> Optional[np.ndarray]:
+def config_times(cfg: ExperimentConfig, model: SpectralModel) -> np.ndarray:
     spec = cfg.times
-    if spec is None:
-        return None
-    samples = spec.get("samples")
-    if spec.get("kind", "default") == "default":
-        return default_time_grid(model, cfg.m, samples=samples)
-    return np.linspace(float(spec["start"]), float(spec["stop"]),
-                       samples if samples is not None else 4 * model.truncation)
+    if spec.kind == "default":
+        return default_time_grid(model, cfg.m, samples=spec.samples)
+    return np.linspace(spec.start, spec.stop,
+                       spec.samples if spec.samples is not None else 4 * model.truncation)
 
 
 def config_isometry(cfg: ExperimentConfig):
     if cfg.isometry is None:
         raise ConfigError("isometry", "this subcommand needs an isometry")
-    return from_fields(cfg.isometry, ISOMETRIES)
+    return cfg.isometry

@@ -6,16 +6,24 @@ kinds, out-of-range parameters).
 """
 
 
-class FieldError(ValueError):
-    """A malformed argument; `field` names it and `reason` says what is wrong."""
+class LoglapError(Exception):
+    """Base class for all package-specific failures."""
+
+
+class FieldError(LoglapError, ValueError):
+    """A malformed value: `field` is its dotted path, `reason` what is wrong."""
 
     def __init__(self, field: str, reason: str):
         self.field, self.reason = field, reason
-        super().__init__(f"{field}: {reason}")
+        super().__init__(f"{field}: {reason}" if field else reason)
 
 
-class LoglapError(Exception):
-    """Base class for all package-specific failures."""
+class ConfigError(FieldError):
+    """Invalid configuration; `field` is the path in the config document."""
+
+
+class SerializationError(LoglapError):
+    """An artifact is malformed or cannot represent the object."""
 
 
 class QuadratureConvergenceError(LoglapError):

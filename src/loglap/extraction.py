@@ -273,7 +273,7 @@ class GelfandData:
     node_indices: np.ndarray
     mass: float
     mode: str
-    provenance: list = field(default_factory=list)
+    provenance: list[str] = field(default_factory=list)
     ambient: Optional[list[np.ndarray]] = None
 
 

@@ -23,14 +23,14 @@ downstream depends on signs, only on block spans.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import ClassVar, Optional
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 from scipy import special as sps
 
 from .errors import FieldError, PreconditionError
+from .fields import decode
 
 __all__ = [
     "SpectralModel",
@@ -49,6 +49,8 @@ __all__ = [
     "SphereMeridianReflection",
     "WINDOWS",
     "ISOMETRIES",
+    "Window",
+    "Isometry",
     "from_fields",
     "make_manifold",
     "build_model",
@@ -197,7 +199,7 @@ class AngularInterval:
 class TorusBox:
     """Product of open per-axis intervals."""
 
-    intervals: tuple
+    intervals: tuple[tuple[float, ...], ...]
     name: ClassVar[str] = "box"
 
     def bound_field(self, axis: int, upper: bool) -> str:
@@ -208,7 +210,7 @@ class TorusBox:
 class SphericalCap:
     """Open geodesic cap: center in (colatitude, longitude), angular radius."""
 
-    center: tuple
+    center: tuple[float, ...]
     radius: float
     name: ClassVar[str] = "cap"
 
@@ -232,7 +234,7 @@ class CircleReflection:
 
 @dataclass(frozen=True)
 class TorusTranslation:
-    shift: tuple
+    shift: tuple[float, ...]
     name: ClassVar[str] = "torus_translation"
 
 
@@ -258,40 +260,16 @@ class SphereMeridianReflection:
 WINDOWS = (AngularInterval, TorusBox, SphericalCap)
 ISOMETRIES = (CircleRotation, CircleReflection, TorusTranslation,
               TorusAxisReflection, SphereAxialRotation, SphereMeridianReflection)
+# annotations of window and isometry fields: JSON reads them by "kind"
+Window = Union[WINDOWS]
+Isometry = Union[ISOMETRIES]
 
 
 def from_fields(mapping: dict, family):
     """The member of `family` named by mapping["kind"], built from the other
-    entries of a JSON-style mapping: lists become tuples and every value must
-    be a finite number (an integer for integer fields). Raises FieldError
-    naming the offending field, also for an entry that is no field."""
-    kind = mapping.get("kind")
-    cls = next((c for c in family if c.name == kind), None)
-    if cls is None:
-        raise FieldError("kind", f"expected one of {[c.name for c in family]}, "
-                                 f"found {kind!r}")
-    unknown = sorted(set(mapping) - {"kind"} - {f.name for f in fields(cls)})
-    if unknown:
-        raise FieldError(unknown[0], f"unknown field of {kind!r}")
-    args = {}
-    for f in fields(cls):
-        if f.name in mapping:
-            args[f.name] = _field_value(mapping[f.name], f.name, f.type)
-        elif f.default is MISSING:
-            raise FieldError(f.name, "missing required field")
-    return cls(**args)
-
-
-def _field_value(value, path: str, ftype: str):
-    """Lists become tuples (for tuple fields); the manifold checks their shape."""
-    if ftype == "tuple" and isinstance(value, (list, tuple)):
-        return tuple(_field_value(v, f"{path}[{i}]", ftype) for i, v in enumerate(value))
-    kind = int if ftype == "int" else float
-    if (isinstance(value, bool) or not isinstance(value, (int, kind))
-            or not math.isfinite(value)):
-        what = "an integer" if kind is int else "a finite number"
-        raise FieldError(path, f"expected {what}, found {value!r}")
-    return kind(value)
+    entries of a JSON-style mapping. Raises FieldError naming the offending
+    field, also for an entry that is no field."""
+    return decode(Union[tuple(family)], mapping)
 
 
 def _has_shape(value, shape: tuple) -> bool:
@@ -303,7 +281,8 @@ def _has_shape(value, shape: tuple) -> bool:
 
 def _check_family(manifold, obj, family) -> None:
     if type(obj) not in family:
-        raise FieldError("kind", f"{type(obj).__name__} does not apply to a {manifold.kind}")
+        raise FieldError("kind", f"expected one of {[c.name for c in family]}, "
+                                 f"found {getattr(obj, 'name', type(obj).__name__)!r}")
 
 
 def _chart_affine(manifold, isometry, pts, inverse: bool) -> np.ndarray:

@@ -25,8 +25,10 @@ from .errors import (
     UnderdeterminedSamplingError,
 )
 from .models import (
+    Isometry,
     ObservationSet,
     SpectralModel,
+    Window,
     apply_isometry,
     as_points,
     interior_points,
@@ -66,7 +68,7 @@ class UcpReport:
     """Rank certificate for the truncated continuation statement."""
 
     truncation: int
-    descriptor: object
+    descriptor: Window
     null_dimension: int
     smallest_singular: float
     passed: bool
@@ -358,7 +360,7 @@ class GaugeReport:
     intertwining_defect: float
     record_defect: float
     tolerance: float
-    isometry: object
+    isometry: Isometry
 
 
 def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,

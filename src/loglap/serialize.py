@@ -20,22 +20,18 @@ import csv
 import dataclasses
 import functools
 import json
-import typing
 
 import numpy as np
 
 from .calculus import GrigoryanReport, HeatTrace
-from .errors import FieldError, LoglapError
+from .errors import FieldError, SerializationError
 from .extraction import GelfandData, MatchReport, SanityReport
-from .models import ISOMETRIES, WINDOWS, SpectralModel, build_model, from_fields
+from .fields import decode, payload_fields
+from .models import ISOMETRIES, WINDOWS, Isometry, SpectralModel, Window, build_model
 from .recovery import GaugeReport, KernelMatchReport, RecoveredPotential, UcpReport
-from .solver import CauchyRecord
+from .solver import CauchyRecord, Solution
 
 FORMAT_VERSION = 1
-
-
-class SerializationError(LoglapError):
-    """An artifact is malformed or cannot represent the object."""
 
 
 def _write_json(path, fmt: str, payload: dict) -> None:
@@ -76,13 +72,9 @@ def _plain(value):
     return value
 
 
-def _payload_fields(cls) -> list:
-    return [f for f in dataclasses.fields(cls) if not f.metadata.get("in_memory")]
-
-
 def to_payload(obj) -> dict:
     """The JSON payload of a record, spectral data or report: its fields."""
-    return {f.name: _plain(getattr(obj, f.name)) for f in _payload_fields(type(obj))}
+    return {f.name: _plain(getattr(obj, f.name)) for f in payload_fields(type(obj))}
 
 
 def payload_equal(a, b) -> bool:
@@ -90,71 +82,19 @@ def payload_equal(a, b) -> bool:
     return type(a) is type(b) and to_payload(a) == to_payload(b)
 
 
-def _kind_object(mapping, family=WINDOWS + ISOMETRIES, path: str = ""):
-    """The window or isometry named by mapping["kind"]."""
-    if not isinstance(mapping, dict):
-        raise SerializationError(f"{path or 'value'}: expected a mapping with a 'kind', "
-                                 f"found {mapping!r}")
+def from_payload(cls, payload, source: str = "payload", root: str = ""):
+    """`payload` read back as `cls`, a dataclass or any annotation that
+    `fields.decode` reads; SerializationError names `source`, then the field
+    path below `root`."""
     try:
-        return from_fields(mapping, family)
+        return decode(cls, payload, root)
     except FieldError as exc:
-        raise SerializationError(f"{path}.{exc}" if path else str(exc)) from exc
-
-
-_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
-
-
-def _field_value(value, hint, path: str):
-    """`value` read back as the annotation `hint` says."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is typing.Union:  # Optional[X]
-        if value is None and type(None) in args:
-            return None
-        return _field_value(value, next(a for a in args if a is not type(None)), path)
-    if hint is np.ndarray:
-        try:
-            arr = np.asarray(value)  # JSON keeps int, float and bool apart
-        except ValueError as exc:
-            raise SerializationError(f"{path}: not a rectangular array") from exc
-        if arr.dtype.kind not in "biuf":
-            raise SerializationError(f"{path}: expected an array of numbers")
-        return arr
-    if hint is list or typing.get_origin(hint) is list:
-        if not isinstance(value, list):
-            raise SerializationError(f"{path}: expected a list, found {value!r}")
-        item = args[0] if args else typing.Any
-        return [_field_value(v, item, f"{path}[{i}]") for i, v in enumerate(value)]
-    if hint is object:
-        return _kind_object(value, path=path)
-    if hint in _SCALARS and (not isinstance(value, _SCALARS[hint])
-                             or (hint is not bool and isinstance(value, bool))):
-        raise SerializationError(f"{path}: expected {hint.__name__}, found {value!r}")
-    return value
-
-
-def from_payload(cls, payload, where: str = ""):
-    """Build the dataclass `cls` from its payload; every stored field must be
-    present and no other. Raises SerializationError naming the field, after
-    the prefix `where`."""
-    if not isinstance(payload, dict):
-        raise SerializationError(f"{where.rstrip('. :') or 'payload'}: expected the "
-                                 f"fields of a {cls.__name__}, found {type(payload).__name__}")
-    fields = _payload_fields(cls)
-    unknown = sorted(set(payload) - {f.name for f in fields})
-    if unknown:
-        raise SerializationError(f"{where}{unknown[0]}: unknown field of {cls.__name__}")
-    hints = typing.get_type_hints(cls)
-    args = {}
-    for f in fields:
-        if f.name not in payload:
-            raise SerializationError(f"{where}{f.name}: missing field of {cls.__name__}")
-        args[f.name] = _field_value(payload[f.name], hints[f.name], where + f.name)
-    return cls(**args)
+        raise SerializationError(f"{source}: {exc}") from exc
 
 
 descriptor_to_dict = isometry_to_dict = _plain
-descriptor_from_dict = functools.partial(_kind_object, family=WINDOWS)
-isometry_from_dict = functools.partial(_kind_object, family=ISOMETRIES)
+descriptor_from_dict = functools.partial(from_payload, Window)
+isometry_from_dict = functools.partial(from_payload, Isometry)
 
 
 # models ----------------------------------------------------------------------
@@ -198,7 +138,7 @@ def dump_record(record: CauchyRecord, path) -> None:
 
 
 def load_record(path) -> CauchyRecord:
-    return from_payload(CauchyRecord, _read_json(path, "loglap/record"), f"{path}: ")
+    return from_payload(CauchyRecord, _read_json(path, "loglap/record"), path)
 
 
 def dump_manifest(entries: list, path) -> None:
@@ -207,10 +147,8 @@ def dump_manifest(entries: list, path) -> None:
 
 
 def load_manifest(path) -> list:
-    records = _read_json(path, "loglap/manifest").get("records")
-    if not isinstance(records, list):
-        raise SerializationError(f"{path}: records: expected a list, found {records!r}")
-    return records
+    return from_payload(list[dict], _read_json(path, "loglap/manifest").get("records"),
+                        path, "records")
 
 
 # spectral data ---------------------------------------------------------------
@@ -220,7 +158,7 @@ def dump_gelfand(data: GelfandData, path) -> None:
 
 
 def load_gelfand(path) -> GelfandData:
-    return from_payload(GelfandData, _read_json(path, "loglap/gelfand"), f"{path}: ")
+    return from_payload(GelfandData, _read_json(path, "loglap/gelfand"), path)
 
 
 # reports ---------------------------------------------------------------------
@@ -244,24 +182,15 @@ def load_report(path):
     cls = _REPORT_TYPES.get(str(p.get("report")))
     if cls is None:
         raise SerializationError(f"{path}: report: unknown report type {p.get('report')!r}")
-    return from_payload(cls, p.get("fields"), f"{path}: fields.")
+    return from_payload(cls, p.get("fields"), path, "fields")
 
 
-def dump_solution(model: SpectralModel, mass: float, source_id: str,
-                  potential_label: str, coefficients: np.ndarray,
-                  residual: float, path) -> None:
-    _write_json(path, "loglap/solution", {
-        "kind": model.kind, "truncation": int(model.truncation),
-        "mass": float(mass), "source_id": source_id,
-        "potential_label": potential_label,
-        "coefficients": _plain(coefficients), "residual": float(residual)})
+def dump_solution(solution: Solution, path) -> None:
+    _write_json(path, "loglap/solution", to_payload(solution))
 
 
-def load_solution(path) -> dict:
-    p = _read_json(path, "loglap/solution")
-    p["coefficients"] = _field_value(p.get("coefficients"), np.ndarray,
-                                    f"{path}: coefficients")
-    return p
+def load_solution(path) -> Solution:
+    return from_payload(Solution, _read_json(path, "loglap/solution"), path)
 
 
 # columnar tables -------------------------------------------------------------

@@ -20,6 +20,7 @@ from .errors import (
 from .models import (
     ObservationSet,
     SpectralModel,
+    Window,
     as_points,
     geodesic_distance,
     project_function,
@@ -319,6 +320,20 @@ def solve_schrodinger(model: SpectralModel, m: float, V: PotentialField, rhs, *,
     return FieldCoefficients(model, u)
 
 
+@dataclass(frozen=True)
+class Solution:
+    """The artifact of `loglap solve`: the coefficients of u, what they solve
+    for, and the residual |(L + V) u - f|."""
+
+    kind: str
+    truncation: int
+    mass: float
+    source_id: str
+    potential_label: str
+    coefficients: np.ndarray
+    residual: float
+
+
 # ---------------------------------------------------------------------------
 # Cauchy records
 
@@ -337,7 +352,7 @@ class CauchyRecord:
     mass: float
     source_id: str
     potential_label: str
-    descriptor: object
+    descriptor: Window
     node_indices: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray

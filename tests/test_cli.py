@@ -3,24 +3,32 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
+import typing
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loglap
+from loglap import config as config_module
 from loglap.cli import main
 from loglap.config import (
     ConfigError,
+    ExperimentConfig,
     config_model,
     config_potential,
     config_sources,
     load_config,
     validate_config,
 )
-from loglap.errors import LoglapError
-from loglap.models import build_model, restrict_to_observation, AngularInterval
+from loglap.errors import FieldError, LoglapError
+from loglap.models import (ISOMETRIES, WINDOWS, AngularInterval, build_model,
+                           restrict_to_observation)
 from loglap.serialize import (SerializationError, load_gelfand, load_record,
                               load_solution, load_manifest)
 
@@ -82,6 +90,12 @@ json_values = st.recursive(
     max_leaves=6)
 
 
+def get_path(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def field_paths(doc, prefix=()):
     """The key path of every field and list entry, at every depth."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)
@@ -89,6 +103,44 @@ def field_paths(doc, prefix=()):
         yield prefix + (key,)
         if isinstance(value, (dict, list)):
             yield from field_paths(value, prefix + (key,))
+
+
+# every key a config mapping may hold; any other key is unknown
+KNOWN_KEYS = {"kind"} | {f.name for cls in (*WINDOWS, *ISOMETRIES, *(
+    c for c in vars(config_module).values() if isinstance(c, type) and is_dataclass(c)))
+    for f in fields(cls)}
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def config_field_paths(cls, prefix=""):
+    """(path, default) of every config field: sections are expanded, windows
+    and isometries are one field, a list of terms is a field and so is each
+    term field."""
+    for f in fields(cls):
+        hint, path = typing.get_type_hints(cls)[f.name], prefix + f.name
+        arms = [a for a in typing.get_args(hint) if a is not type(None)]
+        if typing.get_origin(hint) is typing.Union and len(arms) == 1:
+            hint = arms[0]  # Optional[section]
+        if is_dataclass(hint):
+            yield from config_field_paths(hint, path + ".")
+        elif typing.get_origin(hint) is tuple and is_dataclass(typing.get_args(hint)[0]):
+            yield path, f.default
+            yield from config_field_paths(typing.get_args(hint)[0], path + "[i].")
+        else:
+            yield path, f.default
+
+
+def dotted(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def child_env(env):
+    """`env` with the directory holding this loglap first on PYTHONPATH, so a
+    child process imports it whether or not the package is installed."""
+    src = str(Path(loglap.__file__).resolve().parent.parent)
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -180,6 +232,37 @@ class TestValidation:
         except ConfigError:
             pass
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_unknown_key_is_named(self, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(FULL_CONFIGS)))
+        mappings = [()] + [p for p in field_paths(doc) if isinstance(get_path(doc, p), dict)]
+        path = data.draw(st.sampled_from(mappings))
+        key = data.draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in KNOWN_KEYS))
+        get_path(doc, path)[key] = data.draw(json_values)
+        with pytest.raises(ConfigError) as info:
+            validate_config(doc)
+        assert str(info.value).startswith(f"{dotted(path + (key,))}: unknown field")
+
+    def test_readme_config_blocks_are_valid(self):
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        assert blocks
+        for block in blocks:
+            validate_config(json.loads(block))
+
+    def test_readme_reference_lists_every_field(self):
+        reference = README.read_text().split("### Config reference")[1].split("\n#")[0]
+        rows = re.findall(r"^\| `([^`]+)` \| [^|]* \| ([^|]*) \|$", reference, re.M)
+        defaults = dict(config_field_paths(ExperimentConfig))
+        assert sorted(name for name, _ in rows) == sorted(defaults)
+        for name, cell in rows:  # a default written as a JSON literal must be the field's
+            try:
+                documented = json.loads(cell.strip("`"))
+            except ValueError:
+                continue
+            default = defaults[name]
+            assert documented == (list(default) if isinstance(default, tuple) else default), name
+
     def test_bad_json_document(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -224,8 +307,8 @@ class TestSubcommands:
         out = tmp_path / "out"
         assert run_cli("solve", cfg, out) == 0
         sol = load_solution(out / "solution.json")
-        assert sol["residual"] <= 1e-10
-        assert sol["coefficients"].size == build_model("circle", 5).total_dim
+        assert sol.residual <= 1e-10
+        assert sol.coefficients.size == build_model("circle", 5).total_dim
         header = (out / "solution.csv").read_text().splitlines()[0]
         assert header == "node_id,x0,value"
 
@@ -327,7 +410,7 @@ class TestExitCodes:
         (circle_config(m=float("inf")), "m: expected a finite number"),
         (circle_config(potential={"id": "harmonic", "terms": [
             {"form": "cos", "amplitude": 0.3, "phase": "half"}]}),
-         "potential.terms[0].phase: expected a number"),
+         "potential.terms[0].phase: expected a finite number"),
     ])
     def test_bad_number_exits_two(self, tmp_path, capsys, cfg, message):
         path = write_config(tmp_path, cfg)
@@ -362,7 +445,7 @@ class TestExitCodes:
             {"form": "cos", "amplitude": 0.3, "axis": 1}]}),
          "potential.terms[0].axis: expected a chart axis in [0, 1)"),
         ("solve", circle_config(sources={"count": 2, "centers": [["a"], [1.0]]}),
-         "sources.centers[0][0]: expected a number"),
+         "sources.centers[0][0]: expected a finite number"),
         ("solve", circle_config(sources={"count": 2, "centers": [[1.0]]}),
          "sources.centers: expected a list of 2 centers"),
         ("solve", circle_config(sources={"count": 2, "centers": [[1.0, 1.2, 1.4], [1.5]]}),
@@ -370,6 +453,26 @@ class TestExitCodes:
         ("spectrum", circle_config(observation={
             "kind": "interval", "start": 0.0, "end": 3.0, "stop": 1.0}),
          "observation.stop: unknown field of 'interval'"),
+        ("heatcheck", circle_config(heatcheck={"times": "x"}),
+         "heatcheck.times: expected a list"),
+        ("heatcheck", circle_config(heatcheck={"pairs": "x"}),
+         "heatcheck.pairs: expected an integer"),
+        ("heatcheck", circle_config(heatcheck={"times": []}),
+         "heatcheck.times: expected a nonempty list of positive times"),
+        ("heatcheck", circle_config(heatcheck={"times": [0.1, -0.2]}),
+         "heatcheck.times: expected a nonempty list of positive times"),
+        ("compare", circle_config(compare={"first": 1, "second": "b.json"}),
+         "compare.first: expected a string"),
+        ("ucp", circle_config(ucp={"include_image": "no"}),
+         "ucp.include_image: expected a boolean"),
+        ("solve", circle_config(tolerances={"solve_residul": 1e-8}),
+         "tolerances.solve_residul: unknown field"),
+        ("solve", circle_config(sources={"count": 2, "oder": 3}),
+         "sources.oder: unknown field"),
+        ("spectrum", circle_config(modell={"kind": "circle", "truncation": 5}),
+         "modell: unknown field"),
+        ("extract", circle_config(times={"kind": "default", "start": 0.1}),
+         "times.start: only for a uniform grid"),
     ])
     def test_window_and_isometry_mistakes_exit_two(self, tmp_path, capsys,
                                                    sub, cfg, message):
@@ -380,6 +483,7 @@ class TestExitCodes:
     def test_config_and_artifact_errors_are_loglap_errors(self):
         assert issubclass(ConfigError, LoglapError)
         assert issubclass(SerializationError, LoglapError)
+        assert issubclass(FieldError, LoglapError) and issubclass(FieldError, ValueError)
 
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json"),
@@ -404,7 +508,7 @@ class TestExitCodes:
             compare={"first": str(bad), "second": str(good)}), "cmp.json")
         assert run_cli("compare", cmp_cfg, tmp_path / "cmp") == 1
         err = capsys.readouterr().err
-        assert err.startswith("artifact error:") and "families: missing field" in err
+        assert err.startswith("artifact error:") and "families: missing required field" in err
 
     def test_gauge_needs_isometry(self, tmp_path, capsys):
         cfg = write_config(tmp_path, circle_config())
@@ -431,15 +535,15 @@ class TestProcessLevel:
         proc = subprocess.run(
             [sys.executable, "-m", "loglap.cli", "spectrum",
              "--config", cfg, "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env(os.environ))
         assert proc.returncode == 0
         assert "multiplicity" in proc.stdout
 
     def test_thread_env_override(self):
         code = ("import os; os.environ['LOGLAP_THREADS']='3'; "
                 "import loglap; print(os.environ['OMP_NUM_THREADS'])")
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "LOGLAP_THREADS")}
+        env = child_env({k: v for k, v in os.environ.items()
+                         if k not in ("OMP_NUM_THREADS", "LOGLAP_THREADS")})
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=env)
         assert proc.stdout.strip() == "3"

@@ -15,12 +15,14 @@ from loglap.models import (
     AngularInterval,
     CircleReflection,
     CircleRotation,
+    Isometry,
     SphereAxialRotation,
     SphereMeridianReflection,
     SphericalCap,
     TorusAxisReflection,
     TorusBox,
     TorusTranslation,
+    Window,
     build_model,
     restrict_to_observation,
     with_mixed_blocks,
@@ -60,7 +62,7 @@ from loglap.serialize import (
     trace_from_csv,
     trace_to_csv,
 )
-from loglap.solver import (CauchyRecord, PotentialField, cauchy_record,
+from loglap.solver import (CauchyRecord, PotentialField, Solution, cauchy_record,
                            make_source_basis, zero_potential)
 
 
@@ -310,18 +312,35 @@ class TestSolutionDump:
         model = build_model("circle", 5)
         coeffs = np.linspace(-1, 1, model.total_dim)
         path = tmp_path / "solution.json"
-        dump_solution(model, 2.0, "bump00", "zero", coeffs, 3e-16, path)
+        dump_solution(Solution(kind="circle", truncation=5, mass=2.0, source_id="bump00",
+                               potential_label="zero", coefficients=coeffs,
+                               residual=3e-16), path)
         loaded = load_solution(path)
-        assert loaded["kind"] == "circle"
-        assert loaded["mass"] == 2.0
-        assert loaded["residual"] == 3e-16
-        assert np.array_equal(loaded["coefficients"], coeffs)
+        assert loaded.kind == "circle"
+        assert loaded.mass == 2.0
+        assert loaded.residual == 3e-16
+        assert np.array_equal(loaded.coefficients, coeffs)
+
+    @pytest.mark.parametrize("doctor, message", [
+        (lambda p: {k: v for k, v in p.items() if k != "residual"},
+         "residual: missing required field"),
+        (lambda p: {**p, "mass": "x"}, "mass: expected a finite number"),
+    ], ids=["missing", "mistyped"])
+    def test_malformed_solution_names_the_field(self, tmp_path, doctor, message):
+        model = build_model("circle", 5)
+        path = tmp_path / "solution.json"
+        dump_solution(Solution(kind="circle", truncation=5, mass=2.0, source_id="bump00",
+                               potential_label="zero",
+                               coefficients=np.zeros(model.total_dim), residual=0.0), path)
+        path.write_text(json.dumps(doctor(json.loads(path.read_text()))))
+        with pytest.raises(SerializationError, match=f"^{path}: {message}"):
+            load_solution(path)
 
 
 # generated artifacts ---------------------------------------------------------
 # Strategies follow the dataclass annotations, as the codec does: arrays of
-# any shape (empty included) in float64, int64 or bool; windows and
-# isometries for `object` fields; finite floats (JSON refuses NaN).
+# any shape (empty included) in float64, int64 or bool; windows for `Window`
+# fields and isometries for `Isometry` fields; finite floats (JSON refuses NaN).
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
@@ -329,18 +348,20 @@ arrays = st.one_of(hnp.arrays(np.float64, shapes, elements=finite),
                    hnp.arrays(np.int64, shapes),
                    hnp.arrays(np.bool_, shapes))
 pairs = st.tuples(finite, finite)
-windows_and_isometries = st.one_of(
+KINDS = {Window: st.one_of(
     st.builds(AngularInterval, finite, finite),
     st.builds(TorusBox, st.lists(pairs, min_size=1, max_size=3).map(tuple)),
-    st.builds(SphericalCap, pairs, finite),
+    st.builds(SphericalCap, pairs, finite)), Isometry: st.one_of(
     st.builds(CircleRotation, finite), st.builds(CircleReflection, finite),
     st.builds(TorusTranslation, st.lists(finite, min_size=1, max_size=3).map(tuple)),
     st.builds(TorusAxisReflection, st.integers(0, 3), finite),
-    st.builds(SphereAxialRotation, finite), st.builds(SphereMeridianReflection, finite))
+    st.builds(SphereAxialRotation, finite), st.builds(SphereMeridianReflection, finite))}
 SCALARS = {bool: st.booleans(), int: st.integers(), float: finite, str: st.text(max_size=8)}
 
 
 def values_of(hint):
+    if hint in KINDS:
+        return KINDS[hint]
     args = typing.get_args(hint)
     if typing.get_origin(hint) is typing.Union:
         return st.none() | values_of(next(a for a in args if a is not type(None)))
@@ -348,8 +369,6 @@ def values_of(hint):
         return arrays
     if hint is list or typing.get_origin(hint) is list:
         return st.lists(values_of(args[0]) if args else st.text(max_size=8), max_size=4)
-    if hint is object:
-        return windows_and_isometries
     return SCALARS[hint]
 
 
@@ -438,11 +457,11 @@ class TestMalformedArtifacts:
 
     @pytest.mark.parametrize("doctor, message", [
         (lambda p: {k: v for k, v in p.items() if k != "families"},
-         "families: missing field"),
+         "families: missing required field"),
         (lambda p: {**p, "extra": 1}, "extra: unknown field"),
         (lambda p: [p], "expected a JSON object, found list"),
-        (lambda p: {**p, "mass": "two"}, "mass: expected float"),
-        (lambda p: {**p, "mode": 3}, "mode: expected str"),
+        (lambda p: {**p, "mass": "two"}, "mass: expected a finite number"),
+        (lambda p: {**p, "mode": 3}, "mode: expected a string"),
         (lambda p: {**p, "node_indices": [[1, 2], [3]]}, "node_indices: not a rectangular array"),
         (lambda p: {**p, "families": [["a"]]}, "families[0]: expected an array of numbers"),
         (lambda p: {**p, "families": {"0": []}}, "families: expected a list"),
