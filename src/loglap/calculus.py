@@ -30,7 +30,6 @@ __all__ = [
     "HeatTrace",
     "KernelValue",
     "GrigoryanReport",
-    "ContractionReport",
     "check_mass",
     "field_from_samples",
     "random_field",
@@ -45,7 +44,6 @@ __all__ = [
     "grigoryan_check",
     "log_identity_quadrature",
     "pointwise_L",
-    "heat_contraction_check",
 ]
 
 
@@ -119,13 +117,6 @@ class GrigoryanReport:
     violations: int
     n_checked: int
     max_log_ratio: float
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    constant: float
-    max_tail_ratio: float
-    passed: bool
 
 
 # ---------------------------------------------------------------------------
@@ -376,34 +367,3 @@ def pointwise_L(field: FieldCoefficients, m: float, point, tol: Optional[float] 
 
     return _split_quadrature(g, 2.0 * b_sum, tol, quad_limit)
 
-
-# ---------------------------------------------------------------------------
-# sup-norm contraction of the heat flow
-
-
-def heat_contraction_check(model: SpectralModel, m: float, times,
-                           n_fields: int = 16, seed: int = 0) -> ContractionReport:
-    """Fit the sup-norm contraction constant of exp(-tA).
-
-    The decay exp(-mt) is factored out, the remaining ratio is fitted on
-    the early half of the time grid and verified on the late half; for the
-    untruncated flow the constant is exactly 1, so anything close to 1 and
-    not growing in t confirms the estimate's shape.
-    """
-    check_mass(m)
-    times = np.sort(np.asarray(times, dtype=float))
-    rng = np.random.default_rng(seed)
-    lam = model.flat_eigenvalues()
-    basis = model.node_basis()
-    ratios = np.empty((n_fields, times.size))
-    for i in range(n_fields):
-        coeffs = rng.standard_normal(model.total_dim)
-        sup0 = np.max(np.abs(basis @ coeffs))
-        for j, t in enumerate(times):
-            evolved = basis @ (coeffs * np.exp(-t * (lam + m)))
-            ratios[i, j] = np.max(np.abs(evolved)) / (np.exp(-m * t) * sup0)
-    half = times.size // 2
-    constant = float(np.max(ratios[:, : half + 1]))
-    tail = float(np.max(ratios[:, half + 1:])) if half + 1 < times.size else constant
-    passed = tail <= constant * (1.0 + 1e-9) and constant < 10.0
-    return ContractionReport(constant, tail, passed)

@@ -43,21 +43,30 @@ class ModelSection:
 
     kind: str
     truncation: int
-    radius: float = _default_of(make_manifold, "radius")
+    radius: Optional[float] = None
     edges: Optional[tuple[float, ...]] = None
     quadrature: Union[tuple[int, ...], int, None] = None
 
     def __post_init__(self):
         require(self.truncation >= 2, "truncation", "must be >= 2")
-        q, dim = self.quadrature, self.manifold.dimension
+        manifold = self.manifold
+        for name in self.geometry:
+            require(name in manifold.params, name, f"not a parameter of a {self.kind}")
+        q, dim = self.quadrature, manifold.dimension
         counts = q if isinstance(q, tuple) else (1 if q is None else q,) * dim
         require(len(counts) == dim, "quadrature", f"expected {dim} entries, one per chart axis")
         require(min(counts) >= 1, "quadrature", "node counts must be >= 1")
 
     @property
+    def geometry(self) -> dict:
+        """The geometry parameters given: `radius`, `edges` or neither."""
+        return {name: value for name, value in (("radius", self.radius), ("edges", self.edges))
+                if value is not None}
+
+    @property
     def manifold(self):
         """The geometry without eigendata (FieldError for a bad kind, radius or edges)."""
-        return make_manifold(self.kind, radius=self.radius, edges=self.edges)
+        return make_manifold(self.kind, **self.geometry)
 
 
 @dataclass(frozen=True)
@@ -241,8 +250,7 @@ def load_config(path, seed: Optional[int] = None) -> ExperimentConfig:
 
 def config_model(cfg: ExperimentConfig) -> SpectralModel:
     spec = cfg.model
-    return build_model(spec.kind, spec.truncation, radius=spec.radius,
-                       edges=spec.edges, quadrature=spec.quadrature)
+    return build_model(spec.kind, spec.truncation, quadrature=spec.quadrature, **spec.geometry)
 
 
 def config_potential(cfg: ExperimentConfig) -> PotentialField:

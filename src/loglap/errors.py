@@ -58,14 +58,6 @@ class UnderdeterminedSamplingError(LoglapError):
     """Constraint matrix has fewer rows than the space it must pin down."""
 
 
-class NoExponentialDecayError(LoglapError):
-    """Sampled profile shows no fitted exponential decay on its tail."""
-
-
-class AllPairingsVanishError(LoglapError):
-    """Every candidate source pairs to zero with the target eigenspace."""
-
-
 class EmptyCoverageError(LoglapError):
     """Some node outside the observation set is masked for every source."""
 

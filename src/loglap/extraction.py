@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .calculus import FieldCoefficients, HeatTrace, check_mass, l_multiplier
@@ -23,7 +22,7 @@ from .errors import (
     UnderExcitedEigenspaceError,
 )
 from .models import ObservationSet, SpectralModel
-from .solver import SourceFunction, forward_map, solve_schrodinger
+from .solver import forward_map, solve_schrodinger
 
 __all__ = [
     "ExponentialFit",
@@ -37,7 +36,6 @@ __all__ = [
     "heat_trace_of_field",
     "heat_trace_of_solution",
     "laplace_transform_eval",
-    "laplace_transform_via_integral",
     "supnorm_sanity_check",
     "weyl_sanity_check",
 ]
@@ -88,9 +86,9 @@ def heat_trace_of_field(model: SpectralModel, m: float, solution, obs: Observati
 
 
 def heat_trace_of_solution(model: SpectralModel, m: float, V, source, obs: ObservationSet,
-                           times, *, cond_limit: Optional[float] = None) -> HeatTrace:
+                           times) -> HeatTrace:
     """Forward solve then sample the evolved image of the solution."""
-    u = solve_schrodinger(model, m, V, source, cond_limit=cond_limit)
+    u = solve_schrodinger(model, m, V, source)
     sid = getattr(source, "source_id", None)
     return heat_trace_of_field(model, m, u, obs, times, source_id=sid)
 
@@ -124,42 +122,6 @@ def laplace_transform_eval(model: SpectralModel, m: float, solution, points, z) 
     return vals
 
 
-def laplace_transform_via_integral(model: SpectralModel, m: float, solution, points, z,
-                                   *, tol: float = 1e-10) -> np.ndarray:
-    """Quadrature route for the transform, for cross-checking the rational form.
-
-    Integrates e^{-zt} h(t,x) on (0, inf) per point with adaptive quadrature,
-    real and imaginary parts separately.  Requires Re z above -min(mu).
-    """
-    check_mass(m)
-    u = _coerce_field(model, solution)
-    lam = model.flat_eigenvalues()
-    mu = lam + m
-    zc = complex(z)
-    if zc.real <= -float(mu.min()):
-        raise ValueError("transform diverges: Re z must exceed -min shifted eigenvalue")
-    phi = model.eigenfunction_values(points)
-    weighted = l_multiplier(lam, m) * u.values
-
-    out = np.empty(phi.shape[0], dtype=complex)
-    for i in range(phi.shape[0]):
-        row = phi[i] * weighted
-
-        def trace(t):
-            return float(np.dot(row, np.exp(-t * mu)))
-
-        re, _ = scipy.integrate.quad(
-            lambda t: np.exp(-zc.real * t) * np.cos(zc.imag * t) * trace(t),
-            0.0, np.inf, epsabs=tol, epsrel=tol, limit=200)
-        im, _ = scipy.integrate.quad(
-            lambda t: -np.exp(-zc.real * t) * np.sin(zc.imag * t) * trace(t),
-            0.0, np.inf, epsabs=tol, epsrel=tol, limit=200)
-        out[i] = re + 1j * im
-    if zc.imag == 0.0:
-        return out.real
-    return out
-
-
 # -------------------------------------------------------------- pencil
 
 
@@ -175,17 +137,16 @@ class ExponentialFit:
     dt: float
 
 
-def extract_exponents(trace: HeatTrace, max_order: int, *,
-                      fit_tol: float = 1e-6,
-                      rank_tol: float = 1e-10,
-                      discard_ratio: float = 1e-3) -> ExponentialFit:
+def extract_exponents(trace: HeatTrace, max_order: int) -> ExponentialFit:
     """Matrix-pencil identification of decay rates shared across channels.
 
     Builds one Hankel block per channel, stacks them vertically, and reads
     the rates off the shift structure of the common row space.  The rank
     decision must be unambiguous: a blurred singular-value gap, complex or
     nonpositive pencil eigenvalues, or more modes than the stated budget
-    all abort rather than guess.
+    all abort rather than guess.  Singular values below 1e-10 of the largest
+    are noise and must sit below 1e-3 of the last kept one; the fitted sum
+    must reproduce the samples to 1e-6 relative.
     """
     times = np.asarray(trace.times, dtype=float)
     vals = np.asarray(trace.values, dtype=float)
@@ -213,11 +174,11 @@ def extract_exponents(trace: HeatTrace, max_order: int, *,
     smax = sv[0]
     if smax == 0.0:
         raise RankAmbiguousError("trace is identically zero")
-    rank = int(np.sum(sv > rank_tol * smax))
+    rank = int(np.sum(sv > 1e-10 * smax))
     if rank > max_order:
         raise RankAmbiguousError(
             f"{rank} significant singular values exceed the stated budget {max_order}")
-    if rank < sv.size and sv[rank] > discard_ratio * sv[rank - 1]:
+    if rank < sv.size and sv[rank] > 1e-3 * sv[rank - 1]:
         raise RankAmbiguousError(
             "no clean singular-value gap at the detected rank "
             f"({sv[rank]:.3e} vs {sv[rank - 1]:.3e})")
@@ -243,7 +204,7 @@ def extract_exponents(trace: HeatTrace, max_order: int, *,
     E = np.exp(-mus[None, :] * dt) ** powers     # Vandermonde in z
     shifted, *_ = np.linalg.lstsq(E, vals, rcond=None)
     resid = np.linalg.norm(E @ shifted - vals) / np.linalg.norm(vals)
-    if resid > fit_tol:
+    if resid > 1e-6:
         raise GridTooCoarseError(
             f"exponential model leaves relative residual {resid:.3e}")
     amplitudes = shifted.T * np.exp(mus[None, :] * times[0])
@@ -293,8 +254,7 @@ def _excitation_mask(model: SpectralModel, sources) -> np.ndarray:
 
 def build_gelfand_data(model: SpectralModel, m: float, V, obs: ObservationSet,
                        sources, *, times=None, mode: str = "internal",
-                       max_order: Optional[int] = None, return_fit: bool = False,
-                       cond_limit: Optional[float] = None):
+                       return_fit: bool = False):
     """Run the forward map for each source and distill spectral data.
 
     mode="internal" validates against the model's own catalog (every
@@ -310,17 +270,14 @@ def build_gelfand_data(model: SpectralModel, m: float, V, obs: ObservationSet,
         raise ValueError("at least one source is required")
     if times is None:
         times = default_time_grid(model, m)
-    if max_order is None:
-        max_order = model.truncation
 
-    U = forward_map(model, m, V).solve(
-        np.column_stack([src.coefficients for src in sources]), cond_limit=cond_limit)
+    U = forward_map(model, m, V).solve(np.column_stack([src.coefficients for src in sources]))
     traces = [heat_trace_of_field(model, m, u, obs, times).values for u in U.T]
     stacked = HeatTrace(times=np.asarray(times, dtype=float),
                         nodes=np.tile(obs.nodes, (len(sources), 1)),
                         values=np.hstack(traces), mass=m,
                         truncation=model.truncation)
-    fit = extract_exponents(stacked, max_order)
+    fit = extract_exponents(stacked, model.truncation)
 
     n_src = len(sources)
     n_obs = obs.size

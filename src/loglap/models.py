@@ -30,7 +30,6 @@ import numpy as np
 from scipy import special as sps
 
 from .errors import FieldError, PreconditionError
-from .fields import decode
 
 __all__ = [
     "SpectralModel",
@@ -51,10 +50,8 @@ __all__ = [
     "ISOMETRIES",
     "Window",
     "Isometry",
-    "from_fields",
     "make_manifold",
     "build_model",
-    "evaluate_eigenfunction",
     "inner_product",
     "project_function",
     "verify_orthonormality",
@@ -62,10 +59,8 @@ __all__ = [
     "interior_points",
     "descriptor_contains",
     "geodesic_distance",
-    "second_derivative_values",
     "with_mixed_blocks",
     "apply_isometry",
-    "isometry_fixes_pointwise",
     "isometry_preserves_set",
 ]
 
@@ -265,13 +260,6 @@ Window = Union[WINDOWS]
 Isometry = Union[ISOMETRIES]
 
 
-def from_fields(mapping: dict, family):
-    """The member of `family` named by mapping["kind"], built from the other
-    entries of a JSON-style mapping. Raises FieldError naming the offending
-    field, also for an entry that is no field."""
-    return decode(Union[tuple(family)], mapping)
-
-
 def _has_shape(value, shape: tuple) -> bool:
     try:
         return np.shape(np.asarray(value, dtype=float)) == shape
@@ -429,9 +417,6 @@ class FlatTorus:
         norm = np.where(table["kinds"] == 0, 1.0 / np.sqrt(vol), np.sqrt(2.0 / vol))
         return out * norm[None, :]
 
-    def laplacian_factors(self, table) -> np.ndarray:
-        return np.sum(self._wavenumbers(table["lattice"]) ** 2, axis=1)
-
     def resolves_products(self, spec, table) -> bool:
         j_max = np.max(np.abs(table["lattice"]), axis=0)
         return all(c > 2 * j for c, j in zip(spec, j_max))
@@ -588,9 +573,6 @@ class RoundSphere:
                 out[:, col] = np.sqrt(2.0) * norm * plm * np.sin(m * lon)
         return out
 
-    def laplacian_factors(self, table) -> np.ndarray:
-        raise ValueError("analytic stencil only available for flat models")
-
     def resolves_products(self, spec, table) -> bool:
         n_colat, n_lon = spec
         lmax = int(np.max(table["degrees"]))
@@ -695,29 +677,6 @@ def as_points(points, dim: int) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ValueError(f"points must have shape (P, {dim})")
     return pts
-
-
-def evaluate_eigenfunction(model: SpectralModel, k: int, ell: int, points) -> np.ndarray:
-    """Values of the ell-th basis function of the k-th eigenspace."""
-    if not 0 <= k < model.truncation:
-        raise ValueError("eigenvalue index out of range")
-    if not 0 <= ell < model.multiplicities[k]:
-        raise ValueError("basis index exceeds the block multiplicity")
-    col = int(model.block_offsets[k]) + ell
-    return model.eigenfunction_values(points)[:, col]
-
-
-def second_derivative_values(model: SpectralModel, points) -> np.ndarray:
-    """Minus the flat Laplacian of every basis function, differentiated
-    analytically from the frequency tables (flat models only).
-
-    Deliberately avoids the stored eigenvalue array so it can serve as an
-    independent consistency check of the catalog wiring.
-    """
-    pts = as_points(points, model.dimension)
-    factors = model.manifold.laplacian_factors(model.basis_table)
-    base = model.manifold.basis_values(pts, model.basis_table)
-    return model._mixed(base * factors[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -830,13 +789,6 @@ def apply_isometry(model: SpectralModel, isometry, points,
     """Apply a catalog isometry (or its inverse) to chart points."""
     return model.manifold.apply_isometry(isometry, as_points(points, model.dimension),
                                          inverse)
-
-
-def isometry_fixes_pointwise(model: SpectralModel, isometry, obs: ObservationSet,
-                             tol: float = 1e-12) -> bool:
-    mapped = apply_isometry(model, isometry, obs.nodes)
-    d = geodesic_distance(model, mapped, obs.nodes)
-    return bool(np.max(d) <= tol)
 
 
 def isometry_preserves_set(model: SpectralModel, isometry, obs: ObservationSet) -> bool:

@@ -1,26 +1,22 @@
 """Unique-continuation diagnostics and potential recovery.
 
 Everything here works at finite rank: the continuation statement becomes a
-singular-value rank test on a stacked constraint matrix, the moment
-mechanism becomes quadrature plus fitted tail bounds, and recovery divides
-the observed operator image by the solution wherever the solution is safely
-away from zero.
+singular-value rank test on a stacked constraint matrix, and recovery
+divides the observed operator image by the solution wherever the solution
+is safely away from zero.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
 import numpy as np
-import scipy.integrate
-import scipy.special
 
-from .calculus import FieldCoefficients, apply_L, check_mass, heat_kernel_matrix, l_multiplier, random_field
+from .calculus import (apply_L, check_mass, field_from_samples, heat_kernel_matrix,
+                       l_multiplier, random_field)
 from .errors import (
-    AllPairingsVanishError,
     EmptyCoverageError,
     InconsistentCandidatesError,
-    NoExponentialDecayError,
     PreconditionError,
     UnderdeterminedSamplingError,
 )
@@ -41,20 +37,15 @@ from .solver import (
     band_limit_source,
     cauchy_record,
     make_source_basis,
-    solve_schrodinger,
 )
 
 __all__ = [
     "GaugeReport",
     "KernelMatchReport",
-    "MomentVector",
-    "PairingResult",
     "RecoveredPotential",
     "UcpReport",
     "heat_kernel_equality_check",
     "isometry_gauge_check",
-    "moment_vector",
-    "nonvanishing_pairing_search",
     "recover_potential",
     "ucp_nullspace_test",
 ]
@@ -119,105 +110,6 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet,
                      smallest_singular=float(sv[-1]),
                      passed=null_dim == 0, n_points=int(points.shape[0]),
                      include_image=include_image)
-
-
-# ---------------------------------------------------------------- moments
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Quadrature moments of a decaying sample path with tail bounds."""
-
-    moments: np.ndarray
-    tail_bounds: np.ndarray
-    decay_rate: float
-    decay_scale: float
-
-
-def moment_vector(s, phi, k_max: int) -> MomentVector:
-    """Moments int s^k phi(s) ds for k = 0..k_max from samples on [0, S].
-
-    The integrand beyond the grid is bounded by fitting C e^{-c s} to the
-    tail of |phi|; a nonpositive fitted rate means the samples do not decay
-    exponentially and the moments would be untrustworthy.
-    """
-    s = np.asarray(s, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if s.ndim != 1 or s.shape != phi.shape or s.size < 8:
-        raise ValueError("need matching 1-d arrays with at least 8 samples")
-    if s[0] < 0 or np.any(np.diff(s) <= 0):
-        raise ValueError("s must be nonnegative and strictly increasing")
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-
-    ks = np.arange(k_max + 1)
-    if np.max(np.abs(phi)) == 0.0:
-        zero = np.zeros(k_max + 1)
-        return MomentVector(moments=zero, tail_bounds=zero.copy(),
-                            decay_rate=np.inf, decay_scale=0.0)
-
-    half = s.size // 2
-    tail_s, tail_phi = s[half:], np.abs(phi[half:])
-    usable = tail_phi > 0
-    if np.sum(usable) < 4:
-        raise NoExponentialDecayError("tail has too few nonzero samples to fit")
-    slope, intercept = np.polyfit(tail_s[usable], np.log(tail_phi[usable]), 1)
-    rate = -float(slope)
-    if rate <= 1e-8:
-        raise NoExponentialDecayError(
-            f"fitted tail rate {rate:.3g} is not a decay")
-    scale = float(np.exp(intercept))
-
-    moments = np.array([scipy.integrate.simpson(phi * s ** k, x=s) for k in ks])
-    S = float(s[-1])
-    tails = np.array([
-        scale * scipy.special.gamma(k + 1)
-        * scipy.special.gammaincc(k + 1, rate * S) / rate ** (k + 1)
-        for k in ks])
-    return MomentVector(moments=moments, tail_bounds=tails,
-                        decay_rate=rate, decay_scale=scale)
-
-
-# ---------------------------------------------------------------- pairing
-
-
-@dataclass(frozen=True)
-class PairingResult:
-    """First source whose solution meets the target eigenspace."""
-
-    source: SourceFunction
-    source_index: int
-    eigen_index: int
-    component: int
-    value: float
-
-
-def nonvanishing_pairing_search(model: SpectralModel, m: float, V: PotentialField,
-                                obs: ObservationSet, k: int, candidates, *,
-                                threshold: float = 1e-10,
-                                cond_limit: Optional[float] = None) -> PairingResult:
-    """Search candidates for a solution with weight in eigenspace k.
-
-    Returns the first candidate whose solution has an eigenbasis coefficient
-    in block k above threshold (relative to the solution norm), together
-    with that coefficient.  Exhausting all candidates signals numerical
-    under-excitation rather than a structural obstruction.
-    """
-    if not 0 <= k < model.truncation:
-        raise ValueError(f"eigen index {k} outside materialized range")
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("no candidate sources given")
-    sl = model.block_slice(k)
-    for idx, src in enumerate(candidates):
-        u = solve_schrodinger(model, m, V, src, cond_limit=cond_limit)
-        block = u.values[sl]
-        ell = int(np.argmax(np.abs(block)))
-        if np.abs(block[ell]) > threshold * max(u.norm(), 1e-300):
-            return PairingResult(source=src, source_index=idx, eigen_index=k,
-                                 component=ell, value=float(block[ell]))
-    raise AllPairingsVanishError(
-        f"no candidate source excites eigenspace {k}; refine sources")
 
 
 # --------------------------------------------------------------- recovery
@@ -347,11 +239,6 @@ def heat_kernel_equality_check(model_a: SpectralModel, model_b: SpectralModel,
 # ------------------------------------------------------------------ gauge
 
 
-def _pullback_field(model: SpectralModel, node_values) -> FieldCoefficients:
-    """Project node samples onto the truncated basis via quadrature."""
-    return FieldCoefficients(model, project_function(model, node_values))
-
-
 @dataclass(frozen=True)
 class GaugeReport:
     """Invariance of observation records under a catalog symmetry."""
@@ -365,8 +252,7 @@ class GaugeReport:
 
 def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,
                          obs: ObservationSet, isometry, *,
-                         tolerance: float = 1e-10, seed: int = 0,
-                         cond_limit: Optional[float] = None) -> GaugeReport:
+                         tolerance: float = 1e-10, seed: int = 0) -> GaugeReport:
     """Check that a window-preserving symmetry leaves the records invariant.
 
     Two stages: the operator must commute with composition by the symmetry
@@ -382,7 +268,7 @@ def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,
     # stage 1: intertwining on a random truncated field
     u = random_field(model, seed=seed)
     mapped_nodes = apply_isometry(model, isometry, model.nodes)
-    pulled = _pullback_field(model, u.evaluate(mapped_nodes))
+    pulled = field_from_samples(model, u.evaluate(mapped_nodes))
     lhs = apply_L(pulled, m).node_values()
     rhs = apply_L(u, m).evaluate(mapped_nodes)
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
@@ -395,7 +281,7 @@ def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,
     # symmetry does not map quadrature nodes to quadrature nodes.
     src = band_limit_source(model, make_source_basis(model, obs, 1)[0],
                             model.truncation)
-    rec = cauchy_record(model, m, V, src, obs, cond_limit=cond_limit)
+    rec = cauchy_record(model, m, V, src, obs)
 
     pull_back = partial(apply_isometry, model, isometry, inverse=True)
     v_pulled = PotentialField(lambda pts: V.values_at(model, pull_back(pts)),
@@ -407,8 +293,7 @@ def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,
         radius=src.radius, order=src.order, amplitude=src.amplitude,
         node_values=model.node_basis() @ f_coeffs, coefficients=f_coeffs,
         projection_residual=src.projection_residual, band_limited=True)
-    rec2 = cauchy_record(model, m, v_pulled, src_pulled, obs,
-                         cond_limit=cond_limit)
+    rec2 = cauchy_record(model, m, v_pulled, src_pulled, obs)
 
     inv_obs = pull_back(obs.nodes)
     du = np.max(np.abs(rec2.u_values - rec.solution.evaluate(inv_obs)))

@@ -99,6 +99,21 @@ isometry_from_dict = functools.partial(from_payload, Isometry)
 
 # models ----------------------------------------------------------------------
 
+@dataclasses.dataclass(frozen=True)
+class StoredModel:
+    """The JSON form of a model: its builder arguments and the tables that
+    rebuilding from them must reproduce."""
+
+    kind: str
+    truncation: int
+    params: dict
+    quadrature: tuple[int, ...]
+    eigenvalues: np.ndarray
+    multiplicities: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
 _MODEL_TABLES = ("eigenvalues", "multiplicities", "nodes", "weights")
 
 
@@ -106,27 +121,22 @@ def dump_model(model: SpectralModel, path) -> None:
     """Versioned eigendata dump; the builder arguments travel with the tables."""
     if model.block_mixers is not None:
         raise SerializationError("derived models with mixed blocks are not serializable")
-    _write_json(path, "loglap/model", {
-        "kind": model.kind, "truncation": int(model.truncation),
-        "params": {k: _plain(v) for k, v in model.params.items()},
-        "quadrature": _plain(model.quadrature_spec),
-        **{name: _plain(getattr(model, name)) for name in _MODEL_TABLES}})
+    _write_json(path, "loglap/model", to_payload(StoredModel(
+        model.kind, int(model.truncation), model.params, model.quadrature_spec,
+        *(getattr(model, name) for name in _MODEL_TABLES))))
 
 
 def load_model(path) -> SpectralModel:
     """Rebuild from the stored builder arguments and verify the tables."""
-    p = _read_json(path, "loglap/model")
+    stored = from_payload(StoredModel, _read_json(path, "loglap/model"), path)
     try:
-        model = build_model(p["kind"], p["truncation"],
-                            quadrature=tuple(p["quadrature"]), **p["params"])
-        stored = {name: np.asarray(p[name]) for name in _MODEL_TABLES}
-    except KeyError as exc:
-        raise SerializationError(f"{path}: {exc.args[0]}: missing field") from exc
+        model = build_model(stored.kind, stored.truncation,
+                            quadrature=stored.quadrature, **stored.params)
     except (TypeError, ValueError) as exc:
-        raise SerializationError(f"cannot rebuild the stored model: {exc}") from exc
-    for name, arr in stored.items():
-        if not np.array_equal(arr, getattr(model, name)):
-            raise SerializationError(f"stored {name} disagree with the rebuilt model")
+        raise SerializationError(f"{path}: cannot rebuild the stored model: {exc}") from exc
+    for name in _MODEL_TABLES:
+        if not np.array_equal(getattr(stored, name), getattr(model, name)):
+            raise SerializationError(f"{path}: {name}: disagrees with the rebuilt model")
     return model
 
 

@@ -7,7 +7,7 @@ smoothness and support containment hold by construction.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -363,10 +363,9 @@ class CauchyRecord:
 
 
 def cauchy_record(model: SpectralModel, m: float, V: PotentialField,
-                  source: SourceFunction, obs: ObservationSet, *,
-                  cond_limit: Optional[float] = None) -> CauchyRecord:
+                  source: SourceFunction, obs: ObservationSet) -> CauchyRecord:
     """Forward-solve with one source and restrict (u, L u) to the nodes."""
-    u = solve_schrodinger(model, m, V, source, cond_limit=cond_limit)
+    u = solve_schrodinger(model, m, V, source)
     mult = l_multiplier(model.flat_eigenvalues(), m)
     B = model.node_basis()[obs.node_indices]
     return CauchyRecord(kind=model.kind, truncation=model.truncation,

@@ -18,7 +18,6 @@ from loglap.calculus import (
     field_from_samples,
     grigoryan_check,
     heat_apply,
-    heat_contraction_check,
     heat_kernel,
     heat_kernel_matrix,
     log_identity_quadrature,
@@ -115,12 +114,6 @@ class TestHeatFlow:
         one = heat_apply(heat_apply(f, 2.0, 0.3), 2.0, 0.5)
         both = heat_apply(f, 2.0, 0.8)
         assert np.allclose(one.values, both.values, rtol=1e-13)
-
-    def test_contraction_constant(self):
-        model = build_model("circle", 10)
-        report = heat_contraction_check(model, 2.0, np.linspace(0.01, 2.0, 12), seed=2)
-        assert report.passed
-        assert report.constant < 1.2
 
     def test_field_from_samples_roundtrip(self):
         model = build_model("circle", 6)

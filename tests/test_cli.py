@@ -473,6 +473,15 @@ class TestExitCodes:
          "modell: unknown field"),
         ("extract", circle_config(times={"kind": "default", "start": 0.1}),
          "times.start: only for a uniform grid"),
+        ("spectrum", circle_config(model={"kind": "circle", "truncation": 5,
+                                          "edges": [6.0]}),
+         "model.edges: not a parameter of a circle"),
+        ("spectrum", sphere_config(model={"kind": "sphere", "truncation": 4,
+                                          "edges": [6.0, 6.0]}),
+         "model.edges: not a parameter of a sphere"),
+        ("spectrum", torus_config(model={"kind": "torus", "truncation": 4,
+                                         "edges": [6.0, 6.0], "radius": 2.0}),
+         "model.radius: not a parameter of a torus"),
     ])
     def test_window_and_isometry_mistakes_exit_two(self, tmp_path, capsys,
                                                    sub, cfg, message):

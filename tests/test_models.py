@@ -21,15 +21,12 @@ from loglap.models import (
     TorusTranslation,
     apply_isometry,
     build_model,
-    evaluate_eigenfunction,
     geodesic_distance,
     inner_product,
     interior_points,
-    isometry_fixes_pointwise,
     isometry_preserves_set,
     project_function,
     restrict_to_observation,
-    second_derivative_values,
     verify_orthonormality,
     with_mixed_blocks,
 )
@@ -152,24 +149,29 @@ class TestCatalogEigendata:
             assert model.multiplicities[0] == 1
 
 
+def basis_column(model, k, ell, points):
+    """Values of the ell-th basis function of eigenspace k."""
+    return model.eigenfunction_values(points)[:, model.block_offsets[k] + ell]
+
+
 class TestEigenfunctionValues:
     def test_circle_constant(self):
         model = build_model("circle", 4)
-        val = evaluate_eigenfunction(model, 0, 0, np.array([[0.7]]))
+        val = basis_column(model, 0, 0, np.array([[0.7]]))
         assert np.allclose(val, INV_SQRT_2PI)
 
     def test_circle_first_pair(self):
         model = build_model("circle", 4)
         theta = np.array([[0.0], [np.pi / 2.0]])
-        cos_vals = evaluate_eigenfunction(model, 1, 0, theta)
-        sin_vals = evaluate_eigenfunction(model, 1, 1, theta)
+        cos_vals = basis_column(model, 1, 0, theta)
+        sin_vals = basis_column(model, 1, 1, theta)
         assert np.allclose(cos_vals, [INV_SQRT_PI, 0.0], atol=1e-15)
         assert np.allclose(sin_vals, [0.0, INV_SQRT_PI], atol=1e-15)
 
     def test_sphere_zonal_at_pole(self):
         model = build_model("sphere", 3)
         pole = np.array([[1e-12, 0.0]])
-        val = evaluate_eigenfunction(model, 1, 0, pole)
+        val = basis_column(model, 1, 0, pole)
         assert np.allclose(val, ZONAL_POLE_VALUE, atol=1e-9)
 
     def test_sphere_radius_scaling(self):
@@ -177,15 +179,15 @@ class TestEigenfunctionValues:
         unit = build_model("sphere", 3)
         double = build_model("sphere", 3, radius=2.0)
         p = np.array([[1.1, 0.4]])
-        v1 = evaluate_eigenfunction(unit, 2, 3, p)
-        v2 = evaluate_eigenfunction(double, 2, 3, p)
+        v1 = basis_column(unit, 2, 3, p)
+        v2 = basis_column(double, 2, 3, p)
         assert np.allclose(v1, 2.0 * v2)
 
     def test_torus_constant(self):
         edges = (2.0 * np.pi, np.pi)
         model = build_model("torus", 3, edges=edges)
         vol = 2.0 * np.pi * np.pi
-        val = evaluate_eigenfunction(model, 0, 0, np.array([[0.3, 0.9]]))
+        val = basis_column(model, 0, 0, np.array([[0.3, 0.9]]))
         assert np.allclose(val, 1.0 / np.sqrt(vol))
 
 
@@ -257,13 +259,26 @@ class TestLaplacianConsistency:
         ],
     )
     def test_flat_models_exact(self, kind, kwargs):
-        """Analytic second derivatives reproduce eigenvalue times function."""
+        """Flat Laplacian via central differences in the chart coordinates.
+
+        The circle's chart angle has metric length r; torus charts are
+        unit-scaled. Second order stencil, as for the sphere below.
+        """
         model = build_model(kind, 5, **kwargs)
-        pts = model.nodes[:: max(1, model.nodes.shape[0] // 40)]
-        lap = second_derivative_values(model, pts)
-        basis = model.eigenfunction_values(pts)
+        scale = kwargs.get("radius", 1.0)
+        h = 1e-4
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(0.0, np.pi, size=(8, model.dimension))
+        base = model.eigenfunction_values(pts)
+        lap = np.zeros_like(base)
+        for axis in range(model.dimension):
+            step = np.zeros(model.dimension)
+            step[axis] = h
+            lap -= (model.eigenfunction_values(pts + step) - 2.0 * base
+                    + model.eigenfunction_values(pts - step)) / (h * scale) ** 2
         lam = np.repeat(model.eigenvalues, model.multiplicities)
-        assert np.allclose(lap, basis * lam[None, :], atol=1e-10)
+        scale_of_values = np.max(np.abs(base)) * model.eigenvalues[-1]
+        assert np.max(np.abs(lap - base * lam[None, :])) <= 1e-6 * scale_of_values
 
     def test_sphere_finite_differences(self):
         """Laplace-Beltrami via central differences in (colat, lon).
@@ -427,7 +442,6 @@ class TestIsometries:
         obs = restrict_to_observation(model, cap)
         rot = SphereAxialRotation(1.3)
         assert isometry_preserves_set(model, rot, obs)
-        assert not isometry_fixes_pointwise(model, rot, obs)
 
         circle = build_model("circle", 4)
         interval = restrict_to_observation(circle, AngularInterval(0.0, np.pi))

@@ -1,25 +1,18 @@
-"""Unique-continuation rank tests, moments, recovery, and gauge checks.
+"""Unique-continuation rank tests, recovery, and gauge checks.
 
-The moment oracles are closed-form Gamma integrals; the UCP test is checked
-against a from-scratch constraint matrix; recovery errors are pinned by the
-forward-solve ground truth they started from.
+The UCP test is checked against a from-scratch constraint matrix; recovery
+errors are pinned by the forward-solve ground truth they started from.
 """
-
-import math
 
 import numpy as np
 import pytest
 
-from loglap.calculus import HeatTrace
 from loglap.errors import (
-    AllPairingsVanishError,
     EmptyCoverageError,
     InconsistentCandidatesError,
-    NoExponentialDecayError,
     PreconditionError,
     UnderdeterminedSamplingError,
 )
-from loglap.extraction import extract_exponents
 from loglap.models import (
     AngularInterval,
     CircleReflection,
@@ -36,8 +29,6 @@ from loglap.models import (
 from loglap.recovery import (
     heat_kernel_equality_check,
     isometry_gauge_check,
-    moment_vector,
-    nonvanishing_pairing_search,
     recover_potential,
     ucp_nullspace_test,
     _weighted_median,
@@ -46,15 +37,10 @@ from loglap.solver import (
     PotentialField,
     cauchy_record,
     make_source_basis,
-    solve_schrodinger,
     zero_potential,
 )
 
 # ---------------------------------------------------------------- oracles
-
-GAMMA_MOMENTS = [1.0, 1.0, 2.0, 6.0]
-# moments of exp(-2s) - 2 exp(-4s): Gamma(k+1) (2^-(k+1) - 2 4^-(k+1))
-SPLIT_MOMENTS = [0.0, 0.125, 0.1875, 0.328125]
 
 
 def circle_basis_columns(theta, K):
@@ -139,114 +125,6 @@ class TestUcpNullspace:
             obs = restrict_to_observation(model, desc)
             report = ucp_nullspace_test(model, 2.0, obs)
             assert report.passed, f"{model.kind}: dim {report.null_dimension}"
-
-
-# ---------------------------------------------------------------- moments
-
-
-class TestMomentVector:
-    def test_exponential_gamma_moments(self):
-        s = np.linspace(0.0, 40.0, 8001)
-        mv = moment_vector(s, np.exp(-s), 3)
-        for k in range(4):
-            assert abs(mv.moments[k] - GAMMA_MOMENTS[k]) < 1e-7
-        assert abs(mv.decay_rate - 1.0) < 1e-6
-
-    def test_zero_function(self):
-        s = np.linspace(0.0, 10.0, 201)
-        mv = moment_vector(s, np.zeros_like(s), 4)
-        assert np.all(mv.moments == 0.0)
-        assert np.all(mv.tail_bounds == 0.0)
-
-    def test_vanishing_zeroth_moment_only(self):
-        s = np.linspace(0.0, 40.0, 8001)
-        phi = np.exp(-2.0 * s) - 2.0 * np.exp(-4.0 * s)
-        mv = moment_vector(s, phi, 3)
-        assert abs(mv.moments[0] - SPLIT_MOMENTS[0]) < 1e-9
-        for k in range(1, 4):
-            assert abs(mv.moments[k] - SPLIT_MOMENTS[k]) < 1e-6
-            assert abs(mv.moments[k]) > 1e-2
-
-    def test_tail_bound_brackets_missing_mass(self):
-        s = np.linspace(0.0, 8.0, 1601)
-        mv = moment_vector(s, np.exp(-s), 3)
-        deficit = GAMMA_MOMENTS[3] - mv.moments[3]
-        assert deficit > 1e-3
-        assert 0.9 * deficit < mv.tail_bounds[3] < 1.5 * deficit
-
-    def test_growth_rejected(self):
-        s = np.linspace(0.0, 10.0, 201)
-        with pytest.raises(NoExponentialDecayError):
-            moment_vector(s, np.exp(0.3 * s), 2)
-        with pytest.raises(NoExponentialDecayError):
-            moment_vector(s, np.ones_like(s), 2)
-
-    def test_vanishing_moments_force_tiny_amplitudes(self):
-        # when every sampled moment is below tolerance, an exponential-sum
-        # fit of the same samples cannot hide finite amplitudes
-        s = np.linspace(0.0, 12.0, 97)
-        phi = 1e-12 * (np.exp(-s) + np.exp(-3.0 * s))
-        mv = moment_vector(s, phi, 5)
-        scales = np.array([math.factorial(k) for k in range(6)], dtype=float)
-        assert np.max(np.abs(mv.moments) / scales) < 1e-11
-        tr = HeatTrace(times=s, nodes=np.zeros((1, 1)), values=phi[:, None])
-        fit = extract_exponents(tr, 3)
-        assert np.max(np.abs(fit.amplitudes)) < 1e-10
-        # contrapositive: one vanishing moment is not all of them
-        phi2 = np.exp(-2.0 * s) - 2.0 * np.exp(-4.0 * s)
-        mv2 = moment_vector(s, phi2, 5)
-        assert np.max(np.abs(mv2.moments)) > 1e-2
-
-    def test_bad_grid_rejected(self):
-        with pytest.raises(ValueError):
-            moment_vector(np.array([0.0, 1.0, 0.5]), np.ones(3), 2)
-
-
-# ---------------------------------------------------------------- pairing
-
-
-class TestPairingSearch:
-    def test_diagonal_pairing_value(self):
-        model, obs = half_circle(8)
-        basis = make_source_basis(model, obs, 1)
-        res = nonvanishing_pairing_search(model, 2.0, zero_potential, obs, 2,
-                                          basis)
-        src = basis[0]
-        sl = model.block_slice(2)
-        mult = 6.0 * np.log(6.0)
-        expect = src.coefficients[sl] / mult
-        assert res.source_index == 0
-        assert abs(res.value - expect[res.component]) < 1e-12
-        assert abs(res.value) == pytest.approx(np.max(np.abs(expect)))
-
-    def test_zeroed_block_exhausts_candidates(self):
-        model, obs = half_circle(8)
-        basis = make_source_basis(model, obs, 1)
-        src = basis[0]
-        src.coefficients[model.block_slice(3)] = 0.0
-        src.node_values = model.node_basis() @ src.coefficients
-        src.band_limited = True
-        with pytest.raises(AllPairingsVanishError):
-            nonvanishing_pairing_search(model, 2.0, zero_potential, obs, 3,
-                                        [src])
-
-    def test_generic_bump_succeeds_immediately(self):
-        model, obs = half_circle(8)
-        basis = make_source_basis(model, obs, 3)
-        for k in range(6):
-            res = nonvanishing_pairing_search(model, 2.0, zero_potential, obs,
-                                              k, basis)
-            assert res.source_index == 0
-            assert abs(res.value) > 1e-8
-
-    def test_with_potential_pairs_solution_coefficient(self):
-        model, obs = half_circle(8)
-        V = PotentialField(lambda th: 0.3 * np.cos(th), label="0.3cos")
-        basis = make_source_basis(model, obs, 1)
-        res = nonvanishing_pairing_search(model, 2.0, V, obs, 1, basis)
-        u = solve_schrodinger(model, 2.0, V, basis[0])
-        sl = model.block_slice(1)
-        assert abs(res.value - u.values[sl][res.component]) < 1e-13
 
 
 # ---------------------------------------------------------------- recovery

@@ -1,6 +1,7 @@
 """Round-trip and determinism tests for the artifact serializers."""
 
 import json
+import re
 import typing
 from dataclasses import fields
 
@@ -101,6 +102,20 @@ class TestModelDump:
         model = with_mixed_blocks(build_model("circle", 4), seed=0)
         with pytest.raises(SerializationError):
             dump_model(model, tmp_path / "m.json")
+
+    @pytest.mark.parametrize("doctor, message", [
+        (lambda doc: doc.update(extra=1), "extra: unknown field of StoredModel"),
+        (lambda doc: doc.pop("weights"), "weights: missing required field"),
+        (lambda doc: doc.update(truncation=4.0), "truncation: expected an integer"),
+    ])
+    def test_doctored_model_names_file_and_field(self, tmp_path, doctor, message):
+        path = tmp_path / "model.json"
+        dump_model(build_model("circle", 4), path)
+        doc = json.loads(path.read_text())
+        doctor(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SerializationError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
 
     def test_wrong_format_rejected(self, tmp_path):
         model = build_model("circle", 4)
@@ -333,7 +348,7 @@ class TestSolutionDump:
                                potential_label="zero",
                                coefficients=np.zeros(model.total_dim), residual=0.0), path)
         path.write_text(json.dumps(doctor(json.loads(path.read_text()))))
-        with pytest.raises(SerializationError, match=f"^{path}: {message}"):
+        with pytest.raises(SerializationError, match=re.escape(f"{path}: {message}")):
             load_solution(path)
 
 
