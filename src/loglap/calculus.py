@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import integrate as spi
-from scipy import special as sps
 
 from .errors import QuadratureConvergenceError
 from .models import SpectralModel, as_points, geodesic_distance, project_function
@@ -34,11 +32,8 @@ __all__ = [
     "field_from_samples",
     "random_field",
     "project",
-    "apply_A",
-    "apply_log_A",
     "apply_L",
     "l_multiplier",
-    "heat_apply",
     "heat_kernel",
     "heat_kernel_matrix",
     "grigoryan_check",
@@ -137,10 +132,6 @@ def random_field(model: SpectralModel, seed: int) -> FieldCoefficients:
 # multiplier route
 
 
-def _apply_multiplier(field: FieldCoefficients, factors: np.ndarray) -> FieldCoefficients:
-    return FieldCoefficients(field.model, field.values * factors)
-
-
 def project(field: FieldCoefficients, k: int) -> FieldCoefficients:
     """Orthogonal projection onto the k-th eigenspace."""
     if not 0 <= k < field.model.truncation:
@@ -149,16 +140,6 @@ def project(field: FieldCoefficients, k: int) -> FieldCoefficients:
     sl = field.model.block_slice(k)
     out[sl] = field.values[sl]
     return FieldCoefficients(field.model, out)
-
-
-def apply_A(field: FieldCoefficients, m: float) -> FieldCoefficients:
-    check_mass(m)
-    return _apply_multiplier(field, field.model.flat_eigenvalues() + m)
-
-
-def apply_log_A(field: FieldCoefficients, m: float) -> FieldCoefficients:
-    check_mass(m)
-    return _apply_multiplier(field, np.log(field.model.flat_eigenvalues() + m))
 
 
 def l_multiplier(eigenvalues, m: float) -> np.ndarray:
@@ -170,14 +151,8 @@ def l_multiplier(eigenvalues, m: float) -> np.ndarray:
 def apply_L(field: FieldCoefficients, m: float) -> FieldCoefficients:
     """Multiplier route for the log-Schrodinger principal part."""
     check_mass(m)
-    return _apply_multiplier(field, l_multiplier(field.model.flat_eigenvalues(), m))
-
-
-def heat_apply(field: FieldCoefficients, m: float, t: float) -> FieldCoefficients:
-    check_mass(m)
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return _apply_multiplier(field, np.exp(-t * (field.model.flat_eigenvalues() + m)))
+    return FieldCoefficients(field.model,
+                             field.values * l_multiplier(field.model.flat_eigenvalues(), m))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +176,8 @@ def _kernel_tail_bound(model: SpectralModel, m: float, t: float) -> float:
     next eigenvalue plus an integral with the minimal materialized gap as
     counting density, all doubled for safety. An indicator, not a theorem.
     """
+    from scipy import special as sps
+
     n = model.dimension
     lam = model.eigenvalues
     counts = np.cumsum(model.multiplicities)
@@ -302,6 +279,8 @@ def _split_quadrature(g, tail_scale: float, tol: float, quad_limit: int):
     tail_scale bounds |g(t)| * t * e^t for t >= 1 so the truncation point T
     can be solved from the budget. Returns (value, error_estimate).
     """
+    from scipy import integrate as spi
+
     if tail_scale <= 0.0:
         return 0.0, 0.0
     T = max(2.0, float(np.log(8.0 * tail_scale / tol)))

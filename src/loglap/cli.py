@@ -30,7 +30,6 @@ from .config import (
 from .extraction import (
     build_gelfand_data,
     compare_gelfand,
-    heat_trace_of_solution,
     supnorm_sanity_check,
     weyl_sanity_check,
 )
@@ -129,12 +128,10 @@ def _cmd_extract(cfg: ExperimentConfig, out: Path, quiet: bool) -> bool:
     V = config_potential(cfg)
     obs = config_observation(cfg, model)
     sources = config_sources(cfg, model, obs)
-    times = config_times(cfg, model)
-    for src in sources:
-        trace = heat_trace_of_solution(model, cfg.m, V, src, obs, times)
-        trace_to_csv(trace, out / f"trace_{src.source_id}.csv")
-    data = build_gelfand_data(model, cfg.m, V, obs, sources, times=times,
-                              mode=cfg.mode)
+    data = build_gelfand_data(model, cfg.m, V, obs, sources,
+                              times=config_times(cfg, model), mode=cfg.mode)
+    for trace in data.traces:
+        trace_to_csv(trace, out / f"trace_{trace.source_id}.csv")
     dump_gelfand(data, out / "gelfand.json")
     _emit(quiet, f"extracted {data.eigenvalues.size} eigenvalue blocks "
                  f"({cfg.mode} mode) from {len(sources)} sources")

@@ -8,11 +8,10 @@ those rates and coefficients with a stacked-Hankel matrix pencil, rebuilds
 the restricted eigenfamilies, and compares two such datasets block by block.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .calculus import FieldCoefficients, HeatTrace, check_mass, l_multiplier
 from .errors import (
@@ -36,6 +35,7 @@ __all__ = [
     "heat_trace_of_field",
     "heat_trace_of_solution",
     "laplace_transform_eval",
+    "principal_angles",
     "supnorm_sanity_check",
     "weyl_sanity_check",
 ]
@@ -148,6 +148,8 @@ def extract_exponents(trace: HeatTrace, max_order: int) -> ExponentialFit:
     are noise and must sit below 1e-3 of the last kept one; the fitted sum
     must reproduce the samples to 1e-6 relative.
     """
+    import scipy.linalg
+
     times = np.asarray(trace.times, dtype=float)
     vals = np.asarray(trace.values, dtype=float)
     J = times.size
@@ -223,7 +225,8 @@ class GelfandData:
     families[k] holds node samples of an orthonormal family spanning what
     the traces reveal of eigenspace k; in internal mode the ambient list
     carries the corresponding coefficient frames (columns orthonormal in
-    the full eigenbasis).
+    the full eigenbasis).  `traces` keeps the per-source heat traces the
+    data was fitted from; it is in-memory only.
     """
 
     eigenvalues: np.ndarray
@@ -236,6 +239,7 @@ class GelfandData:
     mode: str
     provenance: list[str] = field(default_factory=list)
     ambient: Optional[list[np.ndarray]] = None
+    traces: Optional[list[HeatTrace]] = field(default=None, metadata={"in_memory": True})
 
 
 def _excitation_mask(model: SpectralModel, sources) -> np.ndarray:
@@ -253,8 +257,7 @@ def _excitation_mask(model: SpectralModel, sources) -> np.ndarray:
 
 
 def build_gelfand_data(model: SpectralModel, m: float, V, obs: ObservationSet,
-                       sources, *, times=None, mode: str = "internal",
-                       return_fit: bool = False):
+                       sources, *, times=None, mode: str = "internal") -> GelfandData:
     """Run the forward map for each source and distill spectral data.
 
     mode="internal" validates against the model's own catalog (every
@@ -272,10 +275,11 @@ def build_gelfand_data(model: SpectralModel, m: float, V, obs: ObservationSet,
         times = default_time_grid(model, m)
 
     U = forward_map(model, m, V).solve(np.column_stack([src.coefficients for src in sources]))
-    traces = [heat_trace_of_field(model, m, u, obs, times).values for u in U.T]
+    traces = [heat_trace_of_field(model, m, u, obs, times, source_id=src.source_id)
+              for u, src in zip(U.T, sources)]
     stacked = HeatTrace(times=np.asarray(times, dtype=float),
                         nodes=np.tile(obs.nodes, (len(sources), 1)),
-                        values=np.hstack(traces), mass=m,
+                        values=np.hstack([tr.values for tr in traces]), mass=m,
                         truncation=model.truncation)
     fit = extract_exponents(stacked, model.truncation)
 
@@ -284,16 +288,13 @@ def build_gelfand_data(model: SpectralModel, m: float, V, obs: ObservationSet,
     amps = fit.amplitudes.reshape(n_src, n_obs, fit.rank)
     sw = np.sqrt(obs.weights)
 
-    if mode == "internal":
-        data = _assemble_internal(model, m, obs, sources, fit, amps, sw)
-    else:
-        data = _assemble_blind(model, m, obs, sources, fit, amps, sw)
-    if return_fit:
-        return data, fit
-    return data
+    assemble = _assemble_internal if mode == "internal" else _assemble_blind
+    return replace(assemble(model, m, obs, sources, fit, amps, sw), traces=traces)
 
 
 def _block_rank(weighted_amps: np.ndarray) -> tuple:
+    import scipy.linalg
+
     svals = scipy.linalg.svd(weighted_amps, compute_uv=False)
     if svals[0] == 0.0:
         return 0, svals
@@ -301,6 +302,8 @@ def _block_rank(weighted_amps: np.ndarray) -> tuple:
 
 
 def _assemble_internal(model, m, obs, sources, fit, amps, sw):
+    import scipy.linalg
+
     expected_mu = model.eigenvalues + m
     if expected_mu.size > 1:
         match_tol = 0.5 * float(np.min(np.diff(expected_mu)))
@@ -361,6 +364,8 @@ def _assemble_internal(model, m, obs, sources, fit, amps, sw):
 
 
 def _assemble_blind(model, m, obs, sources, fit, amps, sw):
+    import scipy.linalg
+
     families, mults = [], []
     for j in range(fit.rank):
         A_j = amps[:, :, j] * sw[None, :]
@@ -395,6 +400,28 @@ class MatchReport:
     angle_tol: float
 
 
+def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Principal angles between the column spans of `a` and `b`, largest first.
+
+    With orthonormal bases Qa, Qb from QR, the cosines are the singular
+    values of Qa^T Qb.  An angle whose cosine squared is at least 1/2 is
+    read from the sines instead, the singular values of the part of the
+    narrower basis outside the wider span, since arccos loses all accuracy
+    near 0 (Knyazev & Argentati, SISC 2002).  The columns of each family
+    must be linearly independent.
+    """
+    qa, qb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+    cross = qa.T @ qb
+    cosines = np.linalg.svd(cross, compute_uv=False)[::-1]
+    if qa.shape[1] >= qb.shape[1]:
+        outside = qb - qa @ cross
+    else:
+        outside = qa - qb @ cross.T
+    sines = np.linalg.svd(outside, compute_uv=False)[:cosines.size]
+    return np.where(cosines ** 2 >= 0.5, np.arcsin(np.clip(sines, -1.0, 1.0)),
+                    np.arccos(np.clip(cosines, -1.0, 1.0)))
+
+
 def compare_gelfand(a: GelfandData, b: GelfandData, *,
                     eig_rtol: float = 1e-6, angle_tol: float = 1e-5) -> MatchReport:
     """Compare eigenvalues, multiplicities, and restricted eigenspace spans.
@@ -417,8 +444,7 @@ def compare_gelfand(a: GelfandData, b: GelfandData, *,
         la, lb = float(a.eigenvalues[k]), float(b.eigenvalues[k])
         gaps[k] = abs(la - lb) / max(1.0, abs(la), abs(lb))
         mult_ok[k] = int(a.multiplicities[k]) == int(b.multiplicities[k])
-        ang = scipy.linalg.subspace_angles(sw[:, None] * a.families[k],
-                                           sw[:, None] * b.families[k])
+        ang = principal_angles(sw[:, None] * a.families[k], sw[:, None] * b.families[k])
         angles[k] = float(np.max(ang)) if ang.size else 0.0
         ok = gaps[k] <= eig_rtol and mult_ok[k] and angles[k] <= angle_tol
         if not ok and failure < 0:

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar, Optional, Union
 
 import numpy as np
-from scipy import special as sps
 
 from .errors import FieldError, PreconditionError
 
@@ -52,7 +51,6 @@ __all__ = [
     "Isometry",
     "make_manifold",
     "build_model",
-    "inner_product",
     "project_function",
     "verify_orthonormality",
     "restrict_to_observation",
@@ -551,26 +549,39 @@ class RoundSphere:
                              nodes, wg, (n_colat, n_lon), table)
 
     def basis_values(self, pts, table) -> np.ndarray:
+        """Real orthonormal harmonics divided by the radius.
+
+        The fully normalised associated Legendre functions, Condon-Shortley
+        sign included, come from the three-term recurrence in the degree
+        (Holmes & Featherstone, J. Geodesy 2002): for each order m, seed
+        P_mm from P_{m-1,m-1} and step up in l, writing each degree's
+        cos/sin columns as it is reached. sin(colatitude) is taken from the
+        colatitude itself: sqrt(1 - x^2) of the rounded x = cos(colatitude)
+        loses accuracy near the poles.
+        """
         colat, lon = pts[:, 0], pts[:, 1]
-        x = np.cos(colat)
+        x, s = np.cos(colat), np.sin(colat)
         degs, orders, kinds = table["degrees"], table["orders"], table["kinds"]
+        column = {(int(l), int(m), int(k)): c
+                  for c, (l, m, k) in enumerate(zip(degs, orders, kinds))}
+        lmax = int(np.max(degs))
         out = np.empty((pts.shape[0], degs.size))
-        legendre_cache = {}
-        for col in range(degs.size):
-            l, m, kind = int(degs[col]), int(orders[col]), int(kinds[col])
-            key = (l, m)
-            if key not in legendre_cache:
-                legendre_cache[key] = sps.lpmv(m, l, x)
-            plm = legendre_cache[key]
-            lognorm = 0.5 * (np.log(2 * l + 1.0) - np.log(4.0 * np.pi)
-                             + sps.gammaln(l - m + 1) - sps.gammaln(l + m + 1))
-            norm = np.exp(lognorm) / self.radius
-            if kind == 0:
-                out[:, col] = norm * plm
-            elif kind == 1:
-                out[:, col] = np.sqrt(2.0) * norm * plm * np.cos(m * lon)
+        p_mm = np.full(pts.shape[0], 1.0 / (np.sqrt(4.0 * np.pi) * self.radius))
+        for m in range(lmax + 1):
+            if m == 0:
+                trig = ((0, 1.0),)
             else:
-                out[:, col] = np.sqrt(2.0) * norm * plm * np.sin(m * lon)
+                p_mm = -np.sqrt((2 * m + 1) / (2.0 * m)) * s * p_mm
+                trig = ((1, np.sqrt(2.0) * np.cos(m * lon)),
+                        (2, np.sqrt(2.0) * np.sin(m * lon)))
+            p_prev, p = np.zeros_like(p_mm), p_mm
+            for l in range(m, lmax + 1):
+                if l > m:
+                    a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                    b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+                    p_prev, p = p, a * (x * p - b * p_prev)
+                for kind, factor in trig:
+                    out[:, column[l, m, kind]] = p * factor
         return out
 
     def resolves_products(self, spec, table) -> bool:
@@ -681,15 +692,6 @@ def as_points(points, dim: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # inner products and diagnostics
-
-
-def inner_product(model: SpectralModel, f_values, g_values) -> float:
-    """Quadrature realization of the L2 pairing of two node-sampled fields."""
-    f = np.asarray(f_values, dtype=float)
-    g = np.asarray(g_values, dtype=float)
-    if f.shape != (model.nodes.shape[0],) or g.shape != f.shape:
-        raise ValueError("samples must be given on the model quadrature nodes")
-    return float(np.sum(model.weights * f * g))
 
 
 def project_function(model: SpectralModel, f_values) -> np.ndarray:

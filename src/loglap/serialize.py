@@ -77,11 +77,6 @@ def to_payload(obj) -> dict:
     return {f.name: _plain(getattr(obj, f.name)) for f in payload_fields(type(obj))}
 
 
-def payload_equal(a, b) -> bool:
-    """Equality on what an artifact stores (in-memory fields are not part of it)."""
-    return type(a) is type(b) and to_payload(a) == to_payload(b)
-
-
 def from_payload(cls, payload, source: str = "payload", root: str = ""):
     """`payload` read back as `cls`, a dataclass or any annotation that
     `fields.decode` reads; SerializationError names `source`, then the field

@@ -69,10 +69,6 @@ class PotentialField:
 zero_potential = PotentialField(label="zero")
 
 
-def constant_potential(value: float) -> PotentialField:
-    return PotentialField(const=float(value), label=f"const({value:g})")
-
-
 def assemble_potential_matrix(model: SpectralModel, V: PotentialField) -> np.ndarray:
     """Gram matrix of multiplication by V in the truncated basis."""
     D = model.total_dim

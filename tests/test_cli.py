@@ -548,6 +548,32 @@ class TestProcessLevel:
         assert proc.returncode == 0
         assert "multiplicity" in proc.stdout
 
+    SCIPY_MODULES = ("import sys; from loglap.cli import main; status = main(sys.argv[1:]); "
+                     "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, loglap.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(os.environ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("sub", ["gauge", "compare", "ucp"])
+    def test_subcommand_loads_no_scipy(self, tmp_path, sub):
+        cfg = sphere_config(isometry={"kind": "sphere_axial_rotation", "angle": 0.3},
+                            sources={"count": 16})
+        if sub == "compare":
+            for name in ("a", "b"):
+                assert run_cli("extract", write_config(tmp_path, cfg), tmp_path / name) == 0
+            cfg["compare"] = {"first": str(tmp_path / "a" / "gelfand.json"),
+                              "second": str(tmp_path / "b" / "gelfand.json")}
+        argv = [sub, "--config", write_config(tmp_path, cfg, "run.json"),
+                "--out", str(tmp_path / "out"), "--quiet"]
+        proc = subprocess.run([sys.executable, "-c", self.SCIPY_MODULES, *argv],
+                              capture_output=True, text=True, env=child_env(os.environ))
+        assert proc.stdout.strip() == "0 []", proc.stderr
+
     def test_thread_env_override(self):
         code = ("import os; os.environ['LOGLAP_THREADS']='3'; "
                 "import loglap; print(os.environ['OMP_NUM_THREADS'])")

@@ -3,9 +3,11 @@
 The benchmark's tracer (`perfbench/spans.py`) patches the functions listed
 in `LAYERS` by module and name, and `__all__` lists what a module exports;
 a rename or deletion that leaves either list stale fails here, not at run
-time of the benchmark.
+time of the benchmark.  scipy is imported only inside the functions that
+call it, so that `import loglap.cli` pays for numpy alone.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -41,3 +43,28 @@ def test_exported_names_exist():
         missing += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert not missing, f"__all__ lists missing names {missing}"
+
+
+def import_time_scipy(tree: ast.AST):
+    """Line numbers of the scipy imports that run when the module is imported:
+    everything outside function bodies."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else []
+        else:
+            names = []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield node.lineno
+        yield from import_time_scipy(node)
+
+
+def test_scipy_is_imported_only_inside_functions():
+    root = Path(loglap.__file__).resolve().parent
+    found = [f"{path.relative_to(root.parent)}:{line}"
+             for path in sorted(root.rglob("*.py"))
+             for line in import_time_scipy(ast.parse(path.read_text(), str(path)))]
+    assert not found, f"module-level scipy imports at {found}"

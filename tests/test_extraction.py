@@ -11,7 +11,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from loglap.calculus import FieldCoefficients, HeatTrace, apply_L, heat_apply, random_field
+from loglap.calculus import FieldCoefficients, HeatTrace, apply_L, random_field
 from loglap.errors import (
     GridTooCoarseError,
     PreconditionError,
@@ -27,6 +27,7 @@ from loglap.extraction import (
     heat_trace_of_field,
     heat_trace_of_solution,
     laplace_transform_eval,
+    principal_angles,
     supnorm_sanity_check,
     weyl_sanity_check,
 )
@@ -118,7 +119,8 @@ class TestHeatTraceOfSolution:
         times = np.array([0.2, 0.6, 1.3])
         tr = heat_trace_of_field(model, 2.0, u, obs, times)
         for j, t in enumerate(times):
-            oracle = heat_apply(apply_L(u, 2.0), 2.0, t).node_values()
+            decay = np.exp(-t * (model.flat_eigenvalues() + 2.0))
+            oracle = FieldCoefficients(model, decay * apply_L(u, 2.0).values).node_values()
             assert np.max(np.abs(tr.values[j] - oracle[obs.node_indices])) < 1e-12
 
     def test_solution_route_matches_field_route(self):
@@ -132,6 +134,16 @@ class TestHeatTraceOfSolution:
         assert tr.source_id == src.source_id
         assert tr.mass == 2.0
         assert tr.truncation == 8
+
+    def test_gelfand_data_keeps_one_trace_per_source(self):
+        model, obs, basis = circle_setup(6)
+        times = default_time_grid(model, 2.0)
+        data = build_gelfand_data(model, 2.0, cos_pot(0.3), obs, basis, times=times)
+        assert [tr.source_id for tr in data.traces] == [src.source_id for src in basis]
+        for src, tr in zip(basis, data.traces):
+            alone = heat_trace_of_solution(model, 2.0, cos_pot(0.3), src, obs, times)
+            assert np.max(np.abs(tr.values - alone.values)) < 1e-13
+            assert np.array_equal(tr.node_indices, obs.node_indices)
 
     def test_rejects_nonpositive_times(self):
         model, obs, basis = circle_setup(4)
@@ -362,8 +374,11 @@ class TestBuildGelfandData:
         from loglap.calculus import project
         model, obs, basis = circle_setup(5)
         V = cos_pot(0.3)
-        data, fit = build_gelfand_data(model, 2.0, V, obs, basis,
-                                       return_fit=True)
+        traces = build_gelfand_data(model, 2.0, V, obs, basis).traces
+        fit = extract_exponents(
+            HeatTrace(times=traces[0].times, nodes=np.tile(obs.nodes, (len(basis), 1)),
+                      values=np.hstack([tr.values for tr in traces])),
+            model.truncation)
         B = model.node_basis()[obs.node_indices]
         n_src = len(basis)
         n_obs = obs.size
@@ -445,6 +460,55 @@ class TestCompareGelfand:
         assert not report.passed
         assert report.failure_index == 1
         assert not report.multiplicity_matches[1]
+
+
+def family_pair(rng, n, widths, angles):
+    """Two families of the given widths whose spans meet at exactly `angles`
+    (one per column of the narrower), each multiplied by a random invertible
+    matrix so that neither is orthonormal."""
+    k, wide = min(widths), max(widths)
+    q = np.linalg.qr(rng.standard_normal((n, wide + k)))[0]
+    broad = q[:, :wide]
+    narrow = np.cos(angles) * broad[:, :k] + np.sin(angles) * q[:, wide:]
+    pair = (broad, narrow) if widths[0] >= widths[1] else (narrow, broad)
+    return tuple(f @ (np.eye(f.shape[1]) + 0.3 * rng.standard_normal((f.shape[1],) * 2))
+                 for f in pair)
+
+
+class TestPrincipalAngles:
+    """The numpy principal angles against scipy.linalg.subspace_angles and
+    against the angles the families were built with."""
+
+    @pytest.mark.parametrize("seed,draw", [
+        (0, lambda rng, k: 10.0 ** rng.uniform(-13, -10, k)),
+        (1, lambda rng, k: rng.uniform(0.0, 0.75, k)),
+        (2, lambda rng, k: rng.uniform(0.82, 1.4, k)),
+    ], ids=["nearly_equal", "below_45", "above_45"])
+    def test_matches_scipy(self, seed, draw):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            widths = tuple(int(w) for w in rng.integers(1, 7, size=2))
+            angles = draw(rng, min(widths))
+            a, b = family_pair(rng, 40, widths, angles)
+            ours = principal_angles(a, b)
+            assert ours.shape == angles.shape
+            assert np.max(np.abs(ours - scipy.linalg.subspace_angles(a, b))) <= 1e-13
+            assert np.max(np.abs(ours - np.sort(angles)[::-1])) <= 1e-13
+
+    def test_mixed_spread_reads_each_angle_by_its_own_cosine(self):
+        # With angles on both sides of 45 degrees scipy pairs the i-th
+        # smallest cosine's route with the i-th largest angle, so it reads
+        # the small angles through arccos; the largest angle still agrees.
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            widths = tuple(int(w) for w in rng.integers(2, 7, size=2))
+            k = min(widths)
+            angles = np.concatenate([10.0 ** rng.uniform(-13, -10, k // 2),
+                                     rng.uniform(0.9, 1.4, k - k // 2)])
+            a, b = family_pair(rng, 40, widths, angles)
+            ours = principal_angles(a, b)
+            assert np.max(np.abs(ours - np.sort(angles)[::-1])) <= 1e-13
+            assert abs(ours[0] - np.max(scipy.linalg.subspace_angles(a, b))) <= 1e-13
 
 
 # ---------------------------------------------------------------- sanity

@@ -22,7 +22,6 @@ from loglap.models import (
     apply_isometry,
     build_model,
     geodesic_distance,
-    inner_product,
     interior_points,
     isometry_preserves_set,
     project_function,
@@ -238,7 +237,7 @@ class TestQuadrature:
         d = rng.standard_normal(model.total_dim)
         f = model.node_basis() @ c
         g = model.node_basis() @ d
-        assert np.allclose(inner_product(model, f, g), c @ d, atol=1e-11)
+        assert np.allclose(np.sum(model.weights * f * g), c @ d, atol=1e-11)
 
     def test_projection_of_plain_cosine(self):
         # cos(3 theta) = sqrt(pi) * basisfunction(3, cos) on the unit circle.
@@ -447,6 +446,101 @@ class TestIsometries:
         interval = restrict_to_observation(circle, AngularInterval(0.0, np.pi))
         refl = CircleReflection(1.0)
         assert not isometry_preserves_set(circle, refl, interval)
+
+
+def lpmv_basis(pts, table):
+    """The unit-sphere basis as it was built before the recurrence: scipy's
+    lpmv (Condon-Shortley sign included) times
+    sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!), and sqrt(2) cos/sin(m lon) for m > 0."""
+    sps = pytest.importorskip("scipy.special")
+    colat, lon = pts[:, 0], pts[:, 1]
+    l, m, kinds = table["degrees"], table["orders"], table["kinds"]
+    norm = np.exp(0.5 * (np.log(2 * l + 1.0) - np.log(4.0 * np.pi)
+                         + sps.gammaln(l - m + 1) - sps.gammaln(l + m + 1)))
+    phase = m[None, :] * lon[:, None]
+    trig = np.where(kinds == 0, 1.0, np.sqrt(2.0)) * np.where(kinds == 2, np.sin(phase),
+                                                               np.cos(phase))
+    return sps.lpmv(m[None, :], l[None, :], np.cos(colat)[:, None]) * norm * trig
+
+
+def exact_basis(point, table):
+    """The unit-sphere basis at one point to 60 digits, from the explicit
+    polynomial (-1)^m sin^m d^m/dx^m P_l(x) with P_l's exact coefficients."""
+    mpmath = pytest.importorskip("mpmath")
+    from fractions import Fraction
+    from math import comb, factorial
+    out = np.empty(table["degrees"].size)
+    with mpmath.workdps(60):
+        colat, lon = mpmath.mpf(float(point[0])), mpmath.mpf(float(point[1]))
+        x, s = mpmath.cos(colat), mpmath.sin(colat)
+        for col, (l, m, kind) in enumerate(zip(*(table[k].tolist() for k in
+                                                 ("degrees", "orders", "kinds")))):
+            # P_l(x) = 2^-l sum_k (-1)^k C(l,k) C(2l-2k,l) x^(l-2k), differentiated m times
+            terms = [(Fraction((-1) ** k * comb(l, k) * comb(2 * l - 2 * k, l), 2 ** l)
+                      * factorial(l - 2 * k) / factorial(l - 2 * k - m), l - 2 * k - m)
+                     for k in range(l // 2 + 1) if l - 2 * k >= m]
+            deriv = mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * x ** j
+                                for c, j in terms)
+            norm = mpmath.sqrt((2 * l + 1) * mpmath.mpf(factorial(l - m))
+                               / (4 * mpmath.pi * factorial(l + m)))
+            value = norm * (-s) ** m * deriv
+            if kind:
+                value *= mpmath.sqrt(2) * (mpmath.cos(m * lon) if kind == 1
+                                           else mpmath.sin(m * lon))
+            out[col] = float(value)
+    return out
+
+
+class TestSphereRecurrence:
+    """The normalised associated-Legendre recurrence against lpmv, an exact
+    evaluation, closed forms at the poles and the quadrature."""
+
+    @pytest.mark.parametrize("K", [8, 32, 48])
+    def test_matches_lpmv(self, K):
+        # lpmv receives x = cos(colatitude) and loses sin(colatitude) to its
+        # rounding within 1e-2 of a pole (up to 2.6e-12 off at K = 48); that
+        # band is checked against the exact evaluation below.
+        rng = np.random.default_rng(K)
+        model = build_model("sphere", K)
+        pts = np.column_stack([rng.uniform(1e-2, np.pi - 1e-2, 1000),
+                               rng.uniform(0.0, 2.0 * np.pi, 1000)])
+        diff = model.eigenfunction_values(pts) - lpmv_basis(pts, model.basis_table)
+        assert np.max(np.abs(diff)) <= 1e-12
+
+    def test_near_poles_match_exact_values(self):
+        rng = np.random.default_rng(48)
+        model = build_model("sphere", 48)
+        offsets = rng.uniform(1e-3, 1e-2, 4)
+        pts = np.column_stack([np.concatenate([offsets[:2], np.pi - offsets[2:]]),
+                               rng.uniform(0.0, 2.0 * np.pi, 4)])
+        values = model.eigenfunction_values(pts)
+        for point, row in zip(pts, values):
+            assert np.max(np.abs(row - exact_basis(point, model.basis_table))) <= 5e-13
+
+    def test_pole_closed_forms(self):
+        # at colatitude 0 only the zonal columns survive, with value
+        # sqrt((2l+1)/(4 pi)); at pi they carry the sign (-1)^l
+        model = build_model("sphere", 48)
+        table = model.basis_table
+        zonal = table["orders"] == 0
+        peak = np.sqrt((2 * table["degrees"] + 1) / (4.0 * np.pi))
+        north, south = model.eigenfunction_values(np.array([[0.0, 0.4], [np.pi, 0.4]]))
+        assert np.max(np.abs(north[zonal] - peak[zonal])) <= 1e-13
+        assert np.all(north[~zonal] == 0.0)
+        sign = (-1.0) ** table["degrees"]
+        assert np.max(np.abs(south[zonal] - sign[zonal] * peak[zonal])) <= 1e-13
+        assert np.max(np.abs(south[~zonal])) <= 1e-13
+
+    def test_orthonormal_at_K48(self):
+        report = verify_orthonormality(build_model("sphere", 48))
+        assert report.passed, report
+
+    def test_radius_two_halves_every_value(self):
+        rng = np.random.default_rng(2)
+        pts = np.column_stack([rng.uniform(0.0, np.pi, 200), rng.uniform(0.0, 2.0 * np.pi, 200)])
+        unit = build_model("sphere", 12).eigenfunction_values(pts)
+        double = build_model("sphere", 12, radius=2.0).eigenfunction_values(pts)
+        assert np.array_equal(double, unit / 2.0)
 
 
 class TestDeterminism:

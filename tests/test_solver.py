@@ -31,7 +31,6 @@ from loglap.solver import (
     band_limit_source,
     bump_profile,
     cauchy_record,
-    constant_potential,
     forward_map,
     make_source_basis,
     solve_schrodinger,
@@ -104,7 +103,7 @@ class TestPotentialField:
 
     def test_constant_potential(self):
         model = circle(6)
-        v = constant_potential(0.7).node_values(model)
+        v = PotentialField(const=0.7).node_values(model)
         assert np.all(v == 0.7)
 
     def test_callable_receives_natural_coordinates(self):
@@ -176,7 +175,7 @@ class TestOperatorSpectrum:
 
     def test_constant_potential_shifts_spectrum(self):
         model = circle(8)
-        eigs = forward_map(model, 2.0, constant_potential(1.0)).eigenvalues
+        eigs = forward_map(model, 2.0, PotentialField(const=1.0)).eigenvalues
         assert abs(eigs[0] - SMALLEST_SHIFTED) < 1e-12
         expect = np.sort(l_multiplier(model.flat_eigenvalues(), 2.0) + 1.0)
         assert np.max(np.abs(eigs - expect)) < 1e-12
@@ -236,12 +235,12 @@ class TestSolve:
         # V = -2 log 2 cancels the ground multiplier at m=2
         model = circle(4)
         with pytest.raises(SingularOperatorError):
-            solve_schrodinger(model, 2.0, constant_potential(-MULT0_M2),
+            solve_schrodinger(model, 2.0, PotentialField(const=-MULT0_M2),
                               np.ones(model.total_dim))
 
     def test_condition_limit(self):
         model = circle(8)
-        V = constant_potential(-MULT0_M2 + 1e-5)
+        V = PotentialField(const=-MULT0_M2 + 1e-5)
         f = np.ones(model.total_dim)
         with pytest.raises(IllConditionedError):
             solve_schrodinger(model, 2.0, V, f, cond_limit=1e6)
