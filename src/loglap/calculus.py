@@ -88,8 +88,6 @@ class HeatTrace:
     nodes: np.ndarray
     values: np.ndarray  # shape (len(times), len(nodes))
     node_indices: Optional[np.ndarray] = None
-    mass: Optional[float] = None
-    truncation: Optional[int] = None
     source_id: Optional[str] = None
 
     def __post_init__(self):

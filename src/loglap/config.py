@@ -16,7 +16,7 @@ from typing import Literal, Optional, Union
 import numpy as np
 
 from .calculus import grigoryan_check
-from .errors import ConfigError, FieldError, PreconditionError
+from .errors import ConfigError, FieldError
 from .extraction import compare_gelfand, default_time_grid
 from .fields import decode, require
 from .models import (
@@ -220,8 +220,6 @@ class ExperimentConfig:
                     check(getattr(self, name))
             except FieldError as exc:
                 raise FieldError(f"{name}.{exc.field}", exc.reason) from exc
-            except PreconditionError as exc:
-                raise FieldError(name, str(exc)) from exc
 
 
 def validate_config(raw) -> ExperimentConfig:
@@ -278,9 +276,9 @@ def config_observation(cfg: ExperimentConfig, model: SpectralModel) -> Observati
 def config_sources(cfg: ExperimentConfig, model: SpectralModel,
                    obs: ObservationSet, seed: Optional[int] = None) -> list:
     spec = cfg.sources
-    return list(make_source_basis(model, obs, spec.count, radius=spec.radius,
-                                  order=spec.order, centers=spec.centers,
-                                  seed=cfg.seed if seed is None else seed))
+    return make_source_basis(model, obs, spec.count, radius=spec.radius,
+                             order=spec.order, centers=spec.centers,
+                             seed=cfg.seed if seed is None else seed)
 
 
 def config_times(cfg: ExperimentConfig, model: SpectralModel) -> np.ndarray:

@@ -8,7 +8,7 @@ those rates and coefficients with a stacked-Hankel matrix pencil, rebuilds
 the restricted eigenfamilies, and compares two such datasets block by block.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -81,8 +81,7 @@ def heat_trace_of_field(model: SpectralModel, m: float, solution, obs: Observati
     B = model.node_basis()[obs.node_indices]
     values = (decay * weighted[None, :]) @ B.T
     return HeatTrace(times=times, nodes=obs.nodes, values=values,
-                     node_indices=obs.node_indices, mass=m,
-                     truncation=model.truncation, source_id=source_id)
+                     node_indices=obs.node_indices, source_id=source_id)
 
 
 def heat_trace_of_solution(model: SpectralModel, m: float, V, source, obs: ObservationSet,
@@ -148,8 +147,6 @@ def extract_exponents(trace: HeatTrace, max_order: int) -> ExponentialFit:
     are noise and must sit below 1e-3 of the last kept one; the fitted sum
     must reproduce the samples to 1e-6 relative.
     """
-    import scipy.linalg
-
     times = np.asarray(trace.times, dtype=float)
     vals = np.asarray(trace.values, dtype=float)
     J = times.size
@@ -167,12 +164,11 @@ def extract_exponents(trace: HeatTrace, max_order: int) -> ExponentialFit:
 
     L = J // 2
     rows = J - L
-    hankel = np.empty((n_ch * rows, L + 1))
-    for c in range(n_ch):
-        col = vals[:, c]
-        hankel[c * rows:(c + 1) * rows] = scipy.linalg.hankel(col[:rows], col[rows - 1:])
+    # channel c contributes rows c*rows .. (c+1)*rows-1, entry (i, j) = vals[i+j, c]
+    windows = np.lib.stride_tricks.sliding_window_view(vals, L + 1, axis=0)
+    hankel = windows.transpose(1, 0, 2).reshape(n_ch * rows, L + 1)
 
-    _, sv, vt = scipy.linalg.svd(hankel, full_matrices=False)
+    _, sv, vt = np.linalg.svd(hankel, full_matrices=False)
     smax = sv[0]
     if smax == 0.0:
         raise RankAmbiguousError("trace is identically zero")
@@ -222,11 +218,10 @@ def extract_exponents(trace: HeatTrace, max_order: int) -> ExponentialFit:
 class GelfandData:
     """Spectral data as seen from the observation set.
 
-    families[k] holds node samples of an orthonormal family spanning what
-    the traces reveal of eigenspace k; in internal mode the ambient list
-    carries the corresponding coefficient frames (columns orthonormal in
-    the full eigenbasis).  `traces` keeps the per-source heat traces the
-    data was fitted from; it is in-memory only.
+    families[k] holds node samples of a family spanning what the traces
+    reveal of eigenspace k; in internal mode it is the catalog eigenspace
+    itself, once the traces confirm its rate and rank.  `traces` keeps the
+    per-source heat traces the data was fitted from; it is in-memory only.
     """
 
     eigenvalues: np.ndarray
@@ -238,7 +233,6 @@ class GelfandData:
     mass: float
     mode: str
     provenance: list[str] = field(default_factory=list)
-    ambient: Optional[list[np.ndarray]] = None
     traces: Optional[list[HeatTrace]] = field(default=None, metadata={"in_memory": True})
 
 
@@ -261,10 +255,10 @@ def build_gelfand_data(model: SpectralModel, m: float, V, obs: ObservationSet,
     """Run the forward map for each source and distill spectral data.
 
     mode="internal" validates against the model's own catalog (every
-    materialized eigenspace must be fully excited) and lifts the restricted
-    families to ambient coefficient frames.  mode="blind" reports exactly
-    what the traces support: detected rates, detected ranks, observation
-    spans only.
+    materialized eigenspace must be fully excited, at its own rate) and
+    reports the catalog eigenspaces on the window.  mode="blind" reports
+    exactly what the traces support: detected rates, detected ranks,
+    observation spans only.
     """
     if mode not in ("internal", "blind"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -279,31 +273,30 @@ def build_gelfand_data(model: SpectralModel, m: float, V, obs: ObservationSet,
               for u, src in zip(U.T, sources)]
     stacked = HeatTrace(times=np.asarray(times, dtype=float),
                         nodes=np.tile(obs.nodes, (len(sources), 1)),
-                        values=np.hstack([tr.values for tr in traces]), mass=m,
-                        truncation=model.truncation)
+                        values=np.hstack([tr.values for tr in traces]))
     fit = extract_exponents(stacked, model.truncation)
 
-    n_src = len(sources)
-    n_obs = obs.size
-    amps = fit.amplitudes.reshape(n_src, n_obs, fit.rank)
+    # residues per (source, node, rate) in the weighted node geometry
     sw = np.sqrt(obs.weights)
+    amps = fit.amplitudes.reshape(len(sources), obs.size, fit.rank) * sw[None, :, None]
+    if mode == "internal":
+        eigenvalues, families = _assemble_internal(model, m, obs, sources, fit, amps)
+    else:
+        eigenvalues, families = _assemble_blind(m, fit, amps, sw)
+    return GelfandData(eigenvalues=eigenvalues,
+                       multiplicities=np.array([f.shape[1] for f in families], dtype=int),
+                       families=families, nodes=obs.nodes, weights=obs.weights,
+                       node_indices=obs.node_indices, mass=float(m), mode=mode,
+                       provenance=[s.source_id for s in sources], traces=traces)
 
-    assemble = _assemble_internal if mode == "internal" else _assemble_blind
-    return replace(assemble(model, m, obs, sources, fit, amps, sw), traces=traces)
 
-
-def _block_rank(weighted_amps: np.ndarray) -> tuple:
-    import scipy.linalg
-
-    svals = scipy.linalg.svd(weighted_amps, compute_uv=False)
+def _block_rank(svals: np.ndarray) -> int:
     if svals[0] == 0.0:
-        return 0, svals
-    return int(np.sum(svals > 1e-8 * svals[0])), svals
+        return 0
+    return int(np.sum(svals > 1e-8 * svals[0]))
 
 
-def _assemble_internal(model, m, obs, sources, fit, amps, sw):
-    import scipy.linalg
-
+def _assemble_internal(model, m, obs, sources, fit, amps):
     expected_mu = model.eigenvalues + m
     if expected_mu.size > 1:
         match_tol = 0.5 * float(np.min(np.diff(expected_mu)))
@@ -330,14 +323,9 @@ def _assemble_internal(model, m, obs, sources, fit, amps, sw):
         extras = ", ".join(f"{fit.exponents[j]:g}" for j in sorted(spurious))
         raise GridTooCoarseError(f"fit produced unexpected decay rates: {extras}")
 
-    B = model.node_basis()[obs.node_indices]
-    eigenvalues = fit.exponents[assignment] - m
-    families, ambient, mults = [], [], []
     for k in range(model.truncation):
-        j = assignment[k]
         d_k = int(model.multiplicities[k])
-        A_k = amps[:, :, j]                       # (S, P) residue samples
-        rank, _ = _block_rank(A_k * sw[None, :])
+        rank = _block_rank(np.linalg.svd(amps[:, :, assignment[k]], compute_uv=False))
         if rank < d_k:
             raise UnderExcitedEigenspaceError(
                 f"eigenspace {k} has dimension {d_k} but the sources only "
@@ -345,41 +333,18 @@ def _assemble_internal(model, m, obs, sources, fit, amps, sw):
         if rank > d_k:
             raise RankAmbiguousError(
                 f"residues at eigenspace {k} have rank {rank} > dimension {d_k}")
-        mult = float(l_multiplier(np.array([model.eigenvalues[k]]), m)[0])
-        Bk = B[:, model.block_slice(k)]
-        coeffs, *_ = np.linalg.lstsq(sw[:, None] * Bk,
-                                     (sw[None, :] * A_k / mult).T, rcond=None)
-        Q, _, _ = scipy.linalg.qr(coeffs, mode="economic", pivoting=True)
-        frame = Q[:, :d_k]
-        ambient.append(frame)
-        families.append(Bk @ frame)
-        mults.append(d_k)
 
-    return GelfandData(eigenvalues=eigenvalues,
-                       multiplicities=np.array(mults, dtype=int),
-                       families=families, nodes=obs.nodes, weights=obs.weights,
-                       node_indices=obs.node_indices, mass=float(m), mode="internal",
-                       provenance=[s.source_id for s in sources],
-                       ambient=ambient)
+    B = model.node_basis()[obs.node_indices]
+    families = [B[:, model.block_slice(k)] for k in range(model.truncation)]
+    return fit.exponents[assignment] - m, families
 
 
-def _assemble_blind(model, m, obs, sources, fit, amps, sw):
-    import scipy.linalg
-
-    families, mults = [], []
+def _assemble_blind(m, fit, amps, sw):
+    families = []
     for j in range(fit.rank):
-        A_j = amps[:, :, j] * sw[None, :]
-        rank, _ = _block_rank(A_j)
-        _, _, vt = scipy.linalg.svd(A_j, full_matrices=False)
-        fam = (vt[:rank].T) / sw[:, None]
-        families.append(fam)
-        mults.append(rank)
-    return GelfandData(eigenvalues=fit.exponents - m,
-                       multiplicities=np.array(mults, dtype=int),
-                       families=families, nodes=obs.nodes, weights=obs.weights,
-                       node_indices=obs.node_indices, mass=float(m), mode="blind",
-                       provenance=[s.source_id for s in sources],
-                       ambient=None)
+        _, svals, vt = np.linalg.svd(amps[:, :, j], full_matrices=False)
+        families.append(vt[:_block_rank(svals)].T / sw[:, None])
+    return fit.exponents - m, families
 
 
 # -------------------------------------------------------------- compare

@@ -440,7 +440,8 @@ class FlatTorus:
                 raise FieldError(desc.bound_field(i, upper=a >= 0.0),
                                  f"bounds must satisfy 0 <= start < end <= {p:.6g}")
         if all(b - a >= p - 1e-12 for (a, b), p in zip(ivs, self.periods)):
-            raise PreconditionError("observation window must leave a nonempty complement")
+            raise FieldError(desc.bound_field(0, upper=True),
+                             "observation window must leave a nonempty complement")
 
     def window_contains(self, desc, pts) -> np.ndarray:
         x = np.mod(pts, self.periods)
@@ -604,8 +605,7 @@ class RoundSphere:
         if not desc.radius > 0.0:
             raise FieldError("radius", "must be > 0")
         if not desc.radius < np.pi - 1e-12:
-            raise PreconditionError(
-                "cap radius must lie in (0, pi) so the complement is nonempty")
+            raise FieldError("radius", "must be < pi so the complement is nonempty")
 
     def _from_center(self, desc, pts) -> np.ndarray:
         center = np.repeat(as_points(desc.center, 2), pts.shape[0], axis=0)

@@ -290,9 +290,9 @@ def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,
     f_coeffs = project_function(model, src.evaluate(inv_nodes))
     src_pulled = SourceFunction(
         model=model, source_id=f"{src.source_id}~pullback", center=src.center,
-        radius=src.radius, order=src.order, amplitude=src.amplitude,
+        radius=src.radius, order=src.order,
         node_values=model.node_basis() @ f_coeffs, coefficients=f_coeffs,
-        projection_residual=src.projection_residual, band_limited=True)
+        band_limited=True)
     rec2 = cauchy_record(model, m, v_pulled, src_pulled, obs)
 
     inv_obs = pull_back(obs.nodes)

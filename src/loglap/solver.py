@@ -99,6 +99,12 @@ def bump_profile(s, order: int = 1):
     return out
 
 
+def _bump_values(model: SpectralModel, center, radius: float, order: int,
+                 pts: np.ndarray) -> np.ndarray:
+    d = geodesic_distance(model, pts, np.broadcast_to(center, pts.shape))
+    return bump_profile(d / radius, order)
+
+
 @dataclass
 class SourceFunction:
     """One smooth compactly supported source together with its projection."""
@@ -108,43 +114,22 @@ class SourceFunction:
     center: np.ndarray
     radius: float
     order: int
-    amplitude: float
     node_values: np.ndarray
     coefficients: np.ndarray
-    projection_residual: float
     band_limited: bool = False
 
     def evaluate(self, points) -> np.ndarray:
         pts = as_points(points, self.model.dimension)
         if self.band_limited:
             return self.model.eigenfunction_values(pts) @ self.coefficients
-        ctr = np.broadcast_to(self.center, pts.shape)
-        d = geodesic_distance(self.model, pts, ctr)
-        return self.amplitude * bump_profile(d / self.radius, self.order)
-
-
-@dataclass
-class SourceBasis:
-    sources: list
-    gram: np.ndarray
-    gram_condition: float
-
-    def __iter__(self):
-        return iter(self.sources)
-
-    def __len__(self):
-        return len(self.sources)
-
-    def __getitem__(self, i):
-        return self.sources[i]
+        return _bump_values(self.model, self.center, self.radius, self.order, pts)
 
 
 def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
-                      radius=None, order: int = 1, amplitude: float = 1.0,
-                      seed: Optional[int] = None,
-                      centers: Optional[Sequence] = None) -> SourceBasis:
+                      radius=None, order: int = 1, seed: Optional[int] = None,
+                      centers: Optional[Sequence] = None) -> list[SourceFunction]:
     """Build `count` bump sources supported strictly inside the observation
-    set, project them, and report their mutual Gram conditioning.
+    set, each with its node values and projection onto the model basis.
 
     Default centers sit at interior fractions (i+1)/(count+1); `seed` jitters
     them. Radii are geodesic distances; the default is 0.9x the distance from
@@ -177,22 +162,12 @@ def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
             raise SupportViolationError(
                 f"source {i}: support radius {rho:.4g} does not fit inside the "
                 f"observation set (margin {margin:.4g})")
-        src = SourceFunction(model=model, source_id=f"bump{i:02d}",
-                             center=c, radius=rho, order=order,
-                             amplitude=amplitude, node_values=None,
-                             coefficients=None, projection_residual=0.0)
-        vals = src.evaluate(model.nodes)
-        coeffs = project_function(model, vals)
-        src.node_values = vals
-        src.coefficients = coeffs
-        src.projection_residual = float(
-            np.max(np.abs(vals - model.node_basis() @ coeffs)))
-        sources.append(src)
-
-    all_vals = np.stack([s.node_values for s in sources])
-    gram = (all_vals * model.weights) @ all_vals.T
-    gram = 0.5 * (gram + gram.T)
-    return SourceBasis(sources, gram, float(np.linalg.cond(gram)))
+        vals = _bump_values(model, c, rho, order, model.nodes)
+        sources.append(SourceFunction(model=model, source_id=f"bump{i:02d}",
+                                      center=c, radius=rho, order=order,
+                                      node_values=vals,
+                                      coefficients=project_function(model, vals)))
+    return sources
 
 
 def band_limit_source(model: SpectralModel, source: SourceFunction,
@@ -212,9 +187,8 @@ def band_limit_source(model: SpectralModel, source: SourceFunction,
     return SourceFunction(model=model,
                           source_id=f"{source.source_id}-band{blocks}",
                           center=source.center, radius=source.radius,
-                          order=source.order, amplitude=source.amplitude,
-                          node_values=vals, coefficients=coeffs,
-                          projection_residual=0.0, band_limited=True)
+                          order=source.order, node_values=vals, coefficients=coeffs,
+                          band_limited=True)
 
 
 # ---------------------------------------------------------------------------

@@ -482,6 +482,12 @@ class TestExitCodes:
         ("spectrum", torus_config(model={"kind": "torus", "truncation": 4,
                                          "edges": [6.0, 6.0], "radius": 2.0}),
          "model.radius: not a parameter of a torus"),
+        ("spectrum", circle_config(observation={
+            "kind": "interval", "start": 0.0, "end": float(2.0 * np.pi)}),
+         "observation.end: observation window must leave a nonempty complement"),
+        ("spectrum", sphere_config(observation={
+            "kind": "cap", "center": [0.0, 0.0], "radius": float(np.pi)}),
+         "observation.radius: must be < pi"),
     ])
     def test_window_and_isometry_mistakes_exit_two(self, tmp_path, capsys,
                                                    sub, cfg, message):
@@ -559,10 +565,14 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("sub", ["gauge", "compare", "ucp"])
-    def test_subcommand_loads_no_scipy(self, tmp_path, sub):
+    @pytest.mark.parametrize("sub, mode", [
+        *(pytest.param(sub, "internal", id=sub)
+          for sub in ("spectrum", "solve", "cauchy", "extract", "compare",
+                      "ucp", "recover", "gauge", "heatcheck")),
+        pytest.param("extract", "blind", id="extract-blind")])
+    def test_subcommand_loads_no_scipy(self, tmp_path, sub, mode):
         cfg = sphere_config(isometry={"kind": "sphere_axial_rotation", "angle": 0.3},
-                            sources={"count": 16})
+                            sources={"count": 16}, mode=mode)
         if sub == "compare":
             for name in ("a", "b"):
                 assert run_cli("extract", write_config(tmp_path, cfg), tmp_path / name) == 0

@@ -29,7 +29,7 @@ from loglap.models import (
     verify_orthonormality,
     with_mixed_blocks,
 )
-from loglap.errors import PreconditionError
+from loglap.errors import FieldError, PreconditionError
 
 # Closed-form constants, frozen. 1/sqrt(2 pi), 1/sqrt(pi), sqrt(3/(4 pi)).
 INV_SQRT_2PI = 0.3989422804014327
@@ -322,7 +322,7 @@ class TestObservationSets:
 
     def test_full_circle_rejected(self):
         model = build_model("circle", 5)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(FieldError, match=r"^end: "):
             restrict_to_observation(model, AngularInterval(0.0, 2.0 * np.pi))
 
     def test_empty_interval_rejected(self):
@@ -347,7 +347,7 @@ class TestObservationSets:
 
     def test_cap_covering_everything_rejected(self):
         model = build_model("sphere", 4)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(FieldError, match=r"^radius: "):
             restrict_to_observation(model, SphericalCap((0.0, 0.0), np.pi))
 
     def test_interior_points(self):

@@ -197,7 +197,6 @@ class TestGelfandDump:
         dump_gelfand(data, path)
         loaded = load_gelfand(path)
         assert payload_equal(data, loaded)
-        assert loaded.ambient is not None
         assert len(data.traces) == 5 and loaded.traces is None
 
     def test_blind_round_trip(self, tmp_path):
@@ -208,7 +207,6 @@ class TestGelfandDump:
         dump_gelfand(data, path)
         loaded = load_gelfand(path)
         assert payload_equal(data, loaded)
-        assert loaded.ambient is None
 
     def test_byte_deterministic(self, tmp_path):
         model, obs, m = half_circle()
@@ -479,6 +477,8 @@ class TestMalformedArtifacts:
         (lambda p: {k: v for k, v in p.items() if k != "families"},
          "families: missing required field"),
         (lambda p: {**p, "extra": 1}, "extra: unknown field"),
+        (lambda p: {**p, "ambient": [[[1.0, 0.0], [0.0, 1.0]]]},
+         "ambient: unknown field of GelfandData"),
         (lambda p: [p], "expected a JSON object, found list"),
         (lambda p: {**p, "mass": "two"}, "mass: expected a finite number"),
         (lambda p: {**p, "mode": 3}, "mode: expected a string"),
@@ -487,7 +487,7 @@ class TestMalformedArtifacts:
         (lambda p: {**p, "families": {"0": []}}, "families: expected a list"),
         (lambda p: {**p, "version": 2}, "version: unsupported version 2"),
         (lambda p: {**p, "format": "loglap/record"}, "format: expected 'loglap/gelfand'"),
-    ], ids=["missing", "unknown", "list", "scalar", "string", "ragged", "strings",
+    ], ids=["missing", "unknown", "ambient", "list", "scalar", "string", "ragged", "strings",
             "not-a-list", "version", "format"])
     def test_gelfand_errors_name_the_field(self, tmp_path, doctor, message):
         path = _gelfand_path(tmp_path)
