@@ -16,7 +16,7 @@ so they deliberately share no code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .models import SpectralModel, as_points, geodesic_distance, project_functio
 __all__ = [
     "FieldCoefficients",
     "HeatTrace",
-    "KernelValue",
     "GrigoryanReport",
     "check_mass",
     "field_from_samples",
@@ -97,11 +96,6 @@ class HeatTrace:
             raise ValueError("trace matrix must be (n_times, n_nodes)")
 
 
-class KernelValue(NamedTuple):
-    value: float
-    tail_bound: float
-
-
 @dataclass(frozen=True)
 class GrigoryanReport:
     passed: bool
@@ -166,38 +160,13 @@ def heat_kernel_matrix(model: SpectralModel, m: float, t: float, points_a, point
     return (pa * decay[None, :]) @ pb.T
 
 
-def _kernel_tail_bound(model: SpectralModel, m: float, t: float) -> float:
-    """Crude truncation-tail indicator for the kernel sum.
-
-    Dominates the discarded sum by a fitted eigenvalue-counting envelope
-    times a fitted sup-norm envelope: one explicit term at the extrapolated
-    next eigenvalue plus an integral with the minimal materialized gap as
-    counting density, all doubled for safety. An indicator, not a theorem.
-    """
-    from scipy import special as sps
-
-    n = model.dimension
-    lam = model.eigenvalues
-    counts = np.cumsum(model.multiplicities)
-    c_weyl = float(np.max(counts / (lam + m) ** (n / 2.0)))
-    sup_cols = np.max(np.abs(model.node_basis()), axis=0)
-    c_sup = float(np.max(sup_cols / (model.flat_eigenvalues() + m) ** ((n - 1) / 4.0)))
-    gap = float(np.min(np.diff(lam))) if lam.size > 1 else 1.0
-    mu_next = lam[-1] + gap + m
-    p = (2.0 * n - 1.0) / 2.0
-    c_all = c_weyl * c_sup ** 2
-    point_term = c_all * mu_next ** p * np.exp(-t * mu_next)
-    integral = c_all * sps.gammaincc(p + 1.0, t * mu_next) * sps.gamma(p + 1.0) / t ** (p + 1.0)
-    return float(2.0 * (point_term + integral / gap))
-
-
-def heat_kernel(model: SpectralModel, m: float, t: float, x, y) -> KernelValue:
-    """Kernel of exp(-tA) at one point pair, with a truncation-tail bound."""
+def heat_kernel(model: SpectralModel, m: float, t: float, x, y) -> float:
+    """Truncated kernel of exp(-tA) at one point pair."""
     if t <= 0:
         raise ValueError("kernel evaluation needs t > 0")
     val = heat_kernel_matrix(model, m, t, as_points(x, model.dimension),
                              as_points(y, model.dimension))[0, 0]
-    return KernelValue(float(val), _kernel_tail_bound(model, m, t))
+    return float(val)
 
 
 # ---------------------------------------------------------------------------

@@ -218,10 +218,11 @@ def extract_exponents(trace: HeatTrace, max_order: int) -> ExponentialFit:
 class GelfandData:
     """Spectral data as seen from the observation set.
 
-    families[k] holds node samples of a family spanning what the traces
-    reveal of eigenspace k; in internal mode it is the catalog eigenspace
-    itself, once the traces confirm its rate and rank.  `traces` keeps the
-    per-source heat traces the data was fitted from; it is in-memory only.
+    families[k] holds node samples of a family spanning the residues the
+    traces reveal at rate k, so its width is multiplicities[k].  Both modes
+    build it the same way; internal mode has also checked the rates and
+    widths against the model's catalog.  `traces` keeps the per-source heat
+    traces the data was fitted from; it is in-memory only.
     """
 
     eigenvalues: np.ndarray
@@ -254,11 +255,10 @@ def build_gelfand_data(model: SpectralModel, m: float, V, obs: ObservationSet,
                        sources, *, times=None, mode: str = "internal") -> GelfandData:
     """Run the forward map for each source and distill spectral data.
 
-    mode="internal" validates against the model's own catalog (every
-    materialized eigenspace must be fully excited, at its own rate) and
-    reports the catalog eigenspaces on the window.  mode="blind" reports
-    exactly what the traces support: detected rates, detected ranks,
-    observation spans only.
+    Both modes report what the traces support: the detected rates, and per
+    rate the span of the residues on the observation nodes.  mode="internal"
+    also checks that data against the model's own catalog: every
+    materialized eigenspace must be fully excited, at its own rate.
     """
     if mode not in ("internal", "blind"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -279,12 +279,14 @@ def build_gelfand_data(model: SpectralModel, m: float, V, obs: ObservationSet,
     # residues per (source, node, rate) in the weighted node geometry
     sw = np.sqrt(obs.weights)
     amps = fit.amplitudes.reshape(len(sources), obs.size, fit.rank) * sw[None, :, None]
+    families = []
+    for j in range(fit.rank):
+        _, svals, vt = np.linalg.svd(amps[:, :, j], full_matrices=False)
+        families.append(vt[:_block_rank(svals)].T / sw[:, None])
+    multiplicities = np.array([f.shape[1] for f in families], dtype=int)
     if mode == "internal":
-        eigenvalues, families = _assemble_internal(model, m, obs, sources, fit, amps)
-    else:
-        eigenvalues, families = _assemble_blind(m, fit, amps, sw)
-    return GelfandData(eigenvalues=eigenvalues,
-                       multiplicities=np.array([f.shape[1] for f in families], dtype=int),
+        _check_catalog(model, m, sources, fit.exponents, multiplicities)
+    return GelfandData(eigenvalues=fit.exponents - m, multiplicities=multiplicities,
                        families=families, nodes=obs.nodes, weights=obs.weights,
                        node_indices=obs.node_indices, mass=float(m), mode=mode,
                        provenance=[s.source_id for s in sources], traces=traces)
@@ -296,7 +298,9 @@ def _block_rank(svals: np.ndarray) -> int:
     return int(np.sum(svals > 1e-8 * svals[0]))
 
 
-def _assemble_internal(model, m, obs, sources, fit, amps):
+def _check_catalog(model, m, sources, exponents, multiplicities):
+    """Raise unless the fitted rates are the catalog's, one per eigenspace,
+    and each rate's residues span exactly that eigenspace's dimension."""
     expected_mu = model.eigenvalues + m
     if expected_mu.size > 1:
         match_tol = 0.5 * float(np.min(np.diff(expected_mu)))
@@ -306,8 +310,8 @@ def _assemble_internal(model, m, obs, sources, fit, amps):
     excited = None
     assignment = np.full(model.truncation, -1, dtype=int)
     for k, target in enumerate(expected_mu):
-        j = int(np.argmin(np.abs(fit.exponents - target)))
-        if abs(fit.exponents[j] - target) <= match_tol:
+        j = int(np.argmin(np.abs(exponents - target)))
+        if abs(exponents[j] - target) <= match_tol:
             assignment[k] = j
             continue
         if excited is None:
@@ -318,14 +322,14 @@ def _assemble_internal(model, m, obs, sources, fit, amps):
                 "is missing from the fit; refine the time grid")
         raise UnderExcitedEigenspaceError(
             f"no source has weight in eigenspace {k}; add sources")
-    spurious = set(range(fit.rank)) - set(assignment.tolist())
+    spurious = set(range(exponents.size)) - set(assignment.tolist())
     if spurious:
-        extras = ", ".join(f"{fit.exponents[j]:g}" for j in sorted(spurious))
+        extras = ", ".join(f"{exponents[j]:g}" for j in sorted(spurious))
         raise GridTooCoarseError(f"fit produced unexpected decay rates: {extras}")
 
     for k in range(model.truncation):
         d_k = int(model.multiplicities[k])
-        rank = _block_rank(np.linalg.svd(amps[:, :, assignment[k]], compute_uv=False))
+        rank = int(multiplicities[assignment[k]])
         if rank < d_k:
             raise UnderExcitedEigenspaceError(
                 f"eigenspace {k} has dimension {d_k} but the sources only "
@@ -333,18 +337,6 @@ def _assemble_internal(model, m, obs, sources, fit, amps):
         if rank > d_k:
             raise RankAmbiguousError(
                 f"residues at eigenspace {k} have rank {rank} > dimension {d_k}")
-
-    B = model.node_basis()[obs.node_indices]
-    families = [B[:, model.block_slice(k)] for k in range(model.truncation)]
-    return fit.exponents[assignment] - m, families
-
-
-def _assemble_blind(m, fit, amps, sw):
-    families = []
-    for j in range(fit.rank):
-        _, svals, vt = np.linalg.svd(amps[:, :, j], full_matrices=False)
-        families.append(vt[:_block_rank(svals)].T / sw[:, None])
-    return fit.exponents - m, families
 
 
 # -------------------------------------------------------------- compare

@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import FieldCoefficients, l_multiplier
+from .calculus import FieldCoefficients, check_mass, l_multiplier
 from .errors import (
     IllConditionedError,
     SingularOperatorError,
@@ -132,9 +132,10 @@ def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
     set, each with its node values and projection onto the model basis.
 
     Default centers sit at interior fractions (i+1)/(count+1); `seed` jitters
-    them. Radii are geodesic distances; the default is 0.9x the distance from
-    each center to the window boundary. Explicit centers or radii that push
-    the support outside the set raise SupportViolationError.
+    them. `radius` is one geodesic support radius shared by every source; the
+    default is 0.9x the distance from each center to the window boundary.
+    Explicit centers or a radius that push a support outside the set raise
+    SupportViolationError.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -147,14 +148,7 @@ def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
         ctrs = model.manifold.default_centers(obs.descriptor, count, rng)
     margins = [model.manifold.window_margin(obs.descriptor, c) for c in ctrs]
 
-    if radius is None:
-        radii = [0.9 * margin for margin in margins]
-    elif np.ndim(radius) == 0:
-        radii = [float(radius)] * count
-    else:
-        radii = [float(r) for r in radius]
-        if len(radii) != count:
-            raise ValueError("need exactly one radius per source")
+    radii = [0.9 * margin if radius is None else float(radius) for margin in margins]
 
     sources = []
     for i, (c, rho, margin) in enumerate(zip(ctrs, radii, margins)):
@@ -263,7 +257,7 @@ def forward_map(model: SpectralModel, m: float, V: PotentialField) -> ForwardMap
     values, not by the identity of V, so a potential whose closure changed
     is refactored rather than served stale.
     """
-    key = (float(m), V.node_values(model).tobytes())
+    key = (check_mass(m), V.node_values(model).tobytes())
     cached = model._forward_map_cache
     if cached is not None and cached[0] == key:
         return cached[1]

@@ -130,8 +130,7 @@ def test_04_heat_kernel_oracle_and_gaussian_bound():
         for dth in np.linspace(0.0, np.pi, 15):
             got = heat_kernel(model, 2.0, float(t),
                               np.array([0.0]), np.array([dth]))
-            worst = max(worst, abs(got.value - wrapped_gaussian(float(t),
-                                                                float(dth))))
+            worst = max(worst, abs(got - wrapped_gaussian(float(t), float(dth))))
     bound = grigoryan_check(model, 2.0, np.geomspace(0.05, 2.0, 50),
                             n_pairs=20, seed=0)
     elapsed = time.perf_counter() - t0

@@ -133,7 +133,7 @@ def config_field_paths(cls, prefix=""):
 
 
 def dotted(path):
-    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).removeprefix(".")
 
 
 def child_env(env):
@@ -488,6 +488,7 @@ class TestExitCodes:
         ("spectrum", sphere_config(observation={
             "kind": "cap", "center": [0.0, 0.0], "radius": float(np.pi)}),
          "observation.radius: must be < pi"),
+        ("spectrum", circle_config(**{".": 1}), ".: unknown field"),
     ])
     def test_window_and_isometry_mistakes_exit_two(self, tmp_path, capsys,
                                                    sub, cfg, message):

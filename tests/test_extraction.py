@@ -326,11 +326,20 @@ class TestBuildGelfandData:
             ang = scipy.linalg.subspace_angles(sw[:, None] * analytic,
                                                sw[:, None] * data.families[k])
             assert np.max(ang) < 1e-6
-        # internal-mode families are the catalog eigenspaces on the window
-        for k in range(5):
-            assert np.array_equal(data.families[k], B[:, model.block_slice(k)])
         assert len(data.provenance) == 5
         assert data.mode == "internal"
+
+    def test_internal_equals_blind(self):
+        # one extraction path: internal mode only adds the catalog check
+        model, obs, basis = circle_setup(5)
+        V = cos_pot(0.3)
+        internal = build_gelfand_data(model, 2.0, V, obs, basis)
+        blind = build_gelfand_data(model, 2.0, V, obs, basis, mode="blind")
+        assert np.array_equal(internal.eigenvalues, blind.eigenvalues)
+        assert np.array_equal(internal.multiplicities, blind.multiplicities)
+        assert len(internal.families) == len(blind.families) == 5
+        for a, b in zip(internal.families, blind.families):
+            assert np.array_equal(a, b)
 
     def test_default_grid_conditioning_boundary(self):
         # the uniform default grid undersamples the fastest mode at K=9 and

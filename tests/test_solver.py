@@ -307,6 +307,18 @@ class TestForwardMap:
         expect = np.diag(third.multipliers) + assemble_potential_matrix(model, V)
         assert np.array_equal(third.matrix, expect)
 
+    @pytest.mark.parametrize("m", [0.5, 1.0])
+    def test_mass_at_most_one_rejected(self, m):
+        # below m = 1 the operator loses positivity, at m = 1 it is singular;
+        # both must report the mass rather than a solver failure
+        model = circle(8)
+        obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
+        src = make_source_basis(model, obs, 1)[0]
+        with pytest.raises(ValueError, match="mass parameter must be > 1"):
+            solve_schrodinger(model, m, cos_potential(0.3), src)
+        with pytest.raises(ValueError, match="mass parameter must be > 1"):
+            cauchy_record(model, m, cos_potential(0.3), src, obs)
+
     def test_mixed_block_copy_refactors(self):
         model = circle(8)
         V = cos_potential(0.3)
