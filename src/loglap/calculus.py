@@ -65,18 +65,11 @@ class FieldCoefficients:
         if self.values.shape != (self.model.total_dim,):
             raise ValueError("coefficient vector does not match the model dimension")
 
-    def block(self, k: int) -> np.ndarray:
-        return self.values[self.model.block_slice(k)]
-
     def evaluate(self, points) -> np.ndarray:
         return self.model.eigenfunction_values(points) @ self.values
 
     def node_values(self) -> np.ndarray:
         return self.model.node_basis() @ self.values
-
-    def norm(self) -> float:
-        # L2 norm; the basis is orthonormal so it is the coefficient norm.
-        return float(np.linalg.norm(self.values))
 
 
 @dataclass
@@ -154,6 +147,8 @@ def apply_L(field: FieldCoefficients, m: float) -> FieldCoefficients:
 def heat_kernel_matrix(model: SpectralModel, m: float, t: float, points_a, points_b) -> np.ndarray:
     """Truncated kernel of exp(-tA) on a grid of point pairs."""
     check_mass(m)
+    if not t > 0:
+        raise ValueError(f"kernel evaluation needs t > 0, got {t}")
     pa = model.eigenfunction_values(points_a)
     pb = model.eigenfunction_values(points_b)
     decay = np.exp(-t * (model.flat_eigenvalues() + m))
@@ -162,8 +157,6 @@ def heat_kernel_matrix(model: SpectralModel, m: float, t: float, points_a, point
 
 def heat_kernel(model: SpectralModel, m: float, t: float, x, y) -> float:
     """Truncated kernel of exp(-tA) at one point pair."""
-    if t <= 0:
-        raise ValueError("kernel evaluation needs t > 0")
     val = heat_kernel_matrix(model, m, t, as_points(x, model.dimension),
                              as_points(y, model.dimension))[0, 0]
     return float(val)

@@ -20,6 +20,7 @@ from .errors import (
     RankAmbiguousError,
     UnderExcitedEigenspaceError,
 )
+from .fields import require
 from .models import ObservationSet, SpectralModel
 from .solver import forward_map, solve_schrodinger
 
@@ -235,6 +236,18 @@ class GelfandData:
     mode: str
     provenance: list[str] = field(default_factory=list)
     traces: Optional[list[HeatTrace]] = field(default=None, metadata={"in_memory": True})
+
+    def __post_init__(self):
+        n_nodes, n_blocks = len(np.atleast_1d(self.nodes)), len(np.atleast_1d(self.eigenvalues))
+        for name, count, per in (("weights", n_nodes, "node"), ("node_indices", n_nodes, "node"),
+                                 ("multiplicities", n_blocks, "eigenvalue")):
+            require(np.shape(getattr(self, name)) == (count,), name,
+                    f"expected {count} entries, one per {per}")
+        require(len(self.families) == n_blocks, "families",
+                f"expected {n_blocks} entries, one per eigenvalue")
+        for k, (family, width) in enumerate(zip(self.families, self.multiplicities)):
+            require(np.shape(family) == (n_nodes, width), f"families[{k}]",
+                    f"expected shape ({n_nodes}, {width}), found {np.shape(family)}")
 
 
 def _excitation_mask(model: SpectralModel, sources) -> np.ndarray:

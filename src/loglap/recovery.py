@@ -127,11 +127,14 @@ class RecoveredPotential:
     covered_fraction: float
 
 
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(values)
-    v, w = values[order], weights[order]
-    cum = np.cumsum(w)
-    return float(v[np.searchsorted(cum, 0.5 * cum[-1])])
+def _weighted_median(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted median along the last axis.  nan sorts last, so a nan value
+    given zero weight never wins."""
+    order = np.argsort(values, axis=-1)
+    v, w = (np.take_along_axis(a, order, -1) for a in (values, weights))
+    cum = np.cumsum(w, axis=-1)
+    pick = np.argmax(cum >= 0.5 * cum[..., -1:], axis=-1)
+    return np.take_along_axis(v, pick[..., None], -1)[..., 0]
 
 
 def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
@@ -154,30 +157,14 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
     n_nodes = model.nodes.shape[0]
     complement = np.setdiff1d(np.arange(n_nodes), obs.node_indices)
 
-    u_tables, lu_tables, eps_table = [], [], []
-    for rec in records:
-        u = rec.solution
-        un = u.node_values()
-        u_tables.append(un)
-        lu_tables.append(apply_L(u, m).node_values())
-        eps_table.append(mask_eps * np.max(np.abs(un)))
-
-    values = np.full(n_nodes, np.nan)
-    mask = np.zeros(n_nodes, dtype=bool)
-    disagreement = np.full(n_nodes, np.nan)
-    for i in complement:
-        cands, wts = [], []
-        for un, lun, eps in zip(u_tables, lu_tables, eps_table):
-            if np.abs(un[i]) > eps:
-                cands.append(-lun[i] / un[i])
-                wts.append(np.abs(un[i]))
-        if not cands:
-            continue
-        cands = np.asarray(cands)
-        chosen = _weighted_median(cands, np.asarray(wts))
-        values[i] = chosen
-        mask[i] = True
-        disagreement[i] = float(np.max(np.abs(cands - chosen)))
+    u = np.column_stack([rec.solution.node_values() for rec in records])
+    lu = np.column_stack([apply_L(rec.solution, m).node_values() for rec in records])
+    admissible = np.abs(u) > mask_eps * np.max(np.abs(u), axis=0)
+    admissible[obs.node_indices] = False
+    candidates = np.divide(-lu, u, out=np.full_like(u, np.nan), where=admissible)
+    values = _weighted_median(candidates, np.where(admissible, np.abs(u), 0.0))
+    mask = admissible.any(axis=1)
+    disagreement = np.fmax.reduce(np.abs(candidates - values[:, None]), axis=1)
 
     uncovered = complement[~mask[complement]]
     if require_full_coverage and uncovered.size:

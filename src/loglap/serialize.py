@@ -1,7 +1,8 @@
 """Versioned text artifacts for models, records, spectral data, and reports.
 
 Structured documents are JSON with sorted keys and a format/version header;
-columnar tables are CSV with a fixed header row. Floats are written with
+columnar tables are CSV, each a map of named columns written by
+`_write_table` and read by `_read_table`. Floats are written with
 Python's shortest round-trip repr, so identical inputs produce
 byte-identical files and every numeric value survives write -> read exactly.
 NaN is confined to the CSV tables (coverage gaps); JSON payloads refuse it.
@@ -200,105 +201,104 @@ def load_solution(path) -> Solution:
 
 # columnar tables -------------------------------------------------------------
 
-def _open_csv_writer(path):
-    fh = open(path, "w", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
+def _write_table(path, columns: dict) -> None:
+    """A CSV table: the column names as its header row, then one row per
+    entry.  `tolist` hands csv Python numbers, which it writes as ints or in
+    the shortest round-trip float repr; flag columns are passed as ints."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns.values()), strict=True))
+
+
+def _read_table(path, header) -> np.ndarray:
+    """The body of the CSV table at `path` as floats, one column per name.
+    `header(width)` is the header row expected of a table `width` columns
+    wide; a malformed table raises SerializationError naming `path`."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError, NUL bytes
+        raise SerializationError(f"{path}: not a CSV table ({exc})") from exc
+    expected = header(len(rows[0]) if rows else 0)
+    if not rows or rows[0] != expected:
+        raise SerializationError(f"{path}: header: expected {','.join(expected)}")
+    try:
+        return np.array(rows[1:], dtype=float).reshape(len(rows) - 1, len(expected))
+    except ValueError as exc:
+        raise SerializationError(f"{path}: expected {len(expected)} numbers in "
+                                 f"every row ({exc})") from exc
+
+
+def _coordinates(d: int) -> list:
+    return [f"x{i}" for i in range(d)]
+
+
+def _node_columns(nodes) -> dict:
+    """The node_id, x0 .. x{d-1} columns that open every node table."""
+    nodes = np.asarray(nodes, dtype=float)
+    return {"node_id": np.arange(len(nodes)), **dict(zip(_coordinates(nodes.shape[1]), nodes.T))}
 
 
 def trace_to_csv(trace: HeatTrace, path) -> None:
     """Long-form table (time, node id, value), one row per sample."""
-    ids = (trace.node_indices if trace.node_indices is not None
-           else np.arange(trace.values.shape[1]))
-    fh, writer = _open_csv_writer(path)
-    with fh:
-        writer.writerow(["time", "node_id", "value"])
-        for i, t in enumerate(trace.times):
-            for j, nid in enumerate(ids):
-                writer.writerow([repr(float(t)), int(nid),
-                                 repr(float(trace.values[i, j]))])
+    n_times, n_nodes = trace.values.shape
+    ids = trace.node_indices if trace.node_indices is not None else np.arange(n_nodes)
+    _write_table(path, {"time": np.repeat(trace.times, n_nodes),
+                        "node_id": np.tile(np.asarray(ids, dtype=int), n_times),
+                        "value": trace.values.ravel()})
 
 
 def trace_from_csv(path):
     """Returns (times, node_ids, values) with values shaped (n_times, n_nodes)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["time", "node_id", "value"]:
-        raise SerializationError("not a trace table")
-    times, ids = [], []
-    for t, nid, _ in rows[1:]:
-        tf = float(t)
-        if not times or tf != times[-1]:
-            times.append(tf)
-        if len(times) == 1:
-            ids.append(int(nid))
-    values = np.array([float(r[2]) for r in rows[1:]]).reshape(len(times), len(ids))
-    return np.asarray(times), np.asarray(ids, dtype=int), values
+    time, node_id, value = _read_table(path, lambda width: ["time", "node_id", "value"]).T
+    n_nodes = int(np.argmax(np.append(time != time[:1], True)))  # rows at the first time
+    times, ids = time[::max(n_nodes, 1)], node_id[:n_nodes].astype(int)
+    if not (np.array_equal(time, np.repeat(times, n_nodes))
+            and np.array_equal(node_id, np.tile(ids, times.size))):
+        raise SerializationError(f"{path}: expected one block of rows per time, each "
+                                 "listing the same node ids in the same order")
+    return times, ids, value.reshape(times.size, n_nodes)
 
 
 def recovered_to_csv(recovered: RecoveredPotential, path) -> None:
     """Node/value/mask table; window rows are flagged, gaps carry nan."""
-    nodes = np.asarray(recovered.nodes, dtype=float)
-    n, d = nodes.shape
-    window = np.zeros(n, dtype=int)
+    window = np.zeros(len(recovered.values), dtype=int)
     window[recovered.observation_indices] = 1
-    fh, writer = _open_csv_writer(path)
-    with fh:
-        writer.writerow(["node_id"] + [f"x{i}" for i in range(d)]
-                        + ["value", "mask", "window", "disagreement"])
-        for i in range(n):
-            writer.writerow([i] + [repr(float(c)) for c in nodes[i]]
-                            + [repr(float(recovered.values[i])),
-                               int(recovered.mask[i]), int(window[i]),
-                               repr(float(recovered.disagreement[i]))])
+    _write_table(path, {**_node_columns(recovered.nodes), "value": recovered.values,
+                        "mask": np.asarray(recovered.mask, dtype=int), "window": window,
+                        "disagreement": recovered.disagreement})
 
 
 def recovered_from_csv(path) -> RecoveredPotential:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "node_id" or rows[0][-1] != "disagreement":
-        raise SerializationError("not a recovered-potential table")
-    d = len(rows[0]) - 5
-    body = rows[1:]
-    nodes = np.array([[float(r[1 + i]) for i in range(d)] for r in body])
-    values = np.array([float(r[1 + d]) for r in body])
-    mask = np.array([bool(int(r[2 + d])) for r in body])
-    window = np.array([bool(int(r[3 + d])) for r in body])
-    disagreement = np.array([float(r[4 + d]) for r in body])
+    table = _read_table(path, lambda width: ["node_id", *_coordinates(width - 5), "value",
+                                             "mask", "window", "disagreement"])
+    values, mask, window, disagreement = table[:, -4:].T
+    if not np.all(np.isin(table[:, -3:-1], (0, 1))):
+        raise SerializationError(f"{path}: mask, window: expected 0 or 1")
+    mask, window = mask == 1, window == 1
     complement = ~window
     covered = float(np.mean(mask[complement])) if complement.any() else 1.0
-    return RecoveredPotential(nodes=nodes, values=values, mask=mask,
+    return RecoveredPotential(nodes=table[:, 1:-4], values=values, mask=mask,
                               disagreement=disagreement,
                               observation_indices=np.nonzero(window)[0],
                               covered_fraction=covered)
 
 
 def spectrum_to_csv(model: SpectralModel, path) -> None:
-    fh, writer = _open_csv_writer(path)
-    with fh:
-        writer.writerow(["block", "eigenvalue", "multiplicity"])
-        for k in range(model.truncation):
-            writer.writerow([k, repr(float(model.eigenvalues[k])),
-                             int(model.multiplicities[k])])
+    _write_table(path, {"block": np.arange(model.truncation),
+                        "eigenvalue": model.eigenvalues,
+                        "multiplicity": model.multiplicities})
 
 
 def match_report_to_csv(report: MatchReport, path) -> None:
     """Blockwise comparison table behind a MatchReport."""
-    fh, writer = _open_csv_writer(path)
-    with fh:
-        writer.writerow(["block", "eigenvalue_gap", "multiplicity_match", "max_angle"])
-        for k in range(report.n_compared):
-            writer.writerow([k, repr(float(report.eigenvalue_gaps[k])),
-                             int(report.multiplicity_matches[k]),
-                             repr(float(report.max_angles[k]))])
+    _write_table(path, {"block": np.arange(report.n_compared),
+                        "eigenvalue_gap": report.eigenvalue_gaps,
+                        "multiplicity_match": np.asarray(report.multiplicity_matches, dtype=int),
+                        "max_angle": report.max_angles})
 
 
 def solution_to_csv(model: SpectralModel, values: np.ndarray, path) -> None:
     """Node table of a solved field (node id, coordinates, value)."""
-    nodes = model.nodes
-    fh, writer = _open_csv_writer(path)
-    with fh:
-        writer.writerow(["node_id"] + [f"x{i}" for i in range(nodes.shape[1])]
-                        + ["value"])
-        for i in range(nodes.shape[0]):
-            writer.writerow([i] + [repr(float(c)) for c in nodes[i]]
-                            + [repr(float(values[i]))])
+    _write_table(path, {**_node_columns(model.nodes), "value": values})

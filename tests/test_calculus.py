@@ -164,6 +164,12 @@ class TestHeatKernel:
         assert np.isclose(mat[2, 5], spot, rtol=1e-13)
         assert np.allclose(mat, mat.T, atol=1e-13)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_kernel_matrix_needs_positive_time(self, t):
+        model = build_model("circle", 8)
+        with pytest.raises(ValueError, match="t > 0"):
+            heat_kernel_matrix(model, 2.0, t, model.nodes, model.nodes)
+
 
 class TestGrigoryanBound:
     def test_circle_antipodal_exponent(self):

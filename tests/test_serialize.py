@@ -323,6 +323,73 @@ class TestTables:
         assert not loaded.mask[1]
         assert loaded.covered_fraction == 0.5
 
+    def test_spectrum_bytes(self, tmp_path):
+        path = tmp_path / "spectrum.csv"
+        spectrum_to_csv(build_model("circle", 3), path)
+        assert path.read_text() == "block,eigenvalue,multiplicity\n0,0.0,1\n1,1.0,2\n2,4.0,2\n"
+
+    def test_trace_bytes(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        trace_to_csv(HeatTrace(times=np.array([0.1, 0.25]), nodes=np.zeros((2, 1)),
+                               values=np.array([[1 / 3, -0.0], [1e-300, 2.5]]),
+                               node_indices=np.array([4, 9])), path)
+        assert path.read_text() == ("time,node_id,value\n0.1,4,0.3333333333333333\n"
+                                    "0.1,9,-0.0\n0.25,4,1e-300\n0.25,9,2.5\n")
+
+    def test_recovered_bytes(self, tmp_path):
+        path = tmp_path / "recovered.csv"
+        recovered_to_csv(RecoveredPotential(
+            nodes=np.array([[0.0, 0.5], [1.0, 1.5]]), values=np.array([0.25, np.nan]),
+            mask=np.array([True, False]), disagreement=np.array([np.nan, np.nan]),
+            observation_indices=np.array([0]), covered_fraction=0.0), path)
+        assert path.read_text() == ("node_id,x0,x1,value,mask,window,disagreement\n"
+                                    "0,0.0,0.5,0.25,1,1,nan\n1,1.0,1.5,nan,0,0,nan\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("time,node,value\n0.1,0,1.0\n", "header: expected time,node_id,value"),
+        ("", "header: expected time,node_id,value"),
+        ("time,node_id,value\n0.1,0,1.0\n0.1,1\n", "expected 3 numbers in every row"),
+        ("time,node_id,value\n0.1,0,1.0\n0.1,1,x\n", "could not convert string to float"),
+        ("time,node_id,value\n0.1,0,1.0\n0.1,1,2.0\n0.2,0,3.0\n", "one block of rows per time"),
+        ("time,node_id,value\n0.1,0,1.0\n0.1,1,2.0\n0.2,1,3.0\n0.2,0,4.0\n",
+         "the same node ids in the same order"),
+        ("time,node_id,value\n0.1,0,1.0\n0.1,1,2.0\n0.2,0,3.0\n0.3,1,4.0\n",
+         "one block of rows per time"),
+        ("time,node_id,value\n0.1,0.5,1.0\n", "the same node ids"),
+    ], ids=["header", "empty", "short-row", "text", "ragged-block", "node-order", "split-block",
+            "fractional-id"])
+    def test_malformed_trace_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(SerializationError, match=f"^{re.escape(str(path))}: ") as info:
+            trace_from_csv(path)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("node_id,x0,value,mask,window\n0,0.0,1.0,1,1\n",
+         "header: expected node_id,value,mask,window,disagreement"),
+        ("node_id,x1,value,mask,window,disagreement\n0,0.0,1.0,1,1,nan\n",
+         "header: expected node_id,x0,value"),
+        ("node_id,x0,value,mask,window,disagreement\n0,0.0,1.0,1,1\n",
+         "expected 6 numbers in every row"),
+        ("node_id,x0,value,mask,window,disagreement\n0,0.0,one,1,1,nan\n",
+         "could not convert string to float"),
+        ("node_id,x0,value,mask,window,disagreement\n0,0.0,1.0,2,1,nan\n",
+         "mask, window: expected 0 or 1"),
+    ], ids=["header", "coordinate-name", "short-row", "text", "flag"])
+    def test_malformed_recovered_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "recovered.csv"
+        path.write_text(text)
+        with pytest.raises(SerializationError, match=f"^{re.escape(str(path))}: ") as info:
+            recovered_from_csv(path)
+        assert message in str(info.value)
+
+    def test_binary_table_names_the_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(SerializationError, match=f"^{re.escape(str(path))}: not a CSV table"):
+            trace_from_csv(path)
+
 
 class TestSolutionDump:
 
@@ -362,9 +429,15 @@ class TestSolutionDump:
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
-arrays = st.one_of(hnp.arrays(np.float64, shapes, elements=finite),
-                   hnp.arrays(np.int64, shapes),
-                   hnp.arrays(np.bool_, shapes))
+
+
+def arrays_of(shape):
+    return st.one_of(hnp.arrays(np.float64, shape, elements=finite),
+                     hnp.arrays(np.int64, shape),
+                     hnp.arrays(np.bool_, shape))
+
+
+arrays = arrays_of(shapes)
 pairs = st.tuples(finite, finite)
 KINDS = {Window: st.one_of(
     st.builds(AngularInterval, finite, finite),
@@ -390,7 +463,27 @@ def values_of(hint):
     return SCALARS[hint]
 
 
+@st.composite
+def gelfand_data(draw):
+    """GelfandData whose shapes agree, as its own checks require: one weight
+    and node index per node, one multiplicity and family per eigenvalue, and
+    families[k] of width multiplicities[k].  There is at least one node,
+    since an empty family cannot keep its width through JSON."""
+    n_nodes = draw(st.integers(1, 4))
+    widths = draw(st.lists(st.integers(0, 3), max_size=4))
+    return GelfandData(
+        eigenvalues=draw(arrays_of(len(widths))),
+        multiplicities=np.array(widths, dtype=np.int64),
+        families=[draw(arrays_of((n_nodes, w))) for w in widths],
+        nodes=draw(arrays_of((n_nodes, draw(st.integers(1, 3))))),
+        weights=draw(arrays_of(n_nodes)), node_indices=draw(arrays_of(n_nodes)),
+        mass=draw(finite), mode=draw(st.text(max_size=8)),
+        provenance=draw(st.lists(st.text(max_size=8), max_size=4)))
+
+
 def instances(cls):
+    if cls is GelfandData:
+        return gelfand_data()
     hints = typing.get_type_hints(cls)
     return st.builds(cls, **{f.name: values_of(hints[f.name]) for f in fields(cls)
                              if not f.metadata.get("in_memory")})
@@ -487,8 +580,13 @@ class TestMalformedArtifacts:
         (lambda p: {**p, "families": {"0": []}}, "families: expected a list"),
         (lambda p: {**p, "version": 2}, "version: unsupported version 2"),
         (lambda p: {**p, "format": "loglap/record"}, "format: expected 'loglap/gelfand'"),
+        (lambda p: {**p, "families": [p["families"][0], p["families"][1][1:],
+                                      *p["families"][2:]]}, "families[1]: expected shape"),
+        (lambda p: {**p, "multiplicities": p["multiplicities"][1:]},
+         "multiplicities: expected 5 entries, one per eigenvalue"),
+        (lambda p: {**p, "weights": p["weights"][1:]}, "weights: expected 31 entries, one per node"),
     ], ids=["missing", "unknown", "ambient", "list", "scalar", "string", "ragged", "strings",
-            "not-a-list", "version", "format"])
+            "not-a-list", "version", "format", "family-shape", "multiplicities", "weights"])
     def test_gelfand_errors_name_the_field(self, tmp_path, doctor, message):
         path = _gelfand_path(tmp_path)
         path.write_text(json.dumps(doctor(json.loads(path.read_text()))))
