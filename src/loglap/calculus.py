@@ -3,8 +3,11 @@
 With A = -Delta + m and m > 1, the operators A, log A, A log A and the heat
 semigroup exp(-tA) all act diagonally on the materialized eigenbasis, as
 multipliers (lam+m), log(lam+m), (lam+m)log(lam+m), exp(-t(lam+m)) per
-block. Next to this multiplier route the module provides an independent
-pointwise integral route for A log A,
+block. The semigroup is therefore applied per eigenspace: a sum over basis
+columns is contracted to one term per eigenspace before the time decay, so
+sampling at T times costs T terms per eigenspace, not per column. Next to
+this multiplier route the module provides an independent pointwise integral
+route for A log A,
 
     integral over (0, inf) of (exp(-t) - exp(-tA)) A u (x) dt / t,
 
@@ -194,13 +197,11 @@ def grigoryan_check(model: SpectralModel, m: float, times, pairs=None,
     n = model.dimension
     phi_a = model.eigenfunction_values(pa)
     phi_b = model.eigenfunction_values(pb)
-    lam = model.flat_eigenvalues()
+    # one decay rate per eigenspace, so each block's products are summed first
+    per_block = np.add.reduceat(phi_a * phi_b, model.block_offsets[:-1], axis=1)
 
     def kernel_rows(ts):
-        out = np.empty((ts.size, dists.size))
-        for i, t in enumerate(ts):
-            out[i] = np.sum(phi_a * phi_b * np.exp(-t * lam)[None, :], axis=1)
-        return out
+        return np.exp(-np.outer(ts, model.eigenvalues)) @ per_block.T
 
     probe = kernel_rows(times)
     floor = 1e-13 * np.max(np.abs(probe))

@@ -35,7 +35,6 @@ __all__ = [
     "extract_exponents",
     "heat_trace_of_field",
     "heat_trace_of_solution",
-    "laplace_transform_eval",
     "principal_angles",
     "supnorm_sanity_check",
     "weyl_sanity_check",
@@ -68,7 +67,13 @@ def _coerce_field(model: SpectralModel, field) -> FieldCoefficients:
 
 def heat_trace_of_field(model: SpectralModel, m: float, solution, obs: ObservationSet,
                         times, *, source_id: Optional[str] = None) -> HeatTrace:
-    """Sample e^{-tA} L u on the observation nodes for each listed time."""
+    """Sample e^{-tA} L u on the observation nodes for each listed time.
+
+    The semigroup acts per eigenspace: every column of block k decays at
+    the same rate lambda_k + m, so the weighted basis rows are summed to one
+    column per eigenspace before the decay is applied.  This also holds for
+    a basis rotated inside each eigenspace.
+    """
     check_mass(m)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -76,11 +81,11 @@ def heat_trace_of_field(model: SpectralModel, m: float, solution, obs: Observati
     if np.any(times <= 0):
         raise ValueError("heat trace times must be strictly positive")
     u = _coerce_field(model, solution)
-    lam = model.flat_eigenvalues()
-    weighted = l_multiplier(lam, m) * u.values
-    decay = np.exp(-np.outer(times, lam + m))
-    B = model.node_basis()[obs.node_indices]
-    values = (decay * weighted[None, :]) @ B.T
+    weighted = l_multiplier(model.flat_eigenvalues(), m) * u.values
+    B = np.take(model.node_basis(), obs.node_indices, axis=0)   # a copy: scaled in place
+    B *= weighted
+    per_block = np.add.reduceat(B, model.block_offsets[:-1], axis=1)
+    values = np.exp(-np.outer(times, model.eigenvalues + m)) @ per_block.T
     return HeatTrace(times=times, nodes=obs.nodes, values=values,
                      node_indices=obs.node_indices, source_id=source_id)
 
@@ -91,35 +96,6 @@ def heat_trace_of_solution(model: SpectralModel, m: float, V, source, obs: Obser
     u = solve_schrodinger(model, m, V, source)
     sid = getattr(source, "source_id", None)
     return heat_trace_of_field(model, m, u, obs, times, source_id=sid)
-
-
-# -------------------------------------------------------------- laplace
-
-
-def laplace_transform_eval(model: SpectralModel, m: float, solution, points, z) -> np.ndarray:
-    """Rational evaluation of int_0^inf e^{-zt} (e^{-tA} L u)(x) dt.
-
-    Closed form: sum over basis columns of mult_j u_j phi_j(x)/(mu_j+z)
-    with mu_j the shifted eigenvalue.  z may be complex; evaluation too
-    close to a pole -mu_j is refused.
-    """
-    check_mass(m)
-    u = _coerce_field(model, solution)
-    lam = model.flat_eigenvalues()
-    mu = lam + m
-    zc = complex(z)
-    dist = np.abs(mu + zc)
-    tol = 1e-8 * np.maximum(1.0, mu)
-    if np.any(dist < tol):
-        j = int(np.argmin(dist - tol))
-        raise ValueError(f"evaluation point within {dist[j]:.3g} of pole at "
-                         f"-{mu[j]:g}; move z away or take a residue instead")
-    phi = model.eigenfunction_values(points)
-    coeff = l_multiplier(lam, m) * u.values / (mu + zc)
-    vals = phi @ coeff
-    if zc.imag == 0.0:
-        return vals.real
-    return vals
 
 
 # -------------------------------------------------------------- pencil

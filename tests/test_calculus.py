@@ -23,7 +23,7 @@ from loglap.calculus import (
     random_field,
     FieldCoefficients,
 )
-from loglap.models import build_model
+from loglap.models import build_model, geodesic_distance
 from loglap.errors import QuadratureConvergenceError
 
 # (lam + 2) ln(lam + 2) for lam = 0, 1, 4, 9; mpmath, 40 digits, frozen.
@@ -193,6 +193,23 @@ class TestGrigoryanBound:
         pairs = [(np.array([1.0]), np.array([1.0]))]
         report = grigoryan_check(model, 2.0, np.linspace(0.05, 1.0, 10), pairs=pairs)
         assert report.passed and report.violations == 0
+
+    def test_fit_touches_per_column_kernel(self):
+        # the fitted bound must hold on the column-by-column kernel and touch
+        # it on the probe grid, where the prefactor was inflated to fit
+        model = build_model("sphere", 10)
+        times = np.linspace(0.1, 1.5, 10)
+        pairs = [(np.array([0.3, 0.0]), np.array([0.3 + d, 1.0])) for d in (0.0, 0.4, 1.1, 2.0)]
+        report = grigoryan_check(model, 2.0, times, pairs=pairs)
+        logs = []
+        for p, q in pairs:
+            dist = geodesic_distance(model, p[None, :], q[None, :])[0]
+            for t in times:
+                value = heat_kernel_matrix(model, 2.0, t, p, q)[0, 0] * np.exp(2.0 * t)
+                logs.append(np.log(abs(value)) + model.dimension / 2 * np.log(t)
+                            + report.rate * dist ** 2 / t - np.log(report.prefactor))
+        assert report.passed
+        assert abs(max(logs)) < 1e-9
 
     @pytest.mark.parametrize(
         "kind,kwargs,K",

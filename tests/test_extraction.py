@@ -8,10 +8,9 @@ tests compare against analytic eigendata.
 import numpy as np
 import pytest
 
-import scipy.integrate
 import scipy.linalg
 
-from loglap.calculus import FieldCoefficients, HeatTrace, apply_L, random_field
+from loglap.calculus import FieldCoefficients, HeatTrace, apply_L, l_multiplier, random_field
 from loglap.errors import (
     GridTooCoarseError,
     PreconditionError,
@@ -26,12 +25,18 @@ from loglap.extraction import (
     extract_exponents,
     heat_trace_of_field,
     heat_trace_of_solution,
-    laplace_transform_eval,
     principal_angles,
     supnorm_sanity_check,
     weyl_sanity_check,
 )
-from loglap.models import AngularInterval, build_model, restrict_to_observation
+from loglap.models import (
+    AngularInterval,
+    SphericalCap,
+    TorusBox,
+    build_model,
+    restrict_to_observation,
+    with_mixed_blocks,
+)
 from loglap.solver import (
     band_limit_source,
     make_source_basis,
@@ -43,7 +48,6 @@ from loglap.solver import (
 # ---------------------------------------------------------------- oracles
 
 MULT1_M2 = 3.2958368660043291      # 3 log 3
-LOG3 = 1.0986122886681098
 INV_SQRT_PI = 0.5641895835477563
 # 1.5 * (2 log 2) * (1/sqrt(2 pi)): constant-solution trace amplitude
 CONST_TRACE_AMP = 0.8295771505992245
@@ -61,19 +65,11 @@ def synthetic_trace(times, exponents, amplitudes):
     return HeatTrace(times=times, nodes=nodes, values=values)
 
 
-def laplace_by_quadrature(model, m, u, points, z):
-    """Quadrature oracle for the transform of e^{-tA} L u: integrates
-    e^{-zt} times the trace over (0, inf) point by point, the real and the
-    imaginary part apart."""
-    mu = model.flat_eigenvalues() + m
-    rows = model.eigenfunction_values(points) * (mu * np.log(mu) * u.values)
-
-    def part(row, oscillation):
-        return scipy.integrate.quad(
-            lambda t: oscillation(z.imag * t) * np.exp(-z.real * t) * (row @ np.exp(-t * mu)),
-            0.0, np.inf, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
-
-    return np.array([part(row, np.cos) - 1j * part(row, np.sin) for row in rows])
+def dense_trace(model, m, u, obs, times):
+    """The trace column by column: every basis column decays on its own."""
+    lam = model.flat_eigenvalues()
+    B = model.node_basis()[obs.node_indices]
+    return (np.exp(-np.outer(times, lam + m)) * (l_multiplier(lam, m) * u.values)) @ B.T
 
 
 def cos_pot(scale):
@@ -163,48 +159,42 @@ class TestDefaultTimeGrid:
         assert np.max(np.abs(dt - dt[0])) < 1e-12
 
 
-# ---------------------------------------------------------------- laplace
+class TestPerEigenspaceTrace:
+    """The trace sums each eigenspace's columns before the time decay; the
+    column-by-column formula is the reference."""
 
+    @pytest.mark.parametrize("kind,kwargs,K,desc,mix_seed", [
+        ("circle", {}, 10, AngularInterval(0.0, np.pi), None),
+        ("torus", {"edges": (2 * np.pi, np.pi)}, 5, TorusBox(((0.5, 4.5), (0.5, 2.5))), None),
+        ("sphere", {}, 6, SphericalCap((0.0, 0.0), 1.2), None),
+        ("circle", {}, 10, AngularInterval(0.0, np.pi), 3),
+        ("sphere", {}, 6, SphericalCap((0.0, 0.0), 1.2), 11),
+    ], ids=["circle", "torus", "sphere", "mixed-circle", "mixed-sphere"])
+    def test_matches_dense_formula(self, kind, kwargs, K, desc, mix_seed):
+        model = build_model(kind, K, **kwargs)
+        if mix_seed is not None:
+            model = with_mixed_blocks(model, mix_seed)
+        obs = restrict_to_observation(model, desc)
+        u = random_field(model, seed=4)
+        times = default_time_grid(model, 2.0, samples=9)
+        values = heat_trace_of_field(model, 2.0, u, obs, times).values
+        dense = dense_trace(model, 2.0, u, obs, times)
+        assert np.max(np.abs(values - dense)) <= 1e-13 * np.max(np.abs(dense))
 
-class TestLaplaceTransform:
-    def test_single_mode_at_zero(self):
-        model = build_model("circle", 6)
-        obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
-        u = np.zeros(model.total_dim)
-        u[1] = 1.0
-        vals = laplace_transform_eval(model, 2.0, FieldCoefficients(model, u),
-                                      obs.nodes, 0.0)
-        phi = np.cos(obs.nodes[:, 0]) * INV_SQRT_PI
-        assert np.max(np.abs(vals - LOG3 * phi)) < 1e-12
-
-    def test_pole_residue_limit(self):
-        model = build_model("circle", 6)
-        obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
-        u = np.zeros(model.total_dim)
-        u[3] = 0.8  # block 2, cosine: mu = 6
-        eps = 1e-7
-        z = -6.0 + eps
-        vals = laplace_transform_eval(model, 2.0, FieldCoefficients(model, u),
-                                      obs.nodes, z)
-        phi = np.cos(2 * obs.nodes[:, 0]) * INV_SQRT_PI
-        residue = 6.0 * np.log(6.0) * 0.8 * phi
-        assert np.max(np.abs(eps * vals - residue)) < 1e-5
-
-    def test_rational_matches_integral(self):
-        model = build_model("circle", 5)
-        obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
-        u = random_field(model, seed=2)
-        pts = obs.nodes[:4]
-        z = 1.0 + 1.0j
-        rational = laplace_transform_eval(model, 2.0, u, pts, z)
-        integral = laplace_by_quadrature(model, 2.0, u, pts, z)
-        assert np.max(np.abs(rational - integral)) < 1e-7
-
-    def test_pole_exclusion(self):
-        model = build_model("circle", 6)
-        u = random_field(model, seed=0)
-        with pytest.raises(ValueError):
-            laplace_transform_eval(model, 2.0, u, model.nodes[:2], -3.0 + 1e-10)
+    def test_single_eigenspace_decays_at_its_rate(self):
+        model = build_model("sphere", 6)
+        obs = restrict_to_observation(model, SphericalCap((0.0, 0.0), 1.2))
+        k = 3
+        coeffs = np.zeros(model.total_dim)
+        coeffs[model.block_slice(k)] = np.random.default_rng(1).standard_normal(
+            int(model.multiplicities[k]))
+        u = FieldCoefficients(model, coeffs)
+        times = np.array([0.05, 0.2, 0.7])
+        values = heat_trace_of_field(model, 2.0, u, obs, times).values
+        block_field = apply_L(u, 2.0).node_values()[obs.node_indices]
+        mu_k = model.eigenvalues[k] + 2.0
+        expect = np.exp(-mu_k * times)[:, None] * block_field[None, :]
+        assert np.max(np.abs(values - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 # ---------------------------------------------------------------- pencil

@@ -7,6 +7,7 @@ errors are pinned by the forward-solve ground truth they started from.
 import numpy as np
 import pytest
 
+from loglap.calculus import heat_kernel_matrix
 from loglap.errors import (
     EmptyCoverageError,
     InconsistentCandidatesError,
@@ -244,6 +245,23 @@ class TestHeatKernelEquality:
                                             [0.1, 0.5, 1.0])
         assert report.passed
         assert report.max_deviation < 1e-12
+
+    @pytest.mark.parametrize("kind,desc", [
+        ("circle", AngularInterval(0.0, np.pi)),
+        ("sphere", SphericalCap((0.0, 0.0), 1.2)),
+    ])
+    def test_deviations_match_kernel_matrix_per_time(self, kind, desc):
+        # the reference evaluates both bases afresh at every time
+        model_a = build_model(kind, 8)
+        model_b = with_mixed_blocks(build_model(kind, 8, radius=1.05), seed=2)
+        obs_a = restrict_to_observation(model_a, desc)
+        obs_b = restrict_to_observation(model_b, desc)
+        times = np.array([0.05, 0.3, 1.5])
+        report = heat_kernel_equality_check(model_a, model_b, 2.0, obs_a, obs_b, times)
+        reference = [np.max(np.abs(heat_kernel_matrix(model_a, 2.0, t, obs_a.nodes, obs_a.nodes)
+                                   - heat_kernel_matrix(model_b, 2.0, t, obs_b.nodes, obs_b.nodes)))
+                     for t in times]
+        assert np.array_equal(report.deviations, reference)
 
     def test_incompatible_nodes(self):
         model_a, obs_a = half_circle(8, quadrature=64)
