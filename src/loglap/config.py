@@ -165,7 +165,8 @@ class UcpSection:
     include_image: bool = _default_of(ucp_nullspace_test, "include_image")
 
     def __post_init__(self):
-        require(self.node_multiplier >= 1, "node_multiplier", "must be >= 1")
+        # the certificate needs twice as many sample points as basis columns
+        require(self.node_multiplier >= 2, "node_multiplier", "must be >= 2")
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,9 @@ class SpectralModel:
 
     def node_basis(self) -> np.ndarray:
         if self._node_basis_cache is None:
-            self._node_basis_cache = self.eigenfunction_values(self.nodes)
+            # row-major: the heat trace and the Gram assembly take node rows
+            self._node_basis_cache = np.ascontiguousarray(
+                self.eigenfunction_values(self.nodes))
         return self._node_basis_cache
 
     def flat_eigenvalues(self) -> np.ndarray:
@@ -558,7 +560,9 @@ class RoundSphere:
         P_mm from P_{m-1,m-1} and step up in l, writing each degree's
         cos/sin columns as it is reached. sin(colatitude) is taken from the
         colatitude itself: sqrt(1 - x^2) of the rounded x = cos(colatitude)
-        loses accuracy near the poles.
+        loses accuracy near the poles. Each column is written as a
+        contiguous row of a (D, P) buffer and the transpose is returned, a
+        column-major (P, D) array.
         """
         colat, lon = pts[:, 0], pts[:, 1]
         x, s = np.cos(colat), np.sin(colat)
@@ -566,7 +570,7 @@ class RoundSphere:
         column = {(int(l), int(m), int(k)): c
                   for c, (l, m, k) in enumerate(zip(degs, orders, kinds))}
         lmax = int(np.max(degs))
-        out = np.empty((pts.shape[0], degs.size))
+        out = np.empty((degs.size, pts.shape[0]))
         p_mm = np.full(pts.shape[0], 1.0 / (np.sqrt(4.0 * np.pi) * self.radius))
         for m in range(lmax + 1):
             if m == 0:
@@ -582,8 +586,8 @@ class RoundSphere:
                     b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
                     p_prev, p = p, a * (x * p - b * p_prev)
                 for kind, factor in trig:
-                    out[:, column[l, m, kind]] = p * factor
-        return out
+                    np.multiply(p, factor, out=out[column[l, m, kind]])
+        return out.T
 
     def resolves_products(self, spec, table) -> bool:
         n_colat, n_lon = spec

@@ -27,6 +27,7 @@ from .models import (
     Window,
     apply_isometry,
     as_points,
+    descriptor_contains,
     interior_points,
     isometry_preserves_set,
     project_function,
@@ -77,6 +78,11 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet,
     operator image must vanish everywhere; at finite rank that is a
     full-column-rank statement about the stacked sample matrix.  The null
     dimension counts singular values below 1e-9 of the largest.
+
+    With the image rows, the samples B = QR enter only through their
+    triangular factor: Q has orthonormal columns, so [R; R diag(mult)] has
+    the singular values and the column norms of [B; B diag(mult)] at
+    2D x D in place of 2P x D.  Explicit `points` must lie in the window.
     """
     check_mass(m)
     if K is None:
@@ -88,6 +94,11 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet,
         points = interior_points(model, obs.descriptor, node_multiplier * dim)
     else:
         points = as_points(points, model.dimension)
+        outside = np.count_nonzero(~descriptor_contains(model, obs.descriptor, points))
+        if outside:
+            raise PreconditionError(
+                f"{outside} of {points.shape[0]} sample points lie outside the "
+                "observation window; the certificate would be for another set")
     if points.shape[0] < 2 * dim:
         raise UnderdeterminedSamplingError(
             f"{points.shape[0]} sample points cannot overdetermine a "
@@ -95,14 +106,15 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet,
 
     B = model.eigenfunction_values(points)[:, :dim]
     if include_image:
+        R = np.linalg.qr(B, mode="r")
         mult = l_multiplier(model.flat_eigenvalues()[:dim], m)
-        constraint = np.vstack([B, B * mult[None, :]])
+        constraint = np.vstack([R, R * mult[None, :]])
     else:
         constraint = B
     # unit column norms: rank must not depend on how the operator scales
     # individual basis directions
     norms = np.linalg.norm(constraint, axis=0)
-    constraint = constraint / np.maximum(norms, 1e-300)[None, :]
+    constraint /= np.maximum(norms, 1e-300)[None, :]
     sv = np.linalg.svd(constraint, compute_uv=False)
     null_dim = int(np.sum(sv < 1e-9 * sv[0]))
     return UcpReport(truncation=K, descriptor=obs.descriptor,

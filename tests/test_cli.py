@@ -496,6 +496,15 @@ class TestExitCodes:
         assert run_cli(sub, path, tmp_path / "out") == 2
         assert message in capsys.readouterr().err
 
+    def test_ucp_node_multiplier_one_exits_two(self, tmp_path, capsys):
+        # one sample point per basis column cannot overdetermine the basis,
+        # so the value is a config mistake, not a failed certificate
+        path = write_config(tmp_path, circle_config(ucp={"node_multiplier": 1}))
+        assert run_cli("ucp", path, tmp_path / "out") == 2
+        assert "ucp.node_multiplier: must be >= 2" in capsys.readouterr().err
+        path = write_config(tmp_path, circle_config(ucp={"node_multiplier": 2}), "two.json")
+        assert run_cli("ucp", path, tmp_path / "two") == 0
+
     def test_config_and_artifact_errors_are_loglap_errors(self):
         assert issubclass(ConfigError, LoglapError)
         assert issubclass(SerializationError, LoglapError)

@@ -491,9 +491,57 @@ def exact_basis(point, table):
     return out
 
 
+def per_column_sphere_basis(pts, table, radius):
+    """The degree recurrence written into a row-major (P, D) array one
+    column at a time, the layout the basis had before it was built row by
+    row; the arithmetic is the same, so the values must agree bitwise."""
+    colat, lon = pts[:, 0], pts[:, 1]
+    x, s = np.cos(colat), np.sin(colat)
+    degs = table["degrees"]
+    column = {(int(l), int(m), int(k)): c for c, (l, m, k) in
+              enumerate(zip(degs, table["orders"], table["kinds"]))}
+    lmax = int(np.max(degs))
+    out = np.empty((pts.shape[0], degs.size))
+    p_mm = np.full(pts.shape[0], 1.0 / (np.sqrt(4.0 * np.pi) * radius))
+    for m in range(lmax + 1):
+        if m == 0:
+            trig = ((0, 1.0),)
+        else:
+            p_mm = -np.sqrt((2 * m + 1) / (2.0 * m)) * s * p_mm
+            trig = ((1, np.sqrt(2.0) * np.cos(m * lon)),
+                    (2, np.sqrt(2.0) * np.sin(m * lon)))
+        p_prev, p = np.zeros_like(p_mm), p_mm
+        for l in range(m, lmax + 1):
+            if l > m:
+                a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+                p_prev, p = p, a * (x * p - b * p_prev)
+            for kind, factor in trig:
+                out[:, column[l, m, kind]] = p * factor
+    return out
+
+
 class TestSphereRecurrence:
     """The normalised associated-Legendre recurrence against lpmv, an exact
     evaluation, closed forms at the poles and the quadrature."""
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+    def test_matches_per_column_reference(self, mixed):
+        rng = np.random.default_rng(7)
+        model = build_model("sphere", 12, radius=1.5)
+        pts = np.column_stack([rng.uniform(0.0, np.pi, 300), rng.uniform(0.0, 2.0 * np.pi, 300)])
+        expected = per_column_sphere_basis(pts, model.basis_table, 1.5)
+        if mixed:
+            model = with_mixed_blocks(model, seed=3)
+            for k, mixer in enumerate(model.block_mixers):
+                sl = model.block_slice(k)
+                expected[:, sl] = expected[:, sl] @ mixer
+        assert np.array_equal(model.eigenfunction_values(pts), expected)
+        # the heat trace and the Gram assembly take rows of the node basis;
+        # a column-major cache makes every such take strided
+        for other in (build_model("circle", 6), model,
+                      build_model("torus", 4, edges=(6.0, 6.0))):
+            assert other.node_basis().flags.c_contiguous
 
     @pytest.mark.parametrize("K", [8, 32, 48])
     def test_matches_lpmv(self, K):

@@ -97,6 +97,15 @@ class TestUcpNullspace:
         with pytest.raises(UnderdeterminedSamplingError):
             ucp_nullspace_test(model, 2.0, obs, points=np.array([[0.5]]))
 
+    def test_points_outside_window_rejected(self):
+        # points off the window would certify a different set
+        model = build_model("circle", 8)
+        obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
+        pts = np.concatenate([interior_points(model, obs.descriptor, 60),
+                              [[4.0], [5.5]]])
+        with pytest.raises(PreconditionError, match=f"^2 of {pts.shape[0]} sample points"):
+            ucp_nullspace_test(model, 2.0, obs, points=pts)
+
     def test_image_rows_strengthen_constraint(self):
         # dropping the operator-image rows weakens the constraint on a
         # small window, which is the point of using the full Cauchy pair
@@ -126,6 +135,51 @@ class TestUcpNullspace:
             obs = restrict_to_observation(model, desc)
             report = ucp_nullspace_test(model, 2.0, obs)
             assert report.passed, f"{model.kind}: dim {report.null_dimension}"
+
+
+def dense_certificate(model, m, obs, K, include_image):
+    """The certificate straight from its definition: normalise the columns
+    of [B; B diag(mult)] (or of B) and take every singular value."""
+    dim = int(model.block_offsets[K])
+    pts = interior_points(model, obs.descriptor, 4 * dim)
+    B = model.eigenfunction_values(pts)[:, :dim]
+    if include_image:
+        lam = model.flat_eigenvalues()[:dim]
+        B = np.vstack([B, B * ((lam + m) * np.log(lam + m))[None, :]])
+    sv = np.linalg.svd(B / np.linalg.norm(B, axis=0)[None, :], compute_uv=False)
+    return int(np.sum(sv < 1e-9 * sv[0])), sv
+
+
+DENSE_CASES = {
+    "circle": ("circle", 16, {}, AngularInterval(0.0, 4.7), None),
+    "torus": ("torus", 6, {"edges": (2 * np.pi, 2 * np.pi)},
+              TorusBox(((0.5, 4.5), (1.0, 5.0))), None),
+    "sphere-off-pole": ("sphere", 8, {}, SphericalCap((0.9, 1.7), 1.4), None),
+    # solution-only rows are rank deficient here, the image rows are not
+    "sphere-off-pole-K16": ("sphere", 16, {}, SphericalCap((0.9, 1.7), 1.4), None),
+    "sphere-K-below-truncation": ("sphere", 12, {}, SphericalCap((0.9, 1.7), 1.4), 6),
+    "circle-quarter-degenerate": ("circle", 16, {}, AngularInterval(0.0, np.pi / 2), None),
+}
+
+
+class TestUcpDenseReference:
+    """The image variant goes through the samples' triangular factor; it
+    must certify what the dense 2P x D stack certifies."""
+
+    @pytest.mark.parametrize("include_image", [True, False], ids=["image", "solution"])
+    @pytest.mark.parametrize("case", DENSE_CASES.values(), ids=DENSE_CASES.keys())
+    def test_matches_dense_svd(self, case, include_image):
+        kind, truncation, kwargs, desc, K = case
+        model = build_model(kind, truncation, **kwargs)
+        obs = restrict_to_observation(model, desc)
+        report = ucp_nullspace_test(model, 2.0, obs, K=K, include_image=include_image)
+        null_dim, sv = dense_certificate(model, 2.0, obs, K or truncation, include_image)
+        assert report.null_dimension == null_dim
+        assert report.passed == (null_dim == 0)
+        if include_image:
+            assert abs(report.smallest_singular - sv[-1]) <= 1e-10 * sv[0]
+        else:
+            assert report.smallest_singular == sv[-1]
 
 
 # ---------------------------------------------------------------- recovery
