@@ -55,6 +55,7 @@ __all__ = [
     "verify_orthonormality",
     "restrict_to_observation",
     "interior_points",
+    "polar_cap_rings",
     "descriptor_contains",
     "geodesic_distance",
     "with_mixed_blocks",
@@ -618,13 +619,39 @@ class RoundSphere:
     def window_contains(self, desc, pts) -> np.ndarray:
         return self._from_center(desc, pts) < desc.radius
 
-    def window_points(self, desc, count: int) -> np.ndarray:
+    def _ring_grid(self, desc, count: int) -> tuple:
+        """Angles from the cap center of the rings, and longitudes per ring."""
         n_rings = max(2, int(np.ceil(np.sqrt(count / 2.0))))
         n_az = int(np.ceil(count / n_rings))
-        gammas = np.linspace(0.0, desc.radius, n_rings + 2)[1:-1]
+        return np.linspace(0.0, desc.radius, n_rings + 2)[1:-1], n_az
+
+    def window_points(self, desc, count: int) -> np.ndarray:
+        gammas, n_az = self._ring_grid(desc, count)
         az = TWO_PI * np.arange(n_az) / n_az
         gg, aa = np.meshgrid(gammas, az, indexing="ij")
         return _cap_chart_to_sphere(desc.center, gg.ravel(), aa.ravel())
+
+    def polar_rings(self, desc, count: int, table):
+        """The `window_points` grid of a cap centred on the basis pole.
+
+        For a cap at colatitude exactly 0 `_cap_chart_to_sphere` gives every
+        point of a ring the colatitude arccos(cos gamma), so on this grid
+        each basis column is a Legendre factor on the rings times a trig
+        factor on the n_az equispaced longitudes. Returns the ring points at
+        longitude 0, n_az, and for each order m the columns of its cosine
+        kind (for m = 0 its only kind); at longitude 0 these hold the
+        Legendre factors, which the order's sine columns share. None for any
+        other cap.
+        """
+        if float(desc.center[0]) != 0.0:
+            return None
+        gammas, n_az = self._ring_grid(desc, count)
+        rings = _cap_chart_to_sphere(desc.center, gammas, np.zeros_like(gammas))
+        rings[:, 1] = 0.0  # where every cosine factor is 1
+        even = table["kinds"] != 2
+        columns = [np.flatnonzero(even & (table["orders"] == m))
+                   for m in range(int(np.max(table["degrees"])) + 1)]
+        return rings, n_az, columns
 
     def window_margin(self, desc, center) -> float:
         """Geodesic distance from `center` to the cap boundary."""
@@ -743,13 +770,30 @@ def restrict_to_observation(model: SpectralModel, descriptor) -> ObservationSet:
     return ObservationSet(model, descriptor, idx, model.nodes[idx], model.weights[idx])
 
 
-def interior_points(model: SpectralModel, descriptor, count: int) -> np.ndarray:
-    """At least `count` points strictly inside the descriptor, on a regular
-    chart grid. Used for sampling maps that should not be tied to quadrature."""
+def _check_sampling(model: SpectralModel, descriptor, count: int) -> None:
     model.manifold.check_window(descriptor)
     if count < 1:
         raise ValueError("count must be positive")
+
+
+def interior_points(model: SpectralModel, descriptor, count: int) -> np.ndarray:
+    """At least `count` points strictly inside the descriptor, on a regular
+    chart grid. Used for sampling maps that should not be tied to quadrature."""
+    _check_sampling(model, descriptor, count)
     return model.manifold.window_points(descriptor, count)
+
+
+def polar_cap_rings(model: SpectralModel, descriptor, count: int):
+    """`interior_points` split by azimuthal order, where the basis allows.
+
+    That is an unmixed sphere basis and a cap centred on its pole; see
+    `RoundSphere.polar_rings` for what is returned. None otherwise: block
+    mixing rotates columns inside each eigenspace, so orders mix.
+    """
+    _check_sampling(model, descriptor, count)
+    if model.kind != "sphere" or model.block_mixers is not None:
+        return None
+    return model.manifold.polar_rings(descriptor, count, model.basis_table)
 
 
 # ---------------------------------------------------------------------------

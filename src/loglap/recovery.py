@@ -30,6 +30,7 @@ from .models import (
     descriptor_contains,
     interior_points,
     isometry_preserves_set,
+    polar_cap_rings,
     project_function,
 )
 from .solver import (
@@ -68,6 +69,19 @@ class UcpReport:
     include_image: bool
 
 
+def _certificate_values(samples: np.ndarray, mult) -> np.ndarray:
+    """Singular values of the column-normalised [B; B diag(mult)], or of B
+    when `mult` is None.  `samples` is overwritten."""
+    if mult is not None:
+        R = np.linalg.qr(samples, mode="r")
+        samples = np.vstack([R, R * mult[None, :]])
+    # unit column norms: rank must not depend on how the operator scales
+    # individual basis directions
+    norms = np.linalg.norm(samples, axis=0)
+    samples /= np.maximum(norms, 1e-300)[None, :]
+    return np.linalg.svd(samples, compute_uv=False)
+
+
 def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet,
                        K: Optional[int] = None, *, node_multiplier: int = 4,
                        include_image: bool = True,
@@ -83,6 +97,14 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet,
     triangular factor: Q has orthonormal columns, so [R; R diag(mult)] has
     the singular values and the column norms of [B; B diag(mult)] at
     2D x D in place of 2P x D.  Explicit `points` must lie in the window.
+
+    On the default grid of a cap centred on the pole of an unmixed sphere
+    basis, B is never formed.  There the n_az > 2(K-1) equispaced
+    longitudes make the columns of distinct (order, kind) orthogonal, and
+    each (order, kind) group is a Legendre block on the rings times one
+    trig vector, and mult depends on the degree only.  So the singular
+    values are those of the order blocks taken at longitude 0, each order
+    m >= 1 counted twice (cosine and sine kinds).
     """
     check_mass(m)
     if K is None:
@@ -90,8 +112,11 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet,
     if not 1 <= K <= model.truncation:
         raise ValueError(f"K must lie in [1, {model.truncation}]")
     dim = int(model.block_offsets[K])
+    rings = None
     if points is None:
-        points = interior_points(model, obs.descriptor, node_multiplier * dim)
+        rings = polar_cap_rings(model, obs.descriptor, node_multiplier * dim)
+        if rings is None:
+            points = interior_points(model, obs.descriptor, node_multiplier * dim)
     else:
         points = as_points(points, model.dimension)
         outside = np.count_nonzero(~descriptor_contains(model, obs.descriptor, points))
@@ -99,28 +124,34 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet,
             raise PreconditionError(
                 f"{outside} of {points.shape[0]} sample points lie outside the "
                 "observation window; the certificate would be for another set")
-    if points.shape[0] < 2 * dim:
+    if rings is None:
+        n_points = points.shape[0]
+    else:
+        ring_points, n_az, columns = rings
+        n_points = ring_points.shape[0] * n_az
+    if n_points < 2 * dim:
         raise UnderdeterminedSamplingError(
-            f"{points.shape[0]} sample points cannot overdetermine a "
+            f"{n_points} sample points cannot overdetermine a "
             f"{dim}-dimensional space; need at least {2 * dim}")
 
-    B = model.eigenfunction_values(points)[:, :dim]
-    if include_image:
-        R = np.linalg.qr(B, mode="r")
-        mult = l_multiplier(model.flat_eigenvalues()[:dim], m)
-        constraint = np.vstack([R, R * mult[None, :]])
+    mult = (l_multiplier(model.flat_eigenvalues()[:dim], m) if include_image
+            else None)
+    if rings is None:
+        sv = _certificate_values(model.eigenfunction_values(points)[:, :dim], mult)
     else:
-        constraint = B
-    # unit column norms: rank must not depend on how the operator scales
-    # individual basis directions
-    norms = np.linalg.norm(constraint, axis=0)
-    constraint /= np.maximum(norms, 1e-300)[None, :]
-    sv = np.linalg.svd(constraint, compute_uv=False)
+        values = model.eigenfunction_values(ring_points)
+        blocks = []
+        for order, cols in enumerate(columns[:K]):
+            cols = cols[cols < dim]
+            sv = _certificate_values(values[:, cols],
+                                     None if mult is None else mult[cols])
+            blocks += [sv] if order == 0 else [sv, sv]
+        sv = np.sort(np.concatenate(blocks))[::-1]
     null_dim = int(np.sum(sv < 1e-9 * sv[0]))
     return UcpReport(truncation=K, descriptor=obs.descriptor,
                      null_dimension=null_dim,
                      smallest_singular=float(sv[-1]),
-                     passed=null_dim == 0, n_points=int(points.shape[0]),
+                     passed=null_dim == 0, n_points=int(n_points),
                      include_image=include_image)
 
 
@@ -184,7 +215,9 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
             f"{uncovered.size} nodes outside the window have no admissible "
             "source; add sources or lower the mask threshold")
     if disagreement_tol is not None:
-        worst = np.nanmax(disagreement[complement]) if complement.size else 0.0
+        # uncovered nodes carry no candidate, hence no disagreement
+        reached = complement[mask[complement]]
+        worst = float(np.max(disagreement[reached])) if reached.size else 0.0
         if worst > disagreement_tol:
             raise InconsistentCandidatesError(
                 f"source candidates disagree by {worst:.3e} "

@@ -27,10 +27,11 @@ from loglap.config import (
     validate_config,
 )
 from loglap.errors import FieldError, LoglapError
-from loglap.models import (ISOMETRIES, WINDOWS, AngularInterval, build_model,
-                           restrict_to_observation)
+from loglap.models import (ISOMETRIES, WINDOWS, AngularInterval, SphericalCap,
+                           build_model, interior_points, restrict_to_observation)
 from loglap.serialize import (SerializationError, load_gelfand, load_record,
-                              load_solution, load_manifest)
+                              load_report, load_solution, load_manifest)
+from test_recovery import dense_certificate
 
 
 def circle_config(**overrides):
@@ -369,6 +370,22 @@ class TestSubcommands:
             observation={"kind": "interval", "start": 0.0,
                          "end": float(np.pi / 2)}), "deg.json")
         assert run_cli("ucp", degenerate, tmp_path / "out2") == 1
+        # a cap centred on the sphere's pole takes the per-order route and
+        # must certify what the dense sample matrix certifies
+        polar = write_config(tmp_path, sphere_config(
+            model={"kind": "sphere", "truncation": 16},
+            observation={"kind": "cap", "center": [0.0, 0.0], "radius": 2.6}),
+            "polar.json")
+        assert run_cli("ucp", polar, tmp_path / "out3") == 0
+        report = load_report(tmp_path / "out3" / "ucp_report.json")
+        model = build_model("sphere", 16)
+        obs = restrict_to_observation(model, SphericalCap((0.0, 0.0), 2.6))
+        null_dim, sv = dense_certificate(model, 2.0, obs, 16, include_image=True)
+        assert report.null_dimension == null_dim == 0
+        assert report.passed
+        points = interior_points(model, obs.descriptor, 4 * model.total_dim)
+        assert report.n_points == points.shape[0]
+        assert abs(report.smallest_singular - sv[-1]) <= 1e-10 * sv[0]
 
     def test_recover_run(self, tmp_path):
         cfg = write_config(tmp_path, circle_config(

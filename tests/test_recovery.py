@@ -24,6 +24,7 @@ from loglap.models import (
     TorusBox,
     build_model,
     interior_points,
+    polar_cap_rings,
     restrict_to_observation,
     with_mixed_blocks,
 )
@@ -159,12 +160,30 @@ DENSE_CASES = {
     "sphere-off-pole-K16": ("sphere", 16, {}, SphericalCap((0.9, 1.7), 1.4), None),
     "sphere-K-below-truncation": ("sphere", 12, {}, SphericalCap((0.9, 1.7), 1.4), 6),
     "circle-quarter-degenerate": ("circle", 16, {}, AngularInterval(0.0, np.pi / 2), None),
+    # caps centred on the basis pole take the per-order route
+    "sphere-polar": ("sphere", 8, {}, SphericalCap((0.0, 0.0), 2.4), None),
+    "sphere-polar-longitude-K16": ("sphere", 16, {}, SphericalCap((0.0, 1.3), 2.6), None),
+    "sphere-polar-K-below-truncation": ("sphere", 12, {}, SphericalCap((0.0, 0.0), 2.4), 6),
+    # solution-only rows are rank deficient here, the image rows are not
+    "sphere-polar-degenerate": ("sphere", 16, {}, SphericalCap((0.0, 0.0), 1.4), None),
 }
 
 
+def assert_matches_dense(report, model, obs, K, include_image, bitwise):
+    null_dim, sv = dense_certificate(model, 2.0, obs, K, include_image)
+    assert report.null_dimension == null_dim
+    assert report.passed == (null_dim == 0)
+    if bitwise:
+        assert report.smallest_singular == sv[-1]
+    else:
+        assert abs(report.smallest_singular - sv[-1]) <= 1e-10 * sv[0]
+
+
 class TestUcpDenseReference:
-    """The image variant goes through the samples' triangular factor; it
-    must certify what the dense 2P x D stack certifies."""
+    """The image variant goes through the samples' triangular factor, and
+    polar caps through one block per azimuthal order; both must certify
+    what the dense 2P x D stack certifies.  The solution variant of the
+    dense route is the definition itself, bit for bit."""
 
     @pytest.mark.parametrize("include_image", [True, False], ids=["image", "solution"])
     @pytest.mark.parametrize("case", DENSE_CASES.values(), ids=DENSE_CASES.keys())
@@ -173,13 +192,56 @@ class TestUcpDenseReference:
         model = build_model(kind, truncation, **kwargs)
         obs = restrict_to_observation(model, desc)
         report = ucp_nullspace_test(model, 2.0, obs, K=K, include_image=include_image)
-        null_dim, sv = dense_certificate(model, 2.0, obs, K or truncation, include_image)
-        assert report.null_dimension == null_dim
-        assert report.passed == (null_dim == 0)
-        if include_image:
-            assert abs(report.smallest_singular - sv[-1]) <= 1e-10 * sv[0]
+        polar = kind == "sphere" and desc.center[0] == 0.0
+        assert_matches_dense(report, model, obs, K or truncation, include_image,
+                             bitwise=not (include_image or polar))
+
+
+class TestUcpPolarCapRoute:
+    """On a cap centred on the basis pole the default samples sit on rings
+    of n_az equispaced longitudes, and the certificate splits by order."""
+
+    @pytest.mark.parametrize("multiplier", [2, 4, 7])
+    @pytest.mark.parametrize("K", [8, 32])
+    def test_orders_orthogonal_on_ring_grid(self, K, multiplier):
+        model = build_model("sphere", K)
+        desc = SphericalCap((0.0, 0.7), 2.6)
+        ring_points, n_az, columns = polar_cap_rings(model, desc, multiplier * K * K)
+        # distinct orders, and the two kinds of one order, stay orthogonal
+        # on n_az equispaced longitudes exactly when n_az > 2 (K - 1); the
+        # order blocks are overdetermined when there are at least K rings
+        assert n_az > 2 * (K - 1)
+        assert ring_points.shape[0] >= K
+        B = model.eigenfunction_values(
+            interior_points(model, desc, multiplier * K * K))
+        assert B.shape[0] == ring_points.shape[0] * n_az
+        table = model.basis_table
+        group = table["orders"] * 2 + (table["kinds"] == 2)
+        gram = B.T @ B
+        apart = group[:, None] != group[None, :]
+        assert np.max(np.abs(gram[apart])) <= 1e-12 * np.max(np.diag(gram))
+        assert [c.size for c in columns] == [K - m for m in range(K)]
+
+    @pytest.mark.parametrize("include_image", [True, False], ids=["image", "solution"])
+    @pytest.mark.parametrize("variant", ["mixed-blocks", "explicit-points", "near-pole"])
+    def test_other_inputs_take_dense_route(self, variant, include_image):
+        model = build_model("sphere", 8)
+        desc = SphericalCap((0.0, 0.0), 2.4)
+        points = None
+        if variant == "mixed-blocks":
+            model = with_mixed_blocks(model, seed=3)
+        elif variant == "explicit-points":
+            points = interior_points(model, desc, 4 * model.total_dim)
         else:
-            assert report.smallest_singular == sv[-1]
+            desc = SphericalCap((1e-3, 0.0), 2.4)
+        obs = restrict_to_observation(model, desc)
+        if points is None:
+            assert polar_cap_rings(model, desc, 4 * model.total_dim) is None
+        report = ucp_nullspace_test(model, 2.0, obs, include_image=include_image,
+                                    points=points)
+        # only the dense route reproduces the definition bit for bit
+        assert_matches_dense(report, model, obs, 8, include_image,
+                             bitwise=not include_image)
 
 
 # ---------------------------------------------------------------- recovery
@@ -255,6 +317,15 @@ class TestRecoverPotential:
         with pytest.raises(InconsistentCandidatesError):
             recover_potential(model, 1.1, obs, V, records,
                               disagreement_tol=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_disagreement_tolerance_without_coverage(self):
+        # no node off the window is covered, so no candidates can disagree
+        centers = np.linspace(1.26, 1.88, 6)
+        model, obs, V, records = cosine_records(8, centers)
+        out = recover_potential(model, 1.1, obs, V, records, mask_eps=2.0,
+                                disagreement_tol=1e-9)
+        assert out.covered_fraction == 0.0
 
     def test_disagreement_diagnostic_reported(self):
         centers = np.linspace(1.26, 1.88, 6)
