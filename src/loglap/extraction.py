@@ -70,9 +70,10 @@ def heat_trace_of_field(model: SpectralModel, m: float, solution, obs: Observati
     """Sample e^{-tA} L u on the observation nodes for each listed time.
 
     The semigroup acts per eigenspace: every column of block k decays at
-    the same rate lambda_k + m, so the weighted basis rows are summed to one
-    column per eigenspace before the decay is applied.  This also holds for
-    a basis rotated inside each eigenspace.
+    the same rate lambda_k + m, so the window's basis rows are contracted
+    with the weighted coefficients to one column per eigenspace before the
+    decay is applied.  This also holds for a basis rotated inside each
+    eigenspace.
     """
     check_mass(m)
     times = np.asarray(times, dtype=float)
@@ -82,9 +83,11 @@ def heat_trace_of_field(model: SpectralModel, m: float, solution, obs: Observati
         raise ValueError("heat trace times must be strictly positive")
     u = _coerce_field(model, solution)
     weighted = l_multiplier(model.flat_eigenvalues(), m) * u.values
-    B = np.take(model.node_basis(), obs.node_indices, axis=0)   # a copy: scaled in place
-    B *= weighted
-    per_block = np.add.reduceat(B, model.block_offsets[:-1], axis=1)
+    rows = model.window_rows(obs.node_indices)
+    off = model.block_offsets
+    per_block = np.empty((rows.shape[0], model.truncation))
+    for k in range(model.truncation):
+        per_block[:, k] = rows[:, off[k]:off[k + 1]] @ weighted[off[k]:off[k + 1]]
     values = np.exp(-np.outer(times, model.eigenvalues + m)) @ per_block.T
     return HeatTrace(times=times, nodes=obs.nodes, values=values,
                      node_indices=obs.node_indices, source_id=source_id)

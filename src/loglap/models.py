@@ -91,6 +91,8 @@ class SpectralModel:
     _node_basis_cache: Optional[np.ndarray] = field(default=None, repr=False)
     # (key, ForwardMap) of the last factored operator; see solver.forward_map
     _forward_map_cache: Optional[tuple] = field(default=None, repr=False)
+    # (key, rows) of the last window gathered; see window_rows
+    _window_rows_cache: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def kind(self) -> str:
@@ -137,6 +139,23 @@ class SpectralModel:
             self._node_basis_cache = np.ascontiguousarray(
                 self.eigenfunction_values(self.nodes))
         return self._node_basis_cache
+
+    def window_rows(self, node_indices) -> np.ndarray:
+        """The rows of `node_basis()` at `node_indices`, (|O|, D), read-only.
+
+        The model keeps the rows of the last window asked for, keyed by the
+        bytes of the indices, so every record and trace on one window shares
+        one gather; another window replaces them.
+        """
+        idx = np.asarray(node_indices, dtype=np.intp)
+        key = idx.tobytes()
+        cached = self._window_rows_cache
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        rows = self.node_basis()[idx]
+        rows.setflags(write=False)  # every caller shares the cached rows
+        self._window_rows_cache = (key, rows)
+        return rows
 
     def flat_eigenvalues(self) -> np.ndarray:
         """Eigenvalue per basis column (block value repeated d_k times)."""
@@ -827,7 +846,7 @@ def with_mixed_blocks(model: SpectralModel, seed: int) -> SpectralModel:
         q = q * np.sign(np.diag(r))[None, :]
         mixers.append(q)
     return replace(model, block_mixers=mixers, _node_basis_cache=None,
-                   _forward_map_cache=None)
+                   _forward_map_cache=None, _window_rows_cache=None)
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,8 @@ def heat_kernel_equality_check(model_a: SpectralModel, model_b: SpectralModel,
                                tolerance: float = 1e-10) -> KernelMatchReport:
     """Compare both kernels on all window node pairs over the time grid.
 
-    Each model's basis rows on the window are taken once; only the decay
-    changes from one time to the next.
+    Each model's basis rows on the window come from `window_rows`; only
+    the decay changes from one time to the next.
     """
     check_mass(m)
     if obs_a.nodes.shape != obs_b.nodes.shape or \
@@ -262,8 +262,8 @@ def heat_kernel_equality_check(model_a: SpectralModel, model_b: SpectralModel,
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or np.any(times <= 0):
         raise ValueError("times must be positive")
-    rows_a = model_a.node_basis()[obs_a.node_indices]
-    rows_b = model_b.node_basis()[obs_b.node_indices]
+    rows_a = model_a.window_rows(obs_a.node_indices)
+    rows_b = model_b.window_rows(obs_b.node_indices)
     mu_a = model_a.flat_eigenvalues() + m
     mu_b = model_b.flat_eigenvalues() + m
     devs = np.empty(times.size)

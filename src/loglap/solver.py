@@ -331,7 +331,7 @@ def cauchy_record(model: SpectralModel, m: float, V: PotentialField,
     """Forward-solve with one source and restrict (u, L u) to the nodes."""
     u = solve_schrodinger(model, m, V, source)
     mult = l_multiplier(model.flat_eigenvalues(), m)
-    B = model.node_basis()[obs.node_indices]
+    B = model.window_rows(obs.node_indices)
     return CauchyRecord(kind=model.kind, truncation=model.truncation,
                         mass=float(m), source_id=source.source_id,
                         potential_label=V.label, descriptor=obs.descriptor,

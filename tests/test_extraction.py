@@ -181,6 +181,18 @@ class TestPerEigenspaceTrace:
         dense = dense_trace(model, 2.0, u, obs, times)
         assert np.max(np.abs(values - dense)) <= 1e-13 * np.max(np.abs(dense))
 
+    def test_mixed_copy_gathers_its_own_rows(self):
+        # the copy must not serve the window rows the base model gathered
+        model = build_model("circle", 10)
+        obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
+        u = random_field(model, seed=4).values
+        times = default_time_grid(model, 2.0, samples=9)
+        heat_trace_of_field(model, 2.0, u, obs, times)
+        mixed = with_mixed_blocks(model, 3)
+        values = heat_trace_of_field(mixed, 2.0, u, obs, times).values
+        dense = dense_trace(mixed, 2.0, FieldCoefficients(mixed, u), obs, times)
+        assert np.max(np.abs(values - dense)) <= 1e-13 * np.max(np.abs(dense))
+
     def test_single_eigenspace_decays_at_its_rate(self):
         model = build_model("sphere", 6)
         obs = restrict_to_observation(model, SphericalCap((0.0, 0.0), 1.2))
@@ -418,6 +430,39 @@ class TestBuildGelfandData:
         report = compare_gelfand(da, db)
         assert report.passed
         assert np.max(report.max_angles) < 1e-8
+
+
+def probe_case(kind, K):
+    """The benchmark's working-range probe inputs: a 0.3 cos potential, m = 2,
+    window (0, pi), (0, pi)^2 or a cap of radius 1.2, and K, 16 or 16
+    sources with jitter seed 0."""
+    if kind == "circle":
+        model = build_model("circle", K)
+        desc, count = AngularInterval(0.0, np.pi), K
+        V = PotentialField(lambda th: 0.3 * np.cos(th), label="0.3*cos")
+    elif kind == "torus":
+        model = build_model("torus", K, edges=(2.0 * np.pi, 2.0 * np.pi))
+        desc, count = TorusBox(((0.0, np.pi), (0.0, np.pi))), 16
+        V = PotentialField(lambda p: 0.3 * np.cos(p[:, 0]), label="0.3*cos(x)")
+    else:
+        model = build_model("sphere", K)
+        desc, count = SphericalCap((0.0, 0.0), 1.2), 16
+        V = PotentialField(lambda p: 0.3 * np.cos(p[:, 0]), label="0.3*cos(colat)")
+    obs = restrict_to_observation(model, desc)
+    return model, V, obs, make_source_basis(model, obs, count, seed=0)
+
+
+# the largest K the probe reaches on every rung below it: a floor, so that a
+# shrinking working range fails here and not only in the benchmark
+WORKING_RANGE = {"circle": 7, "torus": 10, "sphere": 7}
+
+
+@pytest.mark.parametrize("kind,K", [(kind, K) for kind, top in WORKING_RANGE.items()
+                                    for K in range(1, top + 1)])
+def test_working_range_floor(kind, K):
+    model, V, obs, sources = probe_case(kind, K)
+    data = build_gelfand_data(model, 2.0, V, obs, sources)
+    assert np.array_equal(data.multiplicities, model.multiplicities)
 
 
 class TestCompareGelfand:

@@ -286,10 +286,14 @@ class TestForwardMap:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rows = model.window_rows(obs.node_indices)
         for src in sources:
             cauchy_record(model, 2.0, V, src, obs)
             heat_trace_of_solution(model, 2.0, V, src, obs, times)
         assert shapes == [(model.total_dim, model.total_dim)]
+        # and one gather of the window's basis rows
+        assert model.window_rows(obs.node_indices) is rows
+        assert not rows.flags.writeable
 
     def test_rebuilt_when_m_or_closure_changes(self):
         model = circle(8)
@@ -518,6 +522,31 @@ class TestCauchyRecord:
             recs.append(cauchy_record(model, 2.0, cos_potential(0.3), src, obs))
         diff = np.max(np.abs(recs[0].lu_values - recs[1].lu_values))
         assert 1e-7 < diff < 2e-5
+
+    def test_values_are_window_rows_times_coefficients(self):
+        model = build_model("sphere", 6)
+        obs = restrict_to_observation(model, SphericalCap((0.0, 0.0), 1.2))
+        V = PotentialField(lambda p: 0.2 * np.cos(p[:, 0]), label="0.2*cos")
+        src = make_source_basis(model, obs, 1, order=3)[0]
+        rec = cauchy_record(model, 2.0, V, src, obs)
+        B = model.node_basis()[obs.node_indices]
+        u = rec.solution.values
+        assert np.array_equal(rec.u_values, B @ u)
+        assert np.array_equal(rec.lu_values,
+                              B @ (l_multiplier(model.flat_eigenvalues(), 2.0) * u))
+
+    def test_second_window_replaces_rows(self):
+        model = circle(16)
+        first = restrict_to_observation(model, AngularInterval(0.0, np.pi))
+        second = restrict_to_observation(model, AngularInterval(0.5, 2.5))
+        src = make_source_basis(model, second, 1)[0]
+        rows = model.window_rows(first.node_indices)
+        rec = cauchy_record(model, 2.0, cos_potential(0.3), src, second)
+        assert np.array_equal(rec.u_values,
+                              model.node_basis()[second.node_indices] @ rec.solution.values)
+        again = model.window_rows(first.node_indices)
+        assert again is not rows
+        assert np.array_equal(again, rows)
 
     def test_record_payload(self):
         model = circle(24)
