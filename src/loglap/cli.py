@@ -55,7 +55,7 @@ from .serialize import (
     spectrum_to_csv,
     trace_to_csv,
 )
-from .solver import Solution, cauchy_record, forward_map, solve_schrodinger
+from .solver import Solution, cauchy_record, forward_map
 
 
 def _emit(quiet: bool, *lines):
@@ -89,14 +89,14 @@ def _cmd_solve(cfg: ExperimentConfig, out: Path, quiet: bool) -> bool:
     V = config_potential(cfg)
     obs = config_observation(cfg, model)
     src = config_sources(cfg, model, obs)[0]
-    u = solve_schrodinger(model, cfg.m, V, src)
-    residual = float(np.linalg.norm(
-        forward_map(model, cfg.m, V).matrix @ u.values - src.coefficients))
+    fmap = forward_map(model, cfg.m, V)
+    u = fmap.solve(src.coefficients)
+    residual = float(np.linalg.norm(fmap.matrix @ u - src.coefficients))
     dump_solution(Solution(kind=model.kind, truncation=model.truncation, mass=cfg.m,
                            source_id=src.source_id, potential_label=V.label,
-                           coefficients=u.values, residual=residual),
+                           coefficients=u, residual=residual),
                   out / "solution.json")
-    solution_to_csv(model, model.node_basis() @ u.values, out / "solution.csv")
+    solution_to_csv(model, model.node_basis() @ u, out / "solution.csv")
     ok = residual <= cfg.tolerances.solve_residual
     _emit(quiet, f"solved with source {src.source_id}: "
                  f"residual {residual:.3e} ({'ok' if ok else 'FAILED'})")

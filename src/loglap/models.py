@@ -23,7 +23,7 @@ downstream depends on signs, only on block spans.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar, Optional, Union
 
 import numpy as np
@@ -55,7 +55,8 @@ __all__ = [
     "verify_orthonormality",
     "restrict_to_observation",
     "interior_points",
-    "polar_cap_rings",
+    "WindowSampling",
+    "certificate_sampling",
     "descriptor_contains",
     "geodesic_distance",
     "with_mixed_blocks",
@@ -88,11 +89,6 @@ class SpectralModel:
     quadrature_spec: tuple
     basis_table: dict
     block_mixers: Optional[list] = None
-    _node_basis_cache: Optional[np.ndarray] = field(default=None, repr=False)
-    # (key, ForwardMap) of the last factored operator; see solver.forward_map
-    _forward_map_cache: Optional[tuple] = field(default=None, repr=False)
-    # (key, rows) of the last window gathered; see window_rows
-    _window_rows_cache: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def kind(self) -> str:
@@ -133,29 +129,35 @@ class SpectralModel:
         pts = as_points(points, self.dimension)
         return self._mixed(self.manifold.basis_values(pts, self.basis_table))
 
+    def memo(self, slot: str, key, build):
+        """`build()` for `key`, kept in `slot` until another key replaces it.
+        Callers share it, so its arrays (the value, or a dataclass value's
+        fields) are made read-only.  Not a field: a `replace` copy starts empty."""
+        store = self.__dict__.setdefault("_memo", {})
+        held = store.get(slot)
+        if held is not None and held[0] == key:
+            return held[1]
+        value = build()
+        for a in (value, *getattr(value, "__dict__", {}).values()):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        store[slot] = (key, value)
+        return value
+
     def node_basis(self) -> np.ndarray:
-        if self._node_basis_cache is None:
-            # row-major: the heat trace and the Gram assembly take node rows
-            self._node_basis_cache = np.ascontiguousarray(
-                self.eigenfunction_values(self.nodes))
-        return self._node_basis_cache
+        """All basis functions at the quadrature nodes, (N, D), read-only."""
+        # row-major: the heat trace and the Gram assembly take node rows
+        return self.memo("node_basis", None, lambda: np.ascontiguousarray(
+            self.eigenfunction_values(self.nodes)))
 
     def window_rows(self, node_indices) -> np.ndarray:
         """The rows of `node_basis()` at `node_indices`, (|O|, D), read-only.
 
-        The model keeps the rows of the last window asked for, keyed by the
-        bytes of the indices, so every record and trace on one window shares
-        one gather; another window replaces them.
+        Keyed by the bytes of the indices, so every record and trace on one
+        window shares one gather; another window replaces them.
         """
         idx = np.asarray(node_indices, dtype=np.intp)
-        key = idx.tobytes()
-        cached = self._window_rows_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        rows = self.node_basis()[idx]
-        rows.setflags(write=False)  # every caller shares the cached rows
-        self._window_rows_cache = (key, rows)
-        return rows
+        return self.memo("window_rows", idx.tobytes(), lambda: self.node_basis()[idx])
 
     def flat_eigenvalues(self) -> np.ndarray:
         """Eigenvalue per basis column (block value repeated d_k times)."""
@@ -187,6 +189,17 @@ class OrthonormalityReport:
     max_diag_defect: float
     max_offdiag: float
     aliasing_suspected: bool
+
+
+@dataclass(frozen=True)
+class WindowSampling:
+    """Where the continuation certificate samples a window: the basis at
+    `points`, which stand for `n_points` window points, split into groups
+    (column selector, how often the group's singular values count)."""
+
+    points: np.ndarray
+    n_points: int
+    groups: tuple
 
 
 # observation descriptors ----------------------------------------------------
@@ -476,6 +489,9 @@ class FlatTorus:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.column_stack([g.ravel() for g in grids])
 
+    def split_sampling(self, desc, count: int, table) -> None:
+        return None  # no window grid of a flat torus splits the basis
+
     def window_margin(self, desc, center) -> float:
         """Geodesic distance from `center` to the window boundary."""
         lows, highs = np.array(desc.intervals, dtype=float).T
@@ -650,17 +666,17 @@ class RoundSphere:
         gg, aa = np.meshgrid(gammas, az, indexing="ij")
         return _cap_chart_to_sphere(desc.center, gg.ravel(), aa.ravel())
 
-    def polar_rings(self, desc, count: int, table):
-        """The `window_points` grid of a cap centred on the basis pole.
+    def split_sampling(self, desc, count: int, table):
+        """The `window_points` grid of a cap centred on the basis pole, one
+        column group per azimuthal order; None for any other cap.
 
-        For a cap at colatitude exactly 0 `_cap_chart_to_sphere` gives every
-        point of a ring the colatitude arccos(cos gamma), so on this grid
-        each basis column is a Legendre factor on the rings times a trig
-        factor on the n_az equispaced longitudes. Returns the ring points at
-        longitude 0, n_az, and for each order m the columns of its cosine
-        kind (for m = 0 its only kind); at longitude 0 these hold the
-        Legendre factors, which the order's sine columns share. None for any
-        other cap.
+        There every ring point has colatitude arccos(cos gamma), so each
+        column is a Legendre factor on the rings times a trig factor on the
+        n_az > 2 lmax equispaced longitudes, and columns of distinct (order,
+        kind) are orthogonal.  At longitude 0 the cosine columns (for m = 0
+        the only kind) hold the Legendre factors the sine columns share, so
+        each order m >= 1 counts twice; L's multipliers depend on the degree
+        only, so this holds for the certificate's image rows too.
         """
         if float(desc.center[0]) != 0.0:
             return None
@@ -668,9 +684,9 @@ class RoundSphere:
         rings = _cap_chart_to_sphere(desc.center, gammas, np.zeros_like(gammas))
         rings[:, 1] = 0.0  # where every cosine factor is 1
         even = table["kinds"] != 2
-        columns = [np.flatnonzero(even & (table["orders"] == m))
-                   for m in range(int(np.max(table["degrees"])) + 1)]
-        return rings, n_az, columns
+        groups = tuple((np.flatnonzero(even & (table["orders"] == m)), 1 if m == 0 else 2)
+                       for m in range(int(np.max(table["degrees"])) + 1))
+        return WindowSampling(rings, rings.shape[0] * n_az, groups)
 
     def window_margin(self, desc, center) -> float:
         """Geodesic distance from `center` to the cap boundary."""
@@ -802,17 +818,28 @@ def interior_points(model: SpectralModel, descriptor, count: int) -> np.ndarray:
     return model.manifold.window_points(descriptor, count)
 
 
-def polar_cap_rings(model: SpectralModel, descriptor, count: int):
-    """`interior_points` split by azimuthal order, where the basis allows.
-
-    That is an unmixed sphere basis and a cap centred on its pole; see
-    `RoundSphere.polar_rings` for what is returned. None otherwise: block
-    mixing rotates columns inside each eigenspace, so orders mix.
-    """
-    _check_sampling(model, descriptor, count)
-    if model.kind != "sphere" or model.block_mixers is not None:
-        return None
-    return model.manifold.polar_rings(descriptor, count, model.basis_table)
+def certificate_sampling(model: SpectralModel, descriptor, count: int,
+                         points=None) -> WindowSampling:
+    """Where the continuation certificate samples the window: explicit
+    `points`, which must lie in it, or the `interior_points` for `count`, as
+    one group of all columns counted once.  A cap centred on the pole of an
+    unmixed sphere basis splits by order (`RoundSphere.split_sampling`);
+    block mixing rotates columns inside each eigenspace, so orders mix."""
+    if points is None:
+        _check_sampling(model, descriptor, count)
+        if model.block_mixers is None:
+            split = model.manifold.split_sampling(descriptor, count, model.basis_table)
+            if split is not None:
+                return split
+        points = interior_points(model, descriptor, count)
+    else:
+        points = as_points(points, model.dimension)
+        outside = np.count_nonzero(~descriptor_contains(model, descriptor, points))
+        if outside:
+            raise PreconditionError(
+                f"{outside} of {points.shape[0]} sample points lie outside the "
+                "observation window; the certificate would be for another set")
+    return WindowSampling(points, points.shape[0], ((slice(None), 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +872,7 @@ def with_mixed_blocks(model: SpectralModel, seed: int) -> SpectralModel:
         q, r = np.linalg.qr(rng.standard_normal((d, d)))
         q = q * np.sign(np.diag(r))[None, :]
         mixers.append(q)
-    return replace(model, block_mixers=mixers, _node_basis_cache=None,
-                   _forward_map_cache=None, _window_rows_cache=None)
+    return replace(model, block_mixers=mixers)
 
 
 # ---------------------------------------------------------------------------

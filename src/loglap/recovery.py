@@ -26,11 +26,8 @@ from .models import (
     SpectralModel,
     Window,
     apply_isometry,
-    as_points,
-    descriptor_contains,
-    interior_points,
+    certificate_sampling,
     isometry_preserves_set,
-    polar_cap_rings,
     project_function,
 )
 from .solver import (
@@ -82,9 +79,8 @@ def _certificate_values(samples: np.ndarray, mult) -> np.ndarray:
     return np.linalg.svd(samples, compute_uv=False)
 
 
-def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet,
-                       K: Optional[int] = None, *, node_multiplier: int = 4,
-                       include_image: bool = True,
+def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet, *,
+                       node_multiplier: int = 4, include_image: bool = True,
                        points=None) -> UcpReport:
     """Numerical null space of v -> (v, L v) sampled inside the window.
 
@@ -98,60 +94,28 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet,
     the singular values and the column norms of [B; B diag(mult)] at
     2D x D in place of 2P x D.  Explicit `points` must lie in the window.
 
-    On the default grid of a cap centred on the pole of an unmixed sphere
-    basis, B is never formed.  There the n_az > 2(K-1) equispaced
-    longitudes make the columns of distinct (order, kind) orthogonal, and
-    each (order, kind) group is a Legendre block on the rings times one
-    trig vector, and mult depends on the degree only.  So the singular
-    values are those of the order blocks taken at longitude 0, each order
-    m >= 1 counted twice (cosine and sine kinds).
+    `certificate_sampling` decides where B is sampled and how its columns
+    group; each group's singular values count as often as it says.
     """
     check_mass(m)
-    if K is None:
-        K = model.truncation
-    if not 1 <= K <= model.truncation:
-        raise ValueError(f"K must lie in [1, {model.truncation}]")
-    dim = int(model.block_offsets[K])
-    rings = None
-    if points is None:
-        rings = polar_cap_rings(model, obs.descriptor, node_multiplier * dim)
-        if rings is None:
-            points = interior_points(model, obs.descriptor, node_multiplier * dim)
-    else:
-        points = as_points(points, model.dimension)
-        outside = np.count_nonzero(~descriptor_contains(model, obs.descriptor, points))
-        if outside:
-            raise PreconditionError(
-                f"{outside} of {points.shape[0]} sample points lie outside the "
-                "observation window; the certificate would be for another set")
-    if rings is None:
-        n_points = points.shape[0]
-    else:
-        ring_points, n_az, columns = rings
-        n_points = ring_points.shape[0] * n_az
-    if n_points < 2 * dim:
+    dim = model.total_dim
+    sampling = certificate_sampling(model, obs.descriptor, node_multiplier * dim, points)
+    if sampling.n_points < 2 * dim:
         raise UnderdeterminedSamplingError(
-            f"{n_points} sample points cannot overdetermine a "
+            f"{sampling.n_points} sample points cannot overdetermine a "
             f"{dim}-dimensional space; need at least {2 * dim}")
 
-    mult = (l_multiplier(model.flat_eigenvalues()[:dim], m) if include_image
-            else None)
-    if rings is None:
-        sv = _certificate_values(model.eigenfunction_values(points)[:, :dim], mult)
-    else:
-        values = model.eigenfunction_values(ring_points)
-        blocks = []
-        for order, cols in enumerate(columns[:K]):
-            cols = cols[cols < dim]
-            sv = _certificate_values(values[:, cols],
-                                     None if mult is None else mult[cols])
-            blocks += [sv] if order == 0 else [sv, sv]
-        sv = np.sort(np.concatenate(blocks))[::-1]
-    null_dim = int(np.sum(sv < 1e-9 * sv[0]))
-    return UcpReport(truncation=K, descriptor=obs.descriptor,
+    mult = l_multiplier(model.flat_eigenvalues(), m) if include_image else None
+    values = model.eigenfunction_values(sampling.points)
+    sv = np.concatenate([
+        np.repeat(_certificate_values(values[:, cols], None if mult is None else mult[cols]),
+                  count)
+        for cols, count in sampling.groups])
+    null_dim = int(np.sum(sv < 1e-9 * np.max(sv)))
+    return UcpReport(truncation=model.truncation, descriptor=obs.descriptor,
                      null_dimension=null_dim,
-                     smallest_singular=float(sv[-1]),
-                     passed=null_dim == 0, n_points=int(n_points),
+                     smallest_singular=float(np.min(sv)),
+                     passed=null_dim == 0, n_points=int(sampling.n_points),
                      include_image=include_image)
 
 

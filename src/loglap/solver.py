@@ -253,26 +253,22 @@ def forward_map(model: SpectralModel, m: float, V: PotentialField) -> ForwardMap
     """The factored operator for (model, m, V), reused while m and V's node
     values stay the same.
 
-    The model holds one map.  It is keyed by m and the bytes of V's node
-    values, not by the identity of V, so a potential whose closure changed
-    is refactored rather than served stale.
+    The model's memo holds one map.  It is keyed by m and the bytes of V's
+    node values, not by the identity of V, so a potential whose closure
+    changed is refactored rather than served stale.
     """
+    def build() -> ForwardMap:
+        mult = l_multiplier(model.flat_eigenvalues(), m)
+        H = np.diag(mult) + assemble_potential_matrix(model, V)
+        w, Q = np.linalg.eigh(H)
+        amin = float(np.min(np.abs(w)))
+        amax = float(np.max(np.abs(w)))
+        cond = amax / amin if amin > 0 else np.inf
+        return ForwardMap(matrix=H, eigenvalues=w, eigenvectors=Q, multipliers=mult,
+                          cond=cond, label=V.label)
+
     key = (check_mass(m), V.node_values(model).tobytes())
-    cached = model._forward_map_cache
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    mult = l_multiplier(model.flat_eigenvalues(), m)
-    H = np.diag(mult) + assemble_potential_matrix(model, V)
-    w, Q = np.linalg.eigh(H)
-    amin = float(np.min(np.abs(w)))
-    amax = float(np.max(np.abs(w)))
-    cond = amax / amin if amin > 0 else np.inf
-    for a in (H, w, Q, mult):
-        a.setflags(write=False)  # every caller shares the cached arrays
-    fmap = ForwardMap(matrix=H, eigenvalues=w, eigenvectors=Q, multipliers=mult,
-                      cond=cond, label=V.label)
-    model._forward_map_cache = (key, fmap)
-    return fmap
+    return model.memo("forward_map", key, build)
 
 
 def solve_schrodinger(model: SpectralModel, m: float, V: PotentialField, rhs, *,
@@ -328,9 +324,10 @@ class CauchyRecord:
 
 def cauchy_record(model: SpectralModel, m: float, V: PotentialField,
                   source: SourceFunction, obs: ObservationSet) -> CauchyRecord:
-    """Forward-solve with one source and restrict (u, L u) to the nodes."""
-    u = solve_schrodinger(model, m, V, source)
-    mult = l_multiplier(model.flat_eigenvalues(), m)
+    """Forward-solve with one source and restrict (u, L u) to the nodes;
+    L u takes the multipliers of the operator that solved for u."""
+    fmap = forward_map(model, m, V)
+    u = FieldCoefficients(model, fmap.solve(_coerce_rhs(model, source)))
     B = model.window_rows(obs.node_indices)
     return CauchyRecord(kind=model.kind, truncation=model.truncation,
                         mass=float(m), source_id=source.source_id,
@@ -338,5 +335,5 @@ def cauchy_record(model: SpectralModel, m: float, V: PotentialField,
                         node_indices=obs.node_indices.copy(),
                         nodes=obs.nodes.copy(), weights=obs.weights.copy(),
                         u_values=B @ u.values,
-                        lu_values=B @ (mult * u.values),
+                        lu_values=B @ (fmap.multipliers * u.values),
                         solution=u)

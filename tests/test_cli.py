@@ -380,7 +380,7 @@ class TestSubcommands:
         report = load_report(tmp_path / "out3" / "ucp_report.json")
         model = build_model("sphere", 16)
         obs = restrict_to_observation(model, SphericalCap((0.0, 0.0), 2.6))
-        null_dim, sv = dense_certificate(model, 2.0, obs, 16, include_image=True)
+        null_dim, sv = dense_certificate(model, 2.0, obs, include_image=True)
         assert report.null_dimension == null_dim == 0
         assert report.passed
         points = interior_points(model, obs.descriptor, 4 * model.total_dim)

@@ -4,7 +4,9 @@ The benchmark's tracer (`perfbench/spans.py`) patches the functions listed
 in `LAYERS` by module and name, and `__all__` lists what a module exports;
 a rename or deletion that leaves either list stale fails here, not at run
 time of the benchmark.  scipy is imported only inside the functions that
-call it, so that `import loglap.cli` pays for numpy alone.
+call it, so that `import loglap.cli` pays for numpy alone.  No code branches
+on a manifold's kind tag: what differs between manifolds is a method of
+the manifold class.
 """
 
 import ast
@@ -68,3 +70,32 @@ def test_scipy_is_imported_only_inside_functions():
              for path in sorted(root.rglob("*.py"))
              for line in import_time_scipy(ast.parse(path.read_text(), str(path)))]
     assert not found, f"module-level scipy imports at {found}"
+
+
+KIND_TAGS = {"circle", "torus", "sphere"}
+
+
+def kind_comparisons(tree: ast.AST):
+    """Line numbers of comparisons (==, !=, in, not in) with a kind tag."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        if not any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                   for op in node.ops):
+            continue
+        operands = [node.left, *node.comparators]
+        literals = [elt for operand in operands
+                    for elt in (operand.elts if isinstance(operand, (ast.Tuple, ast.List,
+                                                                     ast.Set))
+                                else [operand])]
+        if any(isinstance(lit, ast.Constant) and lit.value in KIND_TAGS
+               for lit in literals):
+            yield node.lineno
+
+
+def test_no_branch_on_the_kind_tag():
+    root = Path(loglap.__file__).resolve().parent
+    found = [f"{path.relative_to(root.parent)}:{line}"
+             for path in sorted(root.rglob("*.py"))
+             for line in kind_comparisons(ast.parse(path.read_text(), str(path)))]
+    assert not found, f"comparisons with a kind tag at {found}"

@@ -403,6 +403,15 @@ class TestBlockMixing:
             # b = a @ Q for orthogonal Q, so projectors coincide.
             assert np.allclose(a @ a.T, b @ b.T, atol=1e-10)
 
+    def test_mixed_copy_starts_without_the_memo(self):
+        # the copy shares every field but none of the arrays memoised on
+        # the original, which hold the unmixed basis
+        model = build_model("sphere", 4)
+        plain = model.node_basis()
+        mixed = with_mixed_blocks(model, seed=1)
+        assert not np.allclose(mixed.node_basis(), plain)
+        assert model.node_basis() is plain
+
 
 class TestIsometries:
     def test_circle_rotation_and_reflection(self):
@@ -598,3 +607,10 @@ class TestDeterminism:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.node_basis(), b.node_basis())
+
+    def test_node_basis_is_read_only(self):
+        # every caller shares the memoised array
+        model = build_model("circle", 6)
+        with pytest.raises(ValueError, match="read-only"):
+            model.node_basis()[0, 0] = 1.0
+        assert model.node_basis()[0, 0] == 1.0 / np.sqrt(2.0 * np.pi)

@@ -7,6 +7,7 @@ errors are pinned by the forward-solve ground truth they started from.
 import numpy as np
 import pytest
 
+from loglap import models
 from loglap.calculus import heat_kernel_matrix
 from loglap.errors import (
     EmptyCoverageError,
@@ -23,8 +24,8 @@ from loglap.models import (
     TorusAxisReflection,
     TorusBox,
     build_model,
+    certificate_sampling,
     interior_points,
-    polar_cap_rings,
     restrict_to_observation,
     with_mixed_blocks,
 )
@@ -116,15 +117,6 @@ class TestUcpNullspace:
         weak = ucp_nullspace_test(model, 2.0, obs, include_image=False)
         assert full.smallest_singular > weak.smallest_singular
 
-    def test_truncation_argument(self):
-        model = build_model("circle", 16)
-        obs = restrict_to_observation(model, AngularInterval(0.0, np.pi / 2))
-        report = ucp_nullspace_test(model, 2.0, obs, K=8)
-        assert report.truncation == 8
-        assert report.passed
-        with pytest.raises(ValueError):
-            ucp_nullspace_test(model, 2.0, obs, K=32)
-
     def test_all_catalog_models_pass(self):
         cases = [
             (build_model("circle", 16), AngularInterval(0.0, 4.7)),
@@ -138,39 +130,39 @@ class TestUcpNullspace:
             assert report.passed, f"{model.kind}: dim {report.null_dimension}"
 
 
-def dense_certificate(model, m, obs, K, include_image):
+def dense_certificate(model, m, obs, include_image):
     """The certificate straight from its definition: normalise the columns
     of [B; B diag(mult)] (or of B) and take every singular value."""
-    dim = int(model.block_offsets[K])
-    pts = interior_points(model, obs.descriptor, 4 * dim)
-    B = model.eigenfunction_values(pts)[:, :dim]
+    pts = interior_points(model, obs.descriptor, 4 * model.total_dim)
+    B = model.eigenfunction_values(pts)
     if include_image:
-        lam = model.flat_eigenvalues()[:dim]
+        lam = model.flat_eigenvalues()
         B = np.vstack([B, B * ((lam + m) * np.log(lam + m))[None, :]])
     sv = np.linalg.svd(B / np.linalg.norm(B, axis=0)[None, :], compute_uv=False)
     return int(np.sum(sv < 1e-9 * sv[0])), sv
 
 
 DENSE_CASES = {
-    "circle": ("circle", 16, {}, AngularInterval(0.0, 4.7), None),
+    "circle": ("circle", 16, {}, AngularInterval(0.0, 4.7)),
     "torus": ("torus", 6, {"edges": (2 * np.pi, 2 * np.pi)},
-              TorusBox(((0.5, 4.5), (1.0, 5.0))), None),
-    "sphere-off-pole": ("sphere", 8, {}, SphericalCap((0.9, 1.7), 1.4), None),
+              TorusBox(((0.5, 4.5), (1.0, 5.0)))),
+    "sphere-off-pole": ("sphere", 8, {}, SphericalCap((0.9, 1.7), 1.4)),
     # solution-only rows are rank deficient here, the image rows are not
-    "sphere-off-pole-K16": ("sphere", 16, {}, SphericalCap((0.9, 1.7), 1.4), None),
-    "sphere-K-below-truncation": ("sphere", 12, {}, SphericalCap((0.9, 1.7), 1.4), 6),
-    "circle-quarter-degenerate": ("circle", 16, {}, AngularInterval(0.0, np.pi / 2), None),
+    "sphere-off-pole-K16": ("sphere", 16, {}, SphericalCap((0.9, 1.7), 1.4)),
+    # the leading six eigenspaces of a truncation-12 model, built at 6
+    "sphere-K-below-truncation": ("sphere", 6, {}, SphericalCap((0.9, 1.7), 1.4)),
+    "circle-quarter-degenerate": ("circle", 16, {}, AngularInterval(0.0, np.pi / 2)),
     # caps centred on the basis pole take the per-order route
-    "sphere-polar": ("sphere", 8, {}, SphericalCap((0.0, 0.0), 2.4), None),
-    "sphere-polar-longitude-K16": ("sphere", 16, {}, SphericalCap((0.0, 1.3), 2.6), None),
-    "sphere-polar-K-below-truncation": ("sphere", 12, {}, SphericalCap((0.0, 0.0), 2.4), 6),
+    "sphere-polar": ("sphere", 8, {}, SphericalCap((0.0, 0.0), 2.4)),
+    "sphere-polar-longitude-K16": ("sphere", 16, {}, SphericalCap((0.0, 1.3), 2.6)),
+    "sphere-polar-K-below-truncation": ("sphere", 6, {}, SphericalCap((0.0, 0.0), 2.4)),
     # solution-only rows are rank deficient here, the image rows are not
-    "sphere-polar-degenerate": ("sphere", 16, {}, SphericalCap((0.0, 0.0), 1.4), None),
+    "sphere-polar-degenerate": ("sphere", 16, {}, SphericalCap((0.0, 0.0), 1.4)),
 }
 
 
-def assert_matches_dense(report, model, obs, K, include_image, bitwise):
-    null_dim, sv = dense_certificate(model, 2.0, obs, K, include_image)
+def assert_matches_dense(report, model, obs, include_image, bitwise):
+    null_dim, sv = dense_certificate(model, 2.0, obs, include_image)
     assert report.null_dimension == null_dim
     assert report.passed == (null_dim == 0)
     if bitwise:
@@ -188,13 +180,53 @@ class TestUcpDenseReference:
     @pytest.mark.parametrize("include_image", [True, False], ids=["image", "solution"])
     @pytest.mark.parametrize("case", DENSE_CASES.values(), ids=DENSE_CASES.keys())
     def test_matches_dense_svd(self, case, include_image):
-        kind, truncation, kwargs, desc, K = case
+        kind, truncation, kwargs, desc = case
         model = build_model(kind, truncation, **kwargs)
         obs = restrict_to_observation(model, desc)
-        report = ucp_nullspace_test(model, 2.0, obs, K=K, include_image=include_image)
+        report = ucp_nullspace_test(model, 2.0, obs, include_image=include_image)
         polar = kind == "sphere" and desc.center[0] == 0.0
-        assert_matches_dense(report, model, obs, K or truncation, include_image,
+        assert_matches_dense(report, model, obs, include_image,
                              bitwise=not (include_image or polar))
+
+
+class TestCertificateSampling:
+    """`certificate_sampling` decides where the certificate samples a window
+    and how its columns group."""
+
+    @pytest.mark.parametrize("variant", ["circle", "torus", "off-pole", "mixed-blocks",
+                                         "explicit-points"])
+    def test_one_group_of_all_columns(self, variant, monkeypatch):
+        model, desc = build_model("sphere", 8), SphericalCap((0.0, 0.0), 2.4)
+        if variant == "circle":
+            model, desc = build_model("circle", 16), AngularInterval(0.0, 4.7)
+        elif variant == "torus":
+            model = build_model("torus", 6, edges=(2 * np.pi, 2 * np.pi))
+            desc = TorusBox(((0.5, 4.5), (1.0, 5.0)))
+        elif variant == "off-pole":
+            desc = SphericalCap((0.9, 1.7), 1.4)
+        elif variant == "mixed-blocks":
+            model = with_mixed_blocks(model, seed=3)
+        count = 4 * model.total_dim
+        expected = interior_points(model, desc, count)
+        points = expected[::2] if variant == "explicit-points" else None
+        drawn = []
+
+        def counting_points(*args):
+            drawn.append(args)
+            return interior_points(*args)
+
+        # the dense route samples through `interior_points`, which the
+        # benchmark's tracer times as its own layer
+        monkeypatch.setattr(models, "interior_points", counting_points)
+        sampling = certificate_sampling(model, desc, count, points)
+        assert len(drawn) == (points is None)
+        given = expected if points is None else points
+        assert np.array_equal(sampling.points, given)
+        assert sampling.n_points == given.shape[0]
+        assert len(sampling.groups) == 1
+        cols, times = sampling.groups[0]
+        every = np.arange(model.total_dim)
+        assert times == 1 and np.array_equal(every[cols], every)
 
 
 class TestUcpPolarCapRoute:
@@ -206,7 +238,9 @@ class TestUcpPolarCapRoute:
     def test_orders_orthogonal_on_ring_grid(self, K, multiplier):
         model = build_model("sphere", K)
         desc = SphericalCap((0.0, 0.7), 2.6)
-        ring_points, n_az, columns = polar_cap_rings(model, desc, multiplier * K * K)
+        sampling = certificate_sampling(model, desc, multiplier * K * K)
+        ring_points = sampling.points
+        n_az = sampling.n_points // ring_points.shape[0]
         # distinct orders, and the two kinds of one order, stay orthogonal
         # on n_az equispaced longitudes exactly when n_az > 2 (K - 1); the
         # order blocks are overdetermined when there are at least K rings
@@ -214,13 +248,17 @@ class TestUcpPolarCapRoute:
         assert ring_points.shape[0] >= K
         B = model.eigenfunction_values(
             interior_points(model, desc, multiplier * K * K))
-        assert B.shape[0] == ring_points.shape[0] * n_az
+        assert B.shape[0] == sampling.n_points
         table = model.basis_table
         group = table["orders"] * 2 + (table["kinds"] == 2)
         gram = B.T @ B
         apart = group[:, None] != group[None, :]
         assert np.max(np.abs(gram[apart])) <= 1e-12 * np.max(np.diag(gram))
-        assert [c.size for c in columns] == [K - m for m in range(K)]
+        widths = [cols.size for cols, _ in sampling.groups]
+        counts = [count for _, count in sampling.groups]
+        assert widths == [K - m for m in range(K)]
+        assert counts == [1] + [2] * (K - 1)
+        assert sum(w * c for w, c in zip(widths, counts)) == model.total_dim
 
     @pytest.mark.parametrize("include_image", [True, False], ids=["image", "solution"])
     @pytest.mark.parametrize("variant", ["mixed-blocks", "explicit-points", "near-pole"])
@@ -235,12 +273,12 @@ class TestUcpPolarCapRoute:
         else:
             desc = SphericalCap((1e-3, 0.0), 2.4)
         obs = restrict_to_observation(model, desc)
-        if points is None:
-            assert polar_cap_rings(model, desc, 4 * model.total_dim) is None
+        assert len(certificate_sampling(model, desc, 4 * model.total_dim,
+                                        points).groups) == 1
         report = ucp_nullspace_test(model, 2.0, obs, include_image=include_image,
                                     points=points)
         # only the dense route reproduces the definition bit for bit
-        assert_matches_dense(report, model, obs, 8, include_image,
+        assert_matches_dense(report, model, obs, include_image,
                              bitwise=not include_image)
 
 
