@@ -275,11 +275,10 @@ def config_observation(cfg: ExperimentConfig, model: SpectralModel) -> Observati
 
 
 def config_sources(cfg: ExperimentConfig, model: SpectralModel,
-                   obs: ObservationSet, seed: Optional[int] = None) -> list:
+                   obs: ObservationSet) -> list:
     spec = cfg.sources
     return make_source_basis(model, obs, spec.count, radius=spec.radius,
-                             order=spec.order, centers=spec.centers,
-                             seed=cfg.seed if seed is None else seed)
+                             order=spec.order, centers=spec.centers, seed=cfg.seed)
 
 
 def config_times(cfg: ExperimentConfig, model: SpectralModel) -> np.ndarray:

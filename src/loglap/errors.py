@@ -27,7 +27,7 @@ class SerializationError(LoglapError):
 
 
 class QuadratureConvergenceError(LoglapError):
-    """Adaptive quadrature failed to reach the requested tolerance budget."""
+    """The fixed exp-sinh rule's error estimate exceeds the requested budget."""
 
 
 class SingularOperatorError(LoglapError):

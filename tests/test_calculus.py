@@ -223,15 +223,16 @@ class TestGrigoryanBound:
 
 
 class TestLogIdentity:
-    @pytest.mark.parametrize("lam", [1.0, np.e, 10.0, 1000.0])
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 1.0, np.e, 10.0, 1000.0, 1e4, 1e7])
     def test_matches_log(self, lam):
         value, err = log_identity_quadrature(lam)
         assert abs(value - np.log(lam)) <= 1e-8
         assert err <= 1e-8
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_identity_quadrature(0.0)
+        for lam in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                log_identity_quadrature(lam)
 
 
 class TestPointwiseOperator:
@@ -249,21 +250,22 @@ class TestPointwiseOperator:
         [("circle", {}), ("torus", {"edges": (2 * np.pi, np.pi)}), ("sphere", {})],
     )
     def test_matches_spectral_route(self, kind, kwargs):
-        model = build_model(kind, 6, **kwargs)
-        rng = np.random.default_rng(17)
-        f = random_field(model, seed=21)
-        spectral = apply_L(f, 2.0)
-        idx = rng.integers(0, model.nodes.shape[0], size=5)
-        pts = model.nodes[idx]
-        expected = spectral.evaluate(pts)
-        scale = np.max(np.abs(expected))
-        for i in range(pts.shape[0]):
-            value, err = pointwise_L(f, 2.0, pts[i])
-            assert abs(value - expected[i]) <= 1e-8 * scale
-            assert err <= 1e-6 * scale
+        for K in (6, 24):
+            model = build_model(kind, K, **kwargs)
+            rng = np.random.default_rng(17)
+            f = random_field(model, seed=21)
+            spectral = apply_L(f, 2.0)
+            idx = rng.integers(0, model.nodes.shape[0], size=5)
+            pts = model.nodes[idx]
+            expected = spectral.evaluate(pts)
+            scale = np.max(np.abs(expected))
+            for i in range(pts.shape[0]):
+                value, err = pointwise_L(f, 2.0, pts[i])
+                assert abs(value - expected[i]) <= 1e-8 * scale
+                assert err <= 1e-6 * scale
 
     def test_budget_error(self):
         model = build_model("circle", 8)
         f = random_field(model, seed=2)
         with pytest.raises(QuadratureConvergenceError):
-            pointwise_L(f, 2.0, np.array([1.0]), tol=1e-16, quad_limit=3)
+            pointwise_L(f, 2.0, np.array([1.0]), tol=1e-16)

@@ -282,12 +282,13 @@ class TestValidation:
         assert len(sources) == 5
 
     def test_sources_seeded_jitter_is_deterministic(self):
-        cfg = validate_config(circle_config())
-        model = config_model(cfg)
+        cfg3 = validate_config(circle_config(seed=3))
+        cfg4 = validate_config(circle_config(seed=4))
+        model = config_model(cfg3)
         obs = restrict_to_observation(model, AngularInterval(0, np.pi))
-        a = config_sources(cfg, model, obs, seed=3)
-        b = config_sources(cfg, model, obs, seed=3)
-        c = config_sources(cfg, model, obs, seed=4)
+        a = config_sources(cfg3, model, obs)
+        b = config_sources(cfg3, model, obs)
+        c = config_sources(cfg4, model, obs)
         assert all(np.array_equal(x.center, y.center) for x, y in zip(a, b))
         assert any(not np.array_equal(x.center, y.center) for x, y in zip(a, c))
 

@@ -3,8 +3,8 @@
 The benchmark's tracer (`perfbench/spans.py`) patches the functions listed
 in `LAYERS` by module and name, and `__all__` lists what a module exports;
 a rename or deletion that leaves either list stale fails here, not at run
-time of the benchmark.  scipy is imported only inside the functions that
-call it, so that `import loglap.cli` pays for numpy alone.  No code branches
+time of the benchmark.  No module of the package imports scipy, so that
+the package needs numpy alone.  No code branches
 on a manifold's kind tag: what differs between manifolds is a method of
 the manifold class.
 """
@@ -47,29 +47,25 @@ def test_exported_names_exist():
     assert not missing, f"__all__ lists missing names {missing}"
 
 
-def import_time_scipy(tree: ast.AST):
-    """Line numbers of the scipy imports that run when the module is imported:
-    everything outside function bodies."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
+def scipy_imports(tree: ast.AST):
+    """Line numbers of every scipy import, at module level or in a body."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] if node.level == 0 else []
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
         else:
-            names = []
+            continue
         if any(name.split(".")[0] == "scipy" for name in names):
             yield node.lineno
-        yield from import_time_scipy(node)
 
 
-def test_scipy_is_imported_only_inside_functions():
+def test_no_module_imports_scipy():
     root = Path(loglap.__file__).resolve().parent
     found = [f"{path.relative_to(root.parent)}:{line}"
              for path in sorted(root.rglob("*.py"))
-             for line in import_time_scipy(ast.parse(path.read_text(), str(path)))]
-    assert not found, f"module-level scipy imports at {found}"
+             for line in scipy_imports(ast.parse(path.read_text(), str(path)))]
+    assert not found, f"scipy imports at {found}"
 
 
 KIND_TAGS = {"circle", "torus", "sphere"}
