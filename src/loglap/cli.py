@@ -55,18 +55,13 @@ from .serialize import (
     spectrum_to_csv,
     trace_to_csv,
 )
-from .solver import Solution, cauchy_record, forward_map
+from .solver import Solution, cauchy_records, forward_map
 
 
 def _emit(quiet: bool, *lines):
     if not quiet:
         for line in lines:
             print(line)
-
-
-def _records(cfg: ExperimentConfig, model, V, obs):
-    sources = config_sources(cfg, model, obs)
-    return sources, [cauchy_record(model, cfg.m, V, src, obs) for src in sources]
 
 
 # subcommand handlers, each returns True iff its checks pass ------------------
@@ -107,7 +102,7 @@ def _cmd_cauchy(cfg: ExperimentConfig, out: Path, quiet: bool) -> bool:
     model = config_model(cfg)
     V = config_potential(cfg)
     obs = config_observation(cfg, model)
-    _, records = _records(cfg, model, V, obs)
+    records = cauchy_records(model, cfg.m, V, config_sources(cfg, model, obs), obs)
     entries = []
     for rec in records:
         name = f"record_{rec.source_id}.json"
@@ -172,7 +167,7 @@ def _cmd_recover(cfg: ExperimentConfig, out: Path, quiet: bool) -> bool:
     model = config_model(cfg)
     V = config_potential(cfg)
     obs = config_observation(cfg, model)
-    _, records = _records(cfg, model, V, obs)
+    records = cauchy_records(model, cfg.m, V, config_sources(cfg, model, obs), obs)
     recovered = recover_potential(model, cfg.m, obs, V, records)
     recovered_to_csv(recovered, out / "recovered.csv")
     complement = np.setdiff1d(np.arange(len(recovered.values)),

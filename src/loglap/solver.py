@@ -300,11 +300,10 @@ class Solution:
 
 @dataclass(frozen=True)
 class CauchyRecord:
-    """Solution and operator samples on the observation nodes.
-
-    `solution` keeps the full coefficient vector so downstream checks can
-    evaluate off the observation set; it is in-memory only, so serialized
-    records carry only the observation payload and load with solution None.
+    """One source's columns of a window pass (`cauchy_records`): solution and
+    operator samples on the observation nodes.  `solution` keeps the full
+    coefficient vector for checks off the observation set; it is in-memory
+    only, so serialized records load with solution None.
     """
 
     kind: str
@@ -322,18 +321,28 @@ class CauchyRecord:
                                                   metadata={"in_memory": True})
 
 
+def cauchy_records(model: SpectralModel, m: float, V: PotentialField,
+                   sources: Sequence[SourceFunction], obs: ObservationSet) -> list[CauchyRecord]:
+    """One window pass: solve once with F = [f_1 ... f_S] and restrict u and
+    L u to the nodes as two products with the window rows; L u takes the
+    multipliers of the operator that solved for u."""
+    sources = list(sources)
+    if not sources:
+        raise ValueError("at least one source is required")
+    fmap = forward_map(model, m, V)
+    U = fmap.solve(np.column_stack([_coerce_rhs(model, src) for src in sources]))
+    B = model.window_rows(obs.node_indices)
+    u_obs, lu_obs = B @ U, B @ (fmap.multipliers[:, None] * U)
+    return [CauchyRecord(kind=model.kind, truncation=model.truncation, mass=float(m),
+                         source_id=src.source_id, potential_label=V.label,
+                         descriptor=obs.descriptor, node_indices=obs.node_indices.copy(),
+                         nodes=obs.nodes.copy(), weights=obs.weights.copy(),
+                         u_values=u_obs[:, s].copy(), lu_values=lu_obs[:, s].copy(),
+                         solution=FieldCoefficients(model, U[:, s].copy()))
+            for s, src in enumerate(sources)]
+
+
 def cauchy_record(model: SpectralModel, m: float, V: PotentialField,
                   source: SourceFunction, obs: ObservationSet) -> CauchyRecord:
-    """Forward-solve with one source and restrict (u, L u) to the nodes;
-    L u takes the multipliers of the operator that solved for u."""
-    fmap = forward_map(model, m, V)
-    u = FieldCoefficients(model, fmap.solve(_coerce_rhs(model, source)))
-    B = model.window_rows(obs.node_indices)
-    return CauchyRecord(kind=model.kind, truncation=model.truncation,
-                        mass=float(m), source_id=source.source_id,
-                        potential_label=V.label, descriptor=obs.descriptor,
-                        node_indices=obs.node_indices.copy(),
-                        nodes=obs.nodes.copy(), weights=obs.weights.copy(),
-                        u_values=B @ u.values,
-                        lu_values=B @ (fmap.multipliers * u.values),
-                        solution=u)
+    """`cauchy_records` with one source."""
+    return cauchy_records(model, m, V, [source], obs)[0]

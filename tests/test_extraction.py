@@ -19,6 +19,7 @@ from loglap.errors import (
 )
 from loglap.extraction import (
     GelfandData,
+    _excitation_mask,
     build_gelfand_data,
     compare_gelfand,
     default_time_grid,
@@ -39,6 +40,7 @@ from loglap.models import (
 )
 from loglap.solver import (
     band_limit_source,
+    forward_map,
     make_source_basis,
     solve_schrodinger,
     zero_potential,
@@ -465,6 +467,55 @@ def test_working_range_floor(kind, K):
     assert np.array_equal(data.multiplicities, model.multiplicities)
 
 
+def blockwise_trace(model, m, u, obs, times):
+    """The trace as one mat-vec per eigenspace block, then one decay product."""
+    rows = model.node_basis()[obs.node_indices]
+    weighted = l_multiplier(model.flat_eigenvalues(), m) * u
+    per_block = np.column_stack([rows[:, model.block_slice(k)] @ weighted[model.block_slice(k)]
+                                 for k in range(model.truncation)])
+    return np.exp(-np.outer(times, model.eigenvalues + m)) @ per_block.T
+
+
+@pytest.mark.parametrize("kind,K", [("circle", 8), ("torus", 10), ("sphere", 7)])
+def test_window_pass_keeps_the_per_source_trace_order(kind, K):
+    # The probe sits on a knife edge: one matrix product per block instead
+    # of one mat-vec per (source, block) moves the traces by ~3e-16 and
+    # flips `_block_rank`'s 1e-8 decision on the circle at K=8.  So the
+    # stacked traces must equal the single-source traces bit for bit.
+    model, V, obs, sources = probe_case(kind, K)
+    times = default_time_grid(model, 2.0)
+    data = build_gelfand_data(model, 2.0, V, obs, sources)
+    U = forward_map(model, 2.0, V).solve(np.column_stack([s.coefficients for s in sources]))
+    for u, src, trace in zip(U.T, sources, data.traces):
+        alone = heat_trace_of_field(model, 2.0, u, obs, times)
+        assert np.array_equal(trace.values, alone.values)
+        assert np.array_equal(trace.values, blockwise_trace(model, 2.0, u, obs, times))
+        assert trace.source_id == src.source_id
+
+
+def test_excitation_mask_matches_per_source_rule():
+    # block k is excited when some nonzero source has a block-k norm of at
+    # least 1e-10 x its own norm
+    model = build_model("sphere", 6)
+    F = np.random.default_rng(3).standard_normal((model.total_dim, 4))
+    F[:, 1] = 0.0
+    F[model.block_slice(2), :] = 0.0
+    F[model.block_slice(3), :] = 0.0
+    F[model.block_slice(3), 2] = 1e-12
+    F[model.block_slice(4), :] = 0.0
+    F[model.block_slice(4), 3] = 1e-8
+    expect = np.zeros(model.truncation, dtype=bool)
+    for c in F.T:
+        norm = np.linalg.norm(c)
+        if norm == 0:
+            continue
+        for k in range(model.truncation):
+            if np.linalg.norm(c[model.block_slice(k)]) >= 1e-10 * norm:
+                expect[k] = True
+    assert list(expect) == [True, True, False, False, True, True]
+    assert np.array_equal(_excitation_mask(model, F), expect)
+
+
 class TestCompareGelfand:
     def test_self_comparison(self):
         model, obs, basis = circle_setup(4)
@@ -592,6 +643,15 @@ class TestSpectralSanity:
             rep = supnorm_sanity_check(model, 2.0)
             assert rep.violations == 0
             assert np.isfinite(rep.constant)
+
+    def test_supnorm_constant_is_the_largest_block_ratio(self):
+        for model in (build_model("circle", 16), with_mixed_blocks(build_model("sphere", 10), 1),
+                      build_model("torus", 6, edges=(2 * np.pi, 2 * np.pi))):
+            B = model.node_basis()
+            sups = np.array([np.max(np.abs(B[:, model.block_slice(k)]))
+                             for k in range(model.truncation)])
+            power = (model.eigenvalues + 2.0) ** ((model.dimension - 1) / 4.0)
+            assert supnorm_sanity_check(model, 2.0).constant == float(np.max(sups / power))
 
     def test_supnorm_constant_stable_under_refinement(self):
         # bounded law: the fitted constant converges, so its growth per

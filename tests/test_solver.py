@@ -31,6 +31,7 @@ from loglap.solver import (
     band_limit_source,
     bump_profile,
     cauchy_record,
+    cauchy_records,
     forward_map,
     make_source_basis,
     solve_schrodinger,
@@ -277,7 +278,13 @@ class TestForwardMap:
         model = build_model("sphere", 6)
         obs = restrict_to_observation(model, SphericalCap((0.0, 0.0), 1.2))
         sources = make_source_basis(model, obs, 16, order=3, seed=1)
-        V = PotentialField(lambda p: 0.2 * np.cos(p[:, 0]), label="0.2*cos")
+        calls = []
+
+        def potential(p):
+            calls.append(p.shape[0])
+            return 0.2 * np.cos(p[:, 0])
+
+        V = PotentialField(potential, label="0.2*cos")
         times = default_time_grid(model, 2.0)
         eigh, shapes = np.linalg.eigh, []
 
@@ -287,6 +294,11 @@ class TestForwardMap:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         rows = model.window_rows(obs.node_indices)
+        records = cauchy_records(model, 2.0, V, sources, obs)
+        # one evaluation keys the map and one assembles it, for all 16 sources
+        assert len(records) == 16 and len(calls) == 2
+        cauchy_records(model, 2.0, V, sources, obs)
+        assert len(calls) == 3
         for src in sources:
             cauchy_record(model, 2.0, V, src, obs)
             heat_trace_of_solution(model, 2.0, V, src, obs, times)
@@ -578,3 +590,52 @@ class TestCauchyRecord:
         rec = cauchy_record(model, 2.0, cos_potential(0.2), src, obs)
         full = rec.solution.node_values()
         assert np.max(np.abs(rec.u_values - full[obs.node_indices])) < 1e-13
+
+
+def window_case(case):
+    """A model, a window on it and a potential: circle, torus, sphere cap,
+    and the circle with its eigenspaces rotated."""
+    if case == "torus":
+        model = build_model("torus", 6, edges=(2 * np.pi, 2 * np.pi))
+        return (model, restrict_to_observation(model, TorusBox(((0.0, np.pi), (0.5, 3.0)))),
+                PotentialField(lambda p: 0.3 * np.cos(p[:, 0]) * np.sin(p[:, 1]), label="torus"))
+    if case == "sphere":
+        model = build_model("sphere", 6)
+        return (model, restrict_to_observation(model, SphericalCap((0.0, 0.0), 1.2)),
+                PotentialField(lambda p: 0.2 * np.cos(p[:, 0]), label="0.2*cos"))
+    model = circle(16) if case == "circle" else with_mixed_blocks(circle(16), seed=4)
+    return model, restrict_to_observation(model, AngularInterval(0.0, np.pi)), cos_potential(0.3)
+
+
+class TestCauchyRecords:
+    @pytest.mark.parametrize("case", ["circle", "torus", "sphere", "mixed"])
+    def test_batch_matches_per_source_records(self, case):
+        model, obs, V = window_case(case)
+        sources = make_source_basis(model, obs, 6, order=3, seed=2)
+        batch = cauchy_records(model, 2.0, V, sources, obs)
+        assert [rec.source_id for rec in batch] == [src.source_id for src in sources]
+        for src, rec in zip(sources, batch):
+            alone = cauchy_record(model, 2.0, V, src, obs)
+            for a, b in ((rec.u_values, alone.u_values), (rec.lu_values, alone.lu_values),
+                         (rec.solution.values, alone.solution.values)):
+                assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
+            assert np.array_equal(rec.nodes, obs.nodes)
+
+    @pytest.mark.parametrize("case", ["circle", "torus", "sphere", "mixed"])
+    def test_one_source_batch_is_the_mat_vec_record(self, case):
+        # numpy's (D, D) @ (D, 1) is the mat-vec bit for bit, so a record of
+        # one source equals the one-vector solve and products exactly
+        model, obs, V = window_case(case)
+        src = make_source_basis(model, obs, 1, order=3)[0]
+        fmap = forward_map(model, 2.0, V)
+        u = fmap.solve(src.coefficients)
+        B = model.node_basis()[obs.node_indices]
+        rec = cauchy_records(model, 2.0, V, [src], obs)[0]
+        assert np.array_equal(rec.solution.values, u)
+        assert np.array_equal(rec.u_values, B @ u)
+        assert np.array_equal(rec.lu_values, B @ (fmap.multipliers * u))
+
+    def test_no_sources_rejected(self):
+        model, obs, V = window_case("circle")
+        with pytest.raises(ValueError, match="at least one source"):
+            cauchy_records(model, 2.0, V, [], obs)
