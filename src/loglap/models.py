@@ -119,9 +119,9 @@ class SpectralModel:
         if self.block_mixers is None:
             return mat
         mat = mat.copy()
-        for k, mixer in enumerate(self.block_mixers):
-            sl = self.block_slice(k)
-            mat[:, sl] = mat[:, sl] @ mixer
+        off = self.block_offsets
+        for mixer, start, stop in zip(self.block_mixers, off[:-1], off[1:]):
+            mat[:, start:stop] = mat[:, start:stop] @ mixer
         return mat
 
     def eigenfunction_values(self, points) -> np.ndarray:
@@ -443,12 +443,22 @@ class FlatTorus:
                              counts, table)
 
     def basis_values(self, pts, table) -> np.ndarray:
+        """Normalised cos and sin of the lattice phases, (P, D).
+
+        `build` puts the constant in column 0 and, for each nonzero lattice
+        vector, its cosine in an odd column and its sine in the next one, so
+        each column takes cos or sin once, in place on the phase product.
+        The product stays (P, D): its bits depend on the column count.
+        """
         freq = np.array([TWO_PI / p for p in self.periods])
-        phase = pts @ (table["lattice"] * freq).T
+        out = pts @ (table["lattice"] * freq).T
         vol = float(np.prod([p * s for p, s in zip(self.periods, self.scales)]))
-        out = np.where(table["kinds"][None, :] == 2, np.sin(phase), np.cos(phase))
-        norm = np.where(table["kinds"] == 0, 1.0 / np.sqrt(vol), np.sqrt(2.0 / vol))
-        return out * norm[None, :]
+        for trig, cols in ((np.cos, out[:, :1]), (np.cos, out[:, 1::2]),
+                           (np.sin, out[:, 2::2])):
+            trig(cols, out=cols)
+        out[:, :1] *= 1.0 / np.sqrt(vol)
+        out[:, 1:] *= np.sqrt(2.0 / vol)
+        return out
 
     def resolves_products(self, spec, table) -> bool:
         j_max = np.max(np.abs(table["lattice"]), axis=0)
@@ -592,37 +602,45 @@ class RoundSphere:
 
         The fully normalised associated Legendre functions, Condon-Shortley
         sign included, come from the three-term recurrence in the degree
-        (Holmes & Featherstone, J. Geodesy 2002): for each order m, seed
-        P_mm from P_{m-1,m-1} and step up in l, writing each degree's
-        cos/sin columns as it is reached. sin(colatitude) is taken from the
-        colatitude itself: sqrt(1 - x^2) of the rounded x = cos(colatitude)
-        loses accuracy near the poles. Each column is written as a
-        contiguous row of a (D, P) buffer and the transpose is returned, a
-        column-major (P, D) array.
+        (Holmes & Featherstone, J. Geodesy 2002): one step per degree l
+        advances every order m < l together, with a_lm and b_lm as vectors
+        over m, and seeds P_ll from P_{l-1,l-1}; degree l then writes its
+        2l + 1 cos/sin columns, rows l^2 to l^2 + 2l in `build`'s order.
+        sin(colatitude) is taken from the colatitude itself:
+        sqrt(1 - x^2) of the rounded x = cos(colatitude) loses accuracy
+        near the poles. Each column is written as a contiguous row of a
+        (D, P) buffer and the transpose is returned, a column-major (P, D)
+        array.
         """
         colat, lon = pts[:, 0], pts[:, 1]
         x, s = np.cos(colat), np.sin(colat)
-        degs, orders, kinds = table["degrees"], table["orders"], table["kinds"]
-        column = {(int(l), int(m), int(k)): c
-                  for c, (l, m, k) in enumerate(zip(degs, orders, kinds))}
-        lmax = int(np.max(degs))
-        out = np.empty((degs.size, pts.shape[0]))
-        p_mm = np.full(pts.shape[0], 1.0 / (np.sqrt(4.0 * np.pi) * self.radius))
-        for m in range(lmax + 1):
-            if m == 0:
-                trig = ((0, 1.0),)
-            else:
-                p_mm = -np.sqrt((2 * m + 1) / (2.0 * m)) * s * p_mm
-                trig = ((1, np.sqrt(2.0) * np.cos(m * lon)),
-                        (2, np.sqrt(2.0) * np.sin(m * lon)))
-            p_prev, p = np.zeros_like(p_mm), p_mm
-            for l in range(m, lmax + 1):
-                if l > m:
-                    a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                    b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-                    p_prev, p = p, a * (x * p - b * p_prev)
-                for kind, factor in trig:
-                    np.multiply(p, factor, out=out[column[l, m, kind]])
+        lmax, n = int(np.max(table["degrees"])), pts.shape[0]
+        out = np.empty((table["degrees"].size, n))
+        angle = np.arange(1, lmax + 1)[:, None] * lon
+        cos_m = np.cos(angle)
+        sin_m = np.sin(angle, out=angle)
+        cos_m *= np.sqrt(2.0)
+        sin_m *= np.sqrt(2.0)
+        # p holds P_{l,m} for m <= l, p_prev P_{l-1,m}; a row not yet
+        # reached stays 0, which is P_{l-1,l} at the step to degree l + 1
+        p, p_prev, xp = np.zeros((lmax + 1, n)), np.zeros((lmax + 1, n)), np.empty((lmax, n))
+        p[0] = 1.0 / (np.sqrt(4.0 * np.pi) * self.radius)
+        for l in range(lmax + 1):
+            if l > 0:
+                m = np.arange(l)[:, None]
+                a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+                # a (x p - b p_prev), in place over the buffer of degree l - 2
+                np.multiply(x, p[:l], out=xp[:l])
+                np.multiply(b, p_prev[:l], out=p_prev[:l])
+                np.subtract(xp[:l], p_prev[:l], out=p_prev[:l])
+                np.multiply(a, p_prev[:l], out=p_prev[:l])
+                p, p_prev = p_prev, p
+                p[l] = -np.sqrt((2 * l + 1) / (2.0 * l)) * s * p_prev[l - 1]  # P_ll
+            row = l * l
+            out[row] = p[0]
+            np.multiply(p[1:l + 1], cos_m[:l], out=out[row + 1:row + 2 * l + 1:2])
+            np.multiply(p[1:l + 1], sin_m[:l], out=out[row + 2:row + 2 * l + 2:2])
         return out.T
 
     def resolves_products(self, spec, table) -> bool:

@@ -68,15 +68,16 @@ class UcpReport:
 
 def _certificate_values(samples: np.ndarray, mult) -> np.ndarray:
     """Singular values of the column-normalised [B; B diag(mult)], or of B
-    when `mult` is None.  `samples` is overwritten."""
+    when `mult` is None.  `samples` is left as it is."""
     if mult is not None:
         R = np.linalg.qr(samples, mode="r")
         samples = np.vstack([R, R * mult[None, :]])
     # unit column norms: rank must not depend on how the operator scales
     # individual basis directions
-    norms = np.linalg.norm(samples, axis=0)
-    samples /= np.maximum(norms, 1e-300)[None, :]
-    return np.linalg.svd(samples, compute_uv=False)
+    scale = np.maximum(np.linalg.norm(samples, axis=0), 1e-300)[None, :]
+    # the memo's B is read-only; the quotient is a new array in B's layout
+    # (a C-order copy of column-major B moves the SVD's last bits)
+    return np.linalg.svd(samples / scale, compute_uv=False)
 
 
 def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet, *,
@@ -95,7 +96,9 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet, *,
     2D x D in place of 2P x D.  Explicit `points` must lie in the window.
 
     `certificate_sampling` decides where B is sampled and how its columns
-    group; each group's singular values count as often as it says.
+    group; each group's singular values count as often as it says.  B is
+    kept in the model's `certificate` memo, keyed by the sample points, so
+    the two variants on one window evaluate the basis once.
     """
     check_mass(m)
     dim = model.total_dim
@@ -106,7 +109,8 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet, *,
             f"{dim}-dimensional space; need at least {2 * dim}")
 
     mult = l_multiplier(model.flat_eigenvalues(), m) if include_image else None
-    values = model.eigenfunction_values(sampling.points)
+    values = model.memo("certificate", sampling.points.tobytes(),
+                        lambda: model.eigenfunction_values(sampling.points))
     sv = np.concatenate([
         np.repeat(_certificate_values(values[:, cols], None if mult is None else mult[cols]),
                   count)

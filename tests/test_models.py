@@ -190,6 +190,47 @@ class TestEigenfunctionValues:
         assert np.allclose(val, 1.0 / np.sqrt(vol))
 
 
+def where_torus_basis(model, pts):
+    """The flat-torus basis as first written: sin and cos of every phase,
+    one of them kept per column by `np.where`.  `basis_values` takes the
+    same phase product and the same sin or cos per entry, so the two must
+    agree bitwise."""
+    manifold, table = model.manifold, model.basis_table
+    freq = np.array([2.0 * np.pi / p for p in manifold.periods])
+    phase = pts @ (table["lattice"] * freq).T
+    vol = float(np.prod([p * s for p, s in zip(manifold.periods, manifold.scales)]))
+    out = np.where(table["kinds"][None, :] == 2, np.sin(phase), np.cos(phase))
+    norm = np.where(table["kinds"] == 0, 1.0 / np.sqrt(vol), np.sqrt(2.0 / vol))
+    return out * norm[None, :]
+
+
+TORUS_BASIS_CASES = {
+    "circle-radius-1.5": ("circle", 16, {"radius": 1.5}),
+    "circle-K1": ("circle", 1, {}),
+    "torus-unequal-edges": ("torus", 10, {"edges": (6.0, 4.5)}),
+    "torus-K1": ("torus", 1, {"edges": (6.0, 4.5)}),
+    "3-torus": ("torus", 6, {"edges": (3.0, 4.0, 5.0)}),
+    # wide enough that a phase product over fewer columns changes some bits
+    "torus-K32": ("torus", 32, {"edges": (6.0, 6.0)}),
+}
+
+
+class TestFlatTorusBasis:
+    @pytest.mark.parametrize("case", TORUS_BASIS_CASES.values(), ids=TORUS_BASIS_CASES.keys())
+    def test_matches_where_reference(self, case):
+        kind, K, kwargs = case
+        model = build_model(kind, K, **kwargs)
+        rng = np.random.default_rng(K)
+        periods = np.asarray(model.manifold.periods)
+        # random points reach outside one period, where phases are larger
+        rand = rng.uniform(-1.0, 2.0, size=(400, periods.size)) * periods
+        for pts in (model.nodes, rand):
+            values = model.eigenfunction_values(pts)
+            assert values.flags.c_contiguous
+            assert np.array_equal(values, where_torus_basis(model, pts))
+        assert np.array_equal(model.node_basis(), where_torus_basis(model, model.nodes))
+
+
 class TestQuadrature:
     @pytest.mark.parametrize(
         "kind,kwargs,tol",
@@ -536,21 +577,29 @@ class TestSphereRecurrence:
 
     @pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
     def test_matches_per_column_reference(self, mixed):
+        # one step per degree for all orders does the per-order arithmetic
         rng = np.random.default_rng(7)
-        model = build_model("sphere", 12, radius=1.5)
         pts = np.column_stack([rng.uniform(0.0, np.pi, 300), rng.uniform(0.0, 2.0 * np.pi, 300)])
-        expected = per_column_sphere_basis(pts, model.basis_table, 1.5)
-        if mixed:
-            model = with_mixed_blocks(model, seed=3)
-            for k, mixer in enumerate(model.block_mixers):
-                sl = model.block_slice(k)
-                expected[:, sl] = expected[:, sl] @ mixer
-        assert np.array_equal(model.eigenfunction_values(pts), expected)
+        for K, radius in itertools.product((1, 2, 12, 24, 48), (1.5, 0.75)):
+            model = build_model("sphere", K, radius=radius)
+            expected = per_column_sphere_basis(pts, model.basis_table, radius)
+            if mixed:
+                model = with_mixed_blocks(model, seed=3)
+                for k, mixer in enumerate(model.block_mixers):
+                    sl = model.block_slice(k)
+                    expected[:, sl] = expected[:, sl] @ mixer
+            assert np.array_equal(model.eigenfunction_values(pts), expected), (K, radius)
         # the heat trace and the Gram assembly take rows of the node basis;
         # a column-major cache makes every such take strided
         for other in (build_model("circle", 6), model,
                       build_model("torus", 4, edges=(6.0, 6.0))):
             assert other.node_basis().flags.c_contiguous
+
+    @pytest.mark.parametrize("radius", [1.0, 1.5])
+    def test_node_basis_matches_per_column_reference(self, radius):
+        model = build_model("sphere", 24, radius=radius)
+        expected = per_column_sphere_basis(model.nodes, model.basis_table, radius)
+        assert np.array_equal(model.node_basis(), expected)
 
     @pytest.mark.parametrize("K", [8, 32, 48])
     def test_matches_lpmv(self, K):

@@ -229,6 +229,88 @@ class TestCertificateSampling:
         assert times == 1 and np.array_equal(every[cols], every)
 
 
+def count_basis_calls(monkeypatch):
+    """Record the values of every basis evaluation, made through the
+    method the benchmark's tracer times as `models.basis`."""
+    calls, evaluate = [], models.SpectralModel.eigenfunction_values
+
+    def counting(self, points):
+        values = evaluate(self, points)
+        calls.append(values)
+        return values
+
+    monkeypatch.setattr(models.SpectralModel, "eigenfunction_values", counting)
+    return calls
+
+
+MEMO_CASES = {
+    "torus": ("torus", 6, {"edges": (2 * np.pi, 2 * np.pi)}, TorusBox(((0.5, 4.5), (1.0, 5.0)))),
+    "sphere-off-pole": ("sphere", 8, {}, SphericalCap((0.9, 1.7), 1.4)),
+    "sphere-polar": ("sphere", 8, {}, SphericalCap((0.0, 0.0), 2.4)),
+}
+
+
+class TestCertificateMemo:
+    """The certificate's samples are kept in the model's `certificate` memo:
+    both variants on one window evaluate the basis once."""
+
+    @pytest.mark.parametrize("case", MEMO_CASES.values(), ids=MEMO_CASES.keys())
+    def test_variants_share_one_evaluation(self, case, monkeypatch):
+        kind, K, kwargs, desc = case
+
+        def fresh_report(include_image):
+            model = build_model(kind, K, **kwargs)
+            obs = restrict_to_observation(model, desc)
+            return ucp_nullspace_test(model, 2.0, obs, include_image=include_image)
+
+        expected = [fresh_report(True), fresh_report(False)]
+        model = build_model(kind, K, **kwargs)
+        obs = restrict_to_observation(model, desc)
+        calls = count_basis_calls(monkeypatch)
+        reports = [ucp_nullspace_test(model, 2.0, obs, include_image=inc)
+                   for inc in (True, False, True)]
+        assert len(calls) == 1
+        assert reports == expected + expected[:1]
+        # neither variant writes into the shared samples
+        held = calls[0]
+        sampling = certificate_sampling(model, desc, 4 * model.total_dim)
+        assert not held.flags.writeable
+        assert np.array_equal(held, model.eigenfunction_values(sampling.points))
+
+    def test_new_key_evaluates_again(self, monkeypatch):
+        model = build_model("torus", 6, edges=(2 * np.pi, 2 * np.pi))
+        first = restrict_to_observation(model, TorusBox(((0.5, 4.5), (1.0, 5.0))))
+        second = restrict_to_observation(model, TorusBox(((0.4, 4.0), (1.0, 5.5))))
+        points = interior_points(model, second.descriptor, 3 * model.total_dim)
+        calls = count_basis_calls(monkeypatch)
+        steps = [
+            (dict(obs=first), 1),
+            (dict(obs=first, include_image=False), 1),
+            (dict(obs=second), 2),
+            (dict(obs=second, node_multiplier=6), 3),
+            (dict(obs=second, node_multiplier=6, include_image=False), 3),
+            (dict(obs=second, points=points), 4),
+            (dict(obs=second, points=points, include_image=False), 4),
+            (dict(obs=first), 5),  # the slot keeps the last key only
+        ]
+        for kwargs, count in steps:
+            ucp_nullspace_test(model, 2.0, **kwargs)
+            assert len(calls) == count, kwargs
+
+    def test_mixed_copy_starts_empty(self, monkeypatch):
+        model = build_model("sphere", 8)
+        obs = restrict_to_observation(model, SphericalCap((0.9, 1.7), 1.4))
+        plain = ucp_nullspace_test(model, 2.0, obs, include_image=False)
+        calls = count_basis_calls(monkeypatch)
+        mixed = with_mixed_blocks(model, seed=3)
+        report = ucp_nullspace_test(mixed, 2.0, obs, include_image=False)
+        # same points, so only an empty memo makes the copy evaluate its own basis
+        assert len(calls) == 1
+        assert not np.array_equal(calls[0], model.eigenfunction_values(
+            certificate_sampling(model, obs.descriptor, 4 * model.total_dim).points))
+        assert report.n_points == plain.n_points
+
+
 class TestUcpPolarCapRoute:
     """On a cap centred on the basis pole the default samples sit on rings
     of n_az equispaced longitudes, and the certificate splits by order."""
