@@ -3,14 +3,4 @@ model manifolds: explicit eigendata, functional calculus, forward solves,
 boundary-style observation records, spectral-data extraction, unique
 continuation diagnostics, and potential recovery."""
 
-import os as _os
-
-# LOGLAP_THREADS caps the BLAS pools; it must land in the environment before
-# numpy loads its backend, which is why it lives at package-import time.
-_threads = _os.environ.get("LOGLAP_THREADS")
-if _threads and _threads.isdigit():
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 __version__ = "0.1.0"

@@ -6,8 +6,10 @@ multipliers (lam+m), log(lam+m), (lam+m)log(lam+m), exp(-t(lam+m)) per
 block. The semigroup is therefore applied per eigenspace: a sum over basis
 columns is contracted to one term per eigenspace before the time decay, so
 sampling at T times costs T terms per eigenspace, not per column. Next to
-this multiplier route the module provides an independent pointwise integral
-route for A log A,
+this multiplier route the module provides the heat-kernel checks (kernel
+equality between two models, the Gaussian off-diagonal bound, and the Weyl
+and sup-norm growth laws) and an independent pointwise integral route for
+A log A,
 
     integral over (0, inf) of (exp(-t) - exp(-tA)) A u (x) dt / t,
 
@@ -23,13 +25,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import QuadratureConvergenceError
-from .models import SpectralModel, as_points, geodesic_distance, project_function
+from .errors import PreconditionError, QuadratureConvergenceError
+from .models import (ObservationSet, SpectralModel, as_points, geodesic_distance,
+                     project_function)
 
 __all__ = [
     "FieldCoefficients",
     "HeatTrace",
     "GrigoryanReport",
+    "KernelMatchReport",
+    "SanityReport",
     "check_mass",
     "field_from_samples",
     "random_field",
@@ -38,7 +43,10 @@ __all__ = [
     "l_multiplier",
     "heat_kernel",
     "heat_kernel_matrix",
+    "heat_kernel_equality_check",
     "grigoryan_check",
+    "weyl_sanity_check",
+    "supnorm_sanity_check",
     "log_identity_quadrature",
     "pointwise_L",
 ]
@@ -102,6 +110,29 @@ class GrigoryanReport:
     max_log_ratio: float
 
 
+@dataclass(frozen=True)
+class KernelMatchReport:
+    """Pointwise heat-kernel comparison on a shared node set."""
+
+    passed: bool
+    max_deviation: float
+    deviations: np.ndarray
+    times: np.ndarray
+    tolerance: float
+
+
+@dataclass(frozen=True)
+class SanityReport:
+    constant: float
+    exponent: float
+    violations: int
+    n_checked: int
+
+    @property
+    def passed(self) -> bool:
+        return self.violations == 0
+
+
 # ---------------------------------------------------------------------------
 # field constructors
 
@@ -147,15 +178,18 @@ def apply_L(field: FieldCoefficients, m: float) -> FieldCoefficients:
 # heat kernel
 
 
+def _kernel(rows_a: np.ndarray, rows_b: np.ndarray, mu: np.ndarray, t: float) -> np.ndarray:
+    """(rows_a diag(e^{-t mu})) rows_b^T from basis rows at two point sets."""
+    return (rows_a * np.exp(-t * mu)[None, :]) @ rows_b.T
+
+
 def heat_kernel_matrix(model: SpectralModel, m: float, t: float, points_a, points_b) -> np.ndarray:
     """Truncated kernel of exp(-tA) on a grid of point pairs."""
     check_mass(m)
     if not t > 0:
         raise ValueError(f"kernel evaluation needs t > 0, got {t}")
-    pa = model.eigenfunction_values(points_a)
-    pb = model.eigenfunction_values(points_b)
-    decay = np.exp(-t * (model.flat_eigenvalues() + m))
-    return (pa * decay[None, :]) @ pb.T
+    return _kernel(model.eigenfunction_values(points_a), model.eigenfunction_values(points_b),
+                   model.flat_eigenvalues() + m, t)
 
 
 def heat_kernel(model: SpectralModel, m: float, t: float, x, y) -> float:
@@ -163,6 +197,33 @@ def heat_kernel(model: SpectralModel, m: float, t: float, x, y) -> float:
     val = heat_kernel_matrix(model, m, t, as_points(x, model.dimension),
                              as_points(y, model.dimension))[0, 0]
     return float(val)
+
+
+def heat_kernel_equality_check(model_a: SpectralModel, model_b: SpectralModel,
+                               m: float, obs_a: ObservationSet,
+                               obs_b: ObservationSet, times, *,
+                               tolerance: float = 1e-10) -> KernelMatchReport:
+    """Compare both kernels on all window node pairs over the time grid.
+
+    Each model's basis rows on the window come from `window_rows`; only
+    the decay changes from one time to the next.
+    """
+    check_mass(m)
+    if obs_a.nodes.shape != obs_b.nodes.shape or \
+            np.max(np.abs(obs_a.nodes - obs_b.nodes)) > 1e-12:
+        raise PreconditionError("observation node sets differ")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or np.any(times <= 0):
+        raise ValueError("times must be a nonempty 1-d array of positive times")
+    rows_a = model_a.window_rows(obs_a.node_indices)
+    rows_b = model_b.window_rows(obs_b.node_indices)
+    mu_a = model_a.flat_eigenvalues() + m
+    mu_b = model_b.flat_eigenvalues() + m
+    devs = np.array([np.max(np.abs(_kernel(rows_a, rows_a, mu_a, t)
+                                   - _kernel(rows_b, rows_b, mu_b, t))) for t in times])
+    worst = float(np.max(devs))
+    return KernelMatchReport(passed=worst <= tolerance, max_deviation=worst,
+                             deviations=devs, times=times, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +243,8 @@ def grigoryan_check(model: SpectralModel, m: float, times, pairs=None,
     """
     check_mass(m)
     times = np.sort(np.asarray(times, dtype=float))
-    if np.any(times <= 0):
-        raise ValueError("probe times must be positive")
+    if times.size == 0 or np.any(times <= 0):
+        raise ValueError("times must hold at least one probe time, all positive")
     if pairs is None:
         rng = np.random.default_rng(seed)
         idx_a = rng.integers(0, model.nodes.shape[0], size=n_pairs)
@@ -197,7 +258,9 @@ def grigoryan_check(model: SpectralModel, m: float, times, pairs=None,
     n = model.dimension
     phi_a = model.eigenfunction_values(pa)
     phi_b = model.eigenfunction_values(pb)
-    # one decay rate per eigenspace, so each block's products are summed first
+    # one decay rate per eigenspace, so each block's products are summed first.
+    # The fit reads values down to 1e-13 of the largest, so this summation
+    # order is part of the result: `_kernel`'s order moves the prefactor.
     per_block = np.add.reduceat(phi_a * phi_b, model.block_offsets[:-1], axis=1)
 
     def kernel_rows(ts):
@@ -205,29 +268,67 @@ def grigoryan_check(model: SpectralModel, m: float, times, pairs=None,
 
     probe = kernel_rows(times)
     floor = 1e-13 * np.max(np.abs(probe))
-    tt = np.repeat(times, dists.size)
-    dd = np.tile(dists, times.size)
-    vv = probe.ravel()
-    mask = np.abs(vv) > floor
-    ytarget = np.log(np.abs(vv[mask])) + (n / 2.0) * np.log(tt[mask])
-    xfeat = dd[mask] ** 2 / tt[mask]
-    design = np.column_stack([np.ones(ytarget.size), -xfeat])
-    sol, *_ = np.linalg.lstsq(design, ytarget, rcond=None)
+
+    def scored(ts, values):
+        """log(|P| t^(n/2)), d^2 and t at the (time, pair) entries above the floor."""
+        values = values.ravel()
+        keep = np.abs(values) > floor
+        tt = np.repeat(ts, dists.size)[keep]
+        return (np.log(np.abs(values[keep])) + (n / 2.0) * np.log(tt),
+                np.tile(dists, ts.size)[keep] ** 2, tt)
+
+    # the fit rounds rate * (d^2 / t), the check (rate * d^2) / t
+    logs, d2, tt = scored(times, probe)
+    xfeat = d2 / tt
+    design = np.column_stack([np.ones(logs.size), -xfeat])
+    sol, *_ = np.linalg.lstsq(design, logs, rcond=None)
     rate = max(float(sol[1]), 0.0)
-    log_pref = float(np.max(ytarget + rate * xfeat))
+    log_pref = float(np.max(logs + rate * xfeat))
 
     fine = np.sort(np.concatenate([times, 0.5 * (times[:-1] + times[1:])]))
-    check = kernel_rows(fine)
-    ttf = np.repeat(fine, dists.size)
-    ddf = np.tile(dists, fine.size)
-    vvf = check.ravel()
-    maskf = np.abs(vvf) > floor
-    ratios = (np.log(np.abs(vvf[maskf])) + (n / 2.0) * np.log(ttf[maskf])
-              + rate * ddf[maskf] ** 2 / ttf[maskf] - log_pref)
+    logs, d2, tt = scored(fine, kernel_rows(fine))
+    ratios = logs + rate * d2 / tt - log_pref
     violations = int(np.sum(ratios > 1e-9))
     max_ratio = float(np.max(ratios)) if ratios.size else -np.inf
     return GrigoryanReport(violations == 0, rate, float(np.exp(log_pref)),
-                           violations, int(np.sum(maskf)), max_ratio)
+                           violations, int(ratios.size), max_ratio)
+
+
+# ---------------------------------------------------------------------------
+# growth laws
+
+
+def _growth_report(values: np.ndarray, power: np.ndarray, exponent: float) -> SanityReport:
+    """C is the largest values/power ratio; a violation exceeds C power (1 + 1e-12)."""
+    C = float(np.max(values / power))
+    violations = int(np.sum(values > C * power * (1 + 1e-12)))
+    return SanityReport(constant=C, exponent=exponent, violations=violations,
+                        n_checked=int(values.size))
+
+
+def weyl_sanity_check(model: SpectralModel) -> SanityReport:
+    """Counting-function growth: N(lambda) <= C lambda^{n/2} on positive blocks.
+
+    The zero eigenvalue is excluded (N(0) >= 1 defeats any finite constant);
+    the fitted constant should stay stable as the truncation grows.
+    """
+    lam = model.eigenvalues
+    mask = lam > 0
+    if not mask.any():
+        raise ValueError("the counting bound needs a positive eigenvalue; "
+                         f"truncation {model.truncation} holds only lambda = 0")
+    counts = np.cumsum(model.multiplicities).astype(float)
+    expo = model.dimension / 2.0
+    return _growth_report(counts[mask], lam[mask] ** expo, expo)
+
+
+def supnorm_sanity_check(model: SpectralModel, m: float) -> SanityReport:
+    """Eigenfunction growth: node sup |phi| <= C (lambda+m)^{(n-1)/4} per block."""
+    check_mass(m)
+    B = model.node_basis()
+    expo = (model.dimension - 1) / 4.0
+    sups = np.maximum.reduceat(np.abs(B), model.block_offsets[:-1], axis=1).max(axis=0)
+    return _growth_report(sups, (model.eigenvalues + m) ** expo, expo)
 
 
 # ---------------------------------------------------------------------------

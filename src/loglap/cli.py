@@ -15,7 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calculus import grigoryan_check
+from .calculus import (
+    grigoryan_check,
+    heat_kernel_equality_check,
+    supnorm_sanity_check,
+    weyl_sanity_check,
+)
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -27,19 +32,9 @@ from .config import (
     config_times,
     load_config,
 )
-from .extraction import (
-    build_gelfand_data,
-    compare_gelfand,
-    supnorm_sanity_check,
-    weyl_sanity_check,
-)
+from .extraction import build_gelfand_data, compare_gelfand
 from .models import verify_orthonormality
-from .recovery import (
-    heat_kernel_equality_check,
-    isometry_gauge_check,
-    recover_potential,
-    ucp_nullspace_test,
-)
+from .recovery import isometry_gauge_check, recover_potential, ucp_nullspace_test
 from .serialize import (
     SerializationError,
     dump_gelfand,

@@ -15,7 +15,7 @@ from typing import Literal, Optional, Union
 
 import numpy as np
 
-from .calculus import grigoryan_check
+from .calculus import grigoryan_check, heat_kernel_equality_check
 from .errors import ConfigError, FieldError
 from .extraction import compare_gelfand, default_time_grid
 from .fields import decode, require
@@ -28,7 +28,7 @@ from .models import (
     make_manifold,
     restrict_to_observation,
 )
-from .recovery import heat_kernel_equality_check, isometry_gauge_check, ucp_nullspace_test
+from .recovery import isometry_gauge_check, ucp_nullspace_test
 from .solver import PotentialField, make_source_basis, zero_potential
 
 

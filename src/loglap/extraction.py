@@ -28,7 +28,6 @@ __all__ = [
     "ExponentialFit",
     "GelfandData",
     "MatchReport",
-    "SanityReport",
     "build_gelfand_data",
     "compare_gelfand",
     "default_time_grid",
@@ -36,8 +35,6 @@ __all__ = [
     "heat_trace_of_field",
     "heat_trace_of_solution",
     "principal_angles",
-    "supnorm_sanity_check",
-    "weyl_sanity_check",
 ]
 
 
@@ -400,49 +397,3 @@ def compare_gelfand(a: GelfandData, b: GelfandData, *,
                        failure_index=failure, n_compared=n,
                        count_mismatch=count_mismatch,
                        eig_rtol=eig_rtol, angle_tol=angle_tol)
-
-
-# -------------------------------------------------------------- sanity
-
-
-@dataclass(frozen=True)
-class SanityReport:
-    constant: float
-    exponent: float
-    violations: int
-    n_checked: int
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def weyl_sanity_check(model: SpectralModel) -> SanityReport:
-    """Counting-function growth: N(lambda) <= C lambda^{n/2} on positive blocks.
-
-    The zero eigenvalue is excluded (N(0) >= 1 defeats any finite constant);
-    the fitted constant should stay stable as the truncation grows.
-    """
-    lam = model.eigenvalues
-    counts = np.cumsum(model.multiplicities).astype(float)
-    mask = lam > 0
-    power = lam[mask] ** (model.dimension / 2.0)
-    ratios = counts[mask] / power
-    C = float(np.max(ratios))
-    violations = int(np.sum(counts[mask] > C * power * (1 + 1e-12)))
-    return SanityReport(constant=C, exponent=model.dimension / 2.0,
-                        violations=violations, n_checked=int(mask.sum()))
-
-
-def supnorm_sanity_check(model: SpectralModel, m: float) -> SanityReport:
-    """Eigenfunction growth: node sup |phi| <= C (lambda+m)^{(n-1)/4} per block."""
-    check_mass(m)
-    B = model.node_basis()
-    expo = (model.dimension - 1) / 4.0
-    sups = np.maximum.reduceat(np.abs(B), model.block_offsets[:-1], axis=1).max(axis=0)
-    power = (model.eigenvalues + m) ** expo
-    ratios = sups / power
-    C = float(np.max(ratios))
-    violations = int(np.sum(sups > C * power * (1 + 1e-12)))
-    return SanityReport(constant=C, exponent=expo, violations=violations,
-                        n_checked=model.truncation)

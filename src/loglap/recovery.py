@@ -40,10 +40,8 @@ from .solver import (
 
 __all__ = [
     "GaugeReport",
-    "KernelMatchReport",
     "RecoveredPotential",
     "UcpReport",
-    "heat_kernel_equality_check",
     "isometry_gauge_check",
     "recover_potential",
     "ucp_nullspace_test",
@@ -198,50 +196,6 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
                               disagreement=disagreement,
                               observation_indices=obs.node_indices.copy(),
                               covered_fraction=covered)
-
-
-# ---------------------------------------------------------------- kernels
-
-
-@dataclass(frozen=True)
-class KernelMatchReport:
-    """Pointwise heat-kernel comparison on a shared node set."""
-
-    passed: bool
-    max_deviation: float
-    deviations: np.ndarray
-    times: np.ndarray
-    tolerance: float
-
-
-def heat_kernel_equality_check(model_a: SpectralModel, model_b: SpectralModel,
-                               m: float, obs_a: ObservationSet,
-                               obs_b: ObservationSet, times, *,
-                               tolerance: float = 1e-10) -> KernelMatchReport:
-    """Compare both kernels on all window node pairs over the time grid.
-
-    Each model's basis rows on the window come from `window_rows`; only
-    the decay changes from one time to the next.
-    """
-    check_mass(m)
-    if obs_a.nodes.shape != obs_b.nodes.shape or \
-            np.max(np.abs(obs_a.nodes - obs_b.nodes)) > 1e-12:
-        raise PreconditionError("observation node sets differ")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or np.any(times <= 0):
-        raise ValueError("times must be positive")
-    rows_a = model_a.window_rows(obs_a.node_indices)
-    rows_b = model_b.window_rows(obs_b.node_indices)
-    mu_a = model_a.flat_eigenvalues() + m
-    mu_b = model_b.flat_eigenvalues() + m
-    devs = np.empty(times.size)
-    for j, t in enumerate(times):
-        ka = (rows_a * np.exp(-t * mu_a)[None, :]) @ rows_a.T
-        kb = (rows_b * np.exp(-t * mu_b)[None, :]) @ rows_b.T
-        devs[j] = np.max(np.abs(ka - kb))
-    worst = float(np.max(devs))
-    return KernelMatchReport(passed=worst <= tolerance, max_deviation=worst,
-                             deviations=devs, times=times, tolerance=tolerance)
 
 
 # ------------------------------------------------------------------ gauge

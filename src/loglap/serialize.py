@@ -24,12 +24,12 @@ import json
 
 import numpy as np
 
-from .calculus import GrigoryanReport, HeatTrace
+from .calculus import GrigoryanReport, HeatTrace, KernelMatchReport, SanityReport
 from .errors import FieldError, SerializationError
-from .extraction import GelfandData, MatchReport, SanityReport
+from .extraction import GelfandData, MatchReport
 from .fields import decode, payload_fields
 from .models import ISOMETRIES, WINDOWS, Isometry, SpectralModel, Window, build_model
-from .recovery import GaugeReport, KernelMatchReport, RecoveredPotential, UcpReport
+from .recovery import GaugeReport, RecoveredPotential, UcpReport
 from .solver import CauchyRecord, Solution
 
 FORMAT_VERSION = 1

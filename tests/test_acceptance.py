@@ -18,13 +18,10 @@ from loglap.calculus import (
     log_identity_quadrature,
     pointwise_L,
     random_field,
-)
-from loglap.extraction import (
-    build_gelfand_data,
-    compare_gelfand,
     supnorm_sanity_check,
     weyl_sanity_check,
 )
+from loglap.extraction import build_gelfand_data, compare_gelfand
 from loglap.models import (
     AngularInterval,
     SphericalCap,

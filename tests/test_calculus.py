@@ -1,5 +1,6 @@
-"""Functional calculus tests: spectral multipliers, heat flow, kernels,
-the integral identity for the logarithm, and the pointwise operator route.
+"""Functional calculus tests: spectral multipliers, heat flow, kernels and
+their checks, the integral identity for the logarithm, and the pointwise
+operator route.
 
 Frozen constants were produced by an independent high-precision route
 (mpmath at 40 digits): multiplier values (lam+m) ln(lam+m) and image-sum
@@ -7,23 +8,31 @@ kernel values on the unit circle.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from loglap.calculus import (
+    GrigoryanReport,
+    SanityReport,
     apply_L,
     check_mass,
     field_from_samples,
     grigoryan_check,
     heat_kernel,
+    heat_kernel_equality_check,
     heat_kernel_matrix,
     log_identity_quadrature,
     pointwise_L,
     project,
     random_field,
+    supnorm_sanity_check,
+    weyl_sanity_check,
     FieldCoefficients,
 )
-from loglap.models import build_model, geodesic_distance
+from loglap.models import (AngularInterval, as_points, build_model, geodesic_distance,
+                           restrict_to_observation)
 from loglap.errors import QuadratureConvergenceError
 
 # (lam + 2) ln(lam + 2) for lam = 0, 1, 4, 9; mpmath, 40 digits, frozen.
@@ -220,6 +229,140 @@ class TestGrigoryanBound:
         report = grigoryan_check(model, 2.0, np.linspace(0.1, 1.5, 10), n_pairs=12, seed=3)
         assert report.passed
         assert report.violations == 0
+
+
+# Reference bodies of the Gaussian bound's two-block scoring and of the two
+# growth laws as they stood before the scoring was folded into one step.
+# The folded code must reproduce them bit for bit.
+
+
+def two_block_grigoryan(model, m, times, pairs=None, n_pairs=20, seed=0):
+    times = np.sort(np.asarray(times, dtype=float))
+    if pairs is None:
+        rng = np.random.default_rng(seed)
+        idx_a = rng.integers(0, model.nodes.shape[0], size=n_pairs)
+        idx_b = rng.integers(0, model.nodes.shape[0], size=n_pairs)
+        idx_b[0] = idx_a[0]
+        pa, pb = model.nodes[idx_a], model.nodes[idx_b]
+    else:
+        pa = np.vstack([as_points(p, model.dimension) for p, _ in pairs])
+        pb = np.vstack([as_points(q, model.dimension) for _, q in pairs])
+    dists = geodesic_distance(model, pa, pb)
+    n = model.dimension
+    phi_a = model.eigenfunction_values(pa)
+    phi_b = model.eigenfunction_values(pb)
+    per_block = np.add.reduceat(phi_a * phi_b, model.block_offsets[:-1], axis=1)
+
+    def kernel_rows(ts):
+        return np.exp(-np.outer(ts, model.eigenvalues)) @ per_block.T
+
+    probe = kernel_rows(times)
+    floor = 1e-13 * np.max(np.abs(probe))
+    tt = np.repeat(times, dists.size)
+    dd = np.tile(dists, times.size)
+    vv = probe.ravel()
+    mask = np.abs(vv) > floor
+    ytarget = np.log(np.abs(vv[mask])) + (n / 2.0) * np.log(tt[mask])
+    xfeat = dd[mask] ** 2 / tt[mask]
+    design = np.column_stack([np.ones(ytarget.size), -xfeat])
+    sol, *_ = np.linalg.lstsq(design, ytarget, rcond=None)
+    rate = max(float(sol[1]), 0.0)
+    log_pref = float(np.max(ytarget + rate * xfeat))
+
+    fine = np.sort(np.concatenate([times, 0.5 * (times[:-1] + times[1:])]))
+    check = kernel_rows(fine)
+    ttf = np.repeat(fine, dists.size)
+    ddf = np.tile(dists, fine.size)
+    vvf = check.ravel()
+    maskf = np.abs(vvf) > floor
+    ratios = (np.log(np.abs(vvf[maskf])) + (n / 2.0) * np.log(ttf[maskf])
+              + rate * ddf[maskf] ** 2 / ttf[maskf] - log_pref)
+    violations = int(np.sum(ratios > 1e-9))
+    max_ratio = float(np.max(ratios)) if ratios.size else -np.inf
+    return GrigoryanReport(violations == 0, rate, float(np.exp(log_pref)),
+                           violations, int(np.sum(maskf)), max_ratio)
+
+
+def separate_weyl(model):
+    lam = model.eigenvalues
+    counts = np.cumsum(model.multiplicities).astype(float)
+    mask = lam > 0
+    power = lam[mask] ** (model.dimension / 2.0)
+    ratios = counts[mask] / power
+    C = float(np.max(ratios))
+    violations = int(np.sum(counts[mask] > C * power * (1 + 1e-12)))
+    return SanityReport(constant=C, exponent=model.dimension / 2.0,
+                        violations=violations, n_checked=int(mask.sum()))
+
+
+def separate_supnorm(model, m):
+    B = model.node_basis()
+    expo = (model.dimension - 1) / 4.0
+    sups = np.maximum.reduceat(np.abs(B), model.block_offsets[:-1], axis=1).max(axis=0)
+    power = (model.eigenvalues + m) ** expo
+    ratios = sups / power
+    C = float(np.max(ratios))
+    violations = int(np.sum(sups > C * power * (1 + 1e-12)))
+    return SanityReport(constant=C, exponent=expo, violations=violations,
+                        n_checked=model.truncation)
+
+
+FOLD_MODELS = pytest.mark.parametrize("kind,K,kwargs", [
+    ("circle", 24, {}),
+    ("torus", 8, {"edges": (2 * np.pi, 2 * np.pi)}),
+    ("sphere", 10, {}),
+], ids=["circle", "torus", "sphere"])
+
+
+def same_fields(a, b) -> bool:
+    """Same report type, and every field equal and of the same type."""
+    return type(a) is type(b) and all(
+        type(x) is type(y) and x == y for x, y in zip(dataclasses.astuple(a),
+                                                      dataclasses.astuple(b)))
+
+
+class TestFoldsAreBitwise:
+    @FOLD_MODELS
+    def test_gaussian_bound_seeded_pairs(self, kind, K, kwargs):
+        model = build_model(kind, K, **kwargs)
+        times = np.geomspace(0.05, 2.0, 12)
+        report = grigoryan_check(model, 2.0, times, n_pairs=15, seed=4)
+        assert same_fields(report, two_block_grigoryan(model, 2.0, times, n_pairs=15, seed=4))
+
+    @FOLD_MODELS
+    def test_gaussian_bound_explicit_pairs(self, kind, K, kwargs):
+        model = build_model(kind, K, **kwargs)
+        times = np.linspace(0.1, 1.5, 10)
+        idx = np.random.default_rng(5).integers(0, model.nodes.shape[0], size=(6, 2))
+        nodes = 0.9 * model.nodes + 0.05  # off the quadrature nodes
+        pairs = [(nodes[i], nodes[j]) for i, j in idx]
+        report = grigoryan_check(model, 2.0, times, pairs=pairs)
+        assert same_fields(report, two_block_grigoryan(model, 2.0, times, pairs=pairs))
+
+    @FOLD_MODELS
+    def test_growth_laws(self, kind, K, kwargs):
+        model = build_model(kind, K, **kwargs)
+        assert same_fields(weyl_sanity_check(model), separate_weyl(model))
+        assert same_fields(supnorm_sanity_check(model, 2.0), separate_supnorm(model, 2.0))
+
+
+def equality_on_half_circle(times):
+    model = build_model("circle", 8)
+    obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
+    return heat_kernel_equality_check(model, model, 2.0, obs, obs, times)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: equality_on_half_circle([]), "times"),
+    (lambda: equality_on_half_circle([0.5, 0.0]), "times"),
+    (lambda: equality_on_half_circle([[0.1, 0.5]]), "times"),
+    (lambda: grigoryan_check(build_model("circle", 8), 2.0, []), "times"),
+    (lambda: weyl_sanity_check(build_model("circle", 1)), "positive eigenvalue"),
+], ids=["equality-empty", "equality-nonpositive", "equality-2d", "gaussian-empty",
+        "weyl-no-positive-eigenvalue"])
+def test_heat_checks_reject_empty_or_bad_inputs(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestLogIdentity:

@@ -611,12 +611,3 @@ class TestProcessLevel:
         proc = subprocess.run([sys.executable, "-c", self.SCIPY_MODULES, *argv],
                               capture_output=True, text=True, env=child_env(os.environ))
         assert proc.stdout.strip() == "0 []", proc.stderr
-
-    def test_thread_env_override(self):
-        code = ("import os; os.environ['LOGLAP_THREADS']='3'; "
-                "import loglap; print(os.environ['OMP_NUM_THREADS'])")
-        env = child_env({k: v for k, v in os.environ.items()
-                         if k not in ("OMP_NUM_THREADS", "LOGLAP_THREADS")})
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env)
-        assert proc.stdout.strip() == "3"

@@ -10,7 +10,15 @@ import pytest
 
 import scipy.linalg
 
-from loglap.calculus import FieldCoefficients, HeatTrace, apply_L, l_multiplier, random_field
+from loglap.calculus import (
+    FieldCoefficients,
+    HeatTrace,
+    apply_L,
+    l_multiplier,
+    random_field,
+    supnorm_sanity_check,
+    weyl_sanity_check,
+)
 from loglap.errors import (
     GridTooCoarseError,
     PreconditionError,
@@ -27,8 +35,6 @@ from loglap.extraction import (
     heat_trace_of_field,
     heat_trace_of_solution,
     principal_angles,
-    supnorm_sanity_check,
-    weyl_sanity_check,
 )
 from loglap.models import (
     AngularInterval,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from loglap import models
-from loglap.calculus import heat_kernel_matrix
+from loglap.calculus import heat_kernel_equality_check, heat_kernel_matrix
 from loglap.errors import (
     EmptyCoverageError,
     InconsistentCandidatesError,
@@ -30,7 +30,6 @@ from loglap.models import (
     with_mixed_blocks,
 )
 from loglap.recovery import (
-    heat_kernel_equality_check,
     isometry_gauge_check,
     recover_potential,
     ucp_nullspace_test,

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from loglap.calculus import GrigoryanReport, HeatTrace
-from loglap.extraction import GelfandData, MatchReport, SanityReport, build_gelfand_data
+from loglap.calculus import GrigoryanReport, HeatTrace, KernelMatchReport, SanityReport
+from loglap.extraction import GelfandData, MatchReport, build_gelfand_data
 from loglap.models import (
     AngularInterval,
     CircleReflection,
@@ -30,7 +30,6 @@ from loglap.models import (
 )
 from loglap.recovery import (
     GaugeReport,
-    KernelMatchReport,
     RecoveredPotential,
     UcpReport,
     recover_potential,
