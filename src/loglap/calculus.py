@@ -246,12 +246,17 @@ def grigoryan_check(model: SpectralModel, m: float, times, pairs=None,
     if times.size == 0 or np.any(times <= 0):
         raise ValueError("times must hold at least one probe time, all positive")
     if pairs is None:
+        if n_pairs < 1:
+            raise ValueError("n_pairs must be at least 1")
         rng = np.random.default_rng(seed)
         idx_a = rng.integers(0, model.nodes.shape[0], size=n_pairs)
         idx_b = rng.integers(0, model.nodes.shape[0], size=n_pairs)
         idx_b[0] = idx_a[0]  # keep one on-diagonal probe
         pa, pb = model.nodes[idx_a], model.nodes[idx_b]
     else:
+        pairs = list(pairs)
+        if not pairs:
+            raise ValueError("pairs must hold at least one point pair")
         pa = np.vstack([as_points(p, model.dimension) for p, _ in pairs])
         pb = np.vstack([as_points(q, model.dimension) for _, q in pairs])
     dists = geodesic_distance(model, pa, pb)

@@ -35,7 +35,7 @@ class SingularOperatorError(LoglapError):
 
 
 class IllConditionedError(LoglapError):
-    """Galerkin operator condition number exceeds the configured bound."""
+    """A solve's residual is larger than the operator's conditioning allows."""
 
 
 class SupportViolationError(LoglapError):
@@ -56,14 +56,6 @@ class UnderExcitedEigenspaceError(LoglapError):
 
 class UnderdeterminedSamplingError(LoglapError):
     """Constraint matrix has fewer rows than the space it must pin down."""
-
-
-class EmptyCoverageError(LoglapError):
-    """Some node outside the observation set is masked for every source."""
-
-
-class InconsistentCandidatesError(LoglapError):
-    """Per-source recovered values disagree beyond the tolerance."""
 
 
 class PreconditionError(LoglapError):

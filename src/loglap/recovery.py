@@ -8,18 +8,12 @@ is safely away from zero.
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
 from .calculus import (apply_L, check_mass, field_from_samples,
                        l_multiplier, random_field)
-from .errors import (
-    EmptyCoverageError,
-    InconsistentCandidatesError,
-    PreconditionError,
-    UnderdeterminedSamplingError,
-)
+from .errors import PreconditionError, UnderdeterminedSamplingError
 from .models import (
     Isometry,
     ObservationSet,
@@ -30,13 +24,7 @@ from .models import (
     isometry_preserves_set,
     project_function,
 )
-from .solver import (
-    PotentialField,
-    SourceFunction,
-    band_limit_source,
-    cauchy_record,
-    make_source_basis,
-)
+from .solver import PotentialField, forward_map, make_source_basis
 
 __all__ = [
     "GaugeReport",
@@ -148,21 +136,24 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
                       v_known: PotentialField, records, *,
-                      mask_eps: float = 1e-6,
-                      disagreement_tol: Optional[float] = None,
-                      require_full_coverage: bool = False) -> RecoveredPotential:
+                      mask_eps: float = 1e-6) -> RecoveredPotential:
     """Recover the potential outside the window from observation records.
 
     Off the window the sources vanish, so the equation pins the potential
     to -(L u)/u wherever a solution stays away from zero.  Candidates from
     different sources are aggregated by a weighted median with weights |u|;
     nodes with no admissible source are masked.  On the window the known
-    restriction is copied verbatim.
+    restriction is copied verbatim.  The records must carry their solution:
+    serialized records hold window data only.
     """
     check_mass(m)
     records = list(records)
     if not records:
         raise ValueError("no records given")
+    if any(rec.solution is None for rec in records):
+        raise PreconditionError(
+            "records carry no solution (serialized records hold window data "
+            "only); recover from records made by cauchy_records")
     n_nodes = model.nodes.shape[0]
     complement = np.setdiff1d(np.arange(n_nodes), obs.node_indices)
 
@@ -174,20 +165,6 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
     values = _weighted_median(candidates, np.where(admissible, np.abs(u), 0.0))
     mask = admissible.any(axis=1)
     disagreement = np.fmax.reduce(np.abs(candidates - values[:, None]), axis=1)
-
-    uncovered = complement[~mask[complement]]
-    if require_full_coverage and uncovered.size:
-        raise EmptyCoverageError(
-            f"{uncovered.size} nodes outside the window have no admissible "
-            "source; add sources or lower the mask threshold")
-    if disagreement_tol is not None:
-        # uncovered nodes carry no candidate, hence no disagreement
-        reached = complement[mask[complement]]
-        worst = float(np.max(disagreement[reached])) if reached.size else 0.0
-        if worst > disagreement_tol:
-            raise InconsistentCandidatesError(
-                f"source candidates disagree by {worst:.3e} "
-                f"(tolerance {disagreement_tol:.3e}); raise the truncation")
 
     values[obs.node_indices] = v_known.values_at(model, obs.nodes)
     mask[obs.node_indices] = True
@@ -236,31 +213,28 @@ def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
     intertwining = float(np.max(np.abs(lhs - rhs))) / scale
 
-    # stage 2: record invariance for one window-supported source.  The bump
-    # is truncated to the model band first: composition by the symmetry and
-    # projection onto the band only commute for band-limited data, so a raw
-    # bump would leak its spectral tail into the comparison whenever the
-    # symmetry does not map quadrature nodes to quadrature nodes.
-    src = band_limit_source(model, make_source_basis(model, obs, 1)[0],
-                            model.truncation)
-    rec = cauchy_record(model, m, V, src, obs)
-
+    # stage 2: record invariance for one window-supported source f, each
+    # problem solved once.  f is pulled back through its band expansion:
+    # composition by the symmetry and projection onto the band only commute
+    # for band-limited data, so the raw bump would leak its spectral tail
+    # into the comparison whenever the symmetry does not map quadrature
+    # nodes to quadrature nodes.
     pull_back = partial(apply_isometry, model, isometry, inverse=True)
     v_pulled = PotentialField(lambda pts: V.values_at(model, pull_back(pts)),
                               label=f"{V.label}~pullback")
-    inv_nodes = pull_back(model.nodes)
-    f_coeffs = project_function(model, src.evaluate(inv_nodes))
-    src_pulled = SourceFunction(
-        model=model, source_id=f"{src.source_id}~pullback", center=src.center,
-        radius=src.radius, order=src.order,
-        node_values=model.node_basis() @ f_coeffs, coefficients=f_coeffs,
-        band_limited=True)
-    rec2 = cauchy_record(model, m, v_pulled, src_pulled, obs)
-
-    inv_obs = pull_back(obs.nodes)
-    du = np.max(np.abs(rec2.u_values - rec.solution.evaluate(inv_obs)))
-    dlu = np.max(np.abs(rec2.lu_values - apply_L(rec.solution, m).evaluate(inv_obs)))
-    ref = max(float(np.max(np.abs(rec.u_values))), 1e-300)
+    f = make_source_basis(model, obs, 1)[0].coefficients
+    f_pulled = project_function(model, model.eigenfunction_values(pull_back(model.nodes)) @ f)
+    fmap = forward_map(model, m, V)
+    U = fmap.solve(f[:, None])
+    U2 = forward_map(model, m, v_pulled).solve(f_pulled[:, None])
+    mult = fmap.multipliers[:, None]
+    # Cauchy data of the pulled-back problem on the window against those of
+    # (V, f) at Phi^{-1}(window nodes)
+    B = model.window_rows(obs.node_indices)
+    E = model.eigenfunction_values(pull_back(obs.nodes))
+    du = np.max(np.abs(B @ U2 - E @ U))
+    dlu = np.max(np.abs(B @ (mult * U2) - E @ (mult * U)))
+    ref = max(float(np.max(np.abs(B @ U))), 1e-300)
     record_defect = float(max(du, dlu)) / ref
 
     passed = intertwining <= tolerance and record_defect <= tolerance

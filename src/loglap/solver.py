@@ -116,12 +116,9 @@ class SourceFunction:
     order: int
     node_values: np.ndarray
     coefficients: np.ndarray
-    band_limited: bool = False
 
     def evaluate(self, points) -> np.ndarray:
         pts = as_points(points, self.model.dimension)
-        if self.band_limited:
-            return self.model.eigenfunction_values(pts) @ self.coefficients
         return _bump_values(self.model, self.center, self.radius, self.order, pts)
 
 
@@ -164,27 +161,6 @@ def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
     return sources
 
 
-def band_limit_source(model: SpectralModel, source: SourceFunction,
-                      blocks: int) -> SourceFunction:
-    """Truncate a source to its leading eigenvalue blocks.
-
-    The result is a trigonometric-polynomial-type source: still smooth, but
-    exactly representable at any truncation >= blocks, which makes
-    refinement comparisons independent of the bump's spectral tail.
-    """
-    if not 0 < blocks <= model.truncation:
-        raise ValueError("blocks must lie in 1..truncation")
-    cut = int(model.block_offsets[blocks])
-    coeffs = source.coefficients.copy()
-    coeffs[cut:] = 0.0
-    vals = model.node_basis() @ coeffs
-    return SourceFunction(model=model,
-                          source_id=f"{source.source_id}-band{blocks}",
-                          center=source.center, radius=source.radius,
-                          order=source.order, node_values=vals, coefficients=coeffs,
-                          band_limited=True)
-
-
 # ---------------------------------------------------------------------------
 # solving
 
@@ -216,13 +192,12 @@ class ForwardMap:
     cond: float
     label: str
 
-    def solve(self, F, *, cond_limit: Optional[float] = None) -> np.ndarray:
+    def solve(self, F) -> np.ndarray:
         """Solve H U = F for F of shape (D,) or (D, S).
 
         Raises SingularOperatorError when the smallest |eigenvalue| is below
-        1e-10 x the largest multiplier, and IllConditionedError when the
-        condition number exceeds `cond_limit` or a column's relative
-        residual is inconsistent with the conditioning.
+        1e-10 x the largest multiplier, and IllConditionedError when a
+        column's relative residual is inconsistent with the conditioning.
         """
         w = self.eigenvalues
         amin = float(np.min(np.abs(w)))
@@ -231,9 +206,6 @@ class ForwardMap:
             raise SingularOperatorError(
                 f"operator with potential '{self.label}' is numerically singular: "
                 f"min |eigenvalue| = {amin:.3e} <= {threshold:.3e}")
-        if cond_limit is not None and self.cond > cond_limit:
-            raise IllConditionedError(
-                f"operator condition number {self.cond:.3e} exceeds limit {cond_limit:.3e}")
         F = np.asarray(F, dtype=float)
         Q = self.eigenvectors
         U = Q @ ((Q.T @ F) / (w if F.ndim == 1 else w[:, None]))
@@ -271,12 +243,12 @@ def forward_map(model: SpectralModel, m: float, V: PotentialField) -> ForwardMap
     return model.memo("forward_map", key, build)
 
 
-def solve_schrodinger(model: SpectralModel, m: float, V: PotentialField, rhs, *,
-                      cond_limit: Optional[float] = None) -> FieldCoefficients:
+def solve_schrodinger(model: SpectralModel, m: float, V: PotentialField,
+                      rhs) -> FieldCoefficients:
     """Solve (multiplier + V) u = f in the truncated basis through the
     model's cached `forward_map`; raises as `ForwardMap.solve` does."""
     f = _coerce_rhs(model, rhs)
-    u = forward_map(model, m, V).solve(f, cond_limit=cond_limit)
+    u = forward_map(model, m, V).solve(f)
     return FieldCoefficients(model, u)
 
 

@@ -357,9 +357,11 @@ def equality_on_half_circle(times):
     (lambda: equality_on_half_circle([0.5, 0.0]), "times"),
     (lambda: equality_on_half_circle([[0.1, 0.5]]), "times"),
     (lambda: grigoryan_check(build_model("circle", 8), 2.0, []), "times"),
+    (lambda: grigoryan_check(build_model("circle", 8), 2.0, [0.5], pairs=[]), "pairs"),
+    (lambda: grigoryan_check(build_model("circle", 8), 2.0, [0.5], n_pairs=0), "n_pairs"),
     (lambda: weyl_sanity_check(build_model("circle", 1)), "positive eigenvalue"),
 ], ids=["equality-empty", "equality-nonpositive", "equality-2d", "gaussian-empty",
-        "weyl-no-positive-eigenvalue"])
+        "gaussian-no-pairs", "gaussian-zero-pairs", "weyl-no-positive-eigenvalue"])
 def test_heat_checks_reject_empty_or_bad_inputs(call, match):
     with pytest.raises(ValueError, match=match):
         call()

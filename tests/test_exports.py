@@ -6,7 +6,8 @@ a rename or deletion that leaves either list stale fails here, not at run
 time of the benchmark.  No module of the package imports scipy, so that
 the package needs numpy alone.  No code branches
 on a manifold's kind tag: what differs between manifolds is a method of
-the manifold class.
+the manifold class.  Every error class is raised somewhere in the package
+or is a base of one that is.
 """
 
 import ast
@@ -95,3 +96,30 @@ def test_no_branch_on_the_kind_tag():
              for path in sorted(root.rglob("*.py"))
              for line in kind_comparisons(ast.parse(path.read_text(), str(path)))]
     assert not found, f"comparisons with a kind tag at {found}"
+
+
+def raised_names(tree: ast.AST):
+    """Names of the classes raised by `raise Name(...)` or `raise Name`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_class_is_raised():
+    root = Path(loglap.__file__).resolve().parent
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in ast.parse((root / "errors.py").read_text()).body
+             if isinstance(node, ast.ClassDef)}
+    live = set()
+    pending = [name for path in sorted(root.rglob("*.py"))
+               for name in raised_names(ast.parse(path.read_text(), str(path)))
+               if name in bases]
+    while pending:
+        name = pending.pop()
+        if name not in live:
+            live.add(name)
+            pending += [b for b in bases[name] if b in bases]
+    dead = sorted(set(bases) - live)
+    assert not dead, f"errors.py defines classes nothing raises: {dead}"

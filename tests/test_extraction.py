@@ -5,6 +5,8 @@ as the primary oracle for the identification machinery; the model-backed
 tests compare against analytic eigendata.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,6 @@ from loglap.models import (
     with_mixed_blocks,
 )
 from loglap.solver import (
-    band_limit_source,
     forward_map,
     make_source_basis,
     solve_schrodinger,
@@ -89,6 +90,17 @@ def circle_setup(K, m=2.0, quad=None, count=5, radius=None, order=1):
     obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
     basis = make_source_basis(model, obs, count, radius=radius, order=order)
     return model, obs, basis
+
+
+def band_part(model, source, blocks, drop=None):
+    """`source` cut to its first `blocks` eigenvalue blocks, less block
+    `drop`: coefficients zeroed, node values re-expanded from them."""
+    keep = np.arange(model.total_dim) < model.block_offsets[blocks]
+    if drop is not None:
+        keep[model.block_slice(drop)] = False
+    coeffs = np.where(keep, source.coefficients, 0.0)
+    return dataclasses.replace(source, coefficients=coeffs,
+                               node_values=model.node_basis() @ coeffs)
 
 
 # ---------------------------------------------------------------- traces
@@ -365,9 +377,7 @@ class TestBuildGelfandData:
 
     def test_single_source_single_mode_blind(self):
         model, obs, basis = circle_setup(5)
-        src = band_limit_source(model, basis[0], 2)
-        src.coefficients[0] = 0.0
-        src.node_values = model.node_basis() @ src.coefficients
+        src = band_part(model, basis[0], 2, drop=0)
         data = build_gelfand_data(model, 2.0, zero_potential, obs, [src],
                                   mode="blind")
         assert data.eigenvalues.size == 1
@@ -377,13 +387,7 @@ class TestBuildGelfandData:
 
     def test_under_excited_eigenspace_raises(self):
         model, obs, basis = circle_setup(5)
-        sources = []
-        for src in basis:
-            bl = band_limit_source(model, src, 5)
-            sl = model.block_slice(2)
-            bl.coefficients[sl] = 0.0
-            bl.node_values = model.node_basis() @ bl.coefficients
-            sources.append(bl)
+        sources = [band_part(model, src, 5, drop=2) for src in basis]
         with pytest.raises(UnderExcitedEigenspaceError):
             build_gelfand_data(model, 2.0, zero_potential, obs, sources)
 
