@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionError, QuadratureConvergenceError
+from .fields import require
 from .models import (ObservationSet, SpectralModel, as_points, geodesic_distance,
                      project_function)
 
@@ -36,9 +37,10 @@ __all__ = [
     "KernelMatchReport",
     "SanityReport",
     "check_mass",
+    "check_times",
+    "check_shared_nodes",
     "field_from_samples",
     "random_field",
-    "project",
     "apply_L",
     "l_multiplier",
     "heat_kernel",
@@ -53,11 +55,25 @@ __all__ = [
 
 
 def check_mass(m: float) -> float:
-    """The mass offset must exceed 1 so that log(lam + m) stays positive."""
+    """The mass offset must be finite and exceed 1 so that log(lam + m) stays positive."""
     m = float(m)
-    if not m > 1.0:
-        raise ValueError(f"mass parameter must be > 1, got {m}")
+    require(m < np.inf, "m", "expected a finite number")
+    require(m > 1.0, "m", "must be > 1")
     return m
+
+
+def check_times(times) -> np.ndarray:
+    """A nonempty 1-d grid of finite times > 0, as a float array."""
+    times = np.asarray(times, dtype=float)
+    require(times.ndim == 1 and times.size and np.all(np.isfinite(times) & (times > 0)),
+            "times", "expected a nonempty list of positive times")
+    return times
+
+
+def check_shared_nodes(nodes_a, nodes_b, names: str) -> None:
+    """Raise PreconditionError unless two node sets agree to 1e-12."""
+    if np.shape(nodes_a) != np.shape(nodes_b) or np.max(np.abs(nodes_a - nodes_b)) > 1e-12:
+        raise PreconditionError(f"{names} are sampled on different observation nodes")
 
 
 @dataclass
@@ -73,8 +89,8 @@ class FieldCoefficients:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.model.total_dim,):
-            raise ValueError("coefficient vector does not match the model dimension")
+        require(self.values.shape == (self.model.total_dim,), "values",
+                f"expected {self.model.total_dim} entries, one per basis function")
 
     def evaluate(self, points) -> np.ndarray:
         return self.model.eigenfunction_values(points) @ self.values
@@ -96,8 +112,8 @@ class HeatTrace:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.times.size, self.nodes.shape[0]):
-            raise ValueError("trace matrix must be (n_times, n_nodes)")
+        require(self.values.shape == (self.times.size, self.nodes.shape[0]), "values",
+                "expected one row per time and one column per node")
 
 
 @dataclass(frozen=True)
@@ -151,16 +167,6 @@ def random_field(model: SpectralModel, seed: int) -> FieldCoefficients:
 # multiplier route
 
 
-def project(field: FieldCoefficients, k: int) -> FieldCoefficients:
-    """Orthogonal projection onto the k-th eigenspace."""
-    if not 0 <= k < field.model.truncation:
-        raise ValueError("eigenvalue index out of range")
-    out = np.zeros_like(field.values)
-    sl = field.model.block_slice(k)
-    out[sl] = field.values[sl]
-    return FieldCoefficients(field.model, out)
-
-
 def l_multiplier(eigenvalues, m: float) -> np.ndarray:
     """(lam+m) log(lam+m), evaluated in extended precision and rounded once."""
     mu = np.asarray(eigenvalues, dtype=np.longdouble) + np.longdouble(m)
@@ -186,8 +192,7 @@ def _kernel(rows_a: np.ndarray, rows_b: np.ndarray, mu: np.ndarray, t: float) ->
 def heat_kernel_matrix(model: SpectralModel, m: float, t: float, points_a, points_b) -> np.ndarray:
     """Truncated kernel of exp(-tA) on a grid of point pairs."""
     check_mass(m)
-    if not t > 0:
-        raise ValueError(f"kernel evaluation needs t > 0, got {t}")
+    require(t > 0, "t", f"kernel evaluation needs t > 0, got {t}")
     return _kernel(model.eigenfunction_values(points_a), model.eigenfunction_values(points_b),
                    model.flat_eigenvalues() + m, t)
 
@@ -209,12 +214,8 @@ def heat_kernel_equality_check(model_a: SpectralModel, model_b: SpectralModel,
     the decay changes from one time to the next.
     """
     check_mass(m)
-    if obs_a.nodes.shape != obs_b.nodes.shape or \
-            np.max(np.abs(obs_a.nodes - obs_b.nodes)) > 1e-12:
-        raise PreconditionError("observation node sets differ")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(times <= 0):
-        raise ValueError("times must be a nonempty 1-d array of positive times")
+    check_shared_nodes(obs_a.nodes, obs_b.nodes, "obs_a and obs_b")
+    times = check_times(times)
     rows_a = model_a.window_rows(obs_a.node_indices)
     rows_b = model_b.window_rows(obs_b.node_indices)
     mu_a = model_a.flat_eigenvalues() + m
@@ -242,12 +243,9 @@ def grigoryan_check(model: SpectralModel, m: float, times, pairs=None,
     the factor exp(-mt) on both sides, so the check runs massless.
     """
     check_mass(m)
-    times = np.sort(np.asarray(times, dtype=float))
-    if times.size == 0 or np.any(times <= 0):
-        raise ValueError("times must hold at least one probe time, all positive")
+    times = np.sort(check_times(times))
     if pairs is None:
-        if n_pairs < 1:
-            raise ValueError("n_pairs must be at least 1")
+        require(n_pairs >= 1, "n_pairs", "must be >= 1")
         rng = np.random.default_rng(seed)
         idx_a = rng.integers(0, model.nodes.shape[0], size=n_pairs)
         idx_b = rng.integers(0, model.nodes.shape[0], size=n_pairs)
@@ -255,8 +253,7 @@ def grigoryan_check(model: SpectralModel, m: float, times, pairs=None,
         pa, pb = model.nodes[idx_a], model.nodes[idx_b]
     else:
         pairs = list(pairs)
-        if not pairs:
-            raise ValueError("pairs must hold at least one point pair")
+        require(pairs, "pairs", "expected at least one point pair")
         pa = np.vstack([as_points(p, model.dimension) for p, _ in pairs])
         pb = np.vstack([as_points(q, model.dimension) for _, q in pairs])
     dists = geodesic_distance(model, pa, pb)
@@ -319,9 +316,8 @@ def weyl_sanity_check(model: SpectralModel) -> SanityReport:
     """
     lam = model.eigenvalues
     mask = lam > 0
-    if not mask.any():
-        raise ValueError("the counting bound needs a positive eigenvalue; "
-                         f"truncation {model.truncation} holds only lambda = 0")
+    require(mask.any(), "model", "the counting bound needs a positive eigenvalue; "
+                                 f"truncation {model.truncation} holds only lambda = 0")
     counts = np.cumsum(model.multiplicities).astype(float)
     expo = model.dimension / 2.0
     return _growth_report(counts[mask], lam[mask] ** expo, expo)
@@ -366,8 +362,8 @@ def _exp_sinh(values: np.ndarray, tol: float) -> tuple:
 def log_identity_quadrature(lam: float, tol: float = 1e-9) -> tuple:
     """Evaluate log(lam) through its exponential-difference time integral."""
     lam = float(lam)
-    if not 0.0 < lam < np.inf:
-        raise ValueError(f"the logarithm integral needs a finite lam > 0, got {lam}")
+    require(0.0 < lam < np.inf, "lam",
+            f"the logarithm integral needs a finite lam > 0, got {lam}")
     # (e^-t - e^-(t lam)) / t, factored so that neither cancellation near
     # t = 0 nor overflow at large t occurs on either side of lam = 1
     d = lam - 1.0
@@ -389,8 +385,7 @@ def pointwise_L(field: FieldCoefficients, m: float, point, tol: Optional[float] 
     check_mass(m)
     model = field.model
     pts = as_points(point, model.dimension)
-    if pts.shape[0] != 1:
-        raise ValueError("pointwise evaluation takes a single point")
+    require(pts.shape[0] == 1, "point", "pointwise evaluation takes a single point")
     phi = model.eigenfunction_values(pts)[0]
     mu = model.flat_eigenvalues() + m
     b = mu * field.values * phi

@@ -15,7 +15,7 @@ from typing import Literal, Optional, Union
 
 import numpy as np
 
-from .calculus import grigoryan_check, heat_kernel_equality_check
+from .calculus import check_mass, check_times, grigoryan_check, heat_kernel_equality_check
 from .errors import ConfigError, FieldError
 from .extraction import compare_gelfand, default_time_grid
 from .fields import decode, require
@@ -26,6 +26,7 @@ from .models import (
     Window,
     build_model,
     make_manifold,
+    node_counts,
     restrict_to_observation,
 )
 from .recovery import isometry_gauge_check, ucp_nullspace_test
@@ -52,10 +53,8 @@ class ModelSection:
         manifold = self.manifold
         for name in self.geometry:
             require(name in manifold.params, name, f"not a parameter of a {self.kind}")
-        q, dim = self.quadrature, manifold.dimension
-        counts = q if isinstance(q, tuple) else (1 if q is None else q,) * dim
-        require(len(counts) == dim, "quadrature", f"expected {dim} entries, one per chart axis")
-        require(min(counts) >= 1, "quadrature", "node counts must be >= 1")
+        if self.quadrature is not None:
+            node_counts(self.quadrature, manifold.dimension)
 
     @property
     def geometry(self) -> dict:
@@ -177,8 +176,7 @@ class HeatcheckSection:
     pairs: int = _default_of(grigoryan_check, "n_pairs")
 
     def __post_init__(self):
-        require(self.times and min(self.times) > 0, "times",
-                "expected a nonempty list of positive times")
+        check_times(self.times)
         require(self.pairs >= 1, "pairs", "must be >= 1")
 
 
@@ -203,7 +201,7 @@ class ExperimentConfig:
     heatcheck: HeatcheckSection = HeatcheckSection()
 
     def __post_init__(self):
-        require(self.m > 1, "m", "must be > 1")
+        check_mass(self.m)
         require(self.seed >= 0, "seed", "must be >= 0")
         manifold = self.model.manifold
         dim = manifold.dimension

@@ -1,8 +1,9 @@
 """Error types shared across the package.
 
-Every failure mode that a caller is expected to catch gets its own class;
-plain ValueError is reserved for malformed arguments (bad shapes, unknown
-kinds, out-of-range parameters).
+Every failure mode that a caller is expected to catch gets its own class.
+A malformed argument (a bad shape, an unknown kind, an out-of-range
+parameter) raises a FieldError that names it; FieldError is also a
+ValueError.  The package raises no class that this module does not define.
 """
 
 

@@ -13,16 +13,16 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import FieldCoefficients, HeatTrace, check_mass, l_multiplier
+from .calculus import (FieldCoefficients, HeatTrace, check_mass, check_shared_nodes,
+                       check_times, l_multiplier)
 from .errors import (
     GridTooCoarseError,
-    PreconditionError,
     RankAmbiguousError,
     UnderExcitedEigenspaceError,
 )
 from .fields import require
 from .models import ObservationSet, SpectralModel
-from .solver import forward_map, solve_schrodinger
+from .solver import forward_map, solve_schrodinger, source_matrix
 
 __all__ = [
     "ExponentialFit",
@@ -56,13 +56,15 @@ def default_time_grid(model: SpectralModel, m: float, samples: Optional[int] = N
     return np.linspace(t_min, t_max, count)
 
 
-def heat_trace_of_field(model: SpectralModel, m: float, solution, obs: ObservationSet,
-                        times, *, source_id: Optional[str] = None) -> HeatTrace:
+def heat_trace_of_field(model: SpectralModel, m: float, solution: FieldCoefficients,
+                        obs: ObservationSet, times, *,
+                        source_id: Optional[str] = None) -> HeatTrace:
     """Sample e^{-tA} L u on the observation nodes for each listed time."""
     check_mass(m)
-    times = np.asarray(times, dtype=float)
-    u = solution if isinstance(solution, FieldCoefficients) else FieldCoefficients(model, solution)
-    weighted = l_multiplier(model.flat_eigenvalues(), m) * u.values
+    times = check_times(times)
+    require(np.shape(getattr(solution, "values", None)) == (model.total_dim,), "solution",
+            f"expected the FieldCoefficients of a field with {model.total_dim} coefficients")
+    weighted = l_multiplier(model.flat_eigenvalues(), m) * solution.values
     return HeatTrace(times=times, nodes=obs.nodes,
                      values=_window_traces(model, m, weighted[:, None], obs, times),
                      node_indices=obs.node_indices, source_id=source_id)
@@ -80,10 +82,6 @@ def _window_traces(model: SpectralModel, m: float, weighted: np.ndarray,
     block sums in another order, moves the traces by ~3e-16 and flips
     `_block_rank`'s 1e-8 decision on the circle at K=8.
     """
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a nonempty 1-d array")
-    if np.any(times <= 0):
-        raise ValueError("heat trace times must be strictly positive")
     rows = model.window_rows(obs.node_indices)
     off, K = model.block_offsets, model.truncation
     per_block = np.empty((K, weighted.shape[1], rows.shape[0]))
@@ -97,8 +95,7 @@ def heat_trace_of_solution(model: SpectralModel, m: float, V, source, obs: Obser
                            times) -> HeatTrace:
     """Forward solve then sample the evolved image of the solution."""
     u = solve_schrodinger(model, m, V, source)
-    sid = getattr(source, "source_id", None)
-    return heat_trace_of_field(model, m, u, obs, times, source_id=sid)
+    return heat_trace_of_field(model, m, u, obs, times, source_id=source.source_id)
 
 
 # -------------------------------------------------------------- pencil
@@ -130,8 +127,8 @@ def extract_exponents(trace: HeatTrace, max_order: int) -> ExponentialFit:
     times = np.asarray(trace.times, dtype=float)
     vals = np.asarray(trace.values, dtype=float)
     J = times.size
-    if vals.ndim != 2 or vals.shape[0] != J:
-        raise ValueError("trace values must have one row per sample time")
+    require(vals.ndim == 2 and vals.shape[0] == J, "trace.values",
+            "expected one row per sample time")
     steps = np.diff(times)
     if J < 2 or np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1e-300):
         raise GridTooCoarseError("exponent extraction needs a uniform time grid")
@@ -247,14 +244,12 @@ def build_gelfand_data(model: SpectralModel, m: float, V, obs: ObservationSet,
     also checks that data against the model's own catalog: every
     materialized eigenspace must be fully excited, at its own rate.
     """
-    if mode not in ("internal", "blind"):
-        raise ValueError(f"unknown mode {mode!r}")
+    require(mode in ("internal", "blind"), "mode",
+            f"expected 'internal' or 'blind', found {mode!r}")
     sources = list(sources)
-    if not sources:
-        raise ValueError("at least one source is required")
-    times = default_time_grid(model, m) if times is None else np.asarray(times, dtype=float)
+    F = source_matrix(model, sources)
+    times = default_time_grid(model, m) if times is None else check_times(times)
     fmap = forward_map(model, m, V)
-    F = np.column_stack([src.coefficients for src in sources])
     values = _window_traces(model, m, fmap.multipliers[:, None] * fmap.solve(F), obs, times)
     n = obs.size
     traces = [HeatTrace(times=times, nodes=obs.nodes, values=values[:, s * n:(s + 1) * n],
@@ -371,9 +366,7 @@ def compare_gelfand(a: GelfandData, b: GelfandData, *,
     Both datasets must live on the same observation nodes; principal angles
     are measured in the weighted node geometry of the first dataset.
     """
-    if a.nodes.shape != b.nodes.shape or np.max(np.abs(a.nodes - b.nodes)) > 1e-12:
-        raise PreconditionError(
-            "datasets are sampled on different observation nodes")
+    check_shared_nodes(a.nodes, b.nodes, "a and b")
     n = min(a.eigenvalues.size, b.eigenvalues.size)
     count_mismatch = a.eigenvalues.size != b.eigenvalues.size
     sw = np.sqrt(a.weights)

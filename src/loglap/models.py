@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import ClassVar, Optional, Union
 
 import numpy as np
 
 from .errors import FieldError, PreconditionError
+from .fields import require
 
 __all__ = [
     "SpectralModel",
@@ -51,6 +53,7 @@ __all__ = [
     "Isometry",
     "make_manifold",
     "build_model",
+    "node_counts",
     "project_function",
     "verify_orthonormality",
     "restrict_to_observation",
@@ -168,14 +171,10 @@ class SpectralModel:
 class ObservationSet:
     """Open observation region, realized on the model's quadrature nodes."""
 
-    model: SpectralModel
     descriptor: object
     node_indices: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-
-    def contains(self, points) -> np.ndarray:
-        return descriptor_contains(self.model, self.descriptor, points)
 
     @property
     def size(self) -> int:
@@ -340,11 +339,12 @@ def _canonical_lattice(n, bound):
             if next((v for v in j if v), 1) > 0]
 
 
-def _node_counts(quadrature, n: int) -> tuple:
+def node_counts(quadrature, n: int) -> tuple:
+    """Per-axis quadrature node counts from one count or a list of n."""
     counts = ((int(quadrature),) * n if np.isscalar(quadrature)
               else tuple(int(c) for c in quadrature))
-    if len(counts) != n or min(counts) < 1:
-        raise FieldError("quadrature", f"expected {n} positive node counts")
+    require(len(counts) == n, "quadrature", f"expected {n} entries, one per chart axis")
+    require(min(counts) >= 1, "quadrature", "node counts must be >= 1")
     return counts
 
 
@@ -432,7 +432,7 @@ class FlatTorus:
             j_max = np.max(np.abs(table["lattice"]), axis=0)
             counts = tuple(int(max(4 * jm + 4, self.node_floor)) for jm in j_max)
         else:
-            counts = _node_counts(quadrature, n)
+            counts = node_counts(quadrature, n)
         axes = [p * np.arange(c) / c for p, c in zip(self.periods, counts)]
         grids = np.meshgrid(*axes, indexing="ij")
         nodes = np.column_stack([g.ravel() for g in grids])
@@ -580,9 +580,9 @@ class RoundSphere:
         if quadrature is None:
             n_colat, n_lon = max(K + 2, 8), max(4 * K + 4, 16)
         elif np.isscalar(quadrature):
-            n_colat, n_lon = int(quadrature), 2 * int(quadrature)
+            n_colat, n_lon = node_counts((int(quadrature), 2 * int(quadrature)), 2)
         else:
-            n_colat, n_lon = _node_counts(quadrature, 2)
+            n_colat, n_lon = node_counts(quadrature, 2)
         mu, wmu = np.polynomial.legendre.leggauss(n_colat)
         order = np.argsort(-mu)  # colatitude ascending
         mu, wmu = mu[order], wmu[order]
@@ -756,8 +756,8 @@ def build_model(kind: str, truncation: int, *, radius: float = 1.0,
     single int meaning (n, 2n)) for the sphere. Defaults are chosen so that
     products of any two materialized basis functions integrate exactly.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be a positive integer")
+    require(isinstance(truncation, Integral) and truncation >= 1, "truncation",
+            "must be a positive integer")
     return make_manifold(kind, radius=radius, edges=edges).build(truncation, quadrature)
 
 
@@ -769,8 +769,7 @@ def as_points(points, dim: int) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None] if dim == 1 else pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise ValueError(f"points must have shape (P, {dim})")
+    require(pts.ndim == 2 and pts.shape[1] == dim, "points", f"expected shape (P, {dim})")
     return pts
 
 
@@ -781,8 +780,8 @@ def as_points(points, dim: int) -> np.ndarray:
 def project_function(model: SpectralModel, f_values) -> np.ndarray:
     """Coefficients <f, phi_{k,l}> for every materialized basis function."""
     f = np.asarray(f_values, dtype=float)
-    if f.shape != (model.nodes.shape[0],):
-        raise ValueError("samples must be given on the model quadrature nodes")
+    require(f.shape == (model.nodes.shape[0],), "f_values",
+            "samples must be given on the model quadrature nodes")
     return model.node_basis().T @ (model.weights * f)
 
 
@@ -820,13 +819,12 @@ def restrict_to_observation(model: SpectralModel, descriptor) -> ObservationSet:
             "observation set contains no quadrature nodes; enlarge it or refine quadrature")
     if idx.size == model.nodes.shape[0]:
         raise PreconditionError("observation set must leave nodes in the complement")
-    return ObservationSet(model, descriptor, idx, model.nodes[idx], model.weights[idx])
+    return ObservationSet(descriptor, idx, model.nodes[idx], model.weights[idx])
 
 
 def _check_sampling(model: SpectralModel, descriptor, count: int) -> None:
     model.manifold.check_window(descriptor)
-    if count < 1:
-        raise ValueError("count must be positive")
+    require(count >= 1, "count", "must be >= 1")
 
 
 def interior_points(model: SpectralModel, descriptor, count: int) -> np.ndarray:
@@ -868,8 +866,7 @@ def geodesic_distance(model: SpectralModel, p, q) -> np.ndarray:
     """Geodesic distance between paired point lists."""
     pp = as_points(p, model.dimension)
     qq = as_points(q, model.dimension)
-    if pp.shape != qq.shape:
-        raise ValueError("point lists must pair up")
+    require(pp.shape == qq.shape, "q", f"expected {pp.shape[0]} points, one per point of p")
     return model.manifold.distance(pp, qq)
 
 

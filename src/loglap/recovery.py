@@ -14,6 +14,7 @@ import numpy as np
 from .calculus import (apply_L, check_mass, field_from_samples,
                        l_multiplier, random_field)
 from .errors import PreconditionError, UnderdeterminedSamplingError
+from .fields import require
 from .models import (
     Isometry,
     ObservationSet,
@@ -143,17 +144,24 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
     to -(L u)/u wherever a solution stays away from zero.  Candidates from
     different sources are aggregated by a weighted median with weights |u|;
     nodes with no admissible source are masked.  On the window the known
-    restriction is copied verbatim.  The records must carry their solution:
-    serialized records hold window data only.
+    restriction is copied verbatim.  The records must carry their solution
+    (serialized records hold window data only) and be made on this model,
+    mass and observation set.
     """
-    check_mass(m)
+    m = check_mass(m)
     records = list(records)
-    if not records:
-        raise ValueError("no records given")
-    if any(rec.solution is None for rec in records):
-        raise PreconditionError(
-            "records carry no solution (serialized records hold window data "
-            "only); recover from records made by cauchy_records")
+    require(records, "records", "expected at least one record")
+    for rec in records:
+        if rec.solution is None:
+            raise PreconditionError(
+                "records carry no solution (serialized records hold window data "
+                "only); recover from records made by cauchy_records")
+        for name, ok in (("mass", rec.mass == m),
+                         ("node_indices", np.array_equal(rec.node_indices, obs.node_indices)),
+                         ("solution", rec.solution.values.shape == (model.total_dim,))):
+            if not ok:
+                raise PreconditionError(f"record {rec.source_id}: {name} disagrees with "
+                                        "the model, m and obs of this call")
     n_nodes = model.nodes.shape[0]
     complement = np.setdiff1d(np.arange(n_nodes), obs.node_indices)
 

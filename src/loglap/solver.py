@@ -17,6 +17,7 @@ from .errors import (
     SingularOperatorError,
     SupportViolationError,
 )
+from .fields import require
 from .models import (
     ObservationSet,
     SpectralModel,
@@ -51,12 +52,14 @@ class PotentialField:
         if self.func is not None:
             out = np.asarray(self.func(model.manifold.natural_coordinates(pts)),
                              dtype=float)
-            if out.shape != (n,):
-                raise ValueError("potential callable returned a wrong shape")
-            return out
-        if self.const is not None:
-            return np.full(n, float(self.const))
-        return np.zeros(n)
+            require(out.shape == (n,), "V", f"{self.label!r} returned shape {out.shape}, "
+                                            f"expected ({n},)")
+        elif self.const is not None:
+            out = np.full(n, float(self.const))
+        else:
+            return np.zeros(n)
+        require(np.all(np.isfinite(out)), "V", f"{self.label!r} has non-finite values")
+        return out
 
     def node_values(self, model: SpectralModel) -> np.ndarray:
         return self.values_at(model, model.nodes)
@@ -87,8 +90,7 @@ def assemble_potential_matrix(model: SpectralModel, V: PotentialField) -> np.nda
 
 def bump_profile(s, order: int = 1):
     """Peak-normalized compact profile exp(1 - 1/(1-s^2)^order) on |s|<1."""
-    if order < 1:
-        raise ValueError("order must be a positive integer")
+    require(order >= 1, "order", "must be a positive integer")
     s = np.asarray(s, dtype=float)
     out = np.zeros(s.shape)
     inside = np.abs(s) < 1.0
@@ -134,11 +136,10 @@ def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
     Explicit centers or a radius that push a support outside the set raise
     SupportViolationError.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    require(count >= 1, "count", "must be >= 1")
     if centers is not None:
-        if len(centers) != count:
-            raise ValueError("need exactly one center per source")
+        require(len(centers) == count, "centers",
+                f"expected a list of {count} centers, one per source")
         ctrs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in centers]
     else:
         rng = np.random.default_rng(seed) if seed is not None else None
@@ -165,16 +166,15 @@ def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
 # solving
 
 
-def _coerce_rhs(model: SpectralModel, rhs) -> np.ndarray:
-    if isinstance(rhs, SourceFunction):
-        vec = rhs.coefficients
-    elif isinstance(rhs, FieldCoefficients):
-        vec = rhs.values
-    else:
-        vec = np.asarray(rhs, dtype=float)
-    if vec.shape != (model.total_dim,):
-        raise ValueError("right-hand side does not match the model dimension")
-    return vec
+def source_matrix(model: SpectralModel, sources: Sequence[SourceFunction]) -> np.ndarray:
+    """F = [f_1 ... f_S], the coefficient columns of a nonempty source list,
+    each of length `model.total_dim`."""
+    require(len(sources) > 0, "sources", "expected at least one source")
+    D = model.total_dim
+    for i, src in enumerate(sources):
+        require(np.shape(getattr(src, "coefficients", None)) == (D,), f"sources[{i}]",
+                f"expected a source with {D} coefficients, one per basis function of the model")
+    return np.column_stack([src.coefficients for src in sources])
 
 
 @dataclass(frozen=True)
@@ -244,12 +244,12 @@ def forward_map(model: SpectralModel, m: float, V: PotentialField) -> ForwardMap
 
 
 def solve_schrodinger(model: SpectralModel, m: float, V: PotentialField,
-                      rhs) -> FieldCoefficients:
-    """Solve (multiplier + V) u = f in the truncated basis through the
-    model's cached `forward_map`; raises as `ForwardMap.solve` does."""
-    f = _coerce_rhs(model, rhs)
-    u = forward_map(model, m, V).solve(f)
-    return FieldCoefficients(model, u)
+                      source: SourceFunction) -> FieldCoefficients:
+    """Solve (multiplier + V) u = f for one source in the truncated basis
+    through the model's cached `forward_map`; raises as `ForwardMap.solve`
+    does.  Coefficient arrays go to `forward_map(...).solve` directly."""
+    f = source_matrix(model, [source])[:, 0]
+    return FieldCoefficients(model, forward_map(model, m, V).solve(f))
 
 
 @dataclass(frozen=True)
@@ -299,10 +299,9 @@ def cauchy_records(model: SpectralModel, m: float, V: PotentialField,
     L u to the nodes as two products with the window rows; L u takes the
     multipliers of the operator that solved for u."""
     sources = list(sources)
-    if not sources:
-        raise ValueError("at least one source is required")
+    F = source_matrix(model, sources)
     fmap = forward_map(model, m, V)
-    U = fmap.solve(np.column_stack([_coerce_rhs(model, src) for src in sources]))
+    U = fmap.solve(F)
     B = model.window_rows(obs.node_indices)
     u_obs, lu_obs = B @ U, B @ (fmap.multipliers[:, None] * U)
     return [CauchyRecord(kind=model.kind, truncation=model.truncation, mass=float(m),

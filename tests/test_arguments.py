@@ -1,0 +1,176 @@
+"""Argument rules: each misuse raises a typed error that names the argument.
+
+The time-grid, mass, shared-node, quadrature-count and source-stack rules
+have one definition each (`calculus.check_times`, `calculus.check_mass`,
+`calculus.check_shared_nodes`, `models.node_counts`, `solver.source_matrix`);
+every case below is one caller of one rule, or one argument check whose
+fault numpy or a later step would otherwise report late or not at all.
+"""
+
+import re
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from loglap.calculus import (
+    apply_L,
+    grigoryan_check,
+    heat_kernel_equality_check,
+    heat_kernel_matrix,
+    random_field,
+)
+from loglap.config import validate_config
+from loglap.errors import FieldError, PreconditionError
+from loglap.extraction import (
+    build_gelfand_data,
+    compare_gelfand,
+    default_time_grid,
+    heat_trace_of_field,
+)
+from loglap.models import AngularInterval, build_model, restrict_to_observation
+from loglap.recovery import recover_potential, ucp_nullspace_test
+from loglap.solver import (
+    PotentialField,
+    cauchy_records,
+    forward_map,
+    make_source_basis,
+    solve_schrodinger,
+    zero_potential,
+)
+
+V = PotentialField(lambda th: 0.3 * np.cos(th), label="0.3*cos")
+NAN_V = PotentialField(lambda th: np.where(th > 1.0, np.nan, 0.0), label="nan-tail")
+GRID_2D = [[0.1, 0.5], [0.2, 0.3]]
+GRID_NAN = [0.1, np.nan, 0.5]
+
+
+@lru_cache(maxsize=None)
+def half_circle(K, quadrature=None):
+    """(model, obs, sources): circle K on the window (0, pi), three sources."""
+    model = build_model("circle", K, quadrature=quadrature)
+    obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
+    return model, obs, make_source_basis(model, obs, 3)
+
+
+def gelfand(quadrature):
+    model, obs, sources = half_circle(3, quadrature)
+    return build_gelfand_data(model, 2.0, zero_potential, obs, sources)
+
+
+def trace(times, solution=None):
+    model, obs, _ = half_circle(6)
+    u = random_field(model, 0) if solution is None else solution
+    return heat_trace_of_field(model, 2.0, u, obs, times)
+
+
+def gelfand_times(times):
+    model, obs, sources = half_circle(6)
+    return build_gelfand_data(model, 2.0, V, obs, sources, times=times)
+
+
+def equality(times):
+    model, obs, _ = half_circle(6)
+    return heat_kernel_equality_check(model, model, 2.0, obs, obs, times)
+
+
+def gaussian(times):
+    return grigoryan_check(half_circle(6)[0], 2.0, times)
+
+
+def heatcheck_config(times):
+    return validate_config({"model": {"kind": "circle", "truncation": 5}, "m": 2.0,
+                            "heatcheck": {"times": times}})
+
+
+def with_mass(m):
+    """Every library entry point that takes the mass, called with `m`."""
+    model, obs, sources = half_circle(6)
+    return [lambda: forward_map(model, m, V),
+            lambda: apply_L(random_field(model, 0), m),
+            lambda: heat_kernel_matrix(model, m, 0.5, model.nodes[:2], model.nodes[:2]),
+            lambda: default_time_grid(model, m),
+            lambda: cauchy_records(model, m, V, sources, obs),
+            lambda: build_gelfand_data(model, m, V, obs, sources),
+            lambda: ucp_nullspace_test(model, m, obs),
+            lambda: recover_potential(model, m, obs, V,
+                                      cauchy_records(model, 2.0, V, sources, obs)),
+            lambda: validate_config({"model": {"kind": "circle", "truncation": 5},
+                                     "m": m})]
+
+
+def foreign_sources(call):
+    """`call` on the K=6 circle with the sources of the K=8 circle."""
+    model, obs, _ = half_circle(6)
+    return call(model, obs, half_circle(8)[2])
+
+
+def different_nodes_equality():
+    model_a, obs_a, _ = half_circle(3, 64)
+    model_b, obs_b, _ = half_circle(3, 128)
+    return heat_kernel_equality_check(model_a, model_b, 2.0, obs_a, obs_b, [0.5])
+
+
+CASES = {
+    # time grids
+    "times-2d-trace": (lambda: trace(GRID_2D), FieldError, "times"),
+    "times-nan-trace": (lambda: trace(GRID_NAN), FieldError, "times"),
+    "times-2d-gelfand": (lambda: gelfand_times(GRID_2D), FieldError, "times"),
+    "times-nan-gelfand": (lambda: gelfand_times(GRID_NAN), FieldError, "times"),
+    "times-2d-equality": (lambda: equality(GRID_2D), FieldError, "times"),
+    "times-nan-equality": (lambda: equality(GRID_NAN), FieldError, "times"),
+    "times-2d-gaussian": (lambda: gaussian(GRID_2D), FieldError, "times"),
+    "times-nan-gaussian": (lambda: gaussian(GRID_NAN), FieldError, "times"),
+    "times-negative-config": (lambda: heatcheck_config([0.1, -0.2]), FieldError,
+                              "heatcheck.times"),
+    "times-nan-config": (lambda: heatcheck_config(GRID_NAN), FieldError,
+                         "heatcheck.times[1]"),
+    # the mass, infinite and at most 1, at every entry point
+    **{f"mass-inf-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(np.inf))},
+    **{f"mass-one-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(1.0))},
+    # shared window nodes
+    "nodes-compare": (lambda: compare_gelfand(gelfand(64), gelfand(128)), PreconditionError,
+                      "a and b"),
+    "nodes-equality": (different_nodes_equality, PreconditionError, "obs_a and obs_b"),
+    # quadrature counts
+    "quadrature-circle-axes": (lambda: build_model("circle", 4, quadrature=[64, 64]),
+                               FieldError, "quadrature"),
+    "quadrature-sphere-zero": (lambda: build_model("sphere", 4, quadrature=0), FieldError,
+                               "quadrature"),
+    "quadrature-torus-zero": (lambda: build_model("torus", 3, edges=(6.0, 6.0),
+                                                  quadrature=(0, 8)),
+                              FieldError, "quadrature"),
+    "quadrature-config": (lambda: validate_config({
+        "model": {"kind": "circle", "truncation": 5, "quadrature": 0}, "m": 2.0}),
+        FieldError, "model.quadrature"),
+    # source stacks
+    "sources-empty-records": (lambda: foreign_sources(
+        lambda model, obs, _: cauchy_records(model, 2.0, V, [], obs)), FieldError, "sources"),
+    "sources-empty-gelfand": (lambda: foreign_sources(
+        lambda model, obs, _: build_gelfand_data(model, 2.0, V, obs, [])), FieldError,
+        "sources"),
+    "sources-foreign-records": (lambda: foreign_sources(
+        lambda model, obs, src: cauchy_records(model, 2.0, V, src, obs)), FieldError,
+        "sources[0]"),
+    "sources-foreign-gelfand": (lambda: foreign_sources(
+        lambda model, obs, src: build_gelfand_data(model, 2.0, V, obs, src)), FieldError,
+        "sources[0]"),
+    "sources-foreign-solve": (lambda: foreign_sources(
+        lambda model, obs, src: solve_schrodinger(model, 2.0, V, src[0])), FieldError,
+        "sources[0]"),
+    "sources-array-solve": (lambda: foreign_sources(
+        lambda model, obs, src: solve_schrodinger(model, 2.0, V, np.ones(model.total_dim))),
+        FieldError, "sources[0]"),
+    # argument checks that would otherwise fail elsewhere
+    "solution-array-trace": (lambda: trace([0.5], np.ones(11)), FieldError, "solution"),
+    "truncation-float": (lambda: build_model("circle", 2.5), FieldError, "truncation"),
+    "potential-nan": (lambda: forward_map(half_circle(6)[0], 2.0, NAN_V), FieldError, "V"),
+}
+
+
+@pytest.mark.parametrize("call, error, name", CASES.values(), ids=CASES.keys())
+def test_misuse_names_the_argument(call, error, name):
+    with pytest.raises(error, match=f"^{re.escape(name)}[: ]") as info:
+        call()
+    if error is FieldError:
+        assert info.value.field == name

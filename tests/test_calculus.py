@@ -25,7 +25,6 @@ from loglap.calculus import (
     heat_kernel_matrix,
     log_identity_quadrature,
     pointwise_L,
-    project,
     random_field,
     supnorm_sanity_check,
     weyl_sanity_check,
@@ -92,26 +91,16 @@ class TestMultipliers:
                 apply_L(f, bad)
         check_mass(1.0001)
 
-    def test_projection_partition(self):
-        model = build_model("circle", 5)
-        f = random_field(model, seed=3)
-        total = np.zeros(model.total_dim)
-        for k in range(model.truncation):
-            pk = project(f, k)
-            total += pk.values
-            again = project(pk, k)
-            assert np.allclose(again.values, pk.values)
-            if k >= 1:
-                crossed = project(pk, k - 1)
-                assert np.allclose(crossed.values, 0.0)
-        assert np.allclose(total, f.values)
-
     def test_L_commutes_with_projection(self):
         model = build_model("sphere", 4)
         f = random_field(model, seed=9)
-        a = project(apply_L(f, 2.0), 2)
-        b = apply_L(project(f, 2), 2.0)
-        assert np.allclose(a.values, b.values, rtol=1e-13)
+        sl = model.block_slice(2)
+        block = np.zeros(model.total_dim)
+        block[sl] = f.values[sl]
+        a = np.zeros(model.total_dim)
+        a[sl] = apply_L(f, 2.0).values[sl]
+        b = apply_L(FieldCoefficients(model, block), 2.0)
+        assert np.allclose(a, b.values, rtol=1e-13)
 
 
 class TestHeatFlow:

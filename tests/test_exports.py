@@ -7,10 +7,12 @@ time of the benchmark.  No module of the package imports scipy, so that
 the package needs numpy alone.  No code branches
 on a manifold's kind tag: what differs between manifolds is a method of
 the manifold class.  Every error class is raised somewhere in the package
-or is a base of one that is.
+or is a base of one that is, and the package raises no class that
+`errors.py` does not define.
 """
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import pkgutil
@@ -99,12 +101,12 @@ def test_no_branch_on_the_kind_tag():
 
 
 def raised_names(tree: ast.AST):
-    """Names of the classes raised by `raise Name(...)` or `raise Name`."""
+    """(line, name) of every `raise Name(...)` or `raise Name`."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name):
-                yield exc.id
+                yield node.lineno, exc.id
 
 
 def test_every_error_class_is_raised():
@@ -114,7 +116,7 @@ def test_every_error_class_is_raised():
              if isinstance(node, ast.ClassDef)}
     live = set()
     pending = [name for path in sorted(root.rglob("*.py"))
-               for name in raised_names(ast.parse(path.read_text(), str(path)))
+               for _, name in raised_names(ast.parse(path.read_text(), str(path)))
                if name in bases]
     while pending:
         name = pending.pop()
@@ -123,3 +125,18 @@ def test_every_error_class_is_raised():
             pending += [b for b in bases[name] if b in bases]
     dead = sorted(set(bases) - live)
     assert not dead, f"errors.py defines classes nothing raises: {dead}"
+
+
+def test_only_package_errors_are_raised():
+    # a raised name that resolves to a class in its module (or the builtins)
+    # must be one of errors.py; `raise max(...)` or `raise exc` raise values
+    found = []
+    modules = [loglap] + [importlib.import_module(f"loglap.{info.name}")
+                          for info in pkgutil.iter_modules(loglap.__path__)]
+    for module in modules:
+        tree = ast.parse(Path(module.__file__).read_text(), module.__file__)
+        for line, name in raised_names(tree):
+            cls = getattr(module, name, getattr(builtins, name, None))
+            if isinstance(cls, type) and cls.__module__ != "loglap.errors":
+                found.append(f"{module.__name__}:{line} {name}")
+    assert not found, f"raises of classes errors.py does not define at {found}"

@@ -442,6 +442,27 @@ class TestRecoverPotential:
         with pytest.raises(PreconditionError, match="carry no solution"):
             recover_potential(model, 1.1, obs, V, loaded)
 
+    def test_records_of_another_mass_rejected(self):
+        # unchecked, records solved at m = 3 and recovered with m = 2 give a
+        # sup error of 1.79 off the window at full coverage (circle K=32, six
+        # order-3 sources; 6.6e-4 for consistent records)
+        model, obs, V, records = cosine_records(32, np.linspace(1.26, 1.88, 6), m=3.0)
+        recover_potential(model, 3.0, obs, V, records)
+        with pytest.raises(PreconditionError, match="^record bump00: mass"):
+            recover_potential(model, 2.0, obs, V, records)
+
+    @pytest.mark.parametrize("quadrature, field", [(None, "node_indices"),
+                                                   (128, "solution")])
+    def test_records_of_another_model_rejected(self, quadrature, field):
+        # unchecked, K=20 records on the K=32 model fail as an IndexError; with
+        # the same 128 nodes the window agrees and the solution length does not
+        model, obs, V, _ = cosine_records(32, [1.5])
+        small, small_obs = half_circle(20, quadrature=quadrature)
+        src = make_source_basis(small, small_obs, 1, radius=1.2, order=3, centers=[1.5])
+        records = cauchy_records(small, 1.1, V, src, small_obs)
+        with pytest.raises(PreconditionError, match=f"^record bump00: {field}"):
+            recover_potential(model, 1.1, obs, V, records)
+
     def test_disagreement_diagnostic_reported(self):
         centers = np.linspace(1.26, 1.88, 6)
         model, obs, V, records = cosine_records(32, centers)
