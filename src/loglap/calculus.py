@@ -21,6 +21,7 @@ share no code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "SanityReport",
     "check_mass",
     "check_times",
+    "check_samples",
     "check_shared_nodes",
     "field_from_samples",
     "random_field",
@@ -64,10 +66,21 @@ def check_mass(m: float) -> float:
 
 def check_times(times) -> np.ndarray:
     """A nonempty 1-d grid of finite times > 0, as a float array."""
-    times = np.asarray(times, dtype=float)
-    require(times.ndim == 1 and times.size and np.all(np.isfinite(times) & (times > 0)),
+    try:
+        times = np.asarray(times, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        times = None
+    require(times is not None and times.ndim == 1 and times.size
+            and np.all(np.isfinite(times) & (times > 0)),
             "times", "expected a nonempty list of positive times")
     return times
+
+
+def check_samples(samples) -> int:
+    """A time-grid sample count: an integer >= 2."""
+    require(isinstance(samples, Integral) and samples >= 2, "samples",
+            "expected an integer >= 2")
+    return int(samples)
 
 
 def check_shared_nodes(nodes_a, nodes_b, names: str) -> None:
@@ -104,16 +117,15 @@ class HeatTrace:
     """Columnar record of a time-evolved field on observation nodes."""
 
     times: np.ndarray
-    nodes: np.ndarray
-    values: np.ndarray  # shape (len(times), len(nodes))
+    values: np.ndarray  # shape (len(times), number of nodes)
     node_indices: Optional[np.ndarray] = None
     source_id: Optional[str] = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        require(self.values.shape == (self.times.size, self.nodes.shape[0]), "values",
-                "expected one row per time and one column per node")
+        require(self.values.ndim == 2 and self.values.shape[0] == self.times.size, "values",
+                "expected one row per time")
 
 
 @dataclass(frozen=True)
@@ -253,9 +265,12 @@ def grigoryan_check(model: SpectralModel, m: float, times, pairs=None,
         pa, pb = model.nodes[idx_a], model.nodes[idx_b]
     else:
         pairs = list(pairs)
-        require(pairs, "pairs", "expected at least one point pair")
-        pa = np.vstack([as_points(p, model.dimension) for p, _ in pairs])
-        pb = np.vstack([as_points(q, model.dimension) for _, q in pairs])
+        require(pairs and all(hasattr(pair, "__len__") and len(pair) == 2 for pair in pairs),
+                "pairs", "expected a nonempty list of point pairs (x, y)")
+        pa, pb = (np.vstack([as_points(pair[i], model.dimension) for pair in pairs])
+                  for i in (0, 1))
+        require(pa.shape == pb.shape == (len(pairs), model.dimension), "pairs",
+                "expected one point on each side of every pair")
     dists = geodesic_distance(model, pa, pb)
     n = model.dimension
     phi_a = model.eigenfunction_values(pa)

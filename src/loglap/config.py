@@ -15,7 +15,8 @@ from typing import Literal, Optional, Union
 
 import numpy as np
 
-from .calculus import check_mass, check_times, grigoryan_check, heat_kernel_equality_check
+from .calculus import (check_mass, check_samples, check_times, grigoryan_check,
+                       heat_kernel_equality_check)
 from .errors import ConfigError, FieldError
 from .extraction import compare_gelfand, default_time_grid
 from .fields import decode, require
@@ -27,7 +28,6 @@ from .models import (
     build_model,
     make_manifold,
     node_counts,
-    restrict_to_observation,
 )
 from .recovery import isometry_gauge_check, ucp_nullspace_test
 from .solver import PotentialField, make_source_basis, zero_potential
@@ -131,7 +131,8 @@ class TimesSection:
                     "missing required field" if uniform else "only for a uniform grid")
         require(not uniform or self.start > 0, "start", "must be > 0")
         require(not uniform or self.stop > self.start, "stop", "must exceed times.start")
-        require(self.samples is None or self.samples >= 2, "samples", "must be >= 2")
+        if self.samples is not None:
+            check_samples(self.samples)
 
 
 @dataclass(frozen=True)
@@ -266,12 +267,6 @@ def config_potential(cfg: ExperimentConfig) -> PotentialField:
     return PotentialField(func=harmonic, label=label)
 
 
-def config_observation(cfg: ExperimentConfig, model: SpectralModel) -> ObservationSet:
-    if cfg.observation is None:
-        raise ConfigError("observation", "this subcommand needs an observation set")
-    return restrict_to_observation(model, cfg.observation)
-
-
 def config_sources(cfg: ExperimentConfig, model: SpectralModel,
                    obs: ObservationSet) -> list:
     spec = cfg.sources
@@ -285,9 +280,3 @@ def config_times(cfg: ExperimentConfig, model: SpectralModel) -> np.ndarray:
         return default_time_grid(model, cfg.m, samples=spec.samples)
     return np.linspace(spec.start, spec.stop,
                        spec.samples if spec.samples is not None else 4 * model.truncation)
-
-
-def config_isometry(cfg: ExperimentConfig):
-    if cfg.isometry is None:
-        raise ConfigError("isometry", "this subcommand needs an isometry")
-    return cfg.isometry

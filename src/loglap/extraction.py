@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import (FieldCoefficients, HeatTrace, check_mass, check_shared_nodes,
-                       check_times, l_multiplier)
+from .calculus import (FieldCoefficients, HeatTrace, check_mass, check_samples,
+                       check_shared_nodes, check_times, l_multiplier)
 from .errors import (
     GridTooCoarseError,
     RankAmbiguousError,
@@ -52,7 +52,7 @@ def default_time_grid(model: SpectralModel, m: float, samples: Optional[int] = N
     mu = model.eigenvalues + m
     t_min = 0.2 / float(mu[-1])
     t_max = 8.0 / float(mu[0])
-    count = 4 * model.truncation if samples is None else int(samples)
+    count = 4 * model.truncation if samples is None else check_samples(samples)
     return np.linspace(t_min, t_max, count)
 
 
@@ -65,7 +65,7 @@ def heat_trace_of_field(model: SpectralModel, m: float, solution: FieldCoefficie
     require(np.shape(getattr(solution, "values", None)) == (model.total_dim,), "solution",
             f"expected the FieldCoefficients of a field with {model.total_dim} coefficients")
     weighted = l_multiplier(model.flat_eigenvalues(), m) * solution.values
-    return HeatTrace(times=times, nodes=obs.nodes,
+    return HeatTrace(times=times,
                      values=_window_traces(model, m, weighted[:, None], obs, times),
                      node_indices=obs.node_indices, source_id=source_id)
 
@@ -252,11 +252,10 @@ def build_gelfand_data(model: SpectralModel, m: float, V, obs: ObservationSet,
     fmap = forward_map(model, m, V)
     values = _window_traces(model, m, fmap.multipliers[:, None] * fmap.solve(F), obs, times)
     n = obs.size
-    traces = [HeatTrace(times=times, nodes=obs.nodes, values=values[:, s * n:(s + 1) * n],
+    traces = [HeatTrace(times=times, values=values[:, s * n:(s + 1) * n],
                         node_indices=obs.node_indices, source_id=src.source_id)
               for s, src in enumerate(sources)]
-    fit = extract_exponents(HeatTrace(times=times, nodes=np.tile(obs.nodes, (len(sources), 1)),
-                                      values=values), model.truncation)
+    fit = extract_exponents(HeatTrace(times=times, values=values), model.truncation)
 
     # residues per (source, node, rate) in the weighted node geometry
     sw = np.sqrt(obs.weights)

@@ -185,9 +185,6 @@ class ObservationSet:
 class OrthonormalityReport:
     passed: bool
     max_defect: float
-    max_diag_defect: float
-    max_offdiag: float
-    aliasing_suspected: bool
 
 
 @dataclass(frozen=True)
@@ -341,11 +338,11 @@ def _canonical_lattice(n, bound):
 
 def node_counts(quadrature, n: int) -> tuple:
     """Per-axis quadrature node counts from one count or a list of n."""
-    counts = ((int(quadrature),) * n if np.isscalar(quadrature)
-              else tuple(int(c) for c in quadrature))
+    counts = (quadrature,) * n if np.isscalar(quadrature) else tuple(quadrature)
     require(len(counts) == n, "quadrature", f"expected {n} entries, one per chart axis")
-    require(min(counts) >= 1, "quadrature", "node counts must be >= 1")
-    return counts
+    require(all(isinstance(c, Integral) and c >= 1 for c in counts), "quadrature",
+            "expected node counts that are integers >= 1")
+    return tuple(int(c) for c in counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,10 +456,6 @@ class FlatTorus:
         out[:, :1] *= 1.0 / np.sqrt(vol)
         out[:, 1:] *= np.sqrt(2.0 / vol)
         return out
-
-    def resolves_products(self, spec, table) -> bool:
-        j_max = np.max(np.abs(table["lattice"]), axis=0)
-        return all(c > 2 * j for c, j in zip(spec, j_max))
 
     def natural_coordinates(self, pts) -> np.ndarray:
         return pts[:, 0] if self.angular else pts
@@ -580,7 +573,7 @@ class RoundSphere:
         if quadrature is None:
             n_colat, n_lon = max(K + 2, 8), max(4 * K + 4, 16)
         elif np.isscalar(quadrature):
-            n_colat, n_lon = node_counts((int(quadrature), 2 * int(quadrature)), 2)
+            n_colat, n_lon = node_counts((quadrature, 2 * quadrature), 2)
         else:
             n_colat, n_lon = node_counts(quadrature, 2)
         mu, wmu = np.polynomial.legendre.leggauss(n_colat)
@@ -642,11 +635,6 @@ class RoundSphere:
             np.multiply(p[1:l + 1], cos_m[:l], out=out[row + 1:row + 2 * l + 1:2])
             np.multiply(p[1:l + 1], sin_m[:l], out=out[row + 2:row + 2 * l + 2:2])
         return out.T
-
-    def resolves_products(self, spec, table) -> bool:
-        n_colat, n_lon = spec
-        lmax = int(np.max(table["degrees"]))
-        return 2 * n_colat - 1 >= 2 * lmax and n_lon > 2 * lmax
 
     def natural_coordinates(self, pts) -> np.ndarray:
         return pts
@@ -789,15 +777,8 @@ def verify_orthonormality(model: SpectralModel, tol: float = 1e-10) -> Orthonorm
     """Gram-matrix check of the basis under the model quadrature."""
     basis = model.node_basis()
     gram = basis.T @ (model.weights[:, None] * basis)
-    defect = gram - np.eye(model.total_dim)
-    max_diag = float(np.max(np.abs(np.diag(defect))))
-    off = defect - np.diag(np.diag(defect))
-    max_off = float(np.max(np.abs(off))) if defect.shape[0] > 1 else 0.0
-    max_defect = max(max_diag, max_off)
-    passed = max_defect <= tol
-    aliasing = (not passed) and (not model.manifold.resolves_products(
-        model.quadrature_spec, model.basis_table))
-    return OrthonormalityReport(passed, max_defect, max_diag, max_off, aliasing)
+    max_defect = float(np.max(np.abs(gram - np.eye(model.total_dim))))
+    return OrthonormalityReport(max_defect <= tol, max_defect)
 
 
 # ---------------------------------------------------------------------------

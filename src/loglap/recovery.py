@@ -158,7 +158,7 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
                 "only); recover from records made by cauchy_records")
         for name, ok in (("mass", rec.mass == m),
                          ("node_indices", np.array_equal(rec.node_indices, obs.node_indices)),
-                         ("solution", rec.solution.values.shape == (model.total_dim,))):
+                         ("solution", rec.solution.model is model)):
             if not ok:
                 raise PreconditionError(f"record {rec.source_id}: {name} disagrees with "
                                         "the model, m and obs of this call")

@@ -167,13 +167,12 @@ def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
 
 
 def source_matrix(model: SpectralModel, sources: Sequence[SourceFunction]) -> np.ndarray:
-    """F = [f_1 ... f_S], the coefficient columns of a nonempty source list,
-    each of length `model.total_dim`."""
+    """F = [f_1 ... f_S], the coefficient columns of a nonempty list of
+    sources built on `model` itself."""
     require(len(sources) > 0, "sources", "expected at least one source")
-    D = model.total_dim
     for i, src in enumerate(sources):
-        require(np.shape(getattr(src, "coefficients", None)) == (D,), f"sources[{i}]",
-                f"expected a source with {D} coefficients, one per basis function of the model")
+        require(getattr(src, "model", None) is model, f"sources[{i}]",
+                "expected a source built on this model (make_source_basis)")
     return np.column_stack([src.coefficients for src in sources])
 
 

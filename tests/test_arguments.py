@@ -1,8 +1,9 @@
 """Argument rules: each misuse raises a typed error that names the argument.
 
-The time-grid, mass, shared-node, quadrature-count and source-stack rules
-have one definition each (`calculus.check_times`, `calculus.check_mass`,
-`calculus.check_shared_nodes`, `models.node_counts`, `solver.source_matrix`);
+The time-grid, sample-count, mass, shared-node, quadrature-count and
+source-stack rules have one definition each (`calculus.check_times`,
+`calculus.check_samples`, `calculus.check_mass`, `calculus.check_shared_nodes`,
+`models.node_counts`, `solver.source_matrix`);
 every case below is one caller of one rule, or one argument check whose
 fault numpy or a later step would otherwise report late or not at all.
 """
@@ -15,6 +16,7 @@ import pytest
 
 from loglap.calculus import (
     apply_L,
+    check_times,
     grigoryan_check,
     heat_kernel_equality_check,
     heat_kernel_matrix,
@@ -28,7 +30,8 @@ from loglap.extraction import (
     default_time_grid,
     heat_trace_of_field,
 )
-from loglap.models import AngularInterval, build_model, restrict_to_observation
+from loglap.models import (AngularInterval, build_model, restrict_to_observation,
+                           with_mixed_blocks)
 from loglap.recovery import recover_potential, ucp_nullspace_test
 from loglap.solver import (
     PotentialField,
@@ -105,6 +108,18 @@ def foreign_sources(call):
     return call(model, obs, half_circle(8)[2])
 
 
+def other_model(call, mixed):
+    """`call(model, obs, sources, records)` on the K=8 circle, with the sources
+    and records of a model of the same size: the radius-2 circle, or the
+    block-mixed copy of the K=8 circle."""
+    model, obs, sources = half_circle(8)
+    other = with_mixed_blocks(model, 1) if mixed else build_model("circle", 8, radius=2.0)
+    other_obs = restrict_to_observation(other, AngularInterval(0.0, np.pi))
+    other_sources = make_source_basis(other, other_obs, 3)
+    return call(model, obs, other_sources,
+                cauchy_records(other, 2.0, V, other_sources, other_obs))
+
+
 def different_nodes_equality():
     model_a, obs_a, _ = half_circle(3, 64)
     model_b, obs_b, _ = half_circle(3, 128)
@@ -125,6 +140,16 @@ CASES = {
                               "heatcheck.times"),
     "times-nan-config": (lambda: heatcheck_config(GRID_NAN), FieldError,
                          "heatcheck.times[1]"),
+    "times-ragged": (lambda: check_times([[0.1], [0.2, 0.3]]), FieldError, "times"),
+    # time-grid sample counts, one rule for the library and the config
+    **{f"samples-{n}": (lambda n=n: default_time_grid(half_circle(6)[0], 2.0, samples=n),
+                        FieldError, "samples") for n in (-3, 0, 1, 2.5)},
+    "samples-config": (lambda: validate_config({
+        "model": {"kind": "circle", "truncation": 5}, "m": 2.0, "times": {"samples": 1}}),
+        FieldError, "times.samples"),
+    **{f"pairs-{name}": (lambda pair=pair: grigoryan_check(half_circle(6)[0], 2.0, [0.5],
+                                                          pairs=[pair]), FieldError, "pairs")
+       for name, pair in (("one-point", ([0.1],)), ("two-points", ([0.1, 0.2], [0.3, 0.4])))},
     # the mass, infinite and at most 1, at every entry point
     **{f"mass-inf-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(np.inf))},
     **{f"mass-one-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(1.0))},
@@ -140,6 +165,8 @@ CASES = {
     "quadrature-torus-zero": (lambda: build_model("torus", 3, edges=(6.0, 6.0),
                                                   quadrature=(0, 8)),
                               FieldError, "quadrature"),
+    "quadrature-string": (lambda: build_model("circle", 4, quadrature="abc"), FieldError,
+                          "quadrature"),
     "quadrature-config": (lambda: validate_config({
         "model": {"kind": "circle", "truncation": 5, "quadrature": 0}, "m": 2.0}),
         FieldError, "model.quadrature"),
@@ -161,6 +188,13 @@ CASES = {
     "sources-array-solve": (lambda: foreign_sources(
         lambda model, obs, src: solve_schrodinger(model, 2.0, V, np.ones(model.total_dim))),
         FieldError, "sources[0]"),
+    **{f"sources-{name}-records": (lambda mixed=mixed: other_model(
+        lambda model, obs, src, _: cauchy_records(model, 2.0, V, src, obs), mixed),
+        FieldError, "sources[0]") for name, mixed in (("radius", False), ("mixed", True))},
+    **{f"records-{name}-recover": (lambda mixed=mixed: other_model(
+        lambda model, obs, _, recs: recover_potential(model, 2.0, obs, V, recs), mixed),
+        PreconditionError, "record bump00") for name, mixed in (("radius", False),
+                                                                ("mixed", True))},
     # argument checks that would otherwise fail elsewhere
     "solution-array-trace": (lambda: trace([0.5], np.ones(11)), FieldError, "solution"),
     "truncation-float": (lambda: build_model("circle", 2.5), FieldError, "truncation"),

@@ -70,8 +70,7 @@ def synthetic_trace(times, exponents, amplitudes):
     amplitudes = np.atleast_2d(np.asarray(amplitudes, dtype=float))
     values = np.einsum("cr,tr->tc", amplitudes,
                        np.exp(-np.outer(times, np.asarray(exponents, dtype=float))))
-    nodes = np.zeros((amplitudes.shape[0], 1))
-    return HeatTrace(times=times, nodes=nodes, values=values)
+    return HeatTrace(times=times, values=values)
 
 
 def dense_trace(model, m, u, obs, times):
@@ -409,8 +408,7 @@ class TestBuildGelfandData:
         V = cos_pot(0.3)
         traces = build_gelfand_data(model, 2.0, V, obs, basis).traces
         fit = extract_exponents(
-            HeatTrace(times=traces[0].times, nodes=np.tile(obs.nodes, (len(basis), 1)),
-                      values=np.hstack([tr.values for tr in traces])),
+            HeatTrace(times=traces[0].times, values=np.hstack([tr.values for tr in traces])),
             model.truncation)
         B = model.node_basis()[obs.node_indices]
         n_src = len(basis)

@@ -272,9 +272,8 @@ class TestTables:
 
     def test_trace_round_trip(self, tmp_path):
         times = np.array([0.1, 0.2, 0.4])
-        nodes = np.linspace(0, 1, 4)[:, None]
         values = np.arange(12, dtype=float).reshape(3, 4) / 7.0
-        trace = HeatTrace(times=times, nodes=nodes, values=values,
+        trace = HeatTrace(times=times, values=values,
                           node_indices=np.array([3, 5, 8, 13]))
         path = tmp_path / "trace.csv"
         trace_to_csv(trace, path)
@@ -329,7 +328,7 @@ class TestTables:
 
     def test_trace_bytes(self, tmp_path):
         path = tmp_path / "trace.csv"
-        trace_to_csv(HeatTrace(times=np.array([0.1, 0.25]), nodes=np.zeros((2, 1)),
+        trace_to_csv(HeatTrace(times=np.array([0.1, 0.25]),
                                values=np.array([[1 / 3, -0.0], [1e-300, 2.5]]),
                                node_indices=np.array([4, 9])), path)
         assert path.read_text() == ("time,node_id,value\n0.1,4,0.3333333333333333\n"
