@@ -21,13 +21,12 @@ share no code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from .errors import PreconditionError, QuadratureConvergenceError
-from .fields import require
+from .fields import require, require_count
 from .models import (ObservationSet, SpectralModel, as_points, geodesic_distance,
                      project_function)
 
@@ -78,9 +77,7 @@ def check_times(times) -> np.ndarray:
 
 def check_samples(samples) -> int:
     """A time-grid sample count: an integer >= 2."""
-    require(isinstance(samples, Integral) and samples >= 2, "samples",
-            "expected an integer >= 2")
-    return int(samples)
+    return require_count(samples, "samples", 2)
 
 
 def check_shared_nodes(nodes_a, nodes_b, names: str) -> None:
@@ -211,8 +208,8 @@ def heat_kernel_matrix(model: SpectralModel, m: float, t: float, points_a, point
 
 def heat_kernel(model: SpectralModel, m: float, t: float, x, y) -> float:
     """Truncated kernel of exp(-tA) at one point pair."""
-    val = heat_kernel_matrix(model, m, t, as_points(x, model.dimension),
-                             as_points(y, model.dimension))[0, 0]
+    val = heat_kernel_matrix(model, m, t, as_points(x, model.dimension, "x"),
+                             as_points(y, model.dimension, "y"))[0, 0]
     return float(val)
 
 
@@ -257,7 +254,7 @@ def grigoryan_check(model: SpectralModel, m: float, times, pairs=None,
     check_mass(m)
     times = np.sort(check_times(times))
     if pairs is None:
-        require(n_pairs >= 1, "n_pairs", "must be >= 1")
+        require_count(n_pairs, "n_pairs")
         rng = np.random.default_rng(seed)
         idx_a = rng.integers(0, model.nodes.shape[0], size=n_pairs)
         idx_b = rng.integers(0, model.nodes.shape[0], size=n_pairs)
@@ -267,7 +264,7 @@ def grigoryan_check(model: SpectralModel, m: float, times, pairs=None,
         pairs = list(pairs)
         require(pairs and all(hasattr(pair, "__len__") and len(pair) == 2 for pair in pairs),
                 "pairs", "expected a nonempty list of point pairs (x, y)")
-        pa, pb = (np.vstack([as_points(pair[i], model.dimension) for pair in pairs])
+        pa, pb = (np.vstack([as_points(pair[i], model.dimension, "pairs") for pair in pairs])
                   for i in (0, 1))
         require(pa.shape == pb.shape == (len(pairs), model.dimension), "pairs",
                 "expected one point on each side of every pair")
@@ -399,7 +396,7 @@ def pointwise_L(field: FieldCoefficients, m: float, point, tol: Optional[float] 
     """
     check_mass(m)
     model = field.model
-    pts = as_points(point, model.dimension)
+    pts = as_points(point, model.dimension, "point")
     require(pts.shape[0] == 1, "point", "pointwise evaluation takes a single point")
     phi = model.eigenfunction_values(pts)[0]
     mu = model.flat_eigenvalues() + m

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 import typing
+from numbers import Integral
 
 import numpy as np
 
@@ -28,6 +29,13 @@ def require(ok, field: str, reason: str) -> None:
     """Raise FieldError(field, reason) unless `ok`."""
     if not ok:
         raise FieldError(field, reason)
+
+
+def require_count(value, field: str, least: int = 1) -> int:
+    """`value` as an int if it is an integer (numpy's too, not bool) >= `least`."""
+    require(isinstance(value, Integral) and not isinstance(value, bool) and value >= least,
+            field, f"expected an integer >= {least}")
+    return int(value)
 
 
 def _join(path: str, key: str) -> str:

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from numbers import Integral
 from typing import ClassVar, Optional, Union
 
 import numpy as np
 
 from .errors import FieldError, PreconditionError
-from .fields import require
+from .fields import require, require_count
 
 __all__ = [
     "SpectralModel",
@@ -91,7 +90,7 @@ class SpectralModel:
     weights: np.ndarray
     quadrature_spec: tuple
     basis_table: dict
-    block_mixers: Optional[list] = None
+    transform: Optional[np.ndarray] = None  # (D0, D): basis columns in catalog columns
 
     @property
     def kind(self) -> str:
@@ -118,19 +117,11 @@ class SpectralModel:
         off = self.block_offsets
         return slice(int(off[k]), int(off[k + 1]))
 
-    def _mixed(self, mat: np.ndarray) -> np.ndarray:
-        if self.block_mixers is None:
-            return mat
-        mat = mat.copy()
-        off = self.block_offsets
-        for mixer, start, stop in zip(self.block_mixers, off[:-1], off[1:]):
-            mat[:, start:stop] = mat[:, start:stop] @ mixer
-        return mat
-
     def eigenfunction_values(self, points) -> np.ndarray:
-        """Matrix of all basis functions at the given points, (P, total_dim)."""
-        pts = as_points(points, self.dimension)
-        return self._mixed(self.manifold.basis_values(pts, self.basis_table))
+        """All basis functions at the given points, (P, total_dim): the catalog
+        basis of `basis_table`, times `transform` when one is set."""
+        values = self.manifold.basis_values(as_points(points, self.dimension), self.basis_table)
+        return values if self.transform is None else values @ self.transform
 
     def memo(self, slot: str, key, build):
         """`build()` for `key`, kept in `slot` until another key replaces it.
@@ -296,14 +287,14 @@ def _has_shape(value, shape: tuple) -> bool:
         return False
 
 
-def _check_family(manifold, obj, family) -> None:
+def _check_family(obj, family) -> None:
     if type(obj) not in family:
         raise FieldError("kind", f"expected one of {[c.name for c in family]}, "
                                  f"found {getattr(obj, 'name', type(obj).__name__)!r}")
 
 
 def _chart_affine(manifold, isometry, pts, inverse: bool) -> np.ndarray:
-    _check_family(manifold, isometry, manifold.isometries)
+    _check_family(isometry, manifold.isometries)
     signs, offsets = manifold.isometries[type(isometry)](isometry, manifold.dimension)
     signs, offsets = np.asarray(signs), np.asarray(offsets, dtype=float)
     # signs are +-1, so the inverse of x -> s x + t is y -> s (y - t)
@@ -340,9 +331,7 @@ def node_counts(quadrature, n: int) -> tuple:
     """Per-axis quadrature node counts from one count or a list of n."""
     counts = (quadrature,) * n if np.isscalar(quadrature) else tuple(quadrature)
     require(len(counts) == n, "quadrature", f"expected {n} entries, one per chart axis")
-    require(all(isinstance(c, Integral) and c >= 1 for c in counts), "quadrature",
-            "expected node counts that are integers >= 1")
-    return tuple(int(c) for c in counts)
+    return tuple(require_count(c, "quadrature") for c in counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,29 +391,26 @@ class FlatTorus:
         lengths = [p * s for p, s in zip(self.periods, self.scales)]
         bound = max(2, int(np.ceil(np.sqrt(K) * max(lengths) / TWO_PI)) + 1)
         while True:
-            reps = _canonical_lattice(n, bound)
-            lam_of = {j: float(v) for j, v in
-                      zip(reps, np.sum(self._wavenumbers(reps) ** 2, axis=1))}
-            # eigenvalues are grouped by their 9-decimal rounding and stored exact
-            distinct = sorted(set(round(v, 9) for v in lam_of.values()))
+            reps = np.array(_canonical_lattice(n, bound))
+            values = np.sum(self._wavenumbers(reps) ** 2, axis=1)
+            # grouped by Python's 9-decimal round (np.round differs), stored exact;
+            # the stable sort keeps each group in lexicographic order
+            keys = np.array([round(v, 9) for v in values.tolist()])
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
             # values below this threshold cannot be missed by the box
             complete_below = float(np.min(self._wavenumbers([[bound + 1] * n]) ** 2))
-            usable = [v for v in distinct if v < complete_below - 1e-9]
-            if len(usable) >= K:
+            if np.count_nonzero(keys[starts] < complete_below - 1e-9) >= K:
                 break
             bound *= 2
-        eigenvalues, lattice_rows, kinds, multiplicities = [], [], [], []
-        for key in usable[:K]:
-            members = [j for j in reps if round(lam_of[j], 9) == key]
-            eigenvalues.append(lam_of[members[0]])
-            start = len(kinds)
-            for j in members:  # j = 0 gives the constant, others a (cos, sin) pair
-                for kind in ((1, 2) if any(j) else (0,)):
-                    lattice_rows.append(j)
-                    kinds.append(kind)
-            multiplicities.append(len(kinds) - start)
-        table = {"lattice": np.array(lattice_rows, dtype=int),
-                 "kinds": np.array(kinds, dtype=np.int8)}
+        ends = np.append(starts, order.size)[1:K + 1]
+        # members[0] is j = 0, the constant; every other j gives a (cos, sin) pair
+        members = reps[order[:ends[-1]]]
+        multiplicities = 2 * (ends - starts[:K])
+        multiplicities[0] = 1
+        table = {"lattice": np.repeat(members, 2, axis=0)[1:],
+                 "kinds": np.array([0] + [1, 2] * (len(members) - 1), dtype=np.int8)}
         if quadrature is None:
             j_max = np.max(np.abs(table["lattice"]), axis=0)
             counts = tuple(int(max(4 * jm + 4, self.node_floor)) for jm in j_max)
@@ -435,9 +421,8 @@ class FlatTorus:
         nodes = np.column_stack([g.ravel() for g in grids])
         cell = np.prod([p * s / c for p, s, c in zip(self.periods, self.scales, counts)])
         weights = np.full(nodes.shape[0], cell)
-        return SpectralModel(self, K, np.array(eigenvalues),
-                             np.array(multiplicities, dtype=int), nodes, weights,
-                             counts, table)
+        return SpectralModel(self, K, values[order[starts[:K]]], multiplicities, nodes,
+                             weights, counts, table)
 
     def basis_values(self, pts, table) -> np.ndarray:
         """Normalised cos and sin of the lattice phases, (P, D).
@@ -469,7 +454,7 @@ class FlatTorus:
     # observation windows
 
     def check_window(self, desc) -> None:
-        _check_family(self, desc, (self.window,))
+        _check_family(desc, (self.window,))
         ivs = desc.intervals
         if not _has_shape(ivs, (self.dimension, 2)):
             raise FieldError("intervals", "expected one [start, end] pair per torus axis")
@@ -645,7 +630,7 @@ class RoundSphere:
     # observation windows
 
     def check_window(self, desc) -> None:
-        _check_family(self, desc, (self.window,))
+        _check_family(desc, (self.window,))
         if not _has_shape(desc.center, (2,)):
             raise FieldError("center", "expected [colatitude, longitude]")
         if not desc.radius > 0.0:
@@ -654,7 +639,7 @@ class RoundSphere:
             raise FieldError("radius", "must be < pi so the complement is nonempty")
 
     def _from_center(self, desc, pts) -> np.ndarray:
-        center = np.repeat(as_points(desc.center, 2), pts.shape[0], axis=0)
+        center = np.repeat(as_points(desc.center, 2, "center"), pts.shape[0], axis=0)
         return _sphere_angle(pts, center)
 
     def window_contains(self, desc, pts) -> np.ndarray:
@@ -696,7 +681,7 @@ class RoundSphere:
 
     def window_margin(self, desc, center) -> float:
         """Geodesic distance from `center` to the cap boundary."""
-        gamma = float(self._from_center(desc, as_points(center, 2))[0])
+        gamma = float(self._from_center(desc, as_points(center, 2, "center"))[0])
         return float(self.radius * (desc.radius - gamma))
 
     def default_centers(self, desc, count: int, rng) -> list:
@@ -744,8 +729,7 @@ def build_model(kind: str, truncation: int, *, radius: float = 1.0,
     single int meaning (n, 2n)) for the sphere. Defaults are chosen so that
     products of any two materialized basis functions integrate exactly.
     """
-    require(isinstance(truncation, Integral) and truncation >= 1, "truncation",
-            "must be a positive integer")
+    truncation = require_count(truncation, "truncation")
     return make_manifold(kind, radius=radius, edges=edges).build(truncation, quadrature)
 
 
@@ -753,11 +737,17 @@ def build_model(kind: str, truncation: int, *, radius: float = 1.0,
 # basis evaluation
 
 
-def as_points(points, dim: int) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
+def as_points(points, dim: int, field: str = "points") -> np.ndarray:
+    """Chart points as (P, dim) floats, one point or a 1-d chart's points given
+    flat; ragged, non-numeric or non-finite input raises FieldError(field)."""
+    reason = f"expected finite chart points of shape (P, {dim})"
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        raise FieldError(field, reason) from None
     if pts.ndim == 1:
         pts = pts[:, None] if dim == 1 else pts[None, :]
-    require(pts.ndim == 2 and pts.shape[1] == dim, "points", f"expected shape (P, {dim})")
+    require(pts.ndim == 2 and pts.shape[1] == dim and np.all(np.isfinite(pts)), field, reason)
     return pts
 
 
@@ -786,7 +776,7 @@ def verify_orthonormality(model: SpectralModel, tol: float = 1e-10) -> Orthonorm
 
 
 def descriptor_contains(model: SpectralModel, descriptor, points) -> np.ndarray:
-    _check_family(model.manifold, descriptor, (model.manifold.window,))
+    _check_family(descriptor, (model.manifold.window,))
     return model.manifold.window_contains(descriptor, as_points(points, model.dimension))
 
 
@@ -805,7 +795,7 @@ def restrict_to_observation(model: SpectralModel, descriptor) -> ObservationSet:
 
 def _check_sampling(model: SpectralModel, descriptor, count: int) -> None:
     model.manifold.check_window(descriptor)
-    require(count >= 1, "count", "must be >= 1")
+    require_count(count, "count")
 
 
 def interior_points(model: SpectralModel, descriptor, count: int) -> np.ndarray:
@@ -820,11 +810,11 @@ def certificate_sampling(model: SpectralModel, descriptor, count: int,
     """Where the continuation certificate samples the window: explicit
     `points`, which must lie in it, or the `interior_points` for `count`, as
     one group of all columns counted once.  A cap centred on the pole of an
-    unmixed sphere basis splits by order (`RoundSphere.split_sampling`);
-    block mixing rotates columns inside each eigenspace, so orders mix."""
+    untransformed sphere basis splits by order (`RoundSphere.split_sampling`);
+    a transform, block mixing included, mixes orders."""
     if points is None:
         _check_sampling(model, descriptor, count)
-        if model.block_mixers is None:
+        if model.transform is None:
             split = model.manifold.split_sampling(descriptor, count, model.basis_table)
             if split is not None:
                 return split
@@ -845,8 +835,8 @@ def certificate_sampling(model: SpectralModel, descriptor, count: int,
 
 def geodesic_distance(model: SpectralModel, p, q) -> np.ndarray:
     """Geodesic distance between paired point lists."""
-    pp = as_points(p, model.dimension)
-    qq = as_points(q, model.dimension)
+    pp = as_points(p, model.dimension, "p")
+    qq = as_points(q, model.dimension, "q")
     require(pp.shape == qq.shape, "q", f"expected {pp.shape[0]} points, one per point of p")
     return model.manifold.distance(pp, qq)
 
@@ -857,18 +847,20 @@ def geodesic_distance(model: SpectralModel, p, q) -> np.ndarray:
 
 def with_mixed_blocks(model: SpectralModel, seed: int) -> SpectralModel:
     """Copy of the model whose basis is rotated by a random orthogonal
-    matrix inside every eigenspace. Spectrally identical, basis distinct."""
+    matrix inside every eigenspace, a block-diagonal orthogonal transform
+    after the model's own. Spectrally identical, basis distinct."""
     rng = np.random.default_rng(seed)
-    mixers = []
+    mixer = np.zeros((model.total_dim, model.total_dim))
     for k in range(model.truncation):
+        block = model.block_slice(k)
         d = int(model.multiplicities[k])
         if d == 1:
-            mixers.append(np.array([[-1.0 if rng.random() < 0.5 else 1.0]]))
+            mixer[block, block] = -1.0 if rng.random() < 0.5 else 1.0
             continue
         q, r = np.linalg.qr(rng.standard_normal((d, d)))
-        q = q * np.sign(np.diag(r))[None, :]
-        mixers.append(q)
-    return replace(model, block_mixers=mixers)
+        mixer[block, block] = q * np.sign(np.diag(r))[None, :]
+    transform = mixer if model.transform is None else model.transform @ mixer
+    return replace(model, transform=transform)
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,8 @@ _MODEL_TABLES = ("eigenvalues", "multiplicities", "nodes", "weights")
 
 def dump_model(model: SpectralModel, path) -> None:
     """Versioned eigendata dump; the builder arguments travel with the tables."""
-    if model.block_mixers is not None:
-        raise SerializationError("derived models with mixed blocks are not serializable")
+    if model.transform is not None:
+        raise SerializationError("models with a basis transform are not serializable")
     _write_json(path, "loglap/model", to_payload(StoredModel(
         model.kind, int(model.truncation), model.params, model.quadrature_spec,
         *(getattr(model, name) for name in _MODEL_TABLES))))

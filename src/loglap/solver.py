@@ -17,7 +17,7 @@ from .errors import (
     SingularOperatorError,
     SupportViolationError,
 )
-from .fields import require
+from .fields import require, require_count
 from .models import (
     ObservationSet,
     SpectralModel,
@@ -90,7 +90,7 @@ def assemble_potential_matrix(model: SpectralModel, V: PotentialField) -> np.nda
 
 def bump_profile(s, order: int = 1):
     """Peak-normalized compact profile exp(1 - 1/(1-s^2)^order) on |s|<1."""
-    require(order >= 1, "order", "must be a positive integer")
+    require_count(order, "order")
     s = np.asarray(s, dtype=float)
     out = np.zeros(s.shape)
     inside = np.abs(s) < 1.0
@@ -136,11 +136,11 @@ def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
     Explicit centers or a radius that push a support outside the set raise
     SupportViolationError.
     """
-    require(count >= 1, "count", "must be >= 1")
+    require_count(count, "count")
     if centers is not None:
         require(len(centers) == count, "centers",
                 f"expected a list of {count} centers, one per source")
-        ctrs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in centers]
+        ctrs = [as_points([c], model.dimension, f"centers[{i}]")[0] for i, c in enumerate(centers)]
     else:
         rng = np.random.default_rng(seed) if seed is not None else None
         ctrs = model.manifold.default_centers(obs.descriptor, count, rng)

@@ -1,9 +1,10 @@
 """Argument rules: each misuse raises a typed error that names the argument.
 
-The time-grid, sample-count, mass, shared-node, quadrature-count and
-source-stack rules have one definition each (`calculus.check_times`,
-`calculus.check_samples`, `calculus.check_mass`, `calculus.check_shared_nodes`,
-`models.node_counts`, `solver.source_matrix`);
+The time-grid, sample-count, mass, shared-node, quadrature-count,
+source-stack, point and count rules have one definition each
+(`calculus.check_times`, `calculus.check_samples`, `calculus.check_mass`,
+`calculus.check_shared_nodes`, `models.node_counts`, `solver.source_matrix`,
+`models.as_points`, `fields.require_count`);
 every case below is one caller of one rule, or one argument check whose
 fault numpy or a later step would otherwise report late or not at all.
 """
@@ -18,6 +19,7 @@ from loglap.calculus import (
     apply_L,
     check_times,
     grigoryan_check,
+    heat_kernel,
     heat_kernel_equality_check,
     heat_kernel_matrix,
     random_field,
@@ -30,8 +32,8 @@ from loglap.extraction import (
     default_time_grid,
     heat_trace_of_field,
 )
-from loglap.models import (AngularInterval, build_model, restrict_to_observation,
-                           with_mixed_blocks)
+from loglap.models import (AngularInterval, SphericalCap, build_model, interior_points,
+                           restrict_to_observation, with_mixed_blocks)
 from loglap.recovery import recover_potential, ucp_nullspace_test
 from loglap.solver import (
     PotentialField,
@@ -54,6 +56,13 @@ def half_circle(K, quadrature=None):
     model = build_model("circle", K, quadrature=quadrature)
     obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
     return model, obs, make_source_basis(model, obs, 3)
+
+
+def sphere_sources(centers):
+    """One source on the sphere K=4, in the cap of radius 1.2 at the pole."""
+    model = build_model("sphere", 4)
+    obs = restrict_to_observation(model, SphericalCap((0.0, 0.0), 1.2))
+    return make_source_basis(model, obs, 1, centers=centers)
 
 
 def gelfand(quadrature):
@@ -149,7 +158,29 @@ CASES = {
         FieldError, "times.samples"),
     **{f"pairs-{name}": (lambda pair=pair: grigoryan_check(half_circle(6)[0], 2.0, [0.5],
                                                           pairs=[pair]), FieldError, "pairs")
-       for name, pair in (("one-point", ([0.1],)), ("two-points", ([0.1, 0.2], [0.3, 0.4])))},
+       for name, pair in (("one-point", ([0.1],)), ("two-points", ([0.1, 0.2], [0.3, 0.4])),
+                          ("nan", ([0.1], [np.nan])), ("text", (["a"], [0.2])),
+                          ("ragged", ([[0.1], [0.2, 0.3]], [0.2])))},
+    # chart points, one rule for every argument that holds points
+    "points-nan-kernel": (lambda: heat_kernel(half_circle(6)[0], 2.0, 0.5, [np.nan], [0.1]),
+                          FieldError, "x"),
+    "centers-nan-sources": (lambda: sphere_sources([[np.nan, 0.1]]), FieldError, "centers[0]"),
+    "centers-ragged-sources": (lambda: sphere_sources([[[0.1], [0.2, 0.3]]]), FieldError,
+                               "centers[0]"),
+    # counts: integers, numpy's included, but not bools
+    "truncation-bool": (lambda: build_model("circle", True), FieldError, "truncation"),
+    "quadrature-bool": (lambda: build_model("circle", 4, quadrature=True), FieldError,
+                        "quadrature"),
+    "count-float-sources": (lambda: make_source_basis(*half_circle(6)[:2], 2.5), FieldError,
+                            "count"),
+    **{f"order-{value}-sources": (lambda value=value: make_source_basis(
+        *half_circle(6)[:2], 1, order=value), FieldError, "order") for value in (2.5, True)},
+    "count-bool-interior": (lambda: interior_points(half_circle(6)[0],
+                                                    AngularInterval(0.0, np.pi), True),
+                            FieldError, "count"),
+    **{f"n_pairs-{value}": (lambda value=value: grigoryan_check(
+        half_circle(6)[0], 2.0, [0.5], n_pairs=value), FieldError, "n_pairs")
+       for value in (2.5, True)},
     # the mass, infinite and at most 1, at every entry point
     **{f"mass-inf-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(np.inf))},
     **{f"mass-one-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(1.0))},
@@ -208,3 +239,9 @@ def test_misuse_names_the_argument(call, error, name):
         call()
     if error is FieldError:
         assert info.value.field == name
+
+
+def test_numpy_integers_are_counts():
+    model = build_model("circle", np.int64(4), quadrature=np.int32(16))
+    assert type(model.truncation) is int and model.quadrature_spec == (16,)
+    assert interior_points(model, AngularInterval(0.0, np.pi), np.int64(3)).shape == (3, 1)

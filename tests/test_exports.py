@@ -6,7 +6,8 @@ a rename or deletion that leaves either list stale fails here, not at run
 time of the benchmark.  No module of the package imports scipy, so that
 the package needs numpy alone.  No code branches
 on a manifold's kind tag: what differs between manifolds is a method of
-the manifold class.  Every error class is raised somewhere in the package
+the manifold class.  Only the count rule (`fields.require_count`) tests
+for an integer.  Every error class is raised somewhere in the package
 or is a base of one that is, and the package raises no class that
 `errors.py` does not define.
 """
@@ -98,6 +99,26 @@ def test_no_branch_on_the_kind_tag():
              for path in sorted(root.rglob("*.py"))
              for line in kind_comparisons(ast.parse(path.read_text(), str(path)))]
     assert not found, f"comparisons with a kind tag at {found}"
+
+
+def integral_uses(tree: ast.AST):
+    """Line numbers of every use of `Integral`, imports aside, outside the
+    count rule `require_count`."""
+    rule = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "require_count"
+            for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name == "Integral" and id(node) not in rule:
+            yield node.lineno
+
+
+def test_only_the_count_rule_tests_for_an_integer():
+    root = Path(loglap.__file__).resolve().parent
+    found = [f"{path.relative_to(root.parent)}:{line}"
+             for path in sorted(root.rglob("*.py"))
+             for line in integral_uses(ast.parse(path.read_text(), str(path)))]
+    assert not found, f"integer tests outside the count rule at {found}"
 
 
 def raised_names(tree: ast.AST):

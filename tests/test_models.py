@@ -7,6 +7,7 @@ shares no code with the catalog implementation.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from loglap.models import (
     with_mixed_blocks,
 )
 from loglap.errors import FieldError, PreconditionError
+from loglap.solver import PotentialField, forward_map
 
 # Closed-form constants, frozen. 1/sqrt(2 pi), 1/sqrt(pi), sqrt(3/(4 pi)).
 INV_SQRT_2PI = 0.3989422804014327
@@ -126,6 +128,18 @@ class TestCatalogEigendata:
         model = build_model("torus", 3, edges=(2.0 * np.pi, 2.0 * np.pi))
         assert np.allclose(model.eigenvalues, [0.0, 1.0, 2.0])
         assert list(model.multiplicities) == [1, 4, 4]
+
+    def test_torus_column_order_frozen(self):
+        # blocks ascending; inside a block the lattice vectors in lexicographic
+        # order, each nonzero one a (cos, sin) pair of columns
+        model = build_model("torus", 3, edges=(2.0 * np.pi, 2.0 * np.pi))
+        assert model.basis_table["lattice"].tolist() == [
+            [0, 0], [0, 1], [0, 1], [1, 0], [1, 0], [1, -1], [1, -1], [1, 1], [1, 1]]
+        assert model.basis_table["kinds"].tolist() == [0, 1, 2, 1, 2, 1, 2, 1, 2]
+        assert model.basis_table["kinds"].dtype == np.int8
+        box = build_model("torus", 3, edges=(2.0 * np.pi, 3.0 * np.pi, 5.0))
+        assert box.basis_table["lattice"].tolist() == [
+            [0, 0, 0], [0, 1, 0], [0, 1, 0], [1, 0, 0], [1, 0, 0]]
 
     def test_sphere_unit(self):
         model = build_model("sphere", 4)
@@ -452,6 +466,23 @@ class TestBlockMixing:
         assert not np.allclose(mixed.node_basis(), plain)
         assert model.node_basis() is plain
 
+    def test_rectangular_transform_keeps_leading_blocks(self):
+        # the first D_6 catalog columns of the K=8 circle, as a (D_8, D_6)
+        # transform, are the K=6 circle
+        big, small = build_model("circle", 8), build_model("circle", 6)
+        cut = replace(big, truncation=6, eigenvalues=big.eigenvalues[:6],
+                      multiplicities=big.multiplicities[:6],
+                      transform=np.eye(big.total_dim)[:, :small.total_dim])
+        assert np.array_equal(cut.nodes, small.nodes)
+        pts = np.linspace(0.0, 2.0 * np.pi, 37)
+        assert np.array_equal(cut.eigenfunction_values(pts), small.eigenfunction_values(pts))
+        V = PotentialField(lambda th: 0.3 * np.cos(th), label="0.3*cos")
+        F = np.random.default_rng(0).standard_normal((small.total_dim, 3))
+        assert np.array_equal(forward_map(cut, 2.0, V).solve(F),
+                              forward_map(small, 2.0, V).solve(F))
+        # mixing composes after the transform, so the cut model can be mixed
+        assert verify_orthonormality(with_mixed_blocks(cut, seed=2), tol=1e-11).passed
+
 
 class TestIsometries:
     def test_circle_rotation_and_reflection(self):
@@ -584,9 +615,7 @@ class TestSphereRecurrence:
             expected = per_column_sphere_basis(pts, model.basis_table, radius)
             if mixed:
                 model = with_mixed_blocks(model, seed=3)
-                for k, mixer in enumerate(model.block_mixers):
-                    sl = model.block_slice(k)
-                    expected[:, sl] = expected[:, sl] @ mixer
+                expected = expected @ model.transform
             assert np.array_equal(model.eigenfunction_values(pts), expected), (K, radius)
         # the heat trace and the Gram assembly take rows of the node basis;
         # a column-major cache makes every such take strided
