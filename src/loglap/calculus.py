@@ -225,8 +225,8 @@ def heat_kernel_equality_check(model_a: SpectralModel, model_b: SpectralModel,
     check_mass(m)
     check_shared_nodes(obs_a.nodes, obs_b.nodes, "obs_a and obs_b")
     times = check_times(times)
-    rows_a = model_a.window_rows(obs_a.node_indices)
-    rows_b = model_b.window_rows(obs_b.node_indices)
+    rows_a = model_a.window_rows(obs_a, "obs_a")
+    rows_b = model_b.window_rows(obs_b, "obs_b")
     mu_a = model_a.flat_eigenvalues() + m
     mu_b = model_b.flat_eigenvalues() + m
     devs = np.array([np.max(np.abs(_kernel(rows_a, rows_a, mu_a, t)

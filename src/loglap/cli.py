@@ -166,9 +166,7 @@ def _cmd_recover(cfg: ExperimentConfig, out: Path):
     records = cauchy_records(model, cfg.m, V, config_sources(cfg, model, obs), obs)
     recovered = recover_potential(model, cfg.m, obs, V, records)
     recovered_to_csv(recovered, out / "recovered.csv")
-    complement = np.setdiff1d(np.arange(len(recovered.values)),
-                              recovered.observation_indices)
-    covered = complement[recovered.mask[complement]]
+    covered = np.flatnonzero(recovered.mask & recovered.off_window)
     truth = V.values_at(model, model.nodes)
     err = (float(np.max(np.abs(recovered.values[covered] - truth[covered])))
            if covered.size else float("nan"))

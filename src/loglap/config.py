@@ -51,8 +51,6 @@ class ModelSection:
     def __post_init__(self):
         require(self.truncation >= 2, "truncation", "must be >= 2")
         manifold = self.manifold
-        for name in self.geometry:
-            require(name in manifold.params, name, f"not a parameter of a {self.kind}")
         if self.quadrature is not None:
             node_counts(self.quadrature, manifold.dimension)
 

@@ -82,7 +82,7 @@ def _window_traces(model: SpectralModel, m: float, weighted: np.ndarray,
     block sums in another order, moves the traces by ~3e-16 and flips
     `_block_rank`'s 1e-8 decision on the circle at K=8.
     """
-    rows = model.window_rows(obs.node_indices)
+    rows = model.window_rows(obs)
     off, K = model.block_offsets, model.truncation
     per_block = np.empty((K, weighted.shape[1], rows.shape[0]))
     for s, column in enumerate(np.ascontiguousarray(weighted.T)):

@@ -1,13 +1,14 @@
 """Closed model manifolds with explicit Laplace-Beltrami eigendata.
 
-Catalog: flat tori R^n modulo a rectangular lattice (the circle of radius r
-is the 1-torus with period 2 pi and scale r) and round 2-spheres of radius
-r. Each geometry is one class, `FlatTorus` or `RoundSphere`, owning all
-that differs between manifolds: eigendata and quadrature, basis values,
-geodesic distance, observation windows and isometries. A `SpectralModel`
-holds one of them together with its first K distinct Laplace eigenvalues,
-their multiplicities, a real orthonormal eigenbasis, and a quadrature rule
-that integrates products of any two basis functions exactly up to roundoff.
+Catalog: flat tori R^n modulo a rectangular lattice, their subclass the
+circle of radius r (period 2 pi, scale r) and round 2-spheres of radius r.
+Each geometry is one class of the table `make_manifold` reads, owning all
+that differs between manifolds as class data (kind tag, window, isometries)
+and methods (eigendata, basis, distance, windows); its constructor takes
+its geometry parameters. A `SpectralModel` holds one of them together with
+its first K distinct Laplace eigenvalues, their multiplicities, a real
+orthonormal eigenbasis, and a quadrature rule that integrates products of
+any two basis functions exactly up to roundoff.
 
 Chart coordinates used throughout:
     circle  -- (theta,) with theta in [0, 2 pi)
@@ -22,6 +23,7 @@ downstream depends on signs, only on block spans.
 """
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass, replace
 from typing import ClassVar, Optional, Union
@@ -34,6 +36,7 @@ from .fields import require, require_count
 __all__ = [
     "SpectralModel",
     "FlatTorus",
+    "Circle",
     "RoundSphere",
     "ObservationSet",
     "OrthonormalityReport",
@@ -56,6 +59,7 @@ __all__ = [
     "project_function",
     "verify_orthonormality",
     "restrict_to_observation",
+    "check_window_of",
     "interior_points",
     "WindowSampling",
     "certificate_sampling",
@@ -144,13 +148,15 @@ class SpectralModel:
         return self.memo("node_basis", None, lambda: np.ascontiguousarray(
             self.eigenfunction_values(self.nodes)))
 
-    def window_rows(self, node_indices) -> np.ndarray:
-        """The rows of `node_basis()` at `node_indices`, (|O|, D), read-only.
+    def window_rows(self, obs, field: str = "obs") -> np.ndarray:
+        """The rows of `node_basis()` at the nodes of the window `obs`, (|O|, D),
+        read-only; `check_window_of` names `field` for a window of another model.
 
         Keyed by the bytes of the indices, so every record and trace on one
         window shares one gather; another window replaces them.
         """
-        idx = np.asarray(node_indices, dtype=np.intp)
+        check_window_of(self, obs, field)
+        idx = np.asarray(obs.node_indices, dtype=np.intp)
         return self.memo("window_rows", idx.tobytes(), lambda: self.node_basis()[idx])
 
     def flat_eigenvalues(self) -> np.ndarray:
@@ -272,14 +278,6 @@ class SphereMeridianReflection:
     name: ClassVar[str] = "sphere_meridian_reflection"
 
 
-WINDOWS = (AngularInterval, TorusBox, SphericalCap)
-ISOMETRIES = (CircleRotation, CircleReflection, TorusTranslation,
-              TorusAxisReflection, SphereAxialRotation, SphereMeridianReflection)
-# annotations of window and isometry fields: JSON reads them by "kind"
-Window = Union[WINDOWS]
-Isometry = Union[ISOMETRIES]
-
-
 def _has_shape(value, shape: tuple) -> bool:
     try:
         return np.shape(np.asarray(value, dtype=float)) == shape
@@ -334,46 +332,38 @@ def node_counts(quadrature, n: int) -> tuple:
     return tuple(require_count(c, "quadrature") for c in counts)
 
 
-@dataclass(frozen=True, eq=False)
+def _lengths(field: str, values) -> tuple:
+    """`values` as a nonempty tuple of floats, each finite and > 0."""
+    try:
+        lengths = tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        lengths = ()
+    require(lengths and all(0 < v < np.inf for v in lengths), field,
+            "expected finite lengths > 0")
+    return lengths
+
+
 class FlatTorus:
     """R^n modulo a rectangular lattice, in chart coordinates.
 
     Axis i has chart coordinate x_i in [0, period_i) and metric length
-    scale_i dx_i, so its edge is period_i * scale_i. A torus is built with
-    `box(edges)` (unit scales); the circle of radius r is `circle(r)`, the
-    1-torus with period 2 pi and scale r, whose chart coordinate is the angle.
-    The default node count per axis is max(4 j_max + 4, node_floor).
+    scale_i dx_i, so its edge is period_i * scale_i: `FlatTorus(edges)` has
+    unit scales. The default node count per axis is max(4 j_max + 4, node_floor).
     """
 
-    kind: str
-    params: dict
-    periods: tuple
-    scales: tuple
-    window: type
-    isometries: dict  # isometry class -> (isometry, n) -> (signs, offsets)
-    node_floor: int
-    angular: bool  # potential callables receive bare angles (P,), not rows
+    kind: ClassVar[str] = "torus"
+    window: ClassVar[type] = TorusBox
+    isometries: ClassVar[dict] = {  # isometry class -> (isometry, n) -> (signs, offsets)
+        TorusTranslation: _torus_translation, TorusAxisReflection: _torus_axis_reflection}
+    node_floor: ClassVar[int] = 16
 
-    @classmethod
-    def circle(cls, radius=1.0) -> "FlatTorus":
-        if not radius > 0:
-            raise FieldError("radius", "must be positive")
-        actions = {CircleRotation: lambda iso, n: (1.0, iso.angle),
-                   CircleReflection: lambda iso, n: (-1.0, 2.0 * iso.axis)}
-        return cls("circle", {"radius": float(radius)}, (TWO_PI,), (float(radius),),
-                   AngularInterval, actions, 64, True)
+    def __init__(self, edges):
+        self.periods = _lengths("edges", edges)
+        self.scales = (1.0,) * len(self.periods)
 
-    @classmethod
-    def box(cls, edges) -> "FlatTorus":
-        if edges is None:
-            raise FieldError("edges", "torus model needs edge lengths")
-        edges = tuple(float(e) for e in edges)
-        if not edges or any(not e > 0 for e in edges):
-            raise FieldError("edges", "expected a list of positive lengths")
-        actions = {TorusTranslation: _torus_translation,
-                   TorusAxisReflection: _torus_axis_reflection}
-        return cls("torus", {"edges": edges}, edges, (1.0,) * len(edges), TorusBox,
-                   actions, 16, False)
+    @property
+    def params(self) -> dict:
+        return {"edges": self.periods}
 
     @property
     def dimension(self) -> int:
@@ -443,7 +433,7 @@ class FlatTorus:
         return out
 
     def natural_coordinates(self, pts) -> np.ndarray:
-        return pts[:, 0] if self.angular else pts
+        return pts
 
     def distance(self, p, q) -> np.ndarray:
         periods = np.asarray(self.periods)
@@ -505,6 +495,27 @@ class FlatTorus:
         return np.mod(_chart_affine(self, isometry, pts, inverse), self.periods)
 
 
+class Circle(FlatTorus):
+    """The circle of radius r: the 1-torus with period 2 pi and scale r,
+    whose chart coordinate is the angle."""
+
+    kind = "circle"
+    window = AngularInterval
+    isometries = {CircleRotation: lambda iso, n: (1.0, iso.angle),
+                  CircleReflection: lambda iso, n: (-1.0, 2.0 * iso.axis)}
+    node_floor = 64
+
+    def __init__(self, radius=1.0):
+        self.periods, self.scales = (TWO_PI,), _lengths("radius", (radius,))
+
+    @property
+    def params(self) -> dict:
+        return {"radius": self.scales[0]}
+
+    def natural_coordinates(self, pts) -> np.ndarray:
+        return pts[:, 0]  # potential callables receive bare angles (P,)
+
+
 def _sphere_angle(p, q):
     c = (np.cos(p[:, 0]) * np.cos(q[:, 0])
          + np.sin(p[:, 0]) * np.sin(q[:, 0]) * np.cos(p[:, 1] - q[:, 1]))
@@ -529,7 +540,7 @@ def _cap_chart_to_sphere(center, gamma, azimuth):
 class RoundSphere:
     """Round 2-sphere of radius r in (colatitude, longitude)."""
 
-    radius: float
+    radius: float = 1.0
     kind: ClassVar[str] = "sphere"
     dimension: ClassVar[int] = 2
     window: ClassVar[type] = SphericalCap
@@ -538,12 +549,11 @@ class RoundSphere:
         SphereMeridianReflection: lambda iso, n: ((1.0, -1.0), (0.0, 2.0 * iso.meridian))}
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise FieldError("radius", "must be positive")
+        object.__setattr__(self, "radius", _lengths("radius", (self.radius,))[0])
 
     @property
     def params(self) -> dict:
-        return {"radius": float(self.radius)}
+        return {"radius": self.radius}
 
     # eigendata and quadrature
 
@@ -706,23 +716,29 @@ class RoundSphere:
         return out
 
 
-_MANIFOLDS = {
-    "circle": lambda radius, edges: FlatTorus.circle(radius),
-    "torus": lambda radius, edges: FlatTorus.box(edges),
-    "sphere": lambda radius, edges: RoundSphere(radius),
-}
+_MANIFOLDS = {cls.kind: cls for cls in (Circle, FlatTorus, RoundSphere)}
+WINDOWS = tuple(cls.window for cls in _MANIFOLDS.values())
+ISOMETRIES = tuple(iso for cls in _MANIFOLDS.values() for iso in cls.isometries)
+# annotations of window and isometry fields: JSON reads them by "kind"
+Window = Union[WINDOWS]
+Isometry = Union[ISOMETRIES]
 
 
-def make_manifold(kind: str, *, radius: float = 1.0, edges=None):
+def make_manifold(kind: str, **geometry):
     """The catalog geometry named `kind`, without eigendata."""
-    if not isinstance(kind, str) or kind not in _MANIFOLDS:
-        raise FieldError("kind", f"unknown model kind {kind!r}")
-    return _MANIFOLDS[kind](radius, edges)
+    cls = _MANIFOLDS.get(kind) if isinstance(kind, str) else None
+    require(cls is not None, "kind", f"unknown model kind {kind!r}")
+    taken = inspect.signature(cls).parameters
+    for name in geometry:
+        require(name in taken, name, f"not a parameter of a {kind}")
+    for name, param in taken.items():
+        require(name in geometry or param.default is not param.empty, name,
+                "missing required field")
+    return cls(**geometry)
 
 
-def build_model(kind: str, truncation: int, *, radius: float = 1.0,
-                edges=None, quadrature=None) -> SpectralModel:
-    """Materialize a catalog model with its first `truncation` eigenvalues.
+def build_model(kind: str, truncation: int, *, quadrature=None, **geometry) -> SpectralModel:
+    """Materialize `make_manifold(kind, **geometry)` with its first `truncation` eigenvalues.
 
     quadrature overrides the default node counts: an int for the circle,
     an int or per-axis tuple for the torus, an (n_colat, n_lon) pair (or a
@@ -730,7 +746,7 @@ def build_model(kind: str, truncation: int, *, radius: float = 1.0,
     products of any two materialized basis functions integrate exactly.
     """
     truncation = require_count(truncation, "truncation")
-    return make_manifold(kind, radius=radius, edges=edges).build(truncation, quadrature)
+    return make_manifold(kind, **geometry).build(truncation, quadrature)
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +807,17 @@ def restrict_to_observation(model: SpectralModel, descriptor) -> ObservationSet:
     if idx.size == model.nodes.shape[0]:
         raise PreconditionError("observation set must leave nodes in the complement")
     return ObservationSet(descriptor, idx, model.nodes[idx], model.weights[idx])
+
+
+def check_window_of(model: SpectralModel, obs: ObservationSet, field: str = "obs") -> None:
+    """`obs` must be a window of `model`: its indices in range and its nodes
+    and weights the model's there.  Compared by value: `with_mixed_blocks`
+    copies share the nodes, so one window serves them all."""
+    idx = obs.node_indices
+    require(np.all((idx >= 0) & (idx < model.nodes.shape[0]))
+            and np.array_equal(obs.nodes, model.nodes[idx])
+            and np.array_equal(obs.weights, model.weights[idx]), field,
+            "expected a window restricted on this model (restrict_to_observation)")
 
 
 def _check_sampling(model: SpectralModel, descriptor, count: int) -> None:

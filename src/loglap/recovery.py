@@ -14,7 +14,7 @@ import numpy as np
 from .calculus import (apply_L, check_mass, field_from_samples,
                        l_multiplier, random_field)
 from .errors import PreconditionError, UnderdeterminedSamplingError
-from .fields import require
+from .fields import require, require_count
 from .models import (
     Isometry,
     ObservationSet,
@@ -22,6 +22,7 @@ from .models import (
     Window,
     apply_isometry,
     certificate_sampling,
+    check_window_of,
     isometry_preserves_set,
     project_function,
 )
@@ -88,6 +89,7 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet, *,
     the two variants on one window evaluate the basis once.
     """
     check_mass(m)
+    require_count(node_multiplier, "node_multiplier")
     dim = model.total_dim
     sampling = certificate_sampling(model, obs.descriptor, node_multiplier * dim, points)
     if sampling.n_points < 2 * dim:
@@ -122,7 +124,19 @@ class RecoveredPotential:
     mask: np.ndarray
     disagreement: np.ndarray
     observation_indices: np.ndarray
-    covered_fraction: float
+
+    @property
+    def off_window(self) -> np.ndarray:
+        """True at the nodes outside the observation window."""
+        out = np.ones(len(self.values), dtype=bool)
+        out[self.observation_indices] = False
+        return out
+
+    @property
+    def covered_fraction(self) -> float:
+        """The share of nodes off the window that `mask` marks recovered (1.0 if none)."""
+        off = self.off_window
+        return float(np.mean(self.mask[off])) if off.any() else 1.0
 
 
 def _weighted_median(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -149,6 +163,7 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
     mass and observation set.
     """
     m = check_mass(m)
+    check_window_of(model, obs)
     records = list(records)
     require(records, "records", "expected at least one record")
     for rec in records:
@@ -162,9 +177,6 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
             if not ok:
                 raise PreconditionError(f"record {rec.source_id}: {name} disagrees with "
                                         "the model, m and obs of this call")
-    n_nodes = model.nodes.shape[0]
-    complement = np.setdiff1d(np.arange(n_nodes), obs.node_indices)
-
     u = np.column_stack([rec.solution.node_values() for rec in records])
     lu = np.column_stack([apply_L(rec.solution, m).node_values() for rec in records])
     admissible = np.abs(u) > mask_eps * np.max(np.abs(u), axis=0)
@@ -176,11 +188,9 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
 
     values[obs.node_indices] = v_known.values_at(model, obs.nodes)
     mask[obs.node_indices] = True
-    covered = float(mask[complement].mean()) if complement.size else 1.0
     return RecoveredPotential(nodes=model.nodes, values=values, mask=mask,
                               disagreement=disagreement,
-                              observation_indices=obs.node_indices.copy(),
-                              covered_fraction=covered)
+                              observation_indices=obs.node_indices.copy())
 
 
 # ------------------------------------------------------------------ gauge
@@ -238,7 +248,7 @@ def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,
     mult = fmap.multipliers[:, None]
     # Cauchy data of the pulled-back problem on the window against those of
     # (V, f) at Phi^{-1}(window nodes)
-    B = model.window_rows(obs.node_indices)
+    B = model.window_rows(obs)
     E = model.eigenfunction_values(pull_back(obs.nodes))
     du = np.max(np.abs(B @ U2 - E @ U))
     dlu = np.max(np.abs(B @ (mult * U2) - E @ (mult * U)))

@@ -263,10 +263,9 @@ def trace_from_csv(path):
 
 def recovered_to_csv(recovered: RecoveredPotential, path) -> None:
     """Node/value/mask table; window rows are flagged, gaps carry nan."""
-    window = np.zeros(len(recovered.values), dtype=int)
-    window[recovered.observation_indices] = 1
     _write_table(path, {**_node_columns(recovered.nodes), "value": recovered.values,
-                        "mask": np.asarray(recovered.mask, dtype=int), "window": window,
+                        "mask": np.asarray(recovered.mask, dtype=int),
+                        "window": np.asarray(~recovered.off_window, dtype=int),
                         "disagreement": recovered.disagreement})
 
 
@@ -276,13 +275,9 @@ def recovered_from_csv(path) -> RecoveredPotential:
     values, mask, window, disagreement = table[:, -4:].T
     if not np.all(np.isin(table[:, -3:-1], (0, 1))):
         raise SerializationError(f"{path}: mask, window: expected 0 or 1")
-    mask, window = mask == 1, window == 1
-    complement = ~window
-    covered = float(np.mean(mask[complement])) if complement.any() else 1.0
-    return RecoveredPotential(nodes=table[:, 1:-4], values=values, mask=mask,
+    return RecoveredPotential(nodes=table[:, 1:-4], values=values, mask=mask == 1,
                               disagreement=disagreement,
-                              observation_indices=np.nonzero(window)[0],
-                              covered_fraction=covered)
+                              observation_indices=np.nonzero(window == 1)[0])
 
 
 def spectrum_to_csv(model: SpectralModel, path) -> None:

@@ -150,7 +150,7 @@ def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
 
     sources = []
     for i, (c, rho, margin) in enumerate(zip(ctrs, radii, margins)):
-        if rho <= 0 or rho >= margin:
+        if not 0 < rho < margin:
             raise SupportViolationError(
                 f"source {i}: support radius {rho:.4g} does not fit inside the "
                 f"observation set (margin {margin:.4g})")
@@ -301,7 +301,7 @@ def cauchy_records(model: SpectralModel, m: float, V: PotentialField,
     F = source_matrix(model, sources)
     fmap = forward_map(model, m, V)
     U = fmap.solve(F)
-    B = model.window_rows(obs.node_indices)
+    B = model.window_rows(obs)
     u_obs, lu_obs = B @ U, B @ (fmap.multipliers[:, None] * U)
     return [CauchyRecord(kind=model.kind, truncation=model.truncation, mass=float(m),
                          source_id=src.source_id, potential_label=V.label,

@@ -1,10 +1,11 @@
 """Argument rules: each misuse raises a typed error that names the argument.
 
 The time-grid, sample-count, mass, shared-node, quadrature-count,
-source-stack, point and count rules have one definition each
-(`calculus.check_times`, `calculus.check_samples`, `calculus.check_mass`,
-`calculus.check_shared_nodes`, `models.node_counts`, `solver.source_matrix`,
-`models.as_points`, `fields.require_count`);
+geometry, window, source-stack, point and count rules have one definition
+each (`calculus.check_times`, `calculus.check_samples`, `calculus.check_mass`,
+`calculus.check_shared_nodes`, `models.node_counts`, `models.make_manifold`,
+`models.check_window_of`, `solver.source_matrix`, `models.as_points`,
+`fields.require_count`);
 every case below is one caller of one rule, or one argument check whose
 fault numpy or a later step would otherwise report late or not at all.
 """
@@ -25,16 +26,16 @@ from loglap.calculus import (
     random_field,
 )
 from loglap.config import validate_config
-from loglap.errors import FieldError, PreconditionError
+from loglap.errors import FieldError, PreconditionError, SupportViolationError
 from loglap.extraction import (
     build_gelfand_data,
     compare_gelfand,
     default_time_grid,
     heat_trace_of_field,
 )
-from loglap.models import (AngularInterval, SphericalCap, build_model, interior_points,
-                           restrict_to_observation, with_mixed_blocks)
-from loglap.recovery import recover_potential, ucp_nullspace_test
+from loglap.models import (AngularInterval, CircleReflection, SphericalCap, build_model,
+                           interior_points, restrict_to_observation, with_mixed_blocks)
+from loglap.recovery import isometry_gauge_check, recover_potential, ucp_nullspace_test
 from loglap.solver import (
     PotentialField,
     cauchy_records,
@@ -129,6 +130,34 @@ def other_model(call, mixed):
                 cauchy_records(other, 2.0, V, other_sources, other_obs))
 
 
+@lru_cache(maxsize=None)
+def foreign_window(name):
+    """The window (0, pi) of another circle than `half_circle(6)`'s 64-node
+    one: 48 nodes, radius 2 (the same nodes, other weights), or 128 nodes
+    (indices up to 63, in range)."""
+    geometry = {"quadrature": {"quadrature": 48}, "radius": {"radius": 2.0},
+                "nodes": {"quadrature": 128}}[name]
+    return restrict_to_observation(build_model("circle", 6, **geometry),
+                                   AngularInterval(0.0, np.pi))
+
+
+def with_window(obs):
+    """Every entry point that takes a window of `half_circle(6)`'s model,
+    called with `obs`, and the name of that argument."""
+    model, own, sources = half_circle(6)
+    return {
+        "records": (lambda: cauchy_records(model, 2.0, V, sources, obs), "obs"),
+        "gelfand": (lambda: build_gelfand_data(model, 2.0, V, obs, sources), "obs"),
+        "trace": (lambda: heat_trace_of_field(model, 2.0, random_field(model, 0), obs,
+                                              [0.5]), "obs"),
+        "gauge": (lambda: isometry_gauge_check(model, 2.0, V, obs,
+                                               CircleReflection(np.pi / 2)), "obs"),
+        "equality": (lambda: heat_kernel_equality_check(model, model, 2.0, obs, obs, [0.5]),
+                     "obs_a"),
+        "recover": (lambda: recover_potential(model, 2.0, obs, V, cauchy_records(
+            model, 2.0, V, sources, own)), "obs")}
+
+
 def different_nodes_equality():
     model_a, obs_a, _ = half_circle(3, 64)
     model_b, obs_b, _ = half_circle(3, 128)
@@ -181,6 +210,10 @@ CASES = {
     **{f"n_pairs-{value}": (lambda value=value: grigoryan_check(
         half_circle(6)[0], 2.0, [0.5], n_pairs=value), FieldError, "n_pairs")
        for value in (2.5, True)},
+    **{f"node_multiplier-{value}": (lambda value=value: ucp_nullspace_test(
+        half_circle(6)[0], 2.0, half_circle(6)[1], node_multiplier=value), FieldError,
+        "node_multiplier")
+       for value in (0, 2.5, True)},
     # the mass, infinite and at most 1, at every entry point
     **{f"mass-inf-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(np.inf))},
     **{f"mass-one-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(1.0))},
@@ -188,6 +221,31 @@ CASES = {
     "nodes-compare": (lambda: compare_gelfand(gelfand(64), gelfand(128)), PreconditionError,
                       "a and b"),
     "nodes-equality": (different_nodes_equality, PreconditionError, "obs_a and obs_b"),
+    # geometry parameters: only those of the kind's constructor, lengths finite and > 0
+    **{f"geometry-{name}-{kind}": (lambda kind=kind, geometry=geometry: build_model(
+        kind, 3, **geometry), FieldError, name)
+       for kind, geometry, name in (("circle", {"edges": (6.0,)}, "edges"),
+                                    ("torus", {"edges": (6.0,), "radius": 2.0}, "radius"),
+                                    ("sphere", {"edges": (1.0, 2.0)}, "edges"),
+                                    ("sphere", {"metric": 1.0}, "metric"))},
+    "geometry-missing-torus": (lambda: build_model("torus", 3), FieldError, "edges"),
+    **{f"edges-{name}": (lambda edges=edges: build_model("torus", 3, edges=edges),
+                         FieldError, "edges")
+       for name, edges in (("inf", (np.inf, 6.0)), ("nan", (6.0, np.nan)), ("empty", ()),
+                           ("scalar", 6.0), ("text", ("a", 6.0)))},
+    **{f"radius-{value}-{kind}": (lambda kind=kind, value=value: build_model(
+        kind, 3, radius=value), FieldError, "radius")
+       for kind in ("circle", "sphere") for value in (np.inf, np.nan, 0.0)},
+    # windows: restricted on the model they are passed with, at every entry point
+    **{f"window-{name}-{entry}": (call, FieldError, field)
+       for name in ("quadrature", "radius", "nodes")
+       for entry, (call, field) in with_window(foreign_window(name)).items()},
+    "window-radius-equality-b": (lambda: heat_kernel_equality_check(
+        half_circle(6)[0], half_circle(6)[0], 2.0, half_circle(6)[1],
+        foreign_window("radius"), [0.5]), FieldError, "obs_b"),
+    # a source radius that does not fit, NaN included
+    "source-radius-nan": (lambda: make_source_basis(*half_circle(6)[:2], 2, radius=np.nan),
+                          SupportViolationError, "source 0"),
     # quadrature counts
     "quadrature-circle-axes": (lambda: build_model("circle", 4, quadrature=[64, 64]),
                                FieldError, "quadrature"),

@@ -4,22 +4,29 @@ The benchmark's tracer (`perfbench/spans.py`) patches the functions listed
 in `LAYERS` by module and name, and `__all__` lists what a module exports;
 a rename or deletion that leaves either list stale fails here, not at run
 time of the benchmark.  No module of the package imports scipy, so that
-the package needs numpy alone.  No code branches
-on a manifold's kind tag: what differs between manifolds is a method of
-the manifold class.  Only the count rule (`fields.require_count`) tests
-for an integer.  Every error class is raised somewhere in the package
-or is a base of one that is, and the package raises no class that
-`errors.py` does not define.
+the package needs numpy alone.  No code branches on a manifold's kind tag:
+what differs between manifolds is a method or class data of the manifold
+class, the catalog is one table of those classes, and the window and
+isometry families are read from it, each class in one manifold's family.
+`make_manifold` takes only the parameters of the kind's constructor.  Only
+the count rule (`fields.require_count`) tests for an integer.  Every error
+class is raised somewhere in the package or is a base of one that is, and
+the package raises no class that `errors.py` does not define.
 """
 
 import ast
 import builtins
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import loglap
+from loglap import models
+from loglap.errors import FieldError
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -99,6 +106,41 @@ def test_no_branch_on_the_kind_tag():
              for path in sorted(root.rglob("*.py"))
              for line in kind_comparisons(ast.parse(path.read_text(), str(path)))]
     assert not found, f"comparisons with a kind tag at {found}"
+
+
+MANIFOLDS = list(models._MANIFOLDS.values())
+
+
+def families(cls) -> list:
+    """The window and isometry classes of manifold class `cls`."""
+    return [cls.window, *cls.isometries]
+
+
+def test_window_and_isometry_classes_belong_to_one_manifold():
+    tagged = [obj for obj in vars(models).values()
+              if isinstance(obj, type) and isinstance(vars(obj).get("name"), str)]
+    owners = {t.__name__: [cls.kind for cls in MANIFOLDS if t in families(cls)]
+              for t in tagged}
+    assert all(len(kinds) == 1 for kinds in owners.values()), owners
+    assert set(tagged) == set(models.WINDOWS + models.ISOMETRIES)
+    assert models.WINDOWS == tuple(cls.window for cls in MANIFOLDS)
+    assert models.ISOMETRIES == tuple(iso for cls in MANIFOLDS for iso in cls.isometries)
+    assert [cls.kind for cls in MANIFOLDS] == ["circle", "torus", "sphere"]
+
+
+def parameters(cls) -> set:
+    return set(inspect.signature(cls).parameters)
+
+
+@pytest.mark.parametrize("cls", MANIFOLDS, ids=lambda cls: cls.kind)
+def test_make_manifold_rejects_parameters_of_other_kinds(cls):
+    foreign = set().union(*map(parameters, MANIFOLDS)) - parameters(cls)
+    assert foreign
+    for name in sorted(foreign):
+        with pytest.raises(FieldError) as info:
+            models.make_manifold(cls.kind, **{name: 1.0})
+        assert (info.value.field, info.value.reason) == (name, f"not a parameter of a "
+                                                               f"{cls.kind}")
 
 
 def integral_uses(tree: ast.AST):

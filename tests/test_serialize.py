@@ -120,6 +120,17 @@ class TestModelDump:
         with pytest.raises(SerializationError, match=re.escape(f"{path}: {message}")):
             load_model(path)
 
+    def test_foreign_parameter_refused(self, tmp_path):
+        # a circle takes a radius only; the edges of a torus do not rebuild it
+        path = tmp_path / "model.json"
+        dump_model(build_model("circle", 4), path)
+        doc = json.loads(path.read_text())
+        doc["params"]["edges"] = [6.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SerializationError, match=re.escape(
+                f"{path}: cannot rebuild the stored model: edges: not a parameter of a circle")):
+            load_model(path)
+
     def test_wrong_format_rejected(self, tmp_path):
         model = build_model("circle", 4)
         path = tmp_path / "m.json"
@@ -312,8 +323,7 @@ class TestTables:
             values=np.array([0.5, np.nan, 0.25]),
             mask=np.array([True, False, True]),
             disagreement=np.array([0.0, np.nan, 1e-9]),
-            observation_indices=np.array([0]),
-            covered_fraction=0.5)
+            observation_indices=np.array([0]))
         path = tmp_path / "r.csv"
         recovered_to_csv(recovered, path)
         loaded = recovered_from_csv(path)
@@ -339,7 +349,7 @@ class TestTables:
         recovered_to_csv(RecoveredPotential(
             nodes=np.array([[0.0, 0.5], [1.0, 1.5]]), values=np.array([0.25, np.nan]),
             mask=np.array([True, False]), disagreement=np.array([np.nan, np.nan]),
-            observation_indices=np.array([0]), covered_fraction=0.0), path)
+            observation_indices=np.array([0])), path)
         assert path.read_text() == ("node_id,x0,x1,value,mask,window,disagreement\n"
                                     "0,0.0,0.5,0.25,1,1,nan\n1,1.0,1.5,nan,0,0,nan\n")
 

@@ -288,7 +288,7 @@ class TestForwardMap:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        rows = model.window_rows(obs.node_indices)
+        rows = model.window_rows(obs)
         records = cauchy_records(model, 2.0, V, sources, obs)
         # one evaluation keys the map and one assembles it, for all 16 sources
         assert len(records) == 16 and len(calls) == 2
@@ -299,7 +299,7 @@ class TestForwardMap:
             heat_trace_of_solution(model, 2.0, V, src, obs, times)
         assert shapes == [(model.total_dim, model.total_dim)]
         # and one gather of the window's basis rows
-        assert model.window_rows(obs.node_indices) is rows
+        assert model.window_rows(obs) is rows
         assert not rows.flags.writeable
 
     def test_rebuilt_when_m_or_closure_changes(self):
@@ -557,11 +557,11 @@ class TestCauchyRecord:
         first = restrict_to_observation(model, AngularInterval(0.0, np.pi))
         second = restrict_to_observation(model, AngularInterval(0.5, 2.5))
         src = make_source_basis(model, second, 1)[0]
-        rows = model.window_rows(first.node_indices)
+        rows = model.window_rows(first)
         rec = cauchy_record(model, 2.0, cos_potential(0.3), src, second)
         assert np.array_equal(rec.u_values,
                               model.node_basis()[second.node_indices] @ rec.solution.values)
-        again = model.window_rows(first.node_indices)
+        again = model.window_rows(first)
         assert again is not rows
         assert np.array_equal(again, rows)
 
