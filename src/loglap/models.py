@@ -26,6 +26,7 @@ from __future__ import annotations
 import inspect
 import itertools
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import ClassVar, Optional, Union
 
 import numpy as np
@@ -129,14 +130,16 @@ class SpectralModel:
 
     def memo(self, slot: str, key, build):
         """`build()` for `key`, kept in `slot` until another key replaces it.
-        Callers share it, so its arrays (the value, or a dataclass value's
-        fields) are made read-only.  Not a field: a `replace` copy starts empty."""
+        Callers share it, so its arrays (the value, a tuple value's items or a
+        dataclass value's fields) are made read-only.  Not a field: a
+        `replace` copy starts empty."""
         store = self.__dict__.setdefault("_memo", {})
         held = store.get(slot)
         if held is not None and held[0] == key:
             return held[1]
         value = build()
-        for a in (value, *getattr(value, "__dict__", {}).values()):
+        items = value if isinstance(value, tuple) else getattr(value, "__dict__", {}).values()
+        for a in (value, *items):
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
         store[slot] = (key, value)
@@ -333,14 +336,12 @@ def node_counts(quadrature, n: int) -> tuple:
 
 
 def _lengths(field: str, values) -> tuple:
-    """`values` as a nonempty tuple of floats, each finite and > 0."""
-    try:
-        lengths = tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        lengths = ()
-    require(lengths and all(0 < v < np.inf for v in lengths), field,
-            "expected finite lengths > 0")
-    return lengths
+    """`values` as a nonempty tuple of floats, each a number (not text or a
+    bool), finite and > 0."""
+    lengths = tuple(values) if np.iterable(values) else ()
+    require(lengths and all(isinstance(v, Real) and not isinstance(v, bool) and 0 < v < np.inf
+                            for v in lengths), field, "expected finite lengths > 0")
+    return tuple(float(v) for v in lengths)
 
 
 class FlatTorus:

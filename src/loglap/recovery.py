@@ -54,18 +54,15 @@ class UcpReport:
     include_image: bool
 
 
-def _certificate_values(samples: np.ndarray, mult) -> np.ndarray:
-    """Singular values of the column-normalised [B; B diag(mult)], or of B
-    when `mult` is None.  `samples` is left as it is."""
-    if mult is not None:
-        R = np.linalg.qr(samples, mode="r")
-        samples = np.vstack([R, R * mult[None, :]])
+def _certificate_values(R: np.ndarray, mult) -> np.ndarray:
+    """Singular values of the column-normalised [R; R diag(mult)], or of R
+    when `mult` is None.  `R` is left as it is."""
+    stack = R if mult is None else np.vstack([R, R * mult[None, :]])
     # unit column norms: rank must not depend on how the operator scales
     # individual basis directions
-    scale = np.maximum(np.linalg.norm(samples, axis=0), 1e-300)[None, :]
-    # the memo's B is read-only; the quotient is a new array in B's layout
-    # (a C-order copy of column-major B moves the SVD's last bits)
-    return np.linalg.svd(samples / scale, compute_uv=False)
+    scale = np.maximum(np.linalg.norm(stack, axis=0), 1e-300)[None, :]
+    # the memo's R is read-only; the quotient is a new array
+    return np.linalg.svd(stack / scale, compute_uv=False)
 
 
 def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet, *,
@@ -78,15 +75,17 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet, *,
     full-column-rank statement about the stacked sample matrix.  The null
     dimension counts singular values below 1e-9 of the largest.
 
-    With the image rows, the samples B = QR enter only through their
-    triangular factor: Q has orthonormal columns, so [R; R diag(mult)] has
-    the singular values and the column norms of [B; B diag(mult)] at
-    2D x D in place of 2P x D.  Explicit `points` must lie in the window.
+    The samples B = QR enter only through their triangular factor: Q has
+    orthonormal columns, so R has the singular values and the column norms
+    of B, and [R; R diag(mult)] those of [B; B diag(mult)], at D x D and
+    2D x D in place of P x D and 2P x D.  Explicit `points` must lie in the
+    window.
 
     `certificate_sampling` decides where B is sampled and how its columns
-    group; each group's singular values count as often as it says.  B is
-    kept in the model's `certificate` memo, keyed by the sample points, so
-    the two variants on one window evaluate the basis once.
+    group; each group's singular values count as often as it says.  The
+    factors, one per group, are kept in the model's `certificate` memo,
+    keyed by the sample points and the groups' columns, so the two variants
+    on one window evaluate the basis and factor it once.
     """
     check_mass(m)
     require_count(node_multiplier, "node_multiplier")
@@ -97,13 +96,17 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet, *,
             f"{sampling.n_points} sample points cannot overdetermine a "
             f"{dim}-dimensional space; need at least {2 * dim}")
 
+    def factors():
+        values = model.eigenfunction_values(sampling.points)
+        return tuple(np.linalg.qr(values[:, cols], mode="r") for cols, _ in sampling.groups)
+
+    # the groups join the key: they decide which columns are factored together
+    key = (sampling.points.tobytes(),
+           *(np.arange(dim)[cols].tobytes() for cols, _ in sampling.groups))
     mult = l_multiplier(model.flat_eigenvalues(), m) if include_image else None
-    values = model.memo("certificate", sampling.points.tobytes(),
-                        lambda: model.eigenfunction_values(sampling.points))
     sv = np.concatenate([
-        np.repeat(_certificate_values(values[:, cols], None if mult is None else mult[cols]),
-                  count)
-        for cols, count in sampling.groups])
+        np.repeat(_certificate_values(R, None if mult is None else mult[cols]), count)
+        for R, (cols, count) in zip(model.memo("certificate", key, factors), sampling.groups)])
     null_dim = int(np.sum(sv < 1e-9 * np.max(sv)))
     return UcpReport(truncation=model.truncation, descriptor=obs.descriptor,
                      null_dimension=null_dim,
@@ -218,6 +221,7 @@ def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,
     f o Phi^{-1}) on the window nodes.
     """
     check_mass(m)
+    check_window_of(model, obs)
     if not isometry_preserves_set(model, isometry, obs):
         raise PreconditionError(
             "isometry moves observation nodes out of the window")

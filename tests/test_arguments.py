@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from loglap import recovery
 from loglap.calculus import (
     apply_L,
     check_times,
@@ -232,10 +233,11 @@ CASES = {
     **{f"edges-{name}": (lambda edges=edges: build_model("torus", 3, edges=edges),
                          FieldError, "edges")
        for name, edges in (("inf", (np.inf, 6.0)), ("nan", (6.0, np.nan)), ("empty", ()),
-                           ("scalar", 6.0), ("text", ("a", 6.0)))},
+                           ("scalar", 6.0), ("text", ("a", 6.0)),
+                           ("numeric-text", ("2", "3")), ("bool", (True, 6.0)))},
     **{f"radius-{value}-{kind}": (lambda kind=kind, value=value: build_model(
         kind, 3, radius=value), FieldError, "radius")
-       for kind in ("circle", "sphere") for value in (np.inf, np.nan, 0.0)},
+       for kind in ("circle", "sphere") for value in (np.inf, np.nan, 0.0, "2", True)},
     # windows: restricted on the model they are passed with, at every entry point
     **{f"window-{name}-{entry}": (call, FieldError, field)
        for name in ("quadrature", "radius", "nodes")
@@ -297,6 +299,19 @@ def test_misuse_names_the_argument(call, error, name):
         call()
     if error is FieldError:
         assert info.value.field == name
+
+
+@pytest.mark.parametrize("name", ["quadrature", "radius", "nodes"])
+def test_gauge_checks_window_before_work(name, monkeypatch):
+    """A foreign window fails `isometry_gauge_check` before its random field
+    and forward maps are built."""
+    built = []
+    for stage in ("random_field", "forward_map"):
+        monkeypatch.setattr(recovery, stage, lambda *args, stage=stage, **kw: built.append(stage))
+    model, _, _ = half_circle(6)
+    with pytest.raises(FieldError, match="^obs: ") as info:
+        isometry_gauge_check(model, 2.0, V, foreign_window(name), CircleReflection(np.pi / 2))
+    assert info.value.field == "obs" and built == []
 
 
 def test_numpy_integers_are_counts():

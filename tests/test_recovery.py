@@ -159,24 +159,24 @@ DENSE_CASES = {
     "sphere-polar-K-below-truncation": ("sphere", 6, {}, SphericalCap((0.0, 0.0), 2.4)),
     # solution-only rows are rank deficient here, the image rows are not
     "sphere-polar-degenerate": ("sphere", 16, {}, SphericalCap((0.0, 0.0), 1.4)),
+    # the largest torus and circle windows of the benchmark's UCP sweep
+    "torus-K32": ("torus", 32, {"edges": (2 * np.pi, 2 * np.pi)},
+                  TorusBox(((0.3, 5.9), (0.3, 5.9)))),
+    "circle-K32": ("circle", 32, {}, AngularInterval(0.0, 5.2)),
 }
 
 
-def assert_matches_dense(report, model, obs, include_image, bitwise):
+def assert_matches_dense(report, model, obs, include_image):
     null_dim, sv = dense_certificate(model, 2.0, obs, include_image)
     assert report.null_dimension == null_dim
     assert report.passed == (null_dim == 0)
-    if bitwise:
-        assert report.smallest_singular == sv[-1]
-    else:
-        assert abs(report.smallest_singular - sv[-1]) <= 1e-10 * sv[0]
+    assert abs(report.smallest_singular - sv[-1]) <= 1e-10 * sv[0]
 
 
 class TestUcpDenseReference:
-    """The image variant goes through the samples' triangular factor, and
-    polar caps through one block per azimuthal order; both must certify
-    what the dense 2P x D stack certifies.  The solution variant of the
-    dense route is the definition itself, bit for bit."""
+    """Both variants go through the samples' triangular factor, and polar
+    caps through one block per azimuthal order; each must certify what the
+    dense P x D or 2P x D stack certifies."""
 
     @pytest.mark.parametrize("include_image", [True, False], ids=["image", "solution"])
     @pytest.mark.parametrize("case", DENSE_CASES.values(), ids=DENSE_CASES.keys())
@@ -185,9 +185,7 @@ class TestUcpDenseReference:
         model = build_model(kind, truncation, **kwargs)
         obs = restrict_to_observation(model, desc)
         report = ucp_nullspace_test(model, 2.0, obs, include_image=include_image)
-        polar = kind == "sphere" and desc.center[0] == 0.0
-        assert_matches_dense(report, model, obs, include_image,
-                             bitwise=not (include_image or polar))
+        assert_matches_dense(report, model, obs, include_image)
 
 
 class TestCertificateSampling:
@@ -252,8 +250,9 @@ MEMO_CASES = {
 
 
 class TestCertificateMemo:
-    """The certificate's samples are kept in the model's `certificate` memo:
-    both variants on one window evaluate the basis once."""
+    """The certificate's triangular factors are kept in the model's
+    `certificate` memo: both variants on one window evaluate the basis and
+    factor it once."""
 
     @pytest.mark.parametrize("case", MEMO_CASES.values(), ids=MEMO_CASES.keys())
     def test_variants_share_one_evaluation(self, case, monkeypatch):
@@ -268,15 +267,30 @@ class TestCertificateMemo:
         model = build_model(kind, K, **kwargs)
         obs = restrict_to_observation(model, desc)
         calls = count_basis_calls(monkeypatch)
+        held, memo = [], models.SpectralModel.memo
+
+        def recording(self, slot, key, build):
+            value = memo(self, slot, key, build)
+            if slot == "certificate":
+                held.append(value)
+            return value
+
+        monkeypatch.setattr(models.SpectralModel, "memo", recording)
         reports = [ucp_nullspace_test(model, 2.0, obs, include_image=inc)
                    for inc in (True, False, True)]
         assert len(calls) == 1
         assert reports == expected + expected[:1]
-        # neither variant writes into the shared samples
-        held = calls[0]
-        sampling = certificate_sampling(model, desc, 4 * model.total_dim)
-        assert not held.flags.writeable
-        assert np.array_equal(held, model.eigenfunction_values(sampling.points))
+        # one read-only (w x w) factor per column group, R^T R = B^T B
+        assert len(held) == 3 and all(value is held[0] for value in held)
+        samples = calls[0]
+        every = np.arange(model.total_dim)
+        groups = certificate_sampling(model, desc, 4 * model.total_dim).groups
+        assert len(held[0]) == len(groups)
+        for R, (cols, _) in zip(held[0], groups):
+            width = every[cols].size
+            B = samples[:, cols]
+            assert R.shape == (width, width) and not R.flags.writeable
+            assert np.max(np.abs(R.T @ R - B.T @ B)) <= 1e-12 * np.max(np.abs(B.T @ B))
 
     def test_new_key_evaluates_again(self, monkeypatch):
         model = build_model("torus", 6, edges=(2 * np.pi, 2 * np.pi))
@@ -360,9 +374,7 @@ class TestUcpPolarCapRoute:
                                         points).groups) == 1
         report = ucp_nullspace_test(model, 2.0, obs, include_image=include_image,
                                     points=points)
-        # only the dense route reproduces the definition bit for bit
-        assert_matches_dense(report, model, obs, include_image,
-                             bitwise=not include_image)
+        assert_matches_dense(report, model, obs, include_image)
 
 
 # ---------------------------------------------------------------- recovery
