@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import math
 from dataclasses import dataclass, replace
 from numbers import Real
-from typing import ClassVar, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
@@ -189,13 +190,19 @@ class OrthonormalityReport:
 
 @dataclass(frozen=True)
 class WindowSampling:
-    """Where the continuation certificate samples a window: the basis at
-    `points`, which stand for `n_points` window points, split into groups
-    (column selector, how often the group's singular values count)."""
+    """Where the continuation certificate samples a window and how it
+    factors the samples B, the basis at `n_points` window points.  B's
+    columns split into groups (column selector, how often the group's
+    singular values count); `factors()` gives one (w x w) factor R per group
+    of w columns, with R^T R = B^T B on the group, and the model's
+    `certificate` memo keeps them under `key`.  `points` are where the basis
+    is evaluated, None where the factor is built per axis."""
 
-    points: np.ndarray
+    points: Optional[np.ndarray]
     n_points: int
     groups: tuple
+    key: tuple
+    factors: Callable[[], tuple]
 
 
 # observation descriptors ----------------------------------------------------
@@ -462,14 +469,63 @@ class FlatTorus:
         lows, highs = np.array(desc.intervals, dtype=float).T
         return np.all((x > lows) & (x < highs), axis=1)
 
-    def window_points(self, desc, count: int) -> np.ndarray:
+    def _window_axes(self, desc, count: int) -> list:
+        """Per-axis coordinates of the window grid for `count` points."""
         per_axis = int(np.ceil(count ** (1.0 / self.dimension)))
-        axes = [np.linspace(a, b, per_axis + 2)[1:-1] for a, b in desc.intervals]
-        grids = np.meshgrid(*axes, indexing="ij")
+        return [np.linspace(a, b, per_axis + 2)[1:-1] for a, b in desc.intervals]
+
+    def window_points(self, desc, count: int) -> np.ndarray:
+        grids = np.meshgrid(*self._window_axes(desc, count), indexing="ij")
         return np.column_stack([g.ravel() for g in grids])
 
-    def split_sampling(self, desc, count: int, table) -> None:
-        return None  # no window grid of a flat torus splits the basis
+    def grid_sampling(self, model, desc, count: int) -> WindowSampling:
+        """The `window_points` grid, whose factor `axis_factor` builds
+        without evaluating the basis on it."""
+        axes = self._window_axes(desc, count)
+        return WindowSampling(None, math.prod(x.size for x in axes), ((slice(None), 1),),
+                              ("axes", *(x.tobytes() for x in axes)),
+                              lambda: (self.axis_factor(axes, model.basis_table),))
+
+    def axis_factor(self, axes, table) -> np.ndarray:
+        """A (D x D) factor R with R^T R = B^T B for the basis B on the
+        tensor grid of the per-axis coordinates `axes`, without forming B.
+
+        On axis a, E_a holds cos(k w x) for k = 0..J_a, then sin(k w x) for
+        k = 1..J_a, at the axis's coordinates x, with w = 2 pi / period_a and
+        J_a the largest |j_a| of the lattice.  The grid's E = E_1 (x) ... (x)
+        E_n has the factor R_1 (x) ... (x) R_n of the per-axis QRs (Van Loan,
+        J. Comput. Appl. Math. 123, 2000).  As in `basis_values`, column 0 is
+        the constant and each further lattice vector j gives a cosine and a
+        sine column, the real and imaginary part of prod_a (cos j_a w x_a +
+        i sin j_a w x_a).  Over E's columns that product has the Kronecker
+        product of the per-axis coefficients, so over the factor's it is the
+        Kronecker product of the columns W_a = R_a (cos + i sin); a sine with
+        j_a = 0 drops out.  A factor with more rows than D takes one more
+        QR; one with fewer, from a grid that cannot tell every column apart,
+        gets zero rows.
+        """
+        lattice = table["lattice"][::2]  # the constant, then one row per pair
+        top = np.max(np.abs(lattice), axis=0)
+        vol = math.prod(p * s for p, s in zip(self.periods, self.scales))
+        # one column per lattice vector: its normalisation times the W_a so far
+        Z = np.full((1, lattice.shape[0]), np.sqrt(2.0 / vol))
+        Z[0, 0] = 1.0 / np.sqrt(vol)
+        for x, period, J, j in zip(axes, self.periods, top, lattice.T):
+            E = np.empty((2 * J + 1, x.size))  # E_a transposed: E_a is column-major for LAPACK
+            E[0] = 1.0
+            np.multiply.outer(np.arange(1, J + 1) * (TWO_PI / period), x, out=E[1:J + 1])
+            np.sin(E[1:J + 1], out=E[J + 1:])
+            np.cos(E[1:J + 1], out=E[1:J + 1])
+            R, k = np.linalg.qr(E.T, mode="r"), np.abs(j)
+            W = np.empty((R.shape[0], k.size), dtype=complex)
+            W.real, W.imag = R[:, k], np.sign(j) * R[:, J + k]
+            Z = (Z[:, None, :] * W[None, :, :]).reshape(-1, Z.shape[1])
+        rows, dim = Z.shape[0], table["kinds"].size
+        M = np.zeros((max(rows, dim), dim))
+        M[:rows, 0] = Z[:, 0].real
+        M[:rows, 1::2] = Z[:, 1:].real
+        M[:rows, 2::2] = Z[:, 1:].imag
+        return np.linalg.qr(M, mode="r") if rows > dim else M
 
     def window_margin(self, desc, center) -> float:
         """Geodesic distance from `center` to the window boundary."""
@@ -668,7 +724,7 @@ class RoundSphere:
         gg, aa = np.meshgrid(gammas, az, indexing="ij")
         return _cap_chart_to_sphere(desc.center, gg.ravel(), aa.ravel())
 
-    def split_sampling(self, desc, count: int, table):
+    def grid_sampling(self, model, desc, count: int):
         """The `window_points` grid of a cap centred on the basis pole, one
         column group per azimuthal order; None for any other cap.
 
@@ -685,10 +741,11 @@ class RoundSphere:
         gammas, n_az = self._ring_grid(desc, count)
         rings = _cap_chart_to_sphere(desc.center, gammas, np.zeros_like(gammas))
         rings[:, 1] = 0.0  # where every cosine factor is 1
+        table = model.basis_table
         even = table["kinds"] != 2
         groups = tuple((np.flatnonzero(even & (table["orders"] == m)), 1 if m == 0 else 2)
                        for m in range(int(np.max(table["degrees"])) + 1))
-        return WindowSampling(rings, rings.shape[0] * n_az, groups)
+        return _evaluated(model, "orders", rings, rings.shape[0] * n_az, groups)
 
     def window_margin(self, desc, center) -> float:
         """Geodesic distance from `center` to the cap boundary."""
@@ -833,19 +890,34 @@ def interior_points(model: SpectralModel, descriptor, count: int) -> np.ndarray:
     return model.manifold.window_points(descriptor, count)
 
 
+def _evaluated(model: SpectralModel, route: str, points, n_points: int,
+               groups) -> WindowSampling:
+    """The sampling that evaluates the basis at `points` and takes one QR per
+    group.  The groups follow from the model and `route`, so the key need
+    not hold them."""
+    def factors():
+        values = model.eigenfunction_values(points)
+        return tuple(np.linalg.qr(values[:, cols], mode="r") for cols, _ in groups)
+
+    return WindowSampling(points, n_points, groups, (route, points.tobytes()), factors)
+
+
 def certificate_sampling(model: SpectralModel, descriptor, count: int,
                          points=None) -> WindowSampling:
-    """Where the continuation certificate samples the window: explicit
-    `points`, which must lie in it, or the `interior_points` for `count`, as
-    one group of all columns counted once.  A cap centred on the pole of an
-    untransformed sphere basis splits by order (`RoundSphere.split_sampling`);
-    a transform, block mixing included, mixes orders."""
+    """Where the continuation certificate samples the window and how it
+    factors the samples.  Without `points` an untransformed basis takes its
+    manifold's `grid_sampling` of the `interior_points` grid for `count`:
+    per axis on a flat torus (`FlatTorus.axis_factor`), per azimuthal order
+    on a cap centred on the sphere basis's pole.  A transform, block mixing
+    included, mixes what those routes keep apart; it, an off-pole cap and
+    explicit `points`, which must lie in the window, evaluate the basis at
+    the points as one group of all columns counted once."""
     if points is None:
         _check_sampling(model, descriptor, count)
         if model.transform is None:
-            split = model.manifold.split_sampling(descriptor, count, model.basis_table)
-            if split is not None:
-                return split
+            grid = model.manifold.grid_sampling(model, descriptor, count)
+            if grid is not None:
+                return grid
         points = interior_points(model, descriptor, count)
     else:
         points = as_points(points, model.dimension)
@@ -854,7 +926,7 @@ def certificate_sampling(model: SpectralModel, descriptor, count: int,
             raise PreconditionError(
                 f"{outside} of {points.shape[0]} sample points lie outside the "
                 "observation window; the certificate would be for another set")
-    return WindowSampling(points, points.shape[0], ((slice(None), 1),))
+    return _evaluated(model, "points", points, points.shape[0], ((slice(None), 1),))
 
 
 # ---------------------------------------------------------------------------

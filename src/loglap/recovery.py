@@ -75,38 +75,33 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet, *,
     full-column-rank statement about the stacked sample matrix.  The null
     dimension counts singular values below 1e-9 of the largest.
 
-    The samples B = QR enter only through their triangular factor: Q has
-    orthonormal columns, so R has the singular values and the column norms
-    of B, and [R; R diag(mult)] those of [B; B diag(mult)], at D x D and
-    2D x D in place of P x D and 2P x D.  Explicit `points` must lie in the
-    window.
+    The samples B enter only through a factor R with R^T R = B^T B, such as
+    the triangular factor of B = QR: R has the singular values and the
+    column norms of B, and [R; R diag(mult)] those of [B; B diag(mult)], at
+    D x D and 2D x D in place of P x D and 2P x D.  Explicit `points` must
+    lie in the window.
 
-    `certificate_sampling` decides where B is sampled and how its columns
-    group; each group's singular values count as often as it says.  The
-    factors, one per group, are kept in the model's `certificate` memo,
-    keyed by the sample points and the groups' columns, so the two variants
-    on one window evaluate the basis and factor it once.
+    `certificate_sampling` decides where B is sampled, how its columns
+    group and how each group is factored; each group's singular values
+    count as often as it says.  The factors are kept in the model's
+    `certificate` memo under the sampling's key, so the two variants on one
+    window factor it once.
     """
     check_mass(m)
     require_count(node_multiplier, "node_multiplier")
+    require(isinstance(include_image, (bool, np.bool_)), "include_image", "expected a bool")
+    include_image = bool(include_image)
     dim = model.total_dim
     sampling = certificate_sampling(model, obs.descriptor, node_multiplier * dim, points)
     if sampling.n_points < 2 * dim:
         raise UnderdeterminedSamplingError(
             f"{sampling.n_points} sample points cannot overdetermine a "
             f"{dim}-dimensional space; need at least {2 * dim}")
-
-    def factors():
-        values = model.eigenfunction_values(sampling.points)
-        return tuple(np.linalg.qr(values[:, cols], mode="r") for cols, _ in sampling.groups)
-
-    # the groups join the key: they decide which columns are factored together
-    key = (sampling.points.tobytes(),
-           *(np.arange(dim)[cols].tobytes() for cols, _ in sampling.groups))
     mult = l_multiplier(model.flat_eigenvalues(), m) if include_image else None
+    factors = model.memo("certificate", sampling.key, sampling.factors)
     sv = np.concatenate([
         np.repeat(_certificate_values(R, None if mult is None else mult[cols]), count)
-        for R, (cols, count) in zip(model.memo("certificate", key, factors), sampling.groups)])
+        for R, (cols, count) in zip(factors, sampling.groups)])
     null_dim = int(np.sum(sv < 1e-9 * np.max(sv)))
     return UcpReport(truncation=model.truncation, descriptor=obs.descriptor,
                      null_dimension=null_dim,

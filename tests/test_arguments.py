@@ -215,6 +215,10 @@ CASES = {
         half_circle(6)[0], 2.0, half_circle(6)[1], node_multiplier=value), FieldError,
         "node_multiplier")
        for value in (0, 2.5, True)},
+    **{f"include_image-{value!r}": (lambda value=value: ucp_nullspace_test(
+        half_circle(6)[0], 2.0, half_circle(6)[1], include_image=value), FieldError,
+        "include_image")
+       for value in ("no", 1, 0.0, None)},
     # the mass, infinite and at most 1, at every entry point
     **{f"mass-inf-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(np.inf))},
     **{f"mass-one-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(1.0))},
@@ -312,6 +316,14 @@ def test_gauge_checks_window_before_work(name, monkeypatch):
     with pytest.raises(FieldError, match="^obs: ") as info:
         isometry_gauge_check(model, 2.0, V, foreign_window(name), CircleReflection(np.pi / 2))
     assert info.value.field == "obs" and built == []
+
+
+def test_numpy_bools_choose_the_variant():
+    model, obs, _ = half_circle(6)
+    for value in (np.True_, np.False_):
+        report = ucp_nullspace_test(model, 2.0, obs, include_image=value)
+        assert report.include_image is bool(value)
+        assert report == ucp_nullspace_test(model, 2.0, obs, include_image=bool(value))
 
 
 def test_numpy_integers_are_counts():

@@ -3,8 +3,8 @@
 The benchmark's tracer (`perfbench/spans.py`) patches the functions listed
 in `LAYERS` by module and name, and `__all__` lists what a module exports;
 a rename or deletion that leaves either list stale fails here, not at run
-time of the benchmark.  No module of the package imports scipy, so that
-the package needs numpy alone.  No code branches on a manifold's kind tag:
+time of the benchmark.  The package's modules import only the standard
+library, numpy and each other, so that the package needs numpy alone.  No code branches on a manifold's kind tag:
 what differs between manifolds is a method or class data of the manifold
 class, the catalog is one table of those classes, and the window and
 isometry families are read from it, each class in one manifold's family.
@@ -20,6 +20,7 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,25 +59,30 @@ def test_exported_names_exist():
     assert not missing, f"__all__ lists missing names {missing}"
 
 
-def scipy_imports(tree: ast.AST):
-    """Line numbers of every scipy import, at module level or in a body."""
+def foreign_imports(tree: ast.AST):
+    """(line, module) of every import, at module level or in a body, of a
+    module outside the standard library, numpy and loglap."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module or ""]
         else:
-            continue
-        if any(name.split(".")[0] == "scipy" for name in names):
-            yield node.lineno
+            continue  # relative imports stay inside loglap
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top not in ("numpy", "loglap"):
+                yield node.lineno, name
 
 
-def test_no_module_imports_scipy():
+def test_modules_import_only_stdlib_numpy_and_loglap():
+    # numpy is the one runtime dependency; scipy is a test extra, and every
+    # CLI process pays for what the package imports
     root = Path(loglap.__file__).resolve().parent
-    found = [f"{path.relative_to(root.parent)}:{line}"
+    found = [f"{path.relative_to(root.parent)}:{line} {name}"
              for path in sorted(root.rglob("*.py"))
-             for line in scipy_imports(ast.parse(path.read_text(), str(path)))]
-    assert not found, f"scipy imports at {found}"
+             for line, name in foreign_imports(ast.parse(path.read_text(), str(path)))]
+    assert not found, f"imports beyond the standard library and numpy at {found}"
 
 
 KIND_TAGS = {"circle", "torus", "sphere"}

@@ -9,6 +9,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loglap import models
 from loglap.calculus import apply_L, heat_kernel_equality_check, heat_kernel_matrix
@@ -131,10 +132,10 @@ class TestUcpNullspace:
             assert report.passed, f"{model.kind}: dim {report.null_dimension}"
 
 
-def dense_certificate(model, m, obs, include_image):
+def dense_certificate(model, m, obs, include_image, multiplier=4):
     """The certificate straight from its definition: normalise the columns
     of [B; B diag(mult)] (or of B) and take every singular value."""
-    pts = interior_points(model, obs.descriptor, 4 * model.total_dim)
+    pts = interior_points(model, obs.descriptor, multiplier * model.total_dim)
     B = model.eigenfunction_values(pts)
     if include_image:
         lam = model.flat_eigenvalues()
@@ -166,8 +167,8 @@ DENSE_CASES = {
 }
 
 
-def assert_matches_dense(report, model, obs, include_image):
-    null_dim, sv = dense_certificate(model, 2.0, obs, include_image)
+def assert_matches_dense(report, model, obs, include_image, multiplier=4):
+    null_dim, sv = dense_certificate(model, 2.0, obs, include_image, multiplier)
     assert report.null_dimension == null_dim
     assert report.passed == (null_dim == 0)
     assert abs(report.smallest_singular - sv[-1]) <= 1e-10 * sv[0]
@@ -208,6 +209,7 @@ class TestCertificateSampling:
         count = 4 * model.total_dim
         expected = interior_points(model, desc, count)
         points = expected[::2] if variant == "explicit-points" else None
+        per_axis = variant in ("circle", "torus")
         drawn = []
 
         def counting_points(*args):
@@ -215,17 +217,28 @@ class TestCertificateSampling:
             return interior_points(*args)
 
         # the dense route samples through `interior_points`, which the
-        # benchmark's tracer times as its own layer
+        # benchmark's tracer times as its own layer; a flat torus's default
+        # grid is factored per axis and never sampled as points
         monkeypatch.setattr(models, "interior_points", counting_points)
         sampling = certificate_sampling(model, desc, count, points)
-        assert len(drawn) == (points is None)
+        assert len(drawn) == (points is None and not per_axis)
         given = expected if points is None else points
-        assert np.array_equal(sampling.points, given)
+        if per_axis:
+            assert sampling.points is None
+        else:
+            assert np.array_equal(sampling.points, given)
         assert sampling.n_points == given.shape[0]
         assert len(sampling.groups) == 1
         cols, times = sampling.groups[0]
         every = np.arange(model.total_dim)
         assert times == 1 and np.array_equal(every[cols], every)
+        # either route factors the basis at the given points
+        calls = count_basis_calls(monkeypatch)
+        (R,) = sampling.factors()
+        assert len(calls) == (not per_axis)
+        B = model.eigenfunction_values(given)
+        assert R.shape == (model.total_dim,) * 2
+        assert np.max(np.abs(R.T @ R - B.T @ B)) <= 1e-12 * np.max(np.abs(B.T @ B))
 
 
 def count_basis_calls(monkeypatch):
@@ -250,9 +263,10 @@ MEMO_CASES = {
 
 
 class TestCertificateMemo:
-    """The certificate's triangular factors are kept in the model's
-    `certificate` memo: both variants on one window evaluate the basis and
-    factor it once."""
+    """The certificate's factors are kept in the model's `certificate` memo:
+    both variants on one window factor it once, a flat torus's default grid
+    per axis without evaluating the basis, any other input from one basis
+    evaluation."""
 
     @pytest.mark.parametrize("case", MEMO_CASES.values(), ids=MEMO_CASES.keys())
     def test_variants_share_one_evaluation(self, case, monkeypatch):
@@ -266,11 +280,19 @@ class TestCertificateMemo:
         expected = [fresh_report(True), fresh_report(False)]
         model = build_model(kind, K, **kwargs)
         obs = restrict_to_observation(model, desc)
+        sampling = certificate_sampling(model, desc, 4 * model.total_dim)
+        per_axis = sampling.points is None
+        samples = model.eigenfunction_values(
+            interior_points(model, desc, 4 * model.total_dim) if per_axis else sampling.points)
         calls = count_basis_calls(monkeypatch)
-        held, memo = [], models.SpectralModel.memo
+        held, built, memo = [], [], models.SpectralModel.memo
 
         def recording(self, slot, key, build):
-            value = memo(self, slot, key, build)
+            def counted():
+                built.append(slot)
+                return build()
+
+            value = memo(self, slot, key, counted)
             if slot == "certificate":
                 held.append(value)
             return value
@@ -278,15 +300,14 @@ class TestCertificateMemo:
         monkeypatch.setattr(models.SpectralModel, "memo", recording)
         reports = [ucp_nullspace_test(model, 2.0, obs, include_image=inc)
                    for inc in (True, False, True)]
-        assert len(calls) == 1
+        assert len(calls) == (not per_axis) and built == ["certificate"]
+        assert per_axis == (kind == "torus")
         assert reports == expected + expected[:1]
         # one read-only (w x w) factor per column group, R^T R = B^T B
         assert len(held) == 3 and all(value is held[0] for value in held)
-        samples = calls[0]
         every = np.arange(model.total_dim)
-        groups = certificate_sampling(model, desc, 4 * model.total_dim).groups
-        assert len(held[0]) == len(groups)
-        for R, (cols, _) in zip(held[0], groups):
+        assert len(held[0]) == len(sampling.groups)
+        for R, (cols, _) in zip(held[0], sampling.groups):
             width = every[cols].size
             B = samples[:, cols]
             assert R.shape == (width, width) and not R.flags.writeable
@@ -298,19 +319,28 @@ class TestCertificateMemo:
         second = restrict_to_observation(model, TorusBox(((0.4, 4.0), (1.0, 5.5))))
         points = interior_points(model, second.descriptor, 3 * model.total_dim)
         calls = count_basis_calls(monkeypatch)
+        factored, factor = [], models.FlatTorus.axis_factor
+
+        def counting(self, axes, table):
+            factored.append(axes)
+            return factor(self, axes, table)
+
+        monkeypatch.setattr(models.FlatTorus, "axis_factor", counting)
+        # (per-axis factors, basis evaluations) after each call: default
+        # grids factor per axis, explicit points evaluate the basis
         steps = [
-            (dict(obs=first), 1),
-            (dict(obs=first, include_image=False), 1),
-            (dict(obs=second), 2),
-            (dict(obs=second, node_multiplier=6), 3),
-            (dict(obs=second, node_multiplier=6, include_image=False), 3),
-            (dict(obs=second, points=points), 4),
-            (dict(obs=second, points=points, include_image=False), 4),
-            (dict(obs=first), 5),  # the slot keeps the last key only
+            (dict(obs=first), (1, 0)),
+            (dict(obs=first, include_image=False), (1, 0)),
+            (dict(obs=second), (2, 0)),
+            (dict(obs=second, node_multiplier=6), (3, 0)),
+            (dict(obs=second, node_multiplier=6, include_image=False), (3, 0)),
+            (dict(obs=second, points=points), (3, 1)),
+            (dict(obs=second, points=points, include_image=False), (3, 1)),
+            (dict(obs=first), (4, 1)),  # the slot keeps the last key only
         ]
-        for kwargs, count in steps:
+        for kwargs, counts in steps:
             ucp_nullspace_test(model, 2.0, **kwargs)
-            assert len(calls) == count, kwargs
+            assert (len(factored), len(calls)) == counts, kwargs
 
     def test_mixed_copy_starts_empty(self, monkeypatch):
         model = build_model("sphere", 8)
@@ -375,6 +405,73 @@ class TestUcpPolarCapRoute:
         report = ucp_nullspace_test(model, 2.0, obs, include_image=include_image,
                                     points=points)
         assert_matches_dense(report, model, obs, include_image)
+
+
+FLAT_GEOMETRIES = [("torus", {"edges": edges}) for edges in (
+    (2 * np.pi, 2 * np.pi), (2 * np.pi, 2.2 * np.pi), (1.0, 3.7), (2.0, 3.0, 5.0))] + [
+    ("circle", {"radius": radius}) for radius in (0.5, 1.7)]
+
+
+@st.composite
+def flat_windows(draw):
+    """A flat-torus model, K from 2 to 20, and a box strictly inside its
+    chart, wide enough to hold quadrature nodes."""
+    kind, kwargs = draw(st.sampled_from(FLAT_GEOMETRIES))
+    model = build_model(kind, draw(st.integers(2, 20)), **kwargs)
+    bounds = []
+    for period in model.manifold.periods:
+        lo = draw(st.floats(0.01, 0.5))
+        bounds.append((lo * period, draw(st.floats(lo + 0.2, 0.99)) * period))
+    desc = AngularInterval(*bounds[0]) if kind == "circle" else TorusBox(tuple(bounds))
+    return model, desc
+
+
+class TestUcpAxisRoute:
+    """A flat torus's default window grid is factored per axis; each variant
+    must certify what the dense P x D or 2P x D stack certifies, and the held
+    factor must carry the samples' Gram matrix."""
+
+    @staticmethod
+    def check(model, desc, multiplier):
+        obs = restrict_to_observation(model, desc)
+        for include_image in (True, False):
+            report = ucp_nullspace_test(model, 2.0, obs, node_multiplier=multiplier,
+                                        include_image=include_image)
+            assert_matches_dense(report, model, obs, include_image, multiplier)
+        count = multiplier * model.total_dim
+        sampling = certificate_sampling(model, desc, count)
+        assert sampling.points is None
+        (R,) = model.memo("certificate", sampling.key, lambda: pytest.fail("not held"))
+        B = model.eigenfunction_values(interior_points(model, desc, count))
+        assert R.shape == (model.total_dim,) * 2
+        assert np.max(np.abs(R.T @ R - B.T @ B)) <= 1e-12 * np.max(np.abs(B.T @ B))
+
+    @settings(max_examples=60, deadline=None)
+    @given(window=flat_windows(), multiplier=st.integers(2, 6))
+    def test_matches_dense_svd(self, window, multiplier):
+        self.check(*window, multiplier)
+
+    @pytest.mark.parametrize("K, multiplier, padded", [(12, 2, True), (16, 2, False)])
+    def test_axis_with_fewer_points_than_columns(self, K, multiplier, padded):
+        # the long axis of the (1, 3.7) torus has 2 J + 1 = 13 or 15 per-axis
+        # columns but 8 or 10 grid points; at K = 12 the grid's 24 rows
+        # cannot tell the 31 columns apart, so the factor gets zero rows
+        model = build_model("torus", K, edges=(1.0, 3.7))
+        desc = TorusBox(((0.05, 0.95), (0.2, 3.5)))
+        count = multiplier * model.total_dim
+        top = np.max(np.abs(model.basis_table["lattice"]), axis=0)
+        per_axis = round(interior_points(model, desc, count).shape[0] ** 0.5)
+        assert per_axis < 2 * top[1] + 1
+        assert (per_axis * (2 * top[0] + 1) < model.total_dim) == padded
+        self.check(model, desc, multiplier)
+
+    def test_three_axes(self):
+        # every lattice vector with three nonzero entries: each cosine and
+        # sine column is a sum of four products of per-axis columns
+        model = build_model("torus", 13, edges=(2.0, 3.0, 5.0))
+        lattice = model.basis_table["lattice"]
+        assert np.any(np.all(lattice != 0, axis=1))
+        self.check(model, TorusBox(((0.1, 1.9), (0.2, 2.5), (0.5, 4.0))), 4)
 
 
 # ---------------------------------------------------------------- recovery
