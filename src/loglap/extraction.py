@@ -20,7 +20,7 @@ from .errors import (
     RankAmbiguousError,
     UnderExcitedEigenspaceError,
 )
-from .fields import require
+from .fields import require, require_count
 from .models import ObservationSet, SpectralModel
 from .solver import forward_map, solve_schrodinger, source_matrix
 
@@ -124,8 +124,11 @@ def extract_exponents(trace: HeatTrace, max_order: int) -> ExponentialFit:
     are noise and must sit below 1e-3 of the last kept one; the fitted sum
     must reproduce the samples to 1e-6 relative.
     """
+    max_order = require_count(max_order, "max_order")
     times = np.asarray(trace.times, dtype=float)
     vals = np.asarray(trace.values, dtype=float)
+    for name, samples in (("trace.times", times), ("trace.values", vals)):
+        require(np.isfinite(samples).all(), name, "expected finite numbers")
     J = times.size
     require(vals.ndim == 2 and vals.shape[0] == J, "trace.values",
             "expected one row per sample time")

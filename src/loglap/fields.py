@@ -1,4 +1,4 @@
-"""The one reader from parsed JSON to typed values, for configs and artifacts.
+"""The one JSON codec for configs and artifacts: `decode` and its inverse `encode`.
 
 `decode(hint, value)` reads `value` as the annotation `hint` says: bool, int,
 str and dict exactly; float as a finite number; `Literal[...]` as one of its
@@ -49,6 +49,21 @@ def _tagged(hint) -> bool:
 def payload_fields(cls) -> list:
     """The fields of dataclass `cls` in its JSON form: all but "in_memory" ones."""
     return [f for f in dataclasses.fields(cls) if not f.metadata.get("in_memory")]
+
+
+def encode(value):
+    """The JSON value that `decode` reads back as `value`: a dataclass as its
+    payload fields, led by "kind" when its class carries a `name` tag;
+    arrays and numpy scalars through `tolist`; tuples and lists item by item."""
+    if dataclasses.is_dataclass(value):
+        tag = {"kind": value.name} if _tagged(type(value)) else {}
+        return tag | {f.name: encode(getattr(value, f.name))
+                      for f in payload_fields(type(value))}
+    if isinstance(value, (tuple, list)):
+        return [encode(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
 
 def from_mapping(cls, mapping, path: str = ""):

@@ -8,18 +8,16 @@ byte-identical files and every numeric value survives write -> read exactly.
 NaN is confined to the CSV tables (coverage gaps); JSON payloads refuse it.
 
 Records, spectral data and reports are dataclasses, and their JSON payload
-is their fields (`to_payload`, `from_payload`): arrays are nested lists,
-numpy scalars plain numbers, windows and isometries {"kind": name, ...}.
-Loading reads each field back by its annotation, so adding a field needs no
-edit here. A field whose metadata sets "in_memory" (CauchyRecord.solution)
-is left out of the payload and takes its default on load.
+is their fields, written by `fields.encode` and read back by `from_payload`
+field by field from the annotations, so adding a field needs no edit here.
+A field whose metadata sets "in_memory" (CauchyRecord.solution) is left out
+of the payload and takes its default on load.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 
 import numpy as np
@@ -27,8 +25,8 @@ import numpy as np
 from .calculus import GrigoryanReport, HeatTrace, KernelMatchReport, SanityReport
 from .errors import FieldError, SerializationError
 from .extraction import GelfandData, MatchReport
-from .fields import decode, payload_fields
-from .models import ISOMETRIES, WINDOWS, Isometry, SpectralModel, Window, build_model
+from .fields import decode, encode
+from .models import SpectralModel, build_model
 from .recovery import GaugeReport, RecoveredPotential, UcpReport
 from .solver import CauchyRecord, Solution
 
@@ -60,24 +58,6 @@ def _read_json(path, expected_format: str) -> dict:
     return payload
 
 
-# the dataclass codec ---------------------------------------------------------
-
-def _plain(value):
-    if type(value) in WINDOWS + ISOMETRIES:
-        return {"kind": value.name, **{f.name: _plain(getattr(value, f.name))
-                                       for f in dataclasses.fields(value)}}
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    return value
-
-
-def to_payload(obj) -> dict:
-    """The JSON payload of a record, spectral data or report: its fields."""
-    return {f.name: _plain(getattr(obj, f.name)) for f in payload_fields(type(obj))}
-
-
 def from_payload(cls, payload, source: str = "payload", root: str = ""):
     """`payload` read back as `cls`, a dataclass or any annotation that
     `fields.decode` reads; SerializationError names `source`, then the field
@@ -86,11 +66,6 @@ def from_payload(cls, payload, source: str = "payload", root: str = ""):
         return decode(cls, payload, root)
     except FieldError as exc:
         raise SerializationError(f"{source}: {exc}") from exc
-
-
-descriptor_to_dict = isometry_to_dict = _plain
-descriptor_from_dict = functools.partial(from_payload, Window)
-isometry_from_dict = functools.partial(from_payload, Isometry)
 
 
 # models ----------------------------------------------------------------------
@@ -117,7 +92,7 @@ def dump_model(model: SpectralModel, path) -> None:
     """Versioned eigendata dump; the builder arguments travel with the tables."""
     if model.transform is not None:
         raise SerializationError("models with a basis transform are not serializable")
-    _write_json(path, "loglap/model", to_payload(StoredModel(
+    _write_json(path, "loglap/model", encode(StoredModel(
         model.kind, int(model.truncation), model.params, model.quadrature_spec,
         *(getattr(model, name) for name in _MODEL_TABLES))))
 
@@ -140,7 +115,7 @@ def load_model(path) -> SpectralModel:
 
 def dump_record(record: CauchyRecord, path) -> None:
     """Observation payload only; the full solution field stays in memory."""
-    _write_json(path, "loglap/record", to_payload(record))
+    _write_json(path, "loglap/record", encode(record))
 
 
 def load_record(path) -> CauchyRecord:
@@ -160,7 +135,7 @@ def load_manifest(path) -> list:
 # spectral data ---------------------------------------------------------------
 
 def dump_gelfand(data: GelfandData, path) -> None:
-    _write_json(path, "loglap/gelfand", to_payload(data))
+    _write_json(path, "loglap/gelfand", encode(data))
 
 
 def load_gelfand(path) -> GelfandData:
@@ -180,7 +155,7 @@ def dump_report(report, path) -> None:
     if _REPORT_TYPES.get(name) is not type(report):
         raise SerializationError(f"unknown report type {name}")
     _write_json(path, "loglap/report", {"report": name, "passed": bool(report.passed),
-                                        "fields": to_payload(report)})
+                                        "fields": encode(report)})
 
 
 def load_report(path):
@@ -192,7 +167,7 @@ def load_report(path):
 
 
 def dump_solution(solution: Solution, path) -> None:
-    _write_json(path, "loglap/solution", to_payload(solution))
+    _write_json(path, "loglap/solution", encode(solution))
 
 
 def load_solution(path) -> Solution:

@@ -291,6 +291,12 @@ class CauchyRecord:
     solution: Optional[FieldCoefficients] = field(default=None,
                                                   metadata={"in_memory": True})
 
+    def __post_init__(self):
+        n_nodes = len(np.atleast_1d(self.nodes))
+        for name in ("node_indices", "weights", "u_values", "lu_values"):
+            require(np.shape(getattr(self, name)) == (n_nodes,), name,
+                    f"expected {n_nodes} entries, one per node")
+
 
 def cauchy_records(model: SpectralModel, m: float, V: PotentialField,
                    sources: Sequence[SourceFunction], obs: ObservationSet) -> list[CauchyRecord]:

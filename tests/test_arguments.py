@@ -18,6 +18,7 @@ import pytest
 
 from loglap import recovery
 from loglap.calculus import (
+    HeatTrace,
     apply_L,
     check_times,
     grigoryan_check,
@@ -32,6 +33,7 @@ from loglap.extraction import (
     build_gelfand_data,
     compare_gelfand,
     default_time_grid,
+    extract_exponents,
     heat_trace_of_field,
 )
 from loglap.models import (AngularInterval, CircleReflection, SphericalCap, build_model,
@@ -76,6 +78,15 @@ def trace(times, solution=None):
     model, obs, _ = half_circle(6)
     u = random_field(model, 0) if solution is None else solution
     return heat_trace_of_field(model, 2.0, u, obs, times)
+
+
+TIMES = np.linspace(0.0, 1.1, 12)
+SAMPLES = np.exp(-np.outer(TIMES, [1.0, 2.5]))
+
+
+def exponents(times=TIMES, values=SAMPLES, max_order=4):
+    """`extract_exponents` on two decaying channels sampled from t = 0."""
+    return extract_exponents(HeatTrace(times, values), max_order)
 
 
 def gelfand_times(times):
@@ -191,6 +202,15 @@ CASES = {
        for name, pair in (("one-point", ([0.1],)), ("two-points", ([0.1, 0.2], [0.3, 0.4])),
                           ("nan", ([0.1], [np.nan])), ("text", (["a"], [0.2])),
                           ("ragged", ([[0.1], [0.2, 0.3]], [0.2])))},
+    # trace samples for the pencil: finite, though t = 0 is allowed
+    "trace-nan-values-extract": (lambda: exponents(values=np.where(SAMPLES < 0.3, np.nan,
+                                                                   SAMPLES)),
+                                 FieldError, "trace.values"),
+    "trace-inf-values-extract": (lambda: exponents(values=np.where(SAMPLES < 0.3, np.inf,
+                                                                   SAMPLES)),
+                                 FieldError, "trace.values"),
+    "trace-nan-times-extract": (lambda: exponents(times=np.append(TIMES[:-1], np.nan)),
+                                FieldError, "trace.times"),
     # chart points, one rule for every argument that holds points
     "points-nan-kernel": (lambda: heat_kernel(half_circle(6)[0], 2.0, 0.5, [np.nan], [0.1]),
                           FieldError, "x"),
@@ -205,6 +225,8 @@ CASES = {
                             "count"),
     **{f"order-{value}-sources": (lambda value=value: make_source_basis(
         *half_circle(6)[:2], 1, order=value), FieldError, "order") for value in (2.5, True)},
+    **{f"max_order-{value}-extract": (lambda value=value: exponents(max_order=value),
+                                      FieldError, "max_order") for value in (2.5, True, 0)},
     "count-bool-interior": (lambda: interior_points(half_circle(6)[0],
                                                     AngularInterval(0.0, np.pi), True),
                             FieldError, "count"),

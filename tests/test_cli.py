@@ -415,6 +415,35 @@ class TestSubcommands:
         assert payload["passed"] is True
 
 
+class TestReadmeExamples:
+    """The README's code blocks run, and its config gives the exit codes the
+    README states for it."""
+
+    EXITS = {"spectrum": 0, "solve": 0, "cauchy": 0, "extract": 1, "compare": 2, "ucp": 0,
+             "recover": 0, "gauge": 2, "heatcheck": 0}
+
+    @staticmethod
+    def blocks(language):
+        return re.findall(rf"```{language}\n(.*?)```", README.read_text(), re.S)
+
+    def test_python_blocks_run(self):
+        assert self.blocks("python")
+        for block in self.blocks("python"):
+            exec(compile(block, str(README), "exec"), {})
+
+    def test_config_exit_codes(self, tmp_path):
+        doc = json.loads(self.blocks("json")[0])
+        validate_config(doc)
+        cfg = write_config(tmp_path, doc)
+        assert {sub: run_cli(sub, cfg, tmp_path / sub) for sub in self.EXITS} == self.EXITS
+
+    def test_extract_at_truncation_8_depends_on_the_seed(self, tmp_path):
+        doc = json.loads(self.blocks("json")[0])
+        cfg = write_config(tmp_path, {**doc, "model": {**doc["model"], "truncation": 8}})
+        assert [run_cli("extract", cfg, tmp_path / str(seed), "--seed", str(seed))
+                for seed in range(4)] == [0, 1, 1, 1]
+
+
 class TestExitCodes:
 
     def test_missing_m_exits_two(self, tmp_path, capsys):

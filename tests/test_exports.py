@@ -9,9 +9,10 @@ what differs between manifolds is a method or class data of the manifold
 class, the catalog is one table of those classes, and the window and
 isometry families are read from it, each class in one manifold's family.
 `make_manifold` takes only the parameters of the kind's constructor.  Only
-the count rule (`fields.require_count`) tests for an integer.  Every error
-class is raised somewhere in the package or is a base of one that is, and
-the package raises no class that `errors.py` does not define.
+the count rule (`fields.require_count`) tests for an integer, and only
+`fields.py` lists a dataclass's fields: the JSON codec has one home.  Every
+error class is raised somewhere in the package or is a base of one that is,
+and the package raises no class that `errors.py` does not define.
 """
 
 import ast
@@ -167,6 +168,36 @@ def test_only_the_count_rule_tests_for_an_integer():
              for path in sorted(root.rglob("*.py"))
              for line in integral_uses(ast.parse(path.read_text(), str(path)))]
     assert not found, f"integer tests outside the count rule at {found}"
+
+
+def field_listings(tree: ast.AST):
+    """Line numbers of every call of `dataclasses.fields`, by any import of
+    it, or of `payload_fields`."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+               for alias in node.names if alias.name == "fields"}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if (isinstance(fn, ast.Name) and fn.id in aliases | {"payload_fields"}
+                or isinstance(fn, ast.Attribute) and fn.attr == "fields"
+                and isinstance(fn.value, ast.Name) and fn.value.id == "dataclasses"):
+            yield node.lineno
+
+
+def test_the_codec_has_one_home():
+    # encode and decode alone decide which fields a payload holds and how a
+    # tagged class is spotted, so an artifact is written as it is read
+    root = Path(loglap.__file__).resolve().parent
+    found = [f"{path.relative_to(root.parent)}:{line}"
+             for path in sorted(root.rglob("*.py")) if path.name != "fields.py"
+             for line in field_listings(ast.parse(path.read_text(), str(path)))]
+    assert not found, f"dataclass fields listed outside fields.py at {found}"
+    names = {node.id if isinstance(node, ast.Name) else node.name
+             for node in ast.walk(ast.parse((root / "serialize.py").read_text()))
+             if isinstance(node, (ast.Name, ast.alias))}
+    assert not names & {"WINDOWS", "ISOMETRIES"}, "serialize.py names the tagged families"
 
 
 def raised_names(tree: ast.AST):

@@ -3,7 +3,7 @@
 import json
 import re
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from loglap.calculus import GrigoryanReport, HeatTrace, KernelMatchReport, SanityReport
+from loglap.errors import FieldError
 from loglap.extraction import GelfandData, MatchReport, build_gelfand_data
+from loglap.fields import encode
 from loglap.models import (
     AngularInterval,
     CircleReflection,
@@ -38,16 +40,13 @@ from loglap.recovery import (
 from loglap.serialize import (
     _REPORT_TYPES,
     SerializationError,
-    descriptor_from_dict,
-    descriptor_to_dict,
     dump_gelfand,
     dump_manifest,
     dump_model,
     dump_record,
     dump_report,
     dump_solution,
-    isometry_from_dict,
-    isometry_to_dict,
+    from_payload,
     load_gelfand,
     load_manifest,
     load_model,
@@ -57,7 +56,6 @@ from loglap.serialize import (
     recovered_from_csv,
     recovered_to_csv,
     spectrum_to_csv,
-    to_payload,
     trace_from_csv,
     trace_to_csv,
 )
@@ -67,7 +65,7 @@ from loglap.solver import (CauchyRecord, PotentialField, Solution, cauchy_record
 
 def payload_equal(a, b) -> bool:
     """Equality on what an artifact stores (in-memory fields are not part of it)."""
-    return type(a) is type(b) and to_payload(a) == to_payload(b)
+    return type(a) is type(b) and encode(a) == encode(b)
 
 
 def half_circle(K=5, m=2.0):
@@ -156,7 +154,7 @@ class TestDescriptorCodecs:
         SphericalCap((0.3, 1.2), 0.8),
     ])
     def test_descriptor_round_trip(self, descriptor):
-        assert descriptor_from_dict(descriptor_to_dict(descriptor)) == descriptor
+        assert from_payload(Window, encode(descriptor)) == descriptor
 
     @pytest.mark.parametrize("isometry", [
         CircleRotation(0.7),
@@ -167,13 +165,13 @@ class TestDescriptorCodecs:
         SphereMeridianReflection(0.9),
     ])
     def test_isometry_round_trip(self, isometry):
-        assert isometry_from_dict(isometry_to_dict(isometry)) == isometry
+        assert from_payload(Isometry, encode(isometry)) == isometry
 
     def test_unknown_kind(self):
         with pytest.raises(SerializationError):
-            descriptor_from_dict({"kind": "pentagon"})
+            from_payload(Window, {"kind": "pentagon"})
         with pytest.raises(SerializationError):
-            isometry_from_dict({"kind": "glide"})
+            from_payload(Isometry, {"kind": "glide"})
 
 
 class TestRecordDump:
@@ -188,6 +186,31 @@ class TestRecordDump:
         loaded = load_record(path)
         assert payload_equal(rec, loaded)
         assert loaded.solution is None
+
+    @staticmethod
+    def _record():
+        """A record of the 31-node window (0, pi) of the circle K=6."""
+        model, obs, m = half_circle(6)
+        return cauchy_record(model, m, zero_potential, make_source_basis(model, obs, 1)[0], obs)
+
+    @pytest.mark.parametrize("name", ["node_indices", "weights", "u_values", "lu_values"])
+    def test_disagreeing_lengths_refused(self, name):
+        record = self._record()
+        with pytest.raises(FieldError, match=f"^{name}: expected 31 entries, one per node"):
+            replace(record, **{name: getattr(record, name)[:3]})
+
+    @pytest.mark.parametrize("doctor, message", [
+        (lambda p: {**p, "u_values": p["u_values"][:3], "weights": p["weights"][:1]},
+         "weights: expected 31 entries, one per node"),
+        (lambda p: {**p, "nodes": p["nodes"][1:]}, "node_indices: expected 30 entries"),
+        (lambda p: {**p, "lu_values": [p["lu_values"]]}, "lu_values: expected 31 entries"),
+    ], ids=["u-and-weights", "nodes", "lu_values"])
+    def test_disagreeing_lengths_name_file_and_field(self, tmp_path, doctor, message):
+        path = tmp_path / "rec.json"
+        dump_record(self._record(), path)
+        path.write_text(json.dumps(doctor(json.loads(path.read_text()))))
+        with pytest.raises(SerializationError, match=re.escape(f"{path}: {message}")):
+            load_record(path)
 
     def test_manifest(self, tmp_path):
         entries = [{"file": "record_bump00.json", "source_id": "bump00",
@@ -489,12 +512,30 @@ def gelfand_data(draw):
         provenance=draw(st.lists(st.text(max_size=8), max_size=4)))
 
 
+def built(cls, **fixed):
+    """`cls` with each payload field drawn by its annotation, or from `fixed`."""
+    hints = typing.get_type_hints(cls)
+    return st.builds(cls, **{f.name: values_of(hints[f.name]) for f in fields(cls)
+                             if not f.metadata.get("in_memory")} | fixed)
+
+
+@st.composite
+def cauchy_records(draw):
+    """CauchyRecord whose arrays agree, as its own check requires: one row of
+    nodes, node index, weight, u and Lu sample per node."""
+    n_nodes = draw(st.integers(0, 4))
+    per_node = dict.fromkeys(("node_indices", "weights", "u_values", "lu_values"),
+                             arrays_of(n_nodes))
+    return draw(built(CauchyRecord, nodes=arrays_of((n_nodes, draw(st.integers(1, 3)))),
+                      **per_node))
+
+
 def instances(cls):
     if cls is GelfandData:
         return gelfand_data()
-    hints = typing.get_type_hints(cls)
-    return st.builds(cls, **{f.name: values_of(hints[f.name]) for f in fields(cls)
-                             if not f.metadata.get("in_memory")})
+    if cls is CauchyRecord:
+        return cauchy_records()
+    return built(cls)
 
 
 def array_pairs(a, b):
@@ -560,7 +601,7 @@ class TestFieldCoverage:
     def test_payload_keys_are_the_fields(self, cls, data):
         obj = data.draw(instances(cls))
         expected = {f.name for f in fields(cls)} - self.SKIPPED.get(cls, set())
-        assert set(to_payload(obj)) == expected
+        assert set(encode(obj)) == expected
 
 
 def _gelfand_path(tmp_path):
