@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionError, QuadratureConvergenceError
-from .fields import require, require_count
+from .fields import require, require_count, require_tolerance
 from .models import (ObservationSet, SpectralModel, as_points, geodesic_distance,
                      project_function)
 
@@ -168,7 +168,7 @@ def field_from_samples(model: SpectralModel, samples) -> FieldCoefficients:
 
 
 def random_field(model: SpectralModel, seed: int) -> FieldCoefficients:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_count(seed, "seed", 0))
     return FieldCoefficients(model, rng.standard_normal(model.total_dim))
 
 
@@ -223,6 +223,7 @@ def heat_kernel_equality_check(model_a: SpectralModel, model_b: SpectralModel,
     the decay changes from one time to the next.
     """
     check_mass(m)
+    tolerance = require_tolerance(tolerance, "tolerance")
     check_shared_nodes(obs_a.nodes, obs_b.nodes, "obs_a and obs_b")
     times = check_times(times)
     rows_a = model_a.window_rows(obs_a, "obs_a")
@@ -255,7 +256,7 @@ def grigoryan_check(model: SpectralModel, m: float, times, pairs=None,
     times = np.sort(check_times(times))
     if pairs is None:
         require_count(n_pairs, "n_pairs")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(require_count(seed, "seed", 0))
         idx_a = rng.integers(0, model.nodes.shape[0], size=n_pairs)
         idx_b = rng.integers(0, model.nodes.shape[0], size=n_pairs)
         idx_b[0] = idx_a[0]  # keep one on-diagonal probe
@@ -373,7 +374,7 @@ def _exp_sinh(values: np.ndarray, tol: float) -> tuple:
 
 def log_identity_quadrature(lam: float, tol: float = 1e-9) -> tuple:
     """Evaluate log(lam) through its exponential-difference time integral."""
-    lam = float(lam)
+    tol, lam = require_tolerance(tol, "tol"), float(lam)
     require(0.0 < lam < np.inf, "lam",
             f"the logarithm integral needs a finite lam > 0, got {lam}")
     # (e^-t - e^-(t lam)) / t, factored so that neither cancellation near
@@ -401,7 +402,6 @@ def pointwise_L(field: FieldCoefficients, m: float, point, tol: Optional[float] 
     phi = model.eigenfunction_values(pts)[0]
     mu = model.flat_eigenvalues() + m
     b = mu * field.values * phi
-    if tol is None:
-        tol = 1e-10 * (1.0 + float(np.sum(np.abs(b))))
+    tol = 1e-10 * (1.0 + float(np.sum(np.abs(b)))) if tol is None else require_tolerance(tol, "tol")
     g = -np.exp(-_NODES) / _NODES * (np.expm1(-np.outer(_NODES, mu - 1.0)) @ b)
     return _exp_sinh(g, tol)

@@ -20,7 +20,7 @@ from .errors import (
     RankAmbiguousError,
     UnderExcitedEigenspaceError,
 )
-from .fields import require, require_count
+from .fields import require, require_count, require_indices, require_tolerance
 from .models import ObservationSet, SpectralModel
 from .solver import forward_map, solve_schrodinger, source_matrix
 
@@ -223,6 +223,8 @@ class GelfandData:
                                  ("multiplicities", n_blocks, "eigenvalue")):
             require(np.shape(getattr(self, name)) == (count,), name,
                     f"expected {count} entries, one per {per}")
+        require_indices(self.node_indices, "node_indices")
+        require_indices(self.multiplicities, "multiplicities")
         require(len(self.families) == n_blocks, "families",
                 f"expected {n_blocks} entries, one per eigenvalue")
         for k, (family, width) in enumerate(zip(self.families, self.multiplicities)):
@@ -369,6 +371,8 @@ def compare_gelfand(a: GelfandData, b: GelfandData, *,
     are measured in the weighted node geometry of the first dataset.
     """
     check_shared_nodes(a.nodes, b.nodes, "a and b")
+    eig_rtol = require_tolerance(eig_rtol, "eig_rtol")
+    angle_tol = require_tolerance(angle_tol, "angle_tol")
     n = min(a.eigenvalues.size, b.eigenvalues.size)
     count_mismatch = a.eigenvalues.size != b.eigenvalues.size
     sw = np.sqrt(a.weights)

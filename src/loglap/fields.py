@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 import typing
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -36,6 +36,24 @@ def require_count(value, field: str, least: int = 1) -> int:
     require(isinstance(value, Integral) and not isinstance(value, bool) and value >= least,
             field, f"expected an integer >= {least}")
     return int(value)
+
+
+def is_real(value) -> bool:
+    """Whether `value` is a real number, numpy's too, but not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def require_tolerance(value, field: str) -> float:
+    """`value` as a float if it is a real number, finite and > 0."""
+    require(is_real(value) and 0 < value < np.inf, field, "expected a finite number > 0")
+    return float(value)
+
+
+def require_indices(value, field: str) -> None:
+    """Raise FieldError unless the array `value` is empty or holds integers >= 0."""
+    value = np.asarray(value)
+    require(value.size == 0 or value.dtype.kind in "iu" and value.min() >= 0, field,
+            "expected integers >= 0")
 
 
 def _join(path: str, key: str) -> str:

@@ -27,13 +27,12 @@ import inspect
 import itertools
 import math
 from dataclasses import dataclass, replace
-from numbers import Real
 from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
 from .errors import FieldError, PreconditionError
-from .fields import require, require_count
+from .fields import is_real, require, require_count, require_tolerance
 
 __all__ = [
     "SpectralModel",
@@ -346,8 +345,8 @@ def _lengths(field: str, values) -> tuple:
     """`values` as a nonempty tuple of floats, each a number (not text or a
     bool), finite and > 0."""
     lengths = tuple(values) if np.iterable(values) else ()
-    require(lengths and all(isinstance(v, Real) and not isinstance(v, bool) and 0 < v < np.inf
-                            for v in lengths), field, "expected finite lengths > 0")
+    require(lengths and all(is_real(v) and 0 < v < np.inf for v in lengths), field,
+            "expected finite lengths > 0")
     return tuple(float(v) for v in lengths)
 
 
@@ -490,19 +489,20 @@ class FlatTorus:
         """A (D x D) factor R with R^T R = B^T B for the basis B on the
         tensor grid of the per-axis coordinates `axes`, without forming B.
 
-        On axis a, E_a holds cos(k w x) for k = 0..J_a, then sin(k w x) for
-        k = 1..J_a, at the axis's coordinates x, with w = 2 pi / period_a and
-        J_a the largest |j_a| of the lattice.  The grid's E = E_1 (x) ... (x)
-        E_n has the factor R_1 (x) ... (x) R_n of the per-axis QRs (Van Loan,
-        J. Comput. Appl. Math. 123, 2000).  As in `basis_values`, column 0 is
-        the constant and each further lattice vector j gives a cosine and a
-        sine column, the real and imaginary part of prod_a (cos j_a w x_a +
-        i sin j_a w x_a).  Over E's columns that product has the Kronecker
-        product of the per-axis coefficients, so over the factor's it is the
-        Kronecker product of the columns W_a = R_a (cos + i sin); a sine with
-        j_a = 0 drops out.  A factor with more rows than D takes one more
-        QR; one with fewer, from a grid that cannot tell every column apart,
-        gets zero rows.
+        On axis a, E_a holds 1, cos(w x), sin(w x), ..., cos(J_a w x),
+        sin(J_a w x) at the axis's coordinates x, in frequency order, with w =
+        2 pi / period_a and J_a the largest |j_a| of the lattice.  The grid's
+        E = E_1 (x) ... (x) E_n has the factor R_1 (x) ... (x) R_n of the
+        per-axis QRs (Van Loan, J. Comput. Appl. Math. 123, 2000).  As in
+        `basis_values`, column 0 is the constant and each further lattice
+        vector j gives a cosine and a sine column, the real and imaginary
+        part of prod_a (cos j_a w x_a + i sin j_a w x_a); over the factor's
+        columns that is the Kronecker product Z of the columns W_a = R_a (cos
+        + i sin), and a sine with j_a = 0 drops out.  R_a is triangular, so
+        W_a's column j is zero below row 2|j_a| and Z's column j off the rows
+        of per-axis frequency <= |j|.  The band is a lower set in |j| (each
+        eigenvalue grows with every |j_a|), so at most D rows of Z are not
+        identically zero: the factor is those rows, zero-padded to D.
         """
         lattice = table["lattice"][::2]  # the constant, then one row per pair
         top = np.max(np.abs(lattice), axis=0)
@@ -513,19 +513,18 @@ class FlatTorus:
         for x, period, J, j in zip(axes, self.periods, top, lattice.T):
             E = np.empty((2 * J + 1, x.size))  # E_a transposed: E_a is column-major for LAPACK
             E[0] = 1.0
-            np.multiply.outer(np.arange(1, J + 1) * (TWO_PI / period), x, out=E[1:J + 1])
-            np.sin(E[1:J + 1], out=E[J + 1:])
-            np.cos(E[1:J + 1], out=E[1:J + 1])
+            np.multiply.outer(np.arange(1, J + 1) * (TWO_PI / period), x, out=E[1::2])
+            np.sin(E[1::2], out=E[2::2])
+            np.cos(E[1::2], out=E[1::2])
             R, k = np.linalg.qr(E.T, mode="r"), np.abs(j)
-            W = np.empty((R.shape[0], k.size), dtype=complex)
-            W.real, W.imag = R[:, k], np.sign(j) * R[:, J + k]
+            W = R[:, np.maximum(2 * k - 1, 0)] + 1j * np.sign(j) * R[:, 2 * k]
             Z = (Z[:, None, :] * W[None, :, :]).reshape(-1, Z.shape[1])
-        rows, dim = Z.shape[0], table["kinds"].size
-        M = np.zeros((max(rows, dim), dim))
-        M[:rows, 0] = Z[:, 0].real
-        M[:rows, 1::2] = Z[:, 1:].real
-        M[:rows, 2::2] = Z[:, 1:].imag
-        return np.linalg.qr(M, mode="r") if rows > dim else M
+        Z, dim = Z[Z.any(axis=1)], table["kinds"].size
+        M = np.zeros((max(Z.shape[0], dim), dim))
+        M[:Z.shape[0], 0] = Z[:, 0].real
+        M[:Z.shape[0], 1::2] = Z[:, 1:].real
+        M[:Z.shape[0], 2::2] = Z[:, 1:].imag
+        return M
 
     def window_margin(self, desc, center) -> float:
         """Geodesic distance from `center` to the window boundary."""
@@ -839,6 +838,7 @@ def project_function(model: SpectralModel, f_values) -> np.ndarray:
 
 def verify_orthonormality(model: SpectralModel, tol: float = 1e-10) -> OrthonormalityReport:
     """Gram-matrix check of the basis under the model quadrature."""
+    tol = require_tolerance(tol, "tol")
     basis = model.node_basis()
     gram = basis.T @ (model.weights[:, None] * basis)
     max_defect = float(np.max(np.abs(gram - np.eye(model.total_dim))))
@@ -949,7 +949,7 @@ def with_mixed_blocks(model: SpectralModel, seed: int) -> SpectralModel:
     """Copy of the model whose basis is rotated by a random orthogonal
     matrix inside every eigenspace, a block-diagonal orthogonal transform
     after the model's own. Spectrally identical, basis distinct."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_count(seed, "seed", 0))
     mixer = np.zeros((model.total_dim, model.total_dim))
     for k in range(model.truncation):
         block = model.block_slice(k)

@@ -14,7 +14,7 @@ import numpy as np
 from .calculus import (apply_L, check_mass, field_from_samples,
                        l_multiplier, random_field)
 from .errors import PreconditionError, UnderdeterminedSamplingError
-from .fields import require, require_count
+from .fields import is_real, require, require_count, require_tolerance
 from .models import (
     Isometry,
     ObservationSet,
@@ -162,6 +162,7 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
     """
     m = check_mass(m)
     check_window_of(model, obs)
+    require(is_real(mask_eps) and 0 <= mask_eps <= 1, "mask_eps", "expected a number in [0, 1]")
     records = list(records)
     require(records, "records", "expected at least one record")
     for rec in records:
@@ -216,6 +217,7 @@ def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,
     f o Phi^{-1}) on the window nodes.
     """
     check_mass(m)
+    tolerance = require_tolerance(tolerance, "tolerance")
     check_window_of(model, obs)
     if not isometry_preserves_set(model, isometry, obs):
         raise PreconditionError(

@@ -17,7 +17,7 @@ from .errors import (
     SingularOperatorError,
     SupportViolationError,
 )
-from .fields import require, require_count
+from .fields import require, require_count, require_indices
 from .models import (
     ObservationSet,
     SpectralModel,
@@ -142,7 +142,7 @@ def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
                 f"expected a list of {count} centers, one per source")
         ctrs = [as_points([c], model.dimension, f"centers[{i}]")[0] for i, c in enumerate(centers)]
     else:
-        rng = np.random.default_rng(seed) if seed is not None else None
+        rng = None if seed is None else np.random.default_rng(require_count(seed, "seed", 0))
         ctrs = model.manifold.default_centers(obs.descriptor, count, rng)
     margins = [model.manifold.window_margin(obs.descriptor, c) for c in ctrs]
 
@@ -296,6 +296,7 @@ class CauchyRecord:
         for name in ("node_indices", "weights", "u_values", "lu_values"):
             require(np.shape(getattr(self, name)) == (n_nodes,), name,
                     f"expected {n_nodes} entries, one per node")
+        require_indices(self.node_indices, "node_indices")
 
 
 def cauchy_records(model: SpectralModel, m: float, V: PotentialField,

@@ -1,17 +1,18 @@
 """Argument rules: each misuse raises a typed error that names the argument.
 
 The time-grid, sample-count, mass, shared-node, quadrature-count,
-geometry, window, source-stack, point and count rules have one definition
-each (`calculus.check_times`, `calculus.check_samples`, `calculus.check_mass`,
-`calculus.check_shared_nodes`, `models.node_counts`, `models.make_manifold`,
-`models.check_window_of`, `solver.source_matrix`, `models.as_points`,
-`fields.require_count`);
+geometry, window, source-stack, point, count (seeds included) and tolerance
+rules have one definition each (`calculus.check_times`,
+`calculus.check_samples`, `calculus.check_mass`, `calculus.check_shared_nodes`,
+`models.node_counts`, `models.make_manifold`, `models.check_window_of`,
+`solver.source_matrix`, `models.as_points`, `fields.require_count`,
+`fields.require_tolerance`);
 every case below is one caller of one rule, or one argument check whose
 fault numpy or a later step would otherwise report late or not at all.
 """
 
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from loglap.calculus import (
     heat_kernel,
     heat_kernel_equality_check,
     heat_kernel_matrix,
+    log_identity_quadrature,
+    pointwise_L,
     random_field,
 )
 from loglap.config import validate_config
@@ -37,7 +40,8 @@ from loglap.extraction import (
     heat_trace_of_field,
 )
 from loglap.models import (AngularInterval, CircleReflection, SphericalCap, build_model,
-                           interior_points, restrict_to_observation, with_mixed_blocks)
+                           interior_points, restrict_to_observation, verify_orthonormality,
+                           with_mixed_blocks)
 from loglap.recovery import isometry_gauge_check, recover_potential, ucp_nullspace_test
 from loglap.solver import (
     PotentialField,
@@ -170,6 +174,48 @@ def with_window(obs):
             model, 2.0, V, sources, own)), "obs")}
 
 
+def with_tolerance(value):
+    """Every entry point that takes a tolerance, called with `value`, by
+    (argument, entry point); `pointwise_L` only where `value` is not None,
+    its default."""
+    model, obs, _ = half_circle(6)
+    gauge = partial(isometry_gauge_check, model, 2.0, V, obs, CircleReflection(np.pi / 2))
+    calls = {
+        ("tol", "orthonormality"): lambda: verify_orthonormality(model, tol=value),
+        ("tolerance", "gauge"): lambda: gauge(tolerance=value),
+        ("tolerance", "equality"): lambda: heat_kernel_equality_check(
+            model, model, 2.0, obs, obs, [0.5], tolerance=value),
+        ("tol", "log"): lambda: log_identity_quadrature(2.0, tol=value),
+        ("eig_rtol", "compare"): lambda: compare_gelfand(gelfand(64), gelfand(64),
+                                                         eig_rtol=value),
+        ("angle_tol", "compare"): lambda: compare_gelfand(gelfand(64), gelfand(64),
+                                                          angle_tol=value)}
+    if value is not None:
+        calls["tol", "pointwise"] = lambda: pointwise_L(random_field(model, 0), 2.0, [0.5],
+                                                        tol=value)
+    return calls
+
+
+def with_seed(value):
+    """Every entry point that takes a seed, called with `value`;
+    `make_source_basis` only where `value` is not None, its default."""
+    model, obs, _ = half_circle(6)
+    calls = {"gaussian": lambda: grigoryan_check(model, 2.0, [0.5], seed=value),
+             "random_field": lambda: random_field(model, value),
+             "mixed": lambda: with_mixed_blocks(model, value),
+             "gauge": lambda: isometry_gauge_check(model, 2.0, V, obs,
+                                                   CircleReflection(np.pi / 2), seed=value)}
+    if value is not None:
+        calls["sources"] = lambda: make_source_basis(model, obs, 2, seed=value)
+    return calls
+
+
+def with_mask_eps(value):
+    model, obs, sources = half_circle(6)
+    return recover_potential(model, 2.0, obs, V, cauchy_records(model, 2.0, V, sources, obs),
+                             mask_eps=value)
+
+
 def different_nodes_equality():
     model_a, obs_a, _ = half_circle(3, 64)
     model_b, obs_b, _ = half_circle(3, 128)
@@ -241,6 +287,17 @@ CASES = {
         half_circle(6)[0], 2.0, half_circle(6)[1], include_image=value), FieldError,
         "include_image")
        for value in ("no", 1, 0.0, None)},
+    # tolerances: real numbers, finite and > 0, at every entry point
+    **{f"{arg}-{name}-{entry}": (call, FieldError, arg)
+       for name, value in (("text", "a"), ("none", None), ("nan", np.nan), ("inf", np.inf),
+                           ("negative", -1.0), ("zero", 0.0), ("bool", True))
+       for (arg, entry), call in with_tolerance(value).items()},
+    # seeds: integers >= 0, None only where it is the default
+    **{f"seed-{value!r}-{entry}": (call, FieldError, "seed")
+       for value in ("a", 2.5, -1, True, None) for entry, call in with_seed(value).items()},
+    # the recovery mask threshold, a fraction of the largest |u| in [0, 1]
+    **{f"mask_eps-{value!r}": (lambda value=value: with_mask_eps(value), FieldError, "mask_eps")
+       for value in ("a", None, np.nan, 2.0, -1.0, True)},
     # the mass, infinite and at most 1, at every entry point
     **{f"mass-inf-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(np.inf))},
     **{f"mass-one-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(1.0))},

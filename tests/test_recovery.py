@@ -433,6 +433,9 @@ class TestUcpAxisRoute:
 
     @staticmethod
     def check(model, desc, multiplier):
+        """Run the checks; return the count of the held factor's rows that are
+        not identically zero, which is D where every axis has as many grid
+        points as per-axis columns."""
         obs = restrict_to_observation(model, desc)
         for include_image in (True, False):
             report = ucp_nullspace_test(model, 2.0, obs, node_multiplier=multiplier,
@@ -445,6 +448,11 @@ class TestUcpAxisRoute:
         B = model.eigenfunction_values(interior_points(model, desc, count))
         assert R.shape == (model.total_dim,) * 2
         assert np.max(np.abs(R.T @ R - B.T @ B)) <= 1e-12 * np.max(np.abs(B.T @ B))
+        nonzero = np.count_nonzero(np.any(R != 0, axis=1))
+        per_axis = round(B.shape[0] ** (1 / model.dimension))
+        if per_axis >= 2 * np.max(np.abs(model.basis_table["lattice"])) + 1:
+            assert nonzero == model.total_dim
+        return nonzero
 
     @settings(max_examples=60, deadline=None)
     @given(window=flat_windows(), multiplier=st.integers(2, 6))
@@ -455,7 +463,9 @@ class TestUcpAxisRoute:
     def test_axis_with_fewer_points_than_columns(self, K, multiplier, padded):
         # the long axis of the (1, 3.7) torus has 2 J + 1 = 13 or 15 per-axis
         # columns but 8 or 10 grid points; at K = 12 the grid's 24 rows
-        # cannot tell the 31 columns apart, so the factor gets zero rows
+        # cannot tell the 31 columns apart.  Either way the long axis's R has
+        # too few rows to carry every band row, so the factor gets 7 or 11
+        # zero rows
         model = build_model("torus", K, edges=(1.0, 3.7))
         desc = TorusBox(((0.05, 0.95), (0.2, 3.5)))
         count = multiplier * model.total_dim
@@ -463,7 +473,22 @@ class TestUcpAxisRoute:
         per_axis = round(interior_points(model, desc, count).shape[0] ** 0.5)
         assert per_axis < 2 * top[1] + 1
         assert (per_axis * (2 * top[0] + 1) < model.total_dim) == padded
-        self.check(model, desc, multiplier)
+        assert self.check(model, desc, multiplier) == model.total_dim - {12: 7, 16: 11}[K]
+
+    @pytest.mark.parametrize("K", [8, 16, 32])
+    def test_one_qr_per_axis(self, K, monkeypatch):
+        # the factor is rows of the Kronecker product of the per-axis
+        # triangular factors, with no decomposition beyond their QRs
+        calls = []
+        for name in ("qr", "svd", "cholesky", "eig", "eigh", "lstsq", "solve"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, name=name, f=getattr(
+                np.linalg, name), **kwargs: calls.append(name) or f(*args, **kwargs))
+        model = build_model("torus", K, edges=(2 * np.pi, 2 * np.pi))
+        sampling = certificate_sampling(model, TorusBox(((0.79, 5.6), (0.5, 5.4))),
+                                        4 * model.total_dim)
+        (R,) = sampling.factors()
+        assert calls == ["qr", "qr"]
+        assert np.count_nonzero(np.any(R != 0, axis=1)) == model.total_dim
 
     def test_three_axes(self):
         # every lattice vector with three nonzero entries: each cosine and

@@ -212,6 +212,21 @@ class TestRecordDump:
         with pytest.raises(SerializationError, match=re.escape(f"{path}: {message}")):
             load_record(path)
 
+    @pytest.mark.parametrize("shift", [lambda i: i + 0.5, lambda i: -1 - i],
+                             ids=["fractional", "negative"])
+    def test_indices_not_counts_refused(self, tmp_path, shift):
+        record = self._record()
+        with pytest.raises(FieldError, match="^node_indices: expected integers >= 0"):
+            replace(record, node_indices=shift(record.node_indices))
+        path = tmp_path / "rec.json"
+        dump_record(record, path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "node_indices": [
+            shift(i) for i in range(len(payload["node_indices"]))]}))
+        with pytest.raises(SerializationError, match=re.escape(
+                f"{path}: node_indices: expected integers >= 0")):
+            load_record(path)
+
     def test_manifest(self, tmp_path):
         entries = [{"file": "record_bump00.json", "source_id": "bump00",
                     "kind": "circle", "truncation": 5, "mass": 2.0}]
@@ -455,8 +470,9 @@ class TestSolutionDump:
 
 # generated artifacts ---------------------------------------------------------
 # Strategies follow the dataclass annotations, as the codec does: arrays of
-# any shape (empty included) in float64, int64 or bool; windows for `Window`
-# fields and isometries for `Isometry` fields; finite floats (JSON refuses NaN).
+# any shape (empty included) in float64, int64 or bool, but integers >= 0 for
+# node indices; windows for `Window` fields and isometries for `Isometry`
+# fields; finite floats (JSON refuses NaN).
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
@@ -466,6 +482,10 @@ def arrays_of(shape):
     return st.one_of(hnp.arrays(np.float64, shape, elements=finite),
                      hnp.arrays(np.int64, shape),
                      hnp.arrays(np.bool_, shape))
+
+
+def indices_of(shape):
+    return hnp.arrays(np.int64, shape, elements=st.integers(0, 2 ** 62))
 
 
 arrays = arrays_of(shapes)
@@ -497,9 +517,10 @@ def values_of(hint):
 @st.composite
 def gelfand_data(draw):
     """GelfandData whose shapes agree, as its own checks require: one weight
-    and node index per node, one multiplicity and family per eigenvalue, and
-    families[k] of width multiplicities[k].  There is at least one node,
-    since an empty family cannot keep its width through JSON."""
+    and node index (an integer >= 0) per node, one multiplicity and family
+    per eigenvalue, and families[k] of width multiplicities[k].  There is at
+    least one node, since an empty family cannot keep its width through
+    JSON."""
     n_nodes = draw(st.integers(1, 4))
     widths = draw(st.lists(st.integers(0, 3), max_size=4))
     return GelfandData(
@@ -507,7 +528,7 @@ def gelfand_data(draw):
         multiplicities=np.array(widths, dtype=np.int64),
         families=[draw(arrays_of((n_nodes, w))) for w in widths],
         nodes=draw(arrays_of((n_nodes, draw(st.integers(1, 3))))),
-        weights=draw(arrays_of(n_nodes)), node_indices=draw(arrays_of(n_nodes)),
+        weights=draw(arrays_of(n_nodes)), node_indices=draw(indices_of(n_nodes)),
         mass=draw(finite), mode=draw(st.text(max_size=8)),
         provenance=draw(st.lists(st.text(max_size=8), max_size=4)))
 
@@ -521,13 +542,12 @@ def built(cls, **fixed):
 
 @st.composite
 def cauchy_records(draw):
-    """CauchyRecord whose arrays agree, as its own check requires: one row of
-    nodes, node index, weight, u and Lu sample per node."""
+    """CauchyRecord whose arrays agree, as its own checks require: one row of
+    nodes, node index (an integer >= 0), weight, u and Lu sample per node."""
     n_nodes = draw(st.integers(0, 4))
-    per_node = dict.fromkeys(("node_indices", "weights", "u_values", "lu_values"),
-                             arrays_of(n_nodes))
+    per_node = dict.fromkeys(("weights", "u_values", "lu_values"), arrays_of(n_nodes))
     return draw(built(CauchyRecord, nodes=arrays_of((n_nodes, draw(st.integers(1, 3)))),
-                      **per_node))
+                      node_indices=indices_of(n_nodes), **per_node))
 
 
 def instances(cls):
@@ -634,8 +654,15 @@ class TestMalformedArtifacts:
         (lambda p: {**p, "multiplicities": p["multiplicities"][1:]},
          "multiplicities: expected 5 entries, one per eigenvalue"),
         (lambda p: {**p, "weights": p["weights"][1:]}, "weights: expected 31 entries, one per node"),
+        (lambda p: {**p, "node_indices": [i + 0.5 for i in p["node_indices"]]},
+         "node_indices: expected integers >= 0"),
+        (lambda p: {**p, "node_indices": [-1 - i for i in p["node_indices"]]},
+         "node_indices: expected integers >= 0"),
+        (lambda p: {**p, "multiplicities": [float(k) for k in p["multiplicities"]]},
+         "multiplicities: expected integers >= 0"),
     ], ids=["missing", "unknown", "ambient", "list", "scalar", "string", "ragged", "strings",
-            "not-a-list", "version", "format", "family-shape", "multiplicities", "weights"])
+            "not-a-list", "version", "format", "family-shape", "multiplicities", "weights",
+            "fractional-indices", "negative-indices", "float-multiplicities"])
     def test_gelfand_errors_name_the_field(self, tmp_path, doctor, message):
         path = _gelfand_path(tmp_path)
         path.write_text(json.dumps(doctor(json.loads(path.read_text()))))
