@@ -44,6 +44,7 @@ __all__ = [
     "random_field",
     "apply_L",
     "l_multiplier",
+    "decay",
     "heat_kernel",
     "heat_kernel_matrix",
     "heat_kernel_equality_check",
@@ -193,9 +194,18 @@ def apply_L(field: FieldCoefficients, m: float) -> FieldCoefficients:
 # heat kernel
 
 
+def decay(exponents) -> np.ndarray:
+    """e^{-exponents}, with every value below the smallest normal float set
+    to 0.  Subnormal factors slow the products they enter several-fold, and
+    beside the normal terms of a sum they round away."""
+    out = np.exp(-np.asarray(exponents, dtype=float))
+    out[out < np.finfo(float).tiny] = 0.0
+    return out
+
+
 def _kernel(rows_a: np.ndarray, rows_b: np.ndarray, mu: np.ndarray, t: float) -> np.ndarray:
     """(rows_a diag(e^{-t mu})) rows_b^T from basis rows at two point sets."""
-    return (rows_a * np.exp(-t * mu)[None, :]) @ rows_b.T
+    return (rows_a * decay(t * mu)[None, :]) @ rows_b.T
 
 
 def heat_kernel_matrix(model: SpectralModel, m: float, t: float, points_a, points_b) -> np.ndarray:
@@ -279,7 +289,7 @@ def grigoryan_check(model: SpectralModel, m: float, times, pairs=None,
     per_block = np.add.reduceat(phi_a * phi_b, model.block_offsets[:-1], axis=1)
 
     def kernel_rows(ts):
-        return np.exp(-np.outer(ts, model.eigenvalues)) @ per_block.T
+        return decay(np.outer(ts, model.eigenvalues)) @ per_block.T
 
     probe = kernel_rows(times)
     floor = 1e-13 * np.max(np.abs(probe))

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import (FieldCoefficients, HeatTrace, check_mass, check_samples,
-                       check_shared_nodes, check_times, l_multiplier)
+                       check_shared_nodes, check_times, decay, l_multiplier)
 from .errors import (
     GridTooCoarseError,
     RankAmbiguousError,
@@ -88,7 +88,7 @@ def _window_traces(model: SpectralModel, m: float, weighted: np.ndarray,
     for s, column in enumerate(np.ascontiguousarray(weighted.T)):
         for k in range(K):
             per_block[k, s] = rows[:, off[k]:off[k + 1]] @ column[off[k]:off[k + 1]]
-    return np.exp(-np.outer(times, model.eigenvalues + m)) @ per_block.reshape(K, -1)
+    return decay(np.outer(times, model.eigenvalues + m)) @ per_block.reshape(K, -1)
 
 
 def heat_trace_of_solution(model: SpectralModel, m: float, V, source, obs: ObservationSet,

@@ -56,6 +56,17 @@ def require_indices(value, field: str) -> None:
             "expected integers >= 0")
 
 
+def as_indices(values, field: str) -> np.ndarray:
+    """The floats `values`, a column read from a table, as integer indices
+    under `require_indices`'s rule: each integer-valued and >= 0, and below
+    2**53, past which floats no longer hold every integer.  Checked before
+    the cast, so that no value wraps or warns."""
+    values = np.asarray(values, dtype=float)
+    require(np.all((values >= 0) & (values < 2.0 ** 53) & (values == np.floor(values))),
+            field, "expected integers >= 0")
+    return values.astype(np.intp)
+
+
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 

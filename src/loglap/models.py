@@ -190,12 +190,13 @@ class OrthonormalityReport:
 @dataclass(frozen=True)
 class WindowSampling:
     """Where the continuation certificate samples a window and how it
-    factors the samples B, the basis at `n_points` window points.  B's
+    factors the samples B, the certificate's basis (the model's, or a flat
+    torus's window-centred parity basis) at `n_points` window points.  B's
     columns split into groups (column selector, how often the group's
     singular values count); `factors()` gives one (w x w) factor R per group
     of w columns, with R^T R = B^T B on the group, and the model's
     `certificate` memo keeps them under `key`.  `points` are where the basis
-    is evaluated, None where the factor is built per axis."""
+    is evaluated, None where the factors are built per axis."""
 
     points: Optional[np.ndarray]
     n_points: int
@@ -408,6 +409,13 @@ class FlatTorus:
         multiplicities[0] = 1
         table = {"lattice": np.repeat(members, 2, axis=0)[1:],
                  "kinds": np.array([0] + [1, 2] * (len(members) - 1), dtype=np.int8)}
+        # the parity of the window basis function in each column's place
+        # (`window_values`): the sine bit on the first nonzero axis of j and
+        # the sign bits of j on the others, one parity each per orbit column
+        parities = (table["lattice"] < 0).astype(np.int8)
+        first = np.argmax(table["lattice"] != 0, axis=1)
+        parities[np.arange(first.size), first] = table["kinds"] == 2
+        table["parities"] = parities
         if quadrature is None:
             j_max = np.max(np.abs(table["lattice"]), axis=0)
             counts = tuple(int(max(4 * jm + 4, self.node_floor)) for jm in j_max)
@@ -468,63 +476,95 @@ class FlatTorus:
         lows, highs = np.array(desc.intervals, dtype=float).T
         return np.all((x > lows) & (x < highs), axis=1)
 
-    def _window_axes(self, desc, count: int) -> list:
-        """Per-axis coordinates of the window grid for `count` points."""
-        per_axis = int(np.ceil(count ** (1.0 / self.dimension)))
-        return [np.linspace(a, b, per_axis + 2)[1:-1] for a, b in desc.intervals]
+    def _centre(self, desc) -> np.ndarray:
+        return np.array([0.5 * (a + b) for a, b in desc.intervals])
+
+    def _centred_axes(self, desc, count: int) -> list:
+        """Per-axis offsets from the window centre of the window grid for
+        `count` points: n per axis, spaced length / (n + 1) and exactly
+        symmetric about 0, so that they depend on the window's side lengths
+        only."""
+        n = int(np.ceil(count ** (1.0 / self.dimension)))
+        return [(np.arange(n) - 0.5 * (n - 1)) * ((b - a) / (n + 1)) for a, b in desc.intervals]
 
     def window_points(self, desc, count: int) -> np.ndarray:
-        grids = np.meshgrid(*self._window_axes(desc, count), indexing="ij")
+        axes = [c + y for c, y in zip(self._centre(desc), self._centred_axes(desc, count))]
+        grids = np.meshgrid(*axes, indexing="ij")
         return np.column_stack([g.ravel() for g in grids])
 
-    def grid_sampling(self, model, desc, count: int) -> WindowSampling:
-        """The `window_points` grid, whose factor `axis_factor` builds
-        without evaluating the basis on it."""
-        axes = self._window_axes(desc, count)
-        return WindowSampling(None, math.prod(x.size for x in axes), ((slice(None), 1),),
-                              ("axes", *(x.tobytes() for x in axes)),
-                              lambda: (self.axis_factor(axes, model.basis_table),))
+    def _axis_trig(self, axis: int, y, top: int) -> np.ndarray:
+        """cos(k w y) for k = 0..top, then sin(k w y) for k = 1..top, at the
+        offsets y along `axis`, w = 2 pi / period, each unit in L2 over the
+        axis's length l: sqrt(1 / l) for k = 0, sqrt(2 / l) otherwise."""
+        length = self.periods[axis] * self.scales[axis]
+        phase = np.multiply.outer(y, np.arange(1, top + 1) * (TWO_PI / self.periods[axis]))
+        norms = np.sqrt(np.r_[1.0, np.full(2 * top, 2.0)] / length)
+        return np.hstack([np.ones((y.size, 1)), np.cos(phase), np.sin(phase)]) * norms
 
-    def axis_factor(self, axes, table) -> np.ndarray:
-        """A (D x D) factor R with R^T R = B^T B for the basis B on the
-        tensor grid of the per-axis coordinates `axes`, without forming B.
+    def window_values(self, offsets, table) -> np.ndarray:
+        """The window-centred parity basis at chart offsets y from the window
+        centre, (P, D).
 
-        On axis a, E_a holds 1, cos(w x), sin(w x), ..., cos(J_a w x),
-        sin(J_a w x) at the axis's coordinates x, in frequency order, with w =
-        2 pi / period_a and J_a the largest |j_a| of the lattice.  The grid's
-        E = E_1 (x) ... (x) E_n has the factor R_1 (x) ... (x) R_n of the
-        per-axis QRs (Van Loan, J. Comput. Appl. Math. 123, 2000).  As in
-        `basis_values`, column 0 is the constant and each further lattice
-        vector j gives a cosine and a sine column, the real and imaginary
-        part of prod_a (cos j_a w x_a + i sin j_a w x_a); over the factor's
-        columns that is the Kronecker product Z of the columns W_a = R_a (cos
-        + i sin), and a sine with j_a = 0 drops out.  R_a is triangular, so
-        W_a's column j is zero below row 2|j_a| and Z's column j off the rows
-        of per-axis frequency <= |j|.  The band is a lower set in |j| (each
-        eigenvalue grows with every |j_a|), so at most D rows of Z are not
-        identically zero: the factor is those rows, zero-padded to D.
+        Column d is prod_a t_{p_a}(k_a w_a y_a), t_0 = cos and t_1 = sin,
+        with k = |j| of the column's lattice vector j and p its parity
+        (`table["parities"]`).  The 2^s parities of an orbit {(+-k_1, ...,
+        +-k_n)} with s nonzero k_a span what its model columns cos(j x) and
+        sin(j x) span, and each is unit in L2, so the two bases differ by an
+        orthogonal map inside each orbit, where L's multiplier is constant.
         """
-        lattice = table["lattice"][::2]  # the constant, then one row per pair
-        top = np.max(np.abs(lattice), axis=0)
-        vol = math.prod(p * s for p, s in zip(self.periods, self.scales))
-        # one column per lattice vector: its normalisation times the W_a so far
-        Z = np.full((1, lattice.shape[0]), np.sqrt(2.0 / vol))
-        Z[0, 0] = 1.0 / np.sqrt(vol)
-        for x, period, J, j in zip(axes, self.periods, top, lattice.T):
-            E = np.empty((2 * J + 1, x.size))  # E_a transposed: E_a is column-major for LAPACK
-            E[0] = 1.0
-            np.multiply.outer(np.arange(1, J + 1) * (TWO_PI / period), x, out=E[1::2])
-            np.sin(E[1::2], out=E[2::2])
-            np.cos(E[1::2], out=E[1::2])
-            R, k = np.linalg.qr(E.T, mode="r"), np.abs(j)
-            W = R[:, np.maximum(2 * k - 1, 0)] + 1j * np.sign(j) * R[:, 2 * k]
-            Z = (Z[:, None, :] * W[None, :, :]).reshape(-1, Z.shape[1])
-        Z, dim = Z[Z.any(axis=1)], table["kinds"].size
-        M = np.zeros((max(Z.shape[0], dim), dim))
-        M[:Z.shape[0], 0] = Z[:, 0].real
-        M[:Z.shape[0], 1::2] = Z[:, 1:].real
-        M[:Z.shape[0], 2::2] = Z[:, 1:].imag
-        return M
+        k, p = np.abs(table["lattice"]), table["parities"]
+        out = np.ones((offsets.shape[0], k.shape[0]))
+        for axis, top in enumerate(np.max(k, axis=0)):
+            out *= self._axis_trig(axis, offsets[:, axis], top)[:, k[:, axis] + top * p[:, axis]]
+        return out
+
+    def window_sampling(self, model, desc, count: int, points) -> WindowSampling:
+        """The certificate's samples in the window-centred parity basis
+        (`window_values`), so that the report does not depend on where the
+        window sits.  Explicit `points` evaluate it as one group of all
+        columns; the `window_points` grid is factored without evaluating it.
+
+        On the grid's exactly symmetric per-axis offsets each axis's even and
+        odd columns are orthogonal, so the basis splits into 2^n orthogonal
+        parity classes, one group each.  Per axis, one QR factors the even
+        columns cos(k w y), k = 0..J_a, and one the odd ones sin(k w y), k =
+        1..J_a; class p's factor is the rows and columns of R_1^{p_1} (x) ...
+        (x) R_n^{p_n} at its band indices (Van Loan, J. Comput. Appl. Math.
+        123, 2000).  R_a^p's column k is zero below row k and the band is a
+        lower set in k (each eigenvalue grows with every k_a), so those rows
+        carry the class, and in the band's row-major order the factor is
+        upper triangular.  A coarse axis grid pads R_a^p with zero rows.
+        """
+        table = model.basis_table
+        if points is not None:
+            offsets = points - self._centre(desc)
+            return _evaluated(lambda: self.window_values(offsets, table),
+                              ("offsets", offsets.tobytes()), points, points.shape[0],
+                              ((slice(None), 1),))
+        axes = self._centred_axes(desc, count)
+        k, p = np.abs(table["lattice"]), table["parities"]
+        index = k - p  # row and column of R_a^p per axis
+        cls = p @ (1 << np.arange(self.dimension)[::-1])  # p read as a binary number
+        order = np.lexsort(index.T[::-1])  # row-major in the band
+        groups = tuple((order[cls[order] == c], 1) for c in np.unique(cls))
+
+        def factors():
+            per_axis = []
+            for axis, (y, top) in enumerate(zip(axes, np.max(k, axis=0))):
+                E = self._axis_trig(axis, y, top)
+                per_axis.append([_square(np.linalg.qr(part, mode="r"))
+                                 for part in (E[:, :top + 1], E[:, top + 1:])])
+            out = []
+            for cols, _ in groups:
+                R = np.ones((cols.size, cols.size))
+                for axis, Rs in enumerate(per_axis):
+                    i = index[cols, axis]
+                    R *= Rs[p[cols[0], axis]][np.ix_(i, i)]
+                out.append(R)
+            return tuple(out)
+
+        return WindowSampling(None, math.prod(y.size for y in axes), groups,
+                              ("centred", *(y.tobytes() for y in axes)), factors)
 
     def window_margin(self, desc, center) -> float:
         """Geodesic distance from `center` to the window boundary."""
@@ -723,9 +763,10 @@ class RoundSphere:
         gg, aa = np.meshgrid(gammas, az, indexing="ij")
         return _cap_chart_to_sphere(desc.center, gg.ravel(), aa.ravel())
 
-    def grid_sampling(self, model, desc, count: int):
+    def window_sampling(self, model, desc, count: int, points):
         """The `window_points` grid of a cap centred on the basis pole, one
-        column group per azimuthal order; None for any other cap.
+        column group per azimuthal order; None for explicit `points` and for
+        any other cap.
 
         There every ring point has colatitude arccos(cos gamma), so each
         column is a Legendre factor on the rings times a trig factor on the
@@ -735,7 +776,7 @@ class RoundSphere:
         each order m >= 1 counts twice; L's multipliers depend on the degree
         only, so this holds for the certificate's image rows too.
         """
-        if float(desc.center[0]) != 0.0:
+        if points is not None or float(desc.center[0]) != 0.0:
             return None
         gammas, n_az = self._ring_grid(desc, count)
         rings = _cap_chart_to_sphere(desc.center, gammas, np.zeros_like(gammas))
@@ -744,7 +785,8 @@ class RoundSphere:
         even = table["kinds"] != 2
         groups = tuple((np.flatnonzero(even & (table["orders"] == m)), 1 if m == 0 else 2)
                        for m in range(int(np.max(table["degrees"])) + 1))
-        return _evaluated(model, "orders", rings, rings.shape[0] * n_az, groups)
+        return _evaluated(lambda: model.eigenfunction_values(rings), ("orders", rings.tobytes()),
+                          rings, rings.shape[0] * n_az, groups)
 
     def window_margin(self, desc, center) -> float:
         """Geodesic distance from `center` to the cap boundary."""
@@ -890,35 +932,36 @@ def interior_points(model: SpectralModel, descriptor, count: int) -> np.ndarray:
     return model.manifold.window_points(descriptor, count)
 
 
-def _evaluated(model: SpectralModel, route: str, points, n_points: int,
-               groups) -> WindowSampling:
-    """The sampling that evaluates the basis at `points` and takes one QR per
-    group.  The groups follow from the model and `route`, so the key need
-    not hold them."""
-    def factors():
-        values = model.eigenfunction_values(points)
-        return tuple(np.linalg.qr(values[:, cols], mode="r") for cols, _ in groups)
+def _square(R: np.ndarray) -> np.ndarray:
+    """A QR's triangular factor R with zero rows appended to make it square."""
+    return np.pad(R, ((0, R.shape[1] - R.shape[0]), (0, 0)))
 
-    return WindowSampling(points, n_points, groups, (route, points.tobytes()), factors)
+
+def _evaluated(values: Callable[[], np.ndarray], key: tuple, points, n_points: int,
+               groups) -> WindowSampling:
+    """The sampling that evaluates `values()` at `points` and takes one QR
+    per group.  The groups follow from the model and the route that `key`
+    names, so the key need not hold them."""
+    def factors():
+        B = values()
+        return tuple(np.linalg.qr(B[:, cols], mode="r") for cols, _ in groups)
+
+    return WindowSampling(points, n_points, groups, key, factors)
 
 
 def certificate_sampling(model: SpectralModel, descriptor, count: int,
                          points=None) -> WindowSampling:
-    """Where the continuation certificate samples the window and how it
-    factors the samples.  Without `points` an untransformed basis takes its
-    manifold's `grid_sampling` of the `interior_points` grid for `count`:
-    per axis on a flat torus (`FlatTorus.axis_factor`), per azimuthal order
-    on a cap centred on the sphere basis's pole.  A transform, block mixing
-    included, mixes what those routes keep apart; it, an off-pole cap and
-    explicit `points`, which must lie in the window, evaluate the basis at
-    the points as one group of all columns counted once."""
+    """Where the continuation certificate samples the window, in which basis
+    and how it factors the samples.  An untransformed basis takes its
+    manifold's `window_sampling`: on a flat torus the window-centred parity
+    basis, per parity class on the `interior_points` grid for `count`
+    (`FlatTorus.window_sampling`); on a cap centred on the sphere basis's
+    pole, per azimuthal order.  A transform, block mixing included, mixes
+    what those routes keep apart; it, an off-pole cap and explicit points on
+    a sphere evaluate the model's basis at the points as one group of all
+    columns counted once.  Explicit `points` must lie in the window."""
     if points is None:
         _check_sampling(model, descriptor, count)
-        if model.transform is None:
-            grid = model.manifold.grid_sampling(model, descriptor, count)
-            if grid is not None:
-                return grid
-        points = interior_points(model, descriptor, count)
     else:
         points = as_points(points, model.dimension)
         outside = np.count_nonzero(~descriptor_contains(model, descriptor, points))
@@ -926,7 +969,14 @@ def certificate_sampling(model: SpectralModel, descriptor, count: int,
             raise PreconditionError(
                 f"{outside} of {points.shape[0]} sample points lie outside the "
                 "observation window; the certificate would be for another set")
-    return _evaluated(model, "points", points, points.shape[0], ((slice(None), 1),))
+    if model.transform is None:
+        sampling = model.manifold.window_sampling(model, descriptor, count, points)
+        if sampling is not None:
+            return sampling
+    if points is None:
+        points = interior_points(model, descriptor, count)
+    return _evaluated(lambda: model.eigenfunction_values(points), ("points", points.tobytes()),
+                      points, points.shape[0], ((slice(None), 1),))
 
 
 # ---------------------------------------------------------------------------

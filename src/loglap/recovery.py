@@ -81,11 +81,12 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet, *,
     D x D and 2D x D in place of P x D and 2P x D.  Explicit `points` must
     lie in the window.
 
-    `certificate_sampling` decides where B is sampled, how its columns
-    group and how each group is factored; each group's singular values
-    count as often as it says.  The factors are kept in the model's
-    `certificate` memo under the sampling's key, so the two variants on one
-    window factor it once.
+    `certificate_sampling` decides where B is sampled, in which basis (on
+    a flat torus the window-centred parity basis, so that a translated
+    window gets the same report), how its columns group and how each group
+    is factored; each group's singular values count as often as it says.
+    The factors are kept in the model's `certificate` memo under the
+    sampling's key, so the two variants on one window factor it once.
     """
     check_mass(m)
     require_count(node_multiplier, "node_multiplier")

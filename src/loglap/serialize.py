@@ -25,7 +25,7 @@ import numpy as np
 from .calculus import GrigoryanReport, HeatTrace, KernelMatchReport, SanityReport
 from .errors import FieldError, SerializationError
 from .extraction import GelfandData, MatchReport
-from .fields import decode, encode
+from .fields import as_indices, decode, encode
 from .models import SpectralModel, build_model
 from .recovery import GaugeReport, RecoveredPotential, UcpReport
 from .solver import CauchyRecord, Solution
@@ -227,8 +227,12 @@ def trace_to_csv(trace: HeatTrace, path) -> None:
 def trace_from_csv(path):
     """Returns (times, node_ids, values) with values shaped (n_times, n_nodes)."""
     time, node_id, value = _read_table(path, lambda width: ["time", "node_id", "value"]).T
+    try:
+        node_id = as_indices(node_id, "node_id")
+    except FieldError as exc:
+        raise SerializationError(f"{path}: {exc}") from exc
     n_nodes = int(np.argmax(np.append(time != time[:1], True)))  # rows at the first time
-    times, ids = time[::max(n_nodes, 1)], node_id[:n_nodes].astype(int)
+    times, ids = time[::max(n_nodes, 1)], node_id[:n_nodes]
     if not (np.array_equal(time, np.repeat(times, n_nodes))
             and np.array_equal(node_id, np.tile(ids, times.size))):
         raise SerializationError(f"{path}: expected one block of rows per time, each "

@@ -388,6 +388,24 @@ class TestSubcommands:
         assert report.n_points == points.shape[0]
         assert abs(report.smallest_singular - sv[-1]) <= 1e-10 * sv[0]
 
+    @pytest.mark.parametrize("configs", [
+        [circle_config(model={"kind": "circle", "truncation": 16},
+                       observation={"kind": "interval", "start": a, "end": a + 5.2})
+         for a in (0.0, 1.0)],
+        [torus_config(model={"kind": "torus", "truncation": 8, "edges": [6.0, 6.0]},
+                      observation={"kind": "box", "intervals": box})
+         for box in ([[0.5, 4.5], [1.0, 5.0]], [[1.5, 5.5], [0.25, 4.25]])],
+    ], ids=["arc", "box"])
+    def test_ucp_report_invariant_under_translation(self, tmp_path, configs):
+        # a translated flat window certifies the same, bit for bit
+        docs, descriptors = [], []
+        for i, cfg in enumerate(configs):
+            out = tmp_path / f"out{i}"
+            assert run_cli("ucp", write_config(tmp_path, cfg, f"{i}.json"), out) == 0
+            docs.append(json.loads((out / "ucp_report.json").read_text()))
+            descriptors.append(docs[-1]["fields"].pop("descriptor"))
+        assert descriptors[0] != descriptors[1] and docs[0] == docs[1]
+
     def test_recover_run(self, tmp_path):
         cfg = write_config(tmp_path, circle_config(
             m=1.1,

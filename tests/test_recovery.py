@@ -73,10 +73,11 @@ class TestUcpNullspace:
         assert report.passed
         assert report.null_dimension == 0
         assert report.smallest_singular > 0
-        # from-scratch constraint matrix at the same sample points
+        # from-scratch constraint matrix at the same sample points, in the
+        # basis cos k(theta - c), sin k(theta - c) about the window centre c
         dim = model.total_dim
         pts = interior_points(model, obs.descriptor, 4 * dim)
-        B = circle_basis_columns(pts[:, 0], 8)
+        B = circle_basis_columns(pts[:, 0] - np.pi / 4, 8)
         lam = np.repeat(np.arange(8) ** 2, [1] + [2] * 7).astype(float)
         mult = (lam + 2.0) * np.log(lam + 2.0)
         M = np.vstack([B, B * mult[None, :]])
@@ -132,11 +133,62 @@ class TestUcpNullspace:
             assert report.passed, f"{model.kind}: dim {report.null_dimension}"
 
 
+def window_centre(desc):
+    return np.mean(np.array(desc.intervals, dtype=float), axis=1)
+
+
+def parity_basis(model, points, centre):
+    """The window-centred parity basis of a flat torus from its definition:
+    the column of lattice vector j (k = |j|) and kind cos or sin is
+    prod_a t_a(k_a w_a (x_a - c_a)), unit in L2, with t_a = sin on the first
+    nonzero axis of a sine column and where j_a < 0, else cos.  Over an
+    orbit {(+-k_1, ..., +-k_n)} these are all 2^s products with cos where
+    k_a = 0, each once."""
+    manifold, table = model.manifold, model.basis_table
+    y = np.asarray(points) - centre
+    freq = 2 * np.pi / np.array(manifold.periods)
+    volume = np.prod(np.array(manifold.periods) * np.array(manifold.scales))
+    out = np.empty((y.shape[0], table["kinds"].size))
+    for col, (j, kind) in enumerate(zip(table["lattice"], table["kinds"])):
+        first = np.flatnonzero(j)[:1]
+        sine = (j < 0) | ((kind == 2) & np.isin(np.arange(j.size), first))
+        out[:, col] = np.sqrt(2.0 ** np.count_nonzero(j) / volume) * np.prod(
+            [(np.sin if s else np.cos)(abs(ja) * w * y[:, a])
+             for a, (ja, s, w) in enumerate(zip(j, sine, freq))], axis=0)
+    return out
+
+
+def test_parity_basis_spans_each_orbit():
+    # the parity functions of an orbit are an orthonormal basis of what its
+    # model columns span, so the two bases differ by an orthogonal map
+    # inside each orbit, where L's multiplier is constant
+    model = build_model("torus", 13, edges=(2.0, 3.0, 5.0))
+    centre = np.array([0.7, 1.1, 2.9])
+    B = model.eigenfunction_values(model.nodes)
+    P = parity_basis(model, model.nodes, centre)
+    V = B.T @ (model.weights[:, None] * P)
+    assert np.max(np.abs(V.T @ V - np.eye(model.total_dim))) <= 1e-12
+    k = np.abs(model.basis_table["lattice"])
+    same_orbit = np.all(k[:, None, :] == k[None, :, :], axis=2)
+    assert np.max(np.abs(V[~same_orbit])) <= 1e-12
+    assert np.max(np.abs(P - model.manifold.window_values(
+        model.nodes - centre, model.basis_table))) <= 1e-13
+
+
+def certificate_basis(model, desc, points):
+    """The basis the certificate normalises: the parity basis about the
+    window centre on an untransformed flat torus, the model's basis else."""
+    if model.transform is None and model.kind != "sphere":
+        return parity_basis(model, points, window_centre(desc))
+    return model.eigenfunction_values(points)
+
+
 def dense_certificate(model, m, obs, include_image, multiplier=4):
     """The certificate straight from its definition: normalise the columns
-    of [B; B diag(mult)] (or of B) and take every singular value."""
+    of [B; B diag(mult)] (or of B), B in `certificate_basis`, and take every
+    singular value."""
     pts = interior_points(model, obs.descriptor, multiplier * model.total_dim)
-    B = model.eigenfunction_values(pts)
+    B = certificate_basis(model, obs.descriptor, pts)
     if include_image:
         lam = model.flat_eigenvalues()
         B = np.vstack([B, B * ((lam + m) * np.log(lam + m))[None, :]])
@@ -196,6 +248,9 @@ class TestCertificateSampling:
     @pytest.mark.parametrize("variant", ["circle", "torus", "off-pole", "mixed-blocks",
                                          "explicit-points"])
     def test_one_group_of_all_columns(self, variant, monkeypatch):
+        # a flat torus's default grid splits into parity classes
+        # (TestUcpAxisRoute); its explicit points, like every dense input,
+        # form one group in the basis the certificate normalises
         model, desc = build_model("sphere", 8), SphericalCap((0.0, 0.0), 2.4)
         if variant == "circle":
             model, desc = build_model("circle", 16), AngularInterval(0.0, 4.7)
@@ -208,8 +263,8 @@ class TestCertificateSampling:
             model = with_mixed_blocks(model, seed=3)
         count = 4 * model.total_dim
         expected = interior_points(model, desc, count)
-        points = expected[::2] if variant == "explicit-points" else None
-        per_axis = variant in ("circle", "torus")
+        points = expected[::2] if variant in ("explicit-points", "circle", "torus") else None
+        flat = variant in ("circle", "torus")
         drawn = []
 
         def counting_points(*args):
@@ -217,26 +272,23 @@ class TestCertificateSampling:
             return interior_points(*args)
 
         # the dense route samples through `interior_points`, which the
-        # benchmark's tracer times as its own layer; a flat torus's default
-        # grid is factored per axis and never sampled as points
+        # benchmark's tracer times as its own layer
         monkeypatch.setattr(models, "interior_points", counting_points)
         sampling = certificate_sampling(model, desc, count, points)
-        assert len(drawn) == (points is None and not per_axis)
+        assert len(drawn) == (points is None)
         given = expected if points is None else points
-        if per_axis:
-            assert sampling.points is None
-        else:
-            assert np.array_equal(sampling.points, given)
+        assert np.array_equal(sampling.points, given)
         assert sampling.n_points == given.shape[0]
         assert len(sampling.groups) == 1
         cols, times = sampling.groups[0]
         every = np.arange(model.total_dim)
         assert times == 1 and np.array_equal(every[cols], every)
-        # either route factors the basis at the given points
+        # the model's basis is evaluated at the points, except on a flat
+        # torus, whose parity basis is evaluated directly
         calls = count_basis_calls(monkeypatch)
         (R,) = sampling.factors()
-        assert len(calls) == (not per_axis)
-        B = model.eigenfunction_values(given)
+        assert len(calls) == (not flat)
+        B = certificate_basis(model, desc, given)
         assert R.shape == (model.total_dim,) * 2
         assert np.max(np.abs(R.T @ R - B.T @ B)) <= 1e-12 * np.max(np.abs(B.T @ B))
 
@@ -282,8 +334,8 @@ class TestCertificateMemo:
         obs = restrict_to_observation(model, desc)
         sampling = certificate_sampling(model, desc, 4 * model.total_dim)
         per_axis = sampling.points is None
-        samples = model.eigenfunction_values(
-            interior_points(model, desc, 4 * model.total_dim) if per_axis else sampling.points)
+        samples = certificate_basis(model, desc, interior_points(
+            model, desc, 4 * model.total_dim) if per_axis else sampling.points)
         calls = count_basis_calls(monkeypatch)
         held, built, memo = [], [], models.SpectralModel.memo
 
@@ -318,16 +370,18 @@ class TestCertificateMemo:
         first = restrict_to_observation(model, TorusBox(((0.5, 4.5), (1.0, 5.0))))
         second = restrict_to_observation(model, TorusBox(((0.4, 4.0), (1.0, 5.5))))
         points = interior_points(model, second.descriptor, 3 * model.total_dim)
-        calls = count_basis_calls(monkeypatch)
-        factored, factor = [], models.FlatTorus.axis_factor
+        built, memo = [], models.SpectralModel.memo
 
-        def counting(self, axes, table):
-            factored.append(axes)
-            return factor(self, axes, table)
+        def recording(self, slot, key, build):
+            def counted():
+                built.append(key[0])
+                return build()
 
-        monkeypatch.setattr(models.FlatTorus, "axis_factor", counting)
-        # (per-axis factors, basis evaluations) after each call: default
-        # grids factor per axis, explicit points evaluate the basis
+            return memo(self, slot, key, counted)
+
+        monkeypatch.setattr(models.SpectralModel, "memo", recording)
+        # (grid factors, point factors) built after each call: default grids
+        # factor per parity class, explicit points evaluate the parity basis
         steps = [
             (dict(obs=first), (1, 0)),
             (dict(obs=first, include_image=False), (1, 0)),
@@ -340,7 +394,8 @@ class TestCertificateMemo:
         ]
         for kwargs, counts in steps:
             ucp_nullspace_test(model, 2.0, **kwargs)
-            assert (len(factored), len(calls)) == counts, kwargs
+            assert (built.count("centred"), built.count("offsets")) == counts, kwargs
+        assert len(built) == 5
 
     def test_mixed_copy_starts_empty(self, monkeypatch):
         model = build_model("sphere", 8)
@@ -408,7 +463,8 @@ class TestUcpPolarCapRoute:
 
 
 FLAT_GEOMETRIES = [("torus", {"edges": edges}) for edges in (
-    (2 * np.pi, 2 * np.pi), (2 * np.pi, 2.2 * np.pi), (1.0, 3.7), (2.0, 3.0, 5.0))] + [
+    (2 * np.pi, 2 * np.pi), (2 * np.pi, 2.2 * np.pi), (1.0, 3.7), (1.0, 12.0),
+    (2.0, 3.0, 5.0))] + [
     ("circle", {"radius": radius}) for radius in (0.5, 1.7)]
 
 
@@ -427,15 +483,16 @@ def flat_windows(draw):
 
 
 class TestUcpAxisRoute:
-    """A flat torus's default window grid is factored per axis; each variant
-    must certify what the dense P x D or 2P x D stack certifies, and the held
-    factor must carry the samples' Gram matrix."""
+    """A flat torus's default window grid is factored per parity class from
+    per-axis QRs; each variant must certify what the dense P x D or 2P x D
+    stack in the window-centred parity basis certifies, and each held factor
+    must carry its class's Gram matrix."""
 
     @staticmethod
     def check(model, desc, multiplier):
-        """Run the checks; return the count of the held factor's rows that are
-        not identically zero, which is D where every axis has as many grid
-        points as per-axis columns."""
+        """Run the checks; return the class widths and the count of the held
+        factors' rows that are identically zero, which is 0 where every axis
+        has as many grid points as even per-axis columns."""
         obs = restrict_to_observation(model, desc)
         for include_image in (True, False):
             report = ucp_nullspace_test(model, 2.0, obs, node_multiplier=multiplier,
@@ -444,59 +501,105 @@ class TestUcpAxisRoute:
         count = multiplier * model.total_dim
         sampling = certificate_sampling(model, desc, count)
         assert sampling.points is None
-        (R,) = model.memo("certificate", sampling.key, lambda: pytest.fail("not held"))
-        B = model.eigenfunction_values(interior_points(model, desc, count))
-        assert R.shape == (model.total_dim,) * 2
-        assert np.max(np.abs(R.T @ R - B.T @ B)) <= 1e-12 * np.max(np.abs(B.T @ B))
-        nonzero = np.count_nonzero(np.any(R != 0, axis=1))
+        held = model.memo("certificate", sampling.key, lambda: pytest.fail("not held"))
+        B = parity_basis(model, interior_points(model, desc, count), window_centre(desc))
+        gram = B.T @ B
+        # the classes partition the columns and are mutually orthogonal
+        classes = np.full(model.total_dim, -1)
+        for c, (cols, times) in enumerate(sampling.groups):
+            assert times == 1 and np.all(classes[cols] == -1)
+            classes[cols] = c
+        assert np.all(classes >= 0) and len(sampling.groups) <= 2 ** model.dimension
+        apart = classes[:, None] != classes[None, :]
+        assert np.max(np.abs(gram[apart])) <= 1e-12 * np.max(np.diag(gram))
+        zero_rows = 0
+        for R, (cols, _) in zip(held, sampling.groups):
+            G = gram[np.ix_(cols, cols)]
+            assert R.shape == (cols.size,) * 2 and np.array_equal(R, np.triu(R))
+            assert np.max(np.abs(R.T @ R - G)) <= 1e-12 * np.max(np.abs(G))
+            zero_rows += np.count_nonzero(~np.any(R != 0, axis=1))
         per_axis = round(B.shape[0] ** (1 / model.dimension))
-        if per_axis >= 2 * np.max(np.abs(model.basis_table["lattice"])) + 1:
-            assert nonzero == model.total_dim
-        return nonzero
+        if per_axis >= np.max(np.abs(model.basis_table["lattice"])) + 1:
+            assert zero_rows == 0
+        return [cols.size for cols, _ in sampling.groups], zero_rows
 
     @settings(max_examples=60, deadline=None)
     @given(window=flat_windows(), multiplier=st.integers(2, 6))
     def test_matches_dense_svd(self, window, multiplier):
         self.check(*window, multiplier)
 
-    @pytest.mark.parametrize("K, multiplier, padded", [(12, 2, True), (16, 2, False)])
-    def test_axis_with_fewer_points_than_columns(self, K, multiplier, padded):
-        # the long axis of the (1, 3.7) torus has 2 J + 1 = 13 or 15 per-axis
-        # columns but 8 or 10 grid points; at K = 12 the grid's 24 rows
-        # cannot tell the 31 columns apart.  Either way the long axis's R has
-        # too few rows to carry every band row, so the factor gets 7 or 11
-        # zero rows
-        model = build_model("torus", K, edges=(1.0, 3.7))
-        desc = TorusBox(((0.05, 0.95), (0.2, 3.5)))
+    @pytest.mark.parametrize("K, multiplier, constant_axis", [(12, 2, True), (16, 2, False)])
+    def test_axis_with_fewer_points_than_columns(self, K, multiplier, constant_axis):
+        # the long axis of the (1, 12) torus has 12 or 13 even and 11 or 12
+        # odd per-axis columns but 7 or 9 grid points, so its even and odd R
+        # have zero rows and every class pads.  At K = 12 the short axis
+        # carries only the constant: it has no odd columns, so two classes
+        model = build_model("torus", K, edges=(1.0, 12.0))
+        desc = TorusBox(((0.05, 0.95), (0.2, 11.8)))
         count = multiplier * model.total_dim
         top = np.max(np.abs(model.basis_table["lattice"]), axis=0)
         per_axis = round(interior_points(model, desc, count).shape[0] ** 0.5)
-        assert per_axis < 2 * top[1] + 1
-        assert (per_axis * (2 * top[0] + 1) < model.total_dim) == padded
-        assert self.check(model, desc, multiplier) == model.total_dim - {12: 7, 16: 11}[K]
+        assert per_axis < top[1] and (top[0] == 0) == constant_axis
+        widths, zero_rows = self.check(model, desc, multiplier)
+        assert (widths, zero_rows) == {12: ([12, 11], 9), 16: ([17, 15, 4, 3], 7)}[K]
 
     @pytest.mark.parametrize("K", [8, 16, 32])
     def test_one_qr_per_axis(self, K, monkeypatch):
-        # the factor is rows of the Kronecker product of the per-axis
-        # triangular factors, with no decomposition beyond their QRs
+        # each class factor is rows and columns of the Kronecker product of
+        # per-axis triangular factors: one QR of each axis's even columns and
+        # one of its odd columns, and no other decomposition
         calls = []
         for name in ("qr", "svd", "cholesky", "eig", "eigh", "lstsq", "solve"):
-            monkeypatch.setattr(np.linalg, name, lambda *args, name=name, f=getattr(
-                np.linalg, name), **kwargs: calls.append(name) or f(*args, **kwargs))
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, name=name, f=getattr(
+                np.linalg, name), **kwargs: calls.append((name, np.shape(a))) or f(
+                    a, *args, **kwargs))
         model = build_model("torus", K, edges=(2 * np.pi, 2 * np.pi))
         sampling = certificate_sampling(model, TorusBox(((0.79, 5.6), (0.5, 5.4))),
                                         4 * model.total_dim)
-        (R,) = sampling.factors()
-        assert calls == ["qr", "qr"]
-        assert np.count_nonzero(np.any(R != 0, axis=1)) == model.total_dim
+        factors = sampling.factors()
+        n = round(sampling.n_points ** 0.5)
+        J = np.max(np.abs(model.basis_table["lattice"]), axis=0)
+        assert calls == [("qr", shape) for j in J for shape in ((n, j + 1), (n, j))]
+        assert len(factors) == 4
+        assert sum(np.count_nonzero(np.any(R != 0, axis=1)) for R in factors) == model.total_dim
 
     def test_three_axes(self):
-        # every lattice vector with three nonzero entries: each cosine and
-        # sine column is a sum of four products of per-axis columns
+        # every lattice vector with three nonzero entries spans all eight
+        # parities of its orbit, so each of the 2^3 classes holds columns
         model = build_model("torus", 13, edges=(2.0, 3.0, 5.0))
         lattice = model.basis_table["lattice"]
         assert np.any(np.all(lattice != 0, axis=1))
-        self.check(model, TorusBox(((0.1, 1.9), (0.2, 2.5), (0.5, 4.0))), 4)
+        widths, _ = self.check(model, TorusBox(((0.1, 1.9), (0.2, 2.5), (0.5, 4.0))), 4)
+        assert len(widths) == 8
+
+
+FLAT_TRANSLATES = {
+    "arc": ("circle", {}, [AngularInterval(a, a + 5.2) for a in (0.0, 0.5, 1.0)]),
+    "box": ("torus", {"edges": (2 * np.pi, 2 * np.pi)},
+            [TorusBox(((0.6, 5.6), (0.4, 5.5))), TorusBox(((0.1, 5.1), (0.7, 5.8)))]),
+}
+
+
+class TestUcpTranslationInvariance:
+    """Every translation of a flat torus is an isometry, and the certificate
+    normalises in the window's own parity basis: windows of equal float side
+    lengths get the same report, bit for bit."""
+
+    @pytest.mark.parametrize("K", [8, 16, 32])
+    @pytest.mark.parametrize("case", FLAT_TRANSLATES.values(), ids=FLAT_TRANSLATES.keys())
+    def test_translated_windows_agree(self, case, K):
+        kind, kwargs, descs = case
+        lengths = {tuple(b - a for a, b in desc.intervals) for desc in descs}
+        assert len(lengths) == 1
+        reports = []
+        for desc in descs:
+            # a fresh model per window, so that no memo is shared
+            model = build_model(kind, K, **kwargs)
+            obs = restrict_to_observation(model, desc)
+            reports.append([(r.null_dimension, r.smallest_singular, r.n_points)
+                            for r in (ucp_nullspace_test(model, 2.0, obs, include_image=inc)
+                                      for inc in (True, False))])
+        assert all(r == reports[0] for r in reports)
 
 
 # ---------------------------------------------------------------- recovery

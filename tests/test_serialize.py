@@ -401,9 +401,12 @@ class TestTables:
          "the same node ids in the same order"),
         ("time,node_id,value\n0.1,0,1.0\n0.1,1,2.0\n0.2,0,3.0\n0.3,1,4.0\n",
          "one block of rows per time"),
-        ("time,node_id,value\n0.1,0.5,1.0\n", "the same node ids"),
+        ("time,node_id,value\n0.1,0.5,1.0\n", "node_id: expected integers >= 0"),
+        ("time,node_id,value\n0.1,-3,1.0\n0.1,-7,2.0\n", "node_id: expected integers >= 0"),
+        ("time,node_id,value\n0.1,1e30,1.0\n", "node_id: expected integers >= 0"),
+        ("time,node_id,value\n0.1,nan,1.0\n", "node_id: expected integers >= 0"),
     ], ids=["header", "empty", "short-row", "text", "ragged-block", "node-order", "split-block",
-            "fractional-id"])
+            "fractional-id", "negative-ids", "huge-id", "nan-id"])
     def test_malformed_trace_names_the_file(self, tmp_path, text, message):
         path = tmp_path / "trace.csv"
         path.write_text(text)
