@@ -76,19 +76,12 @@ def _window_traces(model: SpectralModel, m: float, weighted: np.ndarray,
     one (T, S*|O|) array whose columns s*|O| .. (s+1)*|O|-1 are source s.
 
     Every column of block k decays at the rate lambda_k + m, also in a basis
-    rotated inside each eigenspace, so the window rows are contracted to one
-    column per (source, eigenspace) before one decay product.  That is one
-    mat-vec per (source, block) on a contiguous column: a matrix product per
-    block sums in another order, moves the traces by ~3e-16 and flips
-    `_block_rank`'s 1e-8 decision on the circle at K=8.
+    rotated inside each eigenspace, so the model's window synthesis reduces
+    each column to one window vector per eigenspace (`per_block`) before one
+    decay product.
     """
-    rows = model.window_rows(obs)
-    off, K = model.block_offsets, model.truncation
-    per_block = np.empty((K, weighted.shape[1], rows.shape[0]))
-    for s, column in enumerate(np.ascontiguousarray(weighted.T)):
-        for k in range(K):
-            per_block[k, s] = rows[:, off[k]:off[k + 1]] @ column[off[k]:off[k + 1]]
-    return decay(np.outer(times, model.eigenvalues + m)) @ per_block.reshape(K, -1)
+    per_block = model.window_synthesis(obs).per_block(weighted)
+    return decay(np.outer(times, model.eigenvalues + m)) @ per_block.reshape(model.truncation, -1)
 
 
 def heat_trace_of_solution(model: SpectralModel, m: float, V, source, obs: ObservationSet,

@@ -63,6 +63,8 @@ __all__ = [
     "check_window_of",
     "interior_points",
     "WindowSampling",
+    "DenseSynthesis",
+    "RingSynthesis",
     "certificate_sampling",
     "descriptor_contains",
     "geodesic_distance",
@@ -162,6 +164,26 @@ class SpectralModel:
         idx = np.asarray(obs.node_indices, dtype=np.intp)
         return self.memo("window_rows", idx.tobytes(), lambda: self.node_basis()[idx])
 
+    def window_synthesis(self, obs, field: str = "obs"):
+        """The basis on the window `obs` as two maps: `values(C)`, the
+        (|O|, S) window samples of coefficient columns C, and `per_block(W)`,
+        each eigenspace's part of them, (K, S, |O|).  An untransformed
+        model's manifold may supply a structured route
+        (`RoundSphere.window_synthesis`); a transform mixes the columns that
+        route keeps apart, so it and every other window take the dense route
+        over `window_rows`.  Keyed like `window_rows`."""
+        check_window_of(self, obs, field)
+        idx = np.asarray(obs.node_indices, dtype=np.intp)
+
+        def build():
+            if self.transform is None:
+                rings = self.manifold.window_synthesis(self, idx)
+                if rings is not None:
+                    return rings
+            return DenseSynthesis(self.window_rows(obs), self.block_offsets)
+
+        return self.memo("window_synthesis", idx.tobytes(), build)
+
     def flat_eigenvalues(self) -> np.ndarray:
         """Eigenvalue per basis column (block value repeated d_k times)."""
         return np.repeat(self.eigenvalues, self.multiplicities)
@@ -203,6 +225,67 @@ class WindowSampling:
     groups: tuple
     key: tuple
     factors: Callable[[], tuple]
+
+
+@dataclass(frozen=True)
+class DenseSynthesis:
+    """`SpectralModel.window_synthesis` through the `window_rows` gather."""
+
+    rows: np.ndarray  # (|O|, D)
+    offsets: np.ndarray  # block offsets
+
+    def values(self, C: np.ndarray) -> np.ndarray:
+        """The window samples of the coefficient columns C, (|O|, S)."""
+        return self.rows @ C
+
+    def per_block(self, W: np.ndarray) -> np.ndarray:
+        """Each eigenspace's part of the window samples of W's columns,
+        (K, S, |O|).  One mat-vec per (source, block) on a contiguous column:
+        a matrix product per block sums in another order, moves the traces by
+        ~3e-16 and flips `_block_rank`'s 1e-8 decision on the circle at K=8."""
+        off = self.offsets
+        out = np.empty((off.size - 1, W.shape[1], self.rows.shape[0]))
+        for s, column in enumerate(np.ascontiguousarray(W.T)):
+            for k in range(off.size - 1):
+                out[k, s] = self.rows[:, off[k]:off[k + 1]] @ column[off[k]:off[k + 1]]
+        return out
+
+
+@dataclass(frozen=True)
+class RingSynthesis:
+    """`SpectralModel.window_synthesis` on whole sphere rings around the
+    basis pole (`RoundSphere.window_synthesis`).  Degree l's column at slot
+    g = column - l^2 takes at node (ring i, longitude j) the value
+    legendre[g, i, l] * longitude[g, j]: slot 0 is order 0, slots 2m - 1
+    and 2m are order m's cosine and sine, which share one Legendre factor."""
+
+    legendre: np.ndarray  # (2K - 1, r, K)
+    longitude: np.ndarray  # (2K - 1, n_lon): 1, then cos m phi_j, sin m phi_j
+    degrees: np.ndarray  # (D,) degree l of each column
+    slots: np.ndarray  # (D,) its slot g
+
+    def values(self, C: np.ndarray) -> np.ndarray:
+        """Sums over the degree per (slot, ring), then over the slots per
+        longitude: (|O|, S), ring-major as the nodes are."""
+        G, _, K = self.legendre.shape
+        by_slot = np.zeros((G, K, C.shape[1]))
+        by_slot[self.slots, self.degrees] = C
+        rings = self.legendre @ by_slot  # (G, r, S)
+        return (self.longitude.T @ rings.transpose(1, 0, 2)).reshape(-1, C.shape[1])
+
+    def per_block(self, W: np.ndarray) -> np.ndarray:
+        """Per degree, the Legendre factors weighted by W's columns times the
+        longitude factors: one product per source, of one shape and one
+        row-major layout, so that a source's part does not depend on what is
+        stacked beside it (numpy picks its BLAS call by shape and strides)."""
+        _, r, K = self.legendre.shape
+        out = np.empty((K, W.shape[1], r, self.longitude.shape[1]))
+        for k in range(K):
+            w = 2 * k + 1
+            scaled = np.multiply(self.legendre[:w, :, k].T, W[k * k:k * k + w].T[:, None, :],
+                                 order="C")
+            np.matmul(scaled, self.longitude[:w], out=out[k])
+        return out.reshape(K, W.shape[1], -1)
 
 
 # observation descriptors ----------------------------------------------------
@@ -566,6 +649,10 @@ class FlatTorus:
         return WindowSampling(None, math.prod(y.size for y in axes), groups,
                               ("centred", *(y.tobytes() for y in axes)), factors)
 
+    def window_synthesis(self, model, idx) -> None:
+        """None: flat windows keep the dense products the probe's verdicts rest on."""
+        return None
+
     def window_margin(self, desc, center) -> float:
         """Geodesic distance from `center` to the window boundary."""
         lows, highs = np.array(desc.intervals, dtype=float).T
@@ -787,6 +874,33 @@ class RoundSphere:
                        for m in range(int(np.max(table["degrees"])) + 1))
         return _evaluated(lambda: model.eigenfunction_values(rings), ("orders", rings.tobytes()),
                           rings, rings.shape[0] * n_az, groups)
+
+    def window_synthesis(self, model, idx) -> Optional[RingSynthesis]:
+        """The ring route when the window's node indices `idx` are the first
+        r whole rings of the grid, as on a cap centred on the basis pole;
+        None for any other window.
+
+        Every column is a Legendre factor on the ring times 1, cos m phi or
+        sin m phi (Driscoll & Healy, Adv. Appl. Math. 15, 1994).  At
+        longitude 0 each cosine column holds its Legendre factor, which the
+        sine column of its order shares.  The tables hold 8(2K - 1)(rK +
+        n_lon) bytes, where the gather held 8 r n_lon D.
+        """
+        n_lon = model.quadrature_spec[1]
+        if idx.size % n_lon or not np.array_equal(idx, np.arange(idx.size)):
+            return None
+        K = model.truncation
+        at_zero = model.eigenfunction_values(model.nodes[:idx.size:n_lon])  # (r, D)
+        sine = np.flatnonzero(model.basis_table["kinds"] == 2)
+        at_zero[:, sine] = at_zero[:, sine - 1]
+        degrees = np.repeat(np.arange(K), 2 * np.arange(K) + 1)  # columns l^2 .. l^2 + 2l
+        slots = np.arange(degrees.size) - degrees * degrees
+        legendre = np.zeros((2 * K - 1, at_zero.shape[0], K))
+        legendre[slots, :, degrees] = at_zero.T
+        angle = np.arange(1, K)[:, None] * model.nodes[:n_lon, 1]
+        longitude = np.ones((2 * K - 1, n_lon))
+        longitude[1::2], longitude[2::2] = np.cos(angle), np.sin(angle)
+        return RingSynthesis(legendre, longitude, degrees, slots)
 
     def window_margin(self, desc, center) -> float:
         """Geodesic distance from `center` to the cap boundary."""

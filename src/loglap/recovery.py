@@ -250,11 +250,11 @@ def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,
     mult = fmap.multipliers[:, None]
     # Cauchy data of the pulled-back problem on the window against those of
     # (V, f) at Phi^{-1}(window nodes)
-    B = model.window_rows(obs)
+    window = model.window_synthesis(obs)
     E = model.eigenfunction_values(pull_back(obs.nodes))
-    du = np.max(np.abs(B @ U2 - E @ U))
-    dlu = np.max(np.abs(B @ (mult * U2) - E @ (mult * U)))
-    ref = max(float(np.max(np.abs(B @ U))), 1e-300)
+    du = np.max(np.abs(window.values(U2) - E @ U))
+    dlu = np.max(np.abs(window.values(mult * U2) - E @ (mult * U)))
+    ref = max(float(np.max(np.abs(window.values(U)))), 1e-300)
     record_defect = float(max(du, dlu)) / ref
 
     passed = intertwining <= tolerance and record_defect <= tolerance

@@ -302,14 +302,14 @@ class CauchyRecord:
 def cauchy_records(model: SpectralModel, m: float, V: PotentialField,
                    sources: Sequence[SourceFunction], obs: ObservationSet) -> list[CauchyRecord]:
     """One window pass: solve once with F = [f_1 ... f_S] and restrict u and
-    L u to the nodes as two products with the window rows; L u takes the
+    L u to the nodes through the model's `window_synthesis`; L u takes the
     multipliers of the operator that solved for u."""
     sources = list(sources)
     F = source_matrix(model, sources)
     fmap = forward_map(model, m, V)
     U = fmap.solve(F)
-    B = model.window_rows(obs)
-    u_obs, lu_obs = B @ U, B @ (fmap.multipliers[:, None] * U)
+    window = model.window_synthesis(obs)
+    u_obs, lu_obs = window.values(U), window.values(fmap.multipliers[:, None] * U)
     return [CauchyRecord(kind=model.kind, truncation=model.truncation, mass=float(m),
                          source_id=src.source_id, potential_label=V.label,
                          descriptor=obs.descriptor, node_indices=obs.node_indices.copy(),

@@ -40,6 +40,7 @@ from loglap.extraction import (
 )
 from loglap.models import (
     AngularInterval,
+    RingSynthesis,
     SphericalCap,
     TorusBox,
     build_model,
@@ -47,6 +48,7 @@ from loglap.models import (
     with_mixed_blocks,
 )
 from loglap.solver import (
+    cauchy_records,
     forward_map,
     make_source_basis,
     solve_schrodinger,
@@ -489,7 +491,9 @@ def test_window_pass_keeps_the_per_source_trace_order(kind, K):
     # The probe sits on a knife edge: one matrix product per block instead
     # of one mat-vec per (source, block) moves the traces by ~3e-16 and
     # flips `_block_rank`'s 1e-8 decision on the circle at K=8.  So the
-    # stacked traces must equal the single-source traces bit for bit.
+    # stacked traces must equal the single-source traces bit for bit, and
+    # the flat windows the dense blockwise products; the polar cap takes
+    # the ring route, within 1e-13 of them.
     model, V, obs, sources = probe_case(kind, K)
     times = default_time_grid(model, 2.0)
     data = build_gelfand_data(model, 2.0, V, obs, sources)
@@ -497,8 +501,35 @@ def test_window_pass_keeps_the_per_source_trace_order(kind, K):
     for u, src, trace in zip(U.T, sources, data.traces):
         alone = heat_trace_of_field(model, 2.0, FieldCoefficients(model, u), obs, times)
         assert np.array_equal(trace.values, alone.values)
-        assert np.array_equal(trace.values, blockwise_trace(model, 2.0, u, obs, times))
+        dense = blockwise_trace(model, 2.0, u, obs, times)
+        if kind == "sphere":
+            assert np.max(np.abs(trace.values - dense)) <= 1e-13 * np.max(np.abs(dense))
+        else:
+            assert np.array_equal(trace.values, dense)
         assert trace.source_id == src.source_id
+
+
+@pytest.mark.parametrize("radius", [0.4, 1.2, 2.4])
+def test_ring_route_stacked_traces_are_the_single_source_traces(radius):
+    model = build_model("sphere", 6)
+    obs = restrict_to_observation(model, SphericalCap((0.0, 0.0), radius))
+    assert isinstance(model.window_synthesis(obs), RingSynthesis)
+    V = PotentialField(lambda p: 0.3 * np.cos(p[:, 0]), label="0.3*cos(colat)")
+    sources = make_source_basis(model, obs, 16, seed=0)
+    times = default_time_grid(model, 2.0)
+    data = build_gelfand_data(model, 2.0, V, obs, sources, mode="blind")
+    U = forward_map(model, 2.0, V).solve(np.column_stack([s.coefficients for s in sources]))
+    for u, trace in zip(U.T, data.traces):
+        alone = heat_trace_of_field(model, 2.0, FieldCoefficients(model, u), obs, times)
+        assert np.array_equal(trace.values, alone.values)
+
+
+def test_polar_cap_window_pass_gathers_no_window_rows():
+    model, V, obs, sources = probe_case("sphere", 6)
+    cauchy_records(model, 2.0, V, sources, obs)
+    build_gelfand_data(model, 2.0, V, obs, sources)
+    assert "window_rows" not in model.__dict__.get("_memo", {})
+    assert "window_synthesis" in model.__dict__["_memo"]
 
 
 def test_excitation_mask_matches_per_source_rule():

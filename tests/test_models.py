@@ -11,11 +11,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loglap.models import (
     AngularInterval,
     CircleReflection,
     CircleRotation,
+    DenseSynthesis,
+    RingSynthesis,
     SphereAxialRotation,
     SphericalCap,
     TorusBox,
@@ -675,6 +678,88 @@ class TestSphereRecurrence:
         unit = build_model("sphere", 12).eigenfunction_values(pts)
         double = build_model("sphere", 12, radius=2.0).eigenfunction_values(pts)
         assert np.array_equal(double, unit / 2.0)
+
+
+def blockwise(B, offsets, W):
+    """Each eigenspace's part of B @ W as one mat-vec per (source, block),
+    (K, S, |O|): the dense window pass's products."""
+    out = np.empty((offsets.size - 1, W.shape[1], B.shape[0]))
+    for s, column in enumerate(np.ascontiguousarray(W.T)):
+        for k in range(offsets.size - 1):
+            out[k, s] = B[:, offsets[k]:offsets[k + 1]] @ column[offsets[k]:offsets[k + 1]]
+    return out
+
+
+def dense_window(case):
+    """A model and a window of it that take the dense route."""
+    if case == "circle":
+        model, desc = build_model("circle", 16), AngularInterval(0.0, np.pi)
+    elif case == "torus":
+        model = build_model("torus", 6, edges=(2 * np.pi, 2 * np.pi))
+        desc = TorusBox(((0.0, np.pi), (0.5, 3.0)))
+    elif case == "off-pole":
+        model, desc = build_model("sphere", 8), SphericalCap((0.9, 1.7), 1.2)
+    else:  # a polar cap of a basis mixed inside each eigenspace
+        model, desc = with_mixed_blocks(build_model("sphere", 8), seed=3), SphericalCap((0.0, 0.0), 1.2)
+    return model, restrict_to_observation(model, desc)
+
+
+class TestWindowSynthesis:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), K=st.integers(1, 24), S=st.sampled_from([1, 16]))
+    def test_rings_match_the_dense_products(self, data, K, S):
+        model = build_model("sphere", K)
+        n_colat, n_lon = model.quadrature_spec
+        r = data.draw(st.integers(1, n_colat - 1), label="rings")
+        colat = model.nodes[::n_lon, 0]
+        obs = restrict_to_observation(model, SphericalCap((0.0, 0.0),
+                                                          0.5 * (colat[r - 1] + colat[r])))
+        window = model.window_synthesis(obs)
+        assert isinstance(window, RingSynthesis) and obs.size == r * n_lon
+        C = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")).standard_normal(
+            (model.total_dim, S))
+        B = model.node_basis()[obs.node_indices]
+        for got, dense in ((window.values(C), B @ C),
+                           (window.per_block(C), blockwise(B, model.block_offsets, C))):
+            assert got.shape == dense.shape
+            assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("rings", [1, 10])
+    def test_a_ring_source_does_not_depend_on_its_neighbours(self, rings):
+        model = build_model("sphere", 24)
+        colat = model.nodes[::model.quadrature_spec[1], 0]
+        obs = restrict_to_observation(
+            model, SphericalCap((0.0, 0.0), 0.5 * (colat[rings - 1] + colat[rings])))
+        window = model.window_synthesis(obs)
+        assert window.legendre.shape[1] == rings
+        W = np.random.default_rng(5).standard_normal((model.total_dim, 16))
+        stacked = window.per_block(W)
+        for s in range(W.shape[1]):
+            assert np.array_equal(stacked[:, s], window.per_block(W[:, [s]])[:, 0])
+
+    @pytest.mark.parametrize("case", ["circle", "torus", "off-pole", "mixed"])
+    def test_dense_windows_keep_the_gathered_products(self, case):
+        model, obs = dense_window(case)
+        window = model.window_synthesis(obs)
+        assert isinstance(window, DenseSynthesis)
+        assert window.rows is model.window_rows(obs)
+        B = model.node_basis()[obs.node_indices]
+        for S in (1, 3):
+            C = np.random.default_rng(S).standard_normal((model.total_dim, S))
+            assert np.array_equal(window.values(C), B @ C)
+            assert np.array_equal(window.per_block(C), blockwise(B, model.block_offsets, C))
+
+    def test_ring_route_needs_whole_polar_rings(self):
+        # the first rings but one node, and the last rings, take the dense route
+        model = build_model("sphere", 6)
+        n_lon = model.quadrature_spec[1]
+        cap = restrict_to_observation(model, SphericalCap((0.0, 0.0), 1.2))
+        south = restrict_to_observation(model, SphericalCap((np.pi, 0.0), 1.2))
+        cut = replace(cap, node_indices=cap.node_indices[:-1], nodes=cap.nodes[:-1],
+                      weights=cap.weights[:-1])
+        assert cap.size % n_lon == 0 and south.size % n_lon == 0
+        for obs in (cut, south):
+            assert isinstance(model.window_synthesis(obs), DenseSynthesis)
 
 
 class TestDeterminism:
