@@ -161,28 +161,27 @@ class SpectralModel:
         window shares one gather; another window replaces them.
         """
         check_window_of(self, obs, field)
-        idx = np.asarray(obs.node_indices, dtype=np.intp)
+        return self._gathered_rows(np.asarray(obs.node_indices, dtype=np.intp))
+
+    def _gathered_rows(self, idx: np.ndarray) -> np.ndarray:
         return self.memo("window_rows", idx.tobytes(), lambda: self.node_basis()[idx])
 
-    def window_synthesis(self, obs, field: str = "obs"):
+    def window_synthesis(self, obs):
         """The basis on the window `obs` as two maps: `values(C)`, the
         (|O|, S) window samples of coefficient columns C, and `per_block(W)`,
         each eigenspace's part of them, (K, S, |O|).  An untransformed
         model's manifold may supply a structured route
         (`RoundSphere.window_synthesis`); a transform mixes the columns that
         route keeps apart, so it and every other window take the dense route
-        over `window_rows`.  Keyed like `window_rows`."""
-        check_window_of(self, obs, field)
+        over `window_rows`.  The memo keeps the structured route's tables, or
+        None, keyed like `window_rows`; a dense route is made per call, so
+        the `window_rows` slot stays the one holder of a gather."""
+        check_window_of(self, obs)
         idx = np.asarray(obs.node_indices, dtype=np.intp)
-
-        def build():
-            if self.transform is None:
-                rings = self.manifold.window_synthesis(self, idx)
-                if rings is not None:
-                    return rings
-            return DenseSynthesis(self.window_rows(obs), self.block_offsets)
-
-        return self.memo("window_synthesis", idx.tobytes(), build)
+        rings = self.memo("window_synthesis", idx.tobytes(), lambda: (
+            None if self.transform is not None else self.manifold.window_synthesis(self, idx)))
+        return rings if rings is not None else DenseSynthesis(self._gathered_rows(idx),
+                                                              self.block_offsets)
 
     def flat_eigenvalues(self) -> np.ndarray:
         """Eigenvalue per basis column (block value repeated d_k times)."""

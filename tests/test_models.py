@@ -749,6 +749,17 @@ class TestWindowSynthesis:
             assert np.array_equal(window.values(C), B @ C)
             assert np.array_equal(window.per_block(C), blockwise(B, model.block_offsets, C))
 
+    def test_the_window_rows_slot_is_the_one_gather(self):
+        # a dense synthesis is made per call, so another window's rows
+        # replace the only gather the memo holds
+        model, obs = dense_window("circle")
+        other = restrict_to_observation(model, AngularInterval(np.pi, 5.0))
+        model.window_synthesis(obs)
+        model.window_rows(other)
+        memo = model.__dict__["_memo"]
+        assert memo["window_synthesis"][1] is None
+        assert memo["window_rows"][0] == np.asarray(other.node_indices, dtype=np.intp).tobytes()
+
     def test_ring_route_needs_whole_polar_rings(self):
         # the first rings but one node, and the last rings, take the dense route
         model = build_model("sphere", 6)
