@@ -26,9 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionError, QuadratureConvergenceError
-from .fields import require, require_count, require_tolerance
-from .models import (ObservationSet, SpectralModel, as_points, geodesic_distance,
-                     project_function)
+from .fields import as_floats, is_real, require, require_count, require_tolerance
+from .models import (ObservationSet, SpectralModel, as_points, check_window_of,
+                     geodesic_distance, project_function)
 
 __all__ = [
     "FieldCoefficients",
@@ -66,10 +66,7 @@ def check_mass(m: float) -> float:
 
 def check_times(times) -> np.ndarray:
     """A nonempty 1-d grid of finite times > 0, as a float array."""
-    try:
-        times = np.asarray(times, dtype=float)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        times = None
+    times = as_floats(times)
     require(times is not None and times.ndim == 1 and times.size
             and np.all(np.isfinite(times) & (times > 0)),
             "times", "expected a nonempty list of positive times")
@@ -211,7 +208,8 @@ def _kernel(rows_a: np.ndarray, rows_b: np.ndarray, mu: np.ndarray, t: float) ->
 def heat_kernel_matrix(model: SpectralModel, m: float, t: float, points_a, points_b) -> np.ndarray:
     """Truncated kernel of exp(-tA) on a grid of point pairs."""
     check_mass(m)
-    require(t > 0, "t", f"kernel evaluation needs t > 0, got {t}")
+    require(is_real(t) and 0 < t < np.inf, "t",
+            f"kernel evaluation needs a finite t > 0, got {t!r}")
     return _kernel(model.eigenfunction_values(points_a), model.eigenfunction_values(points_b),
                    model.flat_eigenvalues() + m, t)
 
@@ -229,15 +227,17 @@ def heat_kernel_equality_check(model_a: SpectralModel, model_b: SpectralModel,
                                tolerance: float = 1e-10) -> KernelMatchReport:
     """Compare both kernels on all window node pairs over the time grid.
 
-    Each model's basis rows on the window come from `window_rows`; only
-    the decay changes from one time to the next.
+    Each model's basis rows on the window are gathered from `node_basis()`
+    once per call, outside the memo; only the decay changes per time.
     """
     check_mass(m)
     tolerance = require_tolerance(tolerance, "tolerance")
     check_shared_nodes(obs_a.nodes, obs_b.nodes, "obs_a and obs_b")
     times = check_times(times)
-    rows_a = model_a.window_rows(obs_a, "obs_a")
-    rows_b = model_b.window_rows(obs_b, "obs_b")
+    check_window_of(model_a, obs_a, "obs_a")
+    check_window_of(model_b, obs_b, "obs_b")
+    rows_a = model_a.node_basis()[obs_a.node_indices]
+    rows_b = model_b.node_basis()[obs_b.node_indices]
     mu_a = model_a.flat_eigenvalues() + m
     mu_b = model_b.flat_eigenvalues() + m
     devs = np.array([np.max(np.abs(_kernel(rows_a, rows_a, mu_a, t)
@@ -384,9 +384,10 @@ def _exp_sinh(values: np.ndarray, tol: float) -> tuple:
 
 def log_identity_quadrature(lam: float, tol: float = 1e-9) -> tuple:
     """Evaluate log(lam) through its exponential-difference time integral."""
-    tol, lam = require_tolerance(tol, "tol"), float(lam)
-    require(0.0 < lam < np.inf, "lam",
-            f"the logarithm integral needs a finite lam > 0, got {lam}")
+    tol = require_tolerance(tol, "tol")
+    require(is_real(lam) and 0.0 < lam < np.inf, "lam",
+            f"the logarithm integral needs a finite lam > 0, got {lam!r}")
+    lam = float(lam)
     # (e^-t - e^-(t lam)) / t, factored so that neither cancellation near
     # t = 0 nor overflow at large t occurs on either side of lam = 1
     d = lam - 1.0

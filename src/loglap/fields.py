@@ -49,6 +49,20 @@ def require_tolerance(value, field: str) -> float:
     return float(value)
 
 
+def require_finite(value, field: str) -> float:
+    """`value` as a float if it is a real number and finite."""
+    require(is_real(value) and abs(value) < np.inf, field, "expected a finite number")
+    return float(value)
+
+
+def as_floats(value):
+    """`value` as a float array, or None where it is ragged or not numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+
+
 def require_indices(value, field: str) -> None:
     """Raise FieldError unless the array `value` is empty or holds integers >= 0."""
     value = np.asarray(value)

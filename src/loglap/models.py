@@ -32,7 +32,8 @@ from typing import Callable, ClassVar, Optional, Union
 import numpy as np
 
 from .errors import FieldError, PreconditionError
-from .fields import is_real, require, require_count, require_tolerance
+from .fields import (as_floats, is_real, require, require_count, require_finite,
+                     require_tolerance)
 
 __all__ = [
     "SpectralModel",
@@ -153,35 +154,23 @@ class SpectralModel:
         return self.memo("node_basis", None, lambda: np.ascontiguousarray(
             self.eigenfunction_values(self.nodes)))
 
-    def window_rows(self, obs, field: str = "obs") -> np.ndarray:
-        """The rows of `node_basis()` at the nodes of the window `obs`, (|O|, D),
-        read-only; `check_window_of` names `field` for a window of another model.
-
-        Keyed by the bytes of the indices, so every record and trace on one
-        window shares one gather; another window replaces them.
-        """
-        check_window_of(self, obs, field)
-        return self._gathered_rows(np.asarray(obs.node_indices, dtype=np.intp))
-
-    def _gathered_rows(self, idx: np.ndarray) -> np.ndarray:
-        return self.memo("window_rows", idx.tobytes(), lambda: self.node_basis()[idx])
-
     def window_synthesis(self, obs):
         """The basis on the window `obs` as two maps: `values(C)`, the
         (|O|, S) window samples of coefficient columns C, and `per_block(W)`,
         each eigenspace's part of them, (K, S, |O|).  An untransformed
         model's manifold may supply a structured route
         (`RoundSphere.window_synthesis`); a transform mixes the columns that
-        route keeps apart, so it and every other window take the dense route
-        over `window_rows`.  The memo keeps the structured route's tables, or
-        None, keyed like `window_rows`; a dense route is made per call, so
-        the `window_rows` slot stays the one holder of a gather."""
+        route keeps apart, so it and every other window take the dense route,
+        which holds the gather `node_basis()[idx]`.  The memo keeps one route,
+        keyed by the bytes of the node indices."""
         check_window_of(self, obs)
         idx = np.asarray(obs.node_indices, dtype=np.intp)
-        rings = self.memo("window_synthesis", idx.tobytes(), lambda: (
-            None if self.transform is not None else self.manifold.window_synthesis(self, idx)))
-        return rings if rings is not None else DenseSynthesis(self._gathered_rows(idx),
-                                                              self.block_offsets)
+
+        def build():
+            rings = self.transform is None and self.manifold.window_synthesis(self, idx)
+            return rings or DenseSynthesis(self.node_basis()[idx], self.block_offsets)
+
+        return self.memo("window_synthesis", idx.tobytes(), build)
 
     def flat_eigenvalues(self) -> np.ndarray:
         """Eigenvalue per basis column (block value repeated d_k times)."""
@@ -228,7 +217,7 @@ class WindowSampling:
 
 @dataclass(frozen=True)
 class DenseSynthesis:
-    """`SpectralModel.window_synthesis` through the `window_rows` gather."""
+    """`SpectralModel.window_synthesis` through the gather `node_basis()[idx]`."""
 
     rows: np.ndarray  # (|O|, D)
     offsets: np.ndarray  # block offsets
@@ -371,10 +360,8 @@ class SphereMeridianReflection:
 
 
 def _has_shape(value, shape: tuple) -> bool:
-    try:
-        return np.shape(np.asarray(value, dtype=float)) == shape
-    except (TypeError, ValueError):
-        return False
+    values = as_floats(value)
+    return values is not None and values.shape == shape
 
 
 def _check_family(obj, family) -> None:
@@ -394,14 +381,15 @@ def _chart_affine(manifold, isometry, pts, inverse: bool) -> np.ndarray:
 def _torus_translation(iso, n: int) -> tuple:
     if not _has_shape(iso.shift, (n,)):
         raise FieldError("shift", f"expected {n} entries, one per torus axis")
-    return 1.0, iso.shift
+    return 1.0, [require_finite(s, f"shift[{i}]") for i, s in enumerate(iso.shift)]
 
 
 def _torus_axis_reflection(iso, n: int) -> tuple:
-    if not 0 <= iso.axis < n:
+    axis = require_count(iso.axis, "axis", 0)
+    if not axis < n:
         raise FieldError("axis", f"expected a torus axis in [0, {n})")
     signs, offsets = np.ones(n), np.zeros(n)
-    signs[iso.axis], offsets[iso.axis] = -1.0, 2.0 * iso.center
+    signs[axis], offsets[axis] = -1.0, 2.0 * require_finite(iso.center, "center")
     return signs, offsets
 
 
@@ -546,8 +534,8 @@ class FlatTorus:
         if not _has_shape(ivs, (self.dimension, 2)):
             raise FieldError("intervals", "expected one [start, end] pair per torus axis")
         for i, ((a, b), p) in enumerate(zip(ivs, self.periods)):
-            if not 0.0 <= a < b <= p:
-                raise FieldError(desc.bound_field(i, upper=a >= 0.0),
+            if not (is_real(a) and is_real(b) and 0.0 <= a < b <= p):
+                raise FieldError(desc.bound_field(i, upper=is_real(a) and a >= 0.0),
                                  f"bounds must satisfy 0 <= start < end <= {p:.6g}")
         if all(b - a >= p - 1e-12 for (a, b), p in zip(ivs, self.periods)):
             raise FieldError(desc.bound_field(0, upper=True),
@@ -683,8 +671,8 @@ class Circle(FlatTorus):
 
     kind = "circle"
     window = AngularInterval
-    isometries = {CircleRotation: lambda iso, n: (1.0, iso.angle),
-                  CircleReflection: lambda iso, n: (-1.0, 2.0 * iso.axis)}
+    isometries = {CircleRotation: lambda iso, n: (1.0, require_finite(iso.angle, "angle")),
+                  CircleReflection: lambda iso, n: (-1.0, 2.0 * require_finite(iso.axis, "axis"))}
     node_floor = 64
 
     def __init__(self, radius=1.0):
@@ -727,8 +715,10 @@ class RoundSphere:
     dimension: ClassVar[int] = 2
     window: ClassVar[type] = SphericalCap
     isometries: ClassVar[dict] = {
-        SphereAxialRotation: lambda iso, n: ((1.0, 1.0), (0.0, iso.angle)),
-        SphereMeridianReflection: lambda iso, n: ((1.0, -1.0), (0.0, 2.0 * iso.meridian))}
+        SphereAxialRotation: lambda iso, n: (
+            (1.0, 1.0), (0.0, require_finite(iso.angle, "angle"))),
+        SphereMeridianReflection: lambda iso, n: (
+            (1.0, -1.0), (0.0, 2.0 * require_finite(iso.meridian, "meridian")))}
 
     def __post_init__(self):
         object.__setattr__(self, "radius", _lengths("radius", (self.radius,))[0])
@@ -825,7 +815,7 @@ class RoundSphere:
         _check_family(desc, (self.window,))
         if not _has_shape(desc.center, (2,)):
             raise FieldError("center", "expected [colatitude, longitude]")
-        if not desc.radius > 0.0:
+        if not (is_real(desc.radius) and desc.radius > 0.0):
             raise FieldError("radius", "must be > 0")
         if not desc.radius < np.pi - 1e-12:
             raise FieldError("radius", "must be < pi so the complement is nonempty")
@@ -969,10 +959,8 @@ def as_points(points, dim: int, field: str = "points") -> np.ndarray:
     """Chart points as (P, dim) floats, one point or a 1-d chart's points given
     flat; ragged, non-numeric or non-finite input raises FieldError(field)."""
     reason = f"expected finite chart points of shape (P, {dim})"
-    try:
-        pts = np.asarray(points, dtype=float)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        raise FieldError(field, reason) from None
+    pts = as_floats(points)
+    require(pts is not None, field, reason)
     if pts.ndim == 1:
         pts = pts[:, None] if dim == 1 else pts[None, :]
     require(pts.ndim == 2 and pts.shape[1] == dim and np.all(np.isfinite(pts)), field, reason)
@@ -985,8 +973,8 @@ def as_points(points, dim: int, field: str = "points") -> np.ndarray:
 
 def project_function(model: SpectralModel, f_values) -> np.ndarray:
     """Coefficients <f, phi_{k,l}> for every materialized basis function."""
-    f = np.asarray(f_values, dtype=float)
-    require(f.shape == (model.nodes.shape[0],), "f_values",
+    f = as_floats(f_values)
+    require(f is not None and f.shape == (model.nodes.shape[0],), "f_values",
             "samples must be given on the model quadrature nodes")
     return model.node_basis().T @ (model.weights * f)
 

@@ -17,7 +17,7 @@ from .errors import (
     SingularOperatorError,
     SupportViolationError,
 )
-from .fields import require, require_count, require_indices
+from .fields import as_floats, is_real, require, require_count, require_indices
 from .models import (
     ObservationSet,
     SpectralModel,
@@ -45,6 +45,9 @@ class PotentialField:
     func: Optional[Callable] = None
     const: Optional[float] = None
     label: str = ""
+
+    def __post_init__(self):
+        require(self.const is None or is_real(self.const), "const", "expected a number or None")
 
     def values_at(self, model: SpectralModel, points) -> np.ndarray:
         pts = as_points(points, model.dimension)
@@ -145,7 +148,7 @@ def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
         rng = None if seed is None else np.random.default_rng(require_count(seed, "seed", 0))
         ctrs = model.manifold.default_centers(obs.descriptor, count, rng)
     margins = [model.manifold.window_margin(obs.descriptor, c) for c in ctrs]
-
+    require(radius is None or is_real(radius), "radius", "expected a number or None")
     radii = [0.9 * margin if radius is None else float(radius) for margin in margins]
 
     sources = []
@@ -198,6 +201,10 @@ class ForwardMap:
         1e-10 x the largest multiplier, and IllConditionedError when a
         column's relative residual is inconsistent with the conditioning.
         """
+        F, D = as_floats(F), self.matrix.shape[0]
+        require(F is not None and F.ndim in (1, 2) and F.shape[0] == D and F.size
+                and np.all(np.isfinite(F)), "F",
+                f"expected {D} finite numbers per column, one per basis function")
         w = self.eigenvalues
         amin = float(np.min(np.abs(w)))
         threshold = 1e-10 * float(np.max(self.multipliers))
@@ -205,7 +212,6 @@ class ForwardMap:
             raise SingularOperatorError(
                 f"operator with potential '{self.label}' is numerically singular: "
                 f"min |eigenvalue| = {amin:.3e} <= {threshold:.3e}")
-        F = np.asarray(F, dtype=float)
         Q = self.eigenvectors
         U = Q @ ((Q.T @ F) / (w if F.ndim == 1 else w[:, None]))
         fnorm = np.linalg.norm(F, axis=0)

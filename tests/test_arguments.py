@@ -1,12 +1,12 @@
 """Argument rules: each misuse raises a typed error that names the argument.
 
 The time-grid, sample-count, mass, shared-node, quadrature-count,
-geometry, window, source-stack, point, count (seeds included) and tolerance
-rules have one definition each (`calculus.check_times`,
+geometry, window, source-stack, point, count (seeds included), tolerance and
+finite-number rules have one definition each (`calculus.check_times`,
 `calculus.check_samples`, `calculus.check_mass`, `calculus.check_shared_nodes`,
 `models.node_counts`, `models.make_manifold`, `models.check_window_of`,
 `solver.source_matrix`, `models.as_points`, `fields.require_count`,
-`fields.require_tolerance`);
+`fields.require_tolerance`, `fields.require_finite`);
 every case below is one caller of one rule, or one argument check whose
 fault numpy or a later step would otherwise report late or not at all.
 """
@@ -22,6 +22,7 @@ from loglap.calculus import (
     HeatTrace,
     apply_L,
     check_times,
+    field_from_samples,
     grigoryan_check,
     heat_kernel,
     heat_kernel_equality_check,
@@ -39,9 +40,11 @@ from loglap.extraction import (
     extract_exponents,
     heat_trace_of_field,
 )
-from loglap.models import (AngularInterval, CircleReflection, SphericalCap, build_model,
-                           interior_points, restrict_to_observation, verify_orthonormality,
-                           with_mixed_blocks)
+from loglap.models import (AngularInterval, CircleReflection, CircleRotation,
+                           SphereAxialRotation, SphereMeridianReflection, SphericalCap,
+                           TorusAxisReflection, TorusBox, TorusTranslation, apply_isometry,
+                           build_model, interior_points, restrict_to_observation,
+                           verify_orthonormality, with_mixed_blocks)
 from loglap.recovery import isometry_gauge_check, recover_potential, ucp_nullspace_test
 from loglap.solver import (
     PotentialField,
@@ -216,6 +219,24 @@ def with_mask_eps(value):
                              mask_eps=value)
 
 
+def with_time(t):
+    """Both heat-kernel entry points, called at time `t`."""
+    model = half_circle(6)[0]
+    return {"matrix": lambda: heat_kernel_matrix(model, 2.0, t, model.nodes[:2],
+                                                 model.nodes[:2]),
+            "kernel": lambda: heat_kernel(model, 2.0, t, [0.1], [0.2])}
+
+
+def small_model(kind):
+    """The K=3 model of `kind`, the torus with edges (6, 6)."""
+    return build_model(kind, 3, **({"edges": (6.0, 6.0)} if kind == "torus" else {}))
+
+
+def solve_half_circle(F):
+    """`forward_map(...).solve(F)` on `half_circle(6)`'s model."""
+    return forward_map(half_circle(6)[0], 2.0, V).solve(F)
+
+
 def different_nodes_equality():
     model_a, obs_a, _ = half_circle(3, 64)
     model_b, obs_b, _ = half_circle(3, 128)
@@ -370,6 +391,41 @@ CASES = {
         PreconditionError, "record bump00") for name, mixed in (("radius", False),
                                                                 ("mixed", True))},
     # argument checks that would otherwise fail elsewhere
+    **{f"t-{name}-{entry}": (call, FieldError, "t")
+       for name, value in (("text", "a"), ("none", None), ("list", [0.5]), ("inf", np.inf),
+                           ("bool", True))
+       for entry, call in with_time(value).items()},
+    "radius-text-sources": (lambda: make_source_basis(*half_circle(6)[:2], 2, radius="a"),
+                            FieldError, "radius"),
+    "const-text-potential": (lambda: PotentialField(const="a").node_values(half_circle(6)[0]),
+                             FieldError, "const"),
+    "lam-text-log": (lambda: log_identity_quadrature("a"), FieldError, "lam"),
+    "radius-text-cap": (lambda: restrict_to_observation(build_model("sphere", 4),
+                                                        SphericalCap((0.0, 0.0), "a")),
+                        FieldError, "radius"),
+    **{f"isometry-{name}": (lambda kind=kind, iso=iso: apply_isometry(
+        small_model(kind), iso, [0.5] * (1 if kind == "circle" else 2)), FieldError, field)
+       for name, kind, iso, field in (
+           ("angle-text-circle", "circle", CircleRotation("a"), "angle"),
+           ("angle-nan-circle", "circle", CircleRotation(np.nan), "angle"),
+           ("axis-inf-circle", "circle", CircleReflection(np.inf), "axis"),
+           ("shift-nan-torus", "torus", TorusTranslation((0.1, np.nan)), "shift[1]"),
+           ("center-text-torus", "torus", TorusAxisReflection(0, center="a"), "center"),
+           ("angle-bool-sphere", "sphere", SphereAxialRotation(True), "angle"),
+           ("meridian-nan-sphere", "sphere", SphereMeridianReflection(np.nan), "meridian"),
+           ("axis-text-torus", "torus", TorusAxisReflection("a"), "axis"),
+           ("axis-float-torus", "torus", TorusAxisReflection(0.5), "axis"))},
+    **{f"bounds-text-{name}": (lambda kind=kind, desc=desc: restrict_to_observation(
+        small_model(kind), desc), FieldError, field)
+       for name, kind, desc, field in (
+           ("start-circle", "circle", AngularInterval("0.5", 1.0), "start"),
+           ("end-circle", "circle", AngularInterval(0.5, "1"), "end"),
+           ("torus", "torus", TorusBox(((0.5, 1.0), ("0", 1.0))), "intervals[1][0]"))},
+    "samples-text-project": (lambda: field_from_samples(half_circle(6)[0], ["a"] * 64),
+                             FieldError, "f_values"),
+    **{f"F-{name}-solve": (lambda F=F: solve_half_circle(F), FieldError, "F")
+       for name, F in (("short", np.ones(5)), ("text", ["a"] * 11),
+                       ("ragged", [[1.0], [2.0, 3.0]]), ("nan", np.full(11, np.nan)))},
     "solution-array-trace": (lambda: trace([0.5], np.ones(11)), FieldError, "solution"),
     "truncation-float": (lambda: build_model("circle", 2.5), FieldError, "truncation"),
     "potential-nan": (lambda: forward_map(half_circle(6)[0], 2.0, NAN_V), FieldError, "V"),

@@ -3,7 +3,9 @@
 The benchmark's tracer (`perfbench/spans.py`) patches the functions listed
 in `LAYERS` by module and name, and `__all__` lists what a module exports;
 a rename or deletion that leaves either list stale fails here, not at run
-time of the benchmark.  The package's modules import only the standard
+time of the benchmark, and so does a change that breaks one op of the
+`sphere_forward` or `ucp_sweep` workloads or lowers the extraction probe's
+working range.  The package's modules import only the standard
 library, numpy and each other, so that the package needs numpy alone.  No code branches on a manifold's kind tag:
 what differs between manifolds is a method or class data of the manifold
 class, the catalog is one table of those classes, and the window and
@@ -30,7 +32,8 @@ import loglap
 from loglap import models
 from loglap.errors import FieldError
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def resolves(module: str, qualname: str) -> bool:
@@ -49,6 +52,23 @@ def test_traced_layers_resolve():
     missing = [f"{module}.{qualname}" for module, qualname, _, _ in spans.LAYERS
                if not resolves(module, qualname)]
     assert not missing, f"spans.LAYERS names missing functions {missing}"
+
+
+def test_benchmark_ops_and_probe_run(monkeypatch):
+    # each workload's oracle raises on a wrong output, so a library change
+    # that breaks an op, its oracle or the extraction probe fails here
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # for the workloads' `spans` import
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in (workloads.SphereForward(42, smoke=True),
+                     workloads.UcpSweep(42, smoke=True)):
+        workload.warm_up()
+        workload.op(0)
+    reached = {kind: best for kind, (best, _) in workloads.working_range().items()}
+    assert reached["circle"] >= 8 and reached["torus"] >= 10 and reached["sphere"] >= 7, reached
 
 
 def test_exported_names_exist():

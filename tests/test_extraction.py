@@ -524,12 +524,16 @@ def test_ring_route_stacked_traces_are_the_single_source_traces(radius):
         assert np.array_equal(trace.values, alone.values)
 
 
-def test_polar_cap_window_pass_gathers_no_window_rows():
+def test_polar_cap_window_pass_holds_no_gather():
     model, V, obs, sources = probe_case("sphere", 6)
     cauchy_records(model, 2.0, V, sources, obs)
     build_gelfand_data(model, 2.0, V, obs, sources)
-    assert "window_rows" not in model.__dict__.get("_memo", {})
-    assert "window_synthesis" in model.__dict__["_memo"]
+    memo = model.__dict__["_memo"]
+    assert isinstance(memo["window_synthesis"][1], RingSynthesis)
+    arrays = [a for _, v in memo.values()
+              for a in (v, *(v if isinstance(v, tuple) else getattr(v, "__dict__", {}).values()))
+              if isinstance(a, np.ndarray)]
+    assert arrays and all(a.shape != (obs.size, model.total_dim) for a in arrays)
 
 
 def test_excitation_mask_matches_per_source_rule():

@@ -742,23 +742,27 @@ class TestWindowSynthesis:
         model, obs = dense_window(case)
         window = model.window_synthesis(obs)
         assert isinstance(window, DenseSynthesis)
-        assert window.rows is model.window_rows(obs)
         B = model.node_basis()[obs.node_indices]
+        assert window.rows.dtype == B.dtype and window.rows.tobytes() == B.tobytes()
         for S in (1, 3):
             C = np.random.default_rng(S).standard_normal((model.total_dim, S))
             assert np.array_equal(window.values(C), B @ C)
             assert np.array_equal(window.per_block(C), blockwise(B, model.block_offsets, C))
 
-    def test_the_window_rows_slot_is_the_one_gather(self):
-        # a dense synthesis is made per call, so another window's rows
-        # replace the only gather the memo holds
+    def test_the_window_slot_is_the_one_gather(self):
+        # the memo keeps one route per window, so another window's dense
+        # route replaces the only gather the memo holds
         model, obs = dense_window("circle")
         other = restrict_to_observation(model, AngularInterval(np.pi, 5.0))
         model.window_synthesis(obs)
-        model.window_rows(other)
+        window = model.window_synthesis(other)
+        assert isinstance(window, DenseSynthesis)
+        assert window.rows.shape == (other.size, model.total_dim)
         memo = model.__dict__["_memo"]
-        assert memo["window_synthesis"][1] is None
-        assert memo["window_rows"][0] == np.asarray(other.node_indices, dtype=np.intp).tobytes()
+        assert memo["window_synthesis"][0] == np.asarray(other.node_indices,
+                                                         dtype=np.intp).tobytes()
+        gathers = [v for _, v in memo.values() if isinstance(v, DenseSynthesis)]
+        assert len(gathers) == 1 and gathers[0] is window
 
     def test_ring_route_needs_whole_polar_rings(self):
         # the first rings but one node, and the last rings, take the dense route

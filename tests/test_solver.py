@@ -567,11 +567,11 @@ class TestCauchyRecord:
         first = restrict_to_observation(model, AngularInterval(0.0, np.pi))
         second = restrict_to_observation(model, AngularInterval(0.5, 2.5))
         src = make_source_basis(model, second, 1)[0]
-        rows = model.window_rows(first)
+        rows = model.window_synthesis(first).rows
         rec = cauchy_record(model, 2.0, cos_potential(0.3), src, second)
         assert np.array_equal(rec.u_values,
                               model.node_basis()[second.node_indices] @ rec.solution.values)
-        again = model.window_rows(first)
+        again = model.window_synthesis(first).rows
         assert again is not rows
         assert np.array_equal(again, rows)
 
