@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fields import require, require_count, require_indices, require_tolerance
 from .models import ObservationSet, SpectralModel
-from .solver import forward_map, solve_schrodinger, source_matrix
+from .solver import forward_map, source_matrix
 
 __all__ = [
     "ExponentialFit",
@@ -86,9 +86,15 @@ def _window_traces(model: SpectralModel, m: float, weighted: np.ndarray,
 
 def heat_trace_of_solution(model: SpectralModel, m: float, V, source, obs: ObservationSet,
                            times) -> HeatTrace:
-    """Forward solve then sample the evolved image of the solution."""
-    u = solve_schrodinger(model, m, V, source)
-    return heat_trace_of_field(model, m, u, obs, times, source_id=source.source_id)
+    """Forward solve then sample the evolved image of the solution.  L u
+    takes the multipliers of the map that solved for u, and a record of the
+    same source (`cauchy_record`) shares its solve."""
+    fmap = forward_map(model, m, V)
+    u = fmap.solve(source_matrix(model, [source]))[:, 0]
+    times = check_times(times)
+    return HeatTrace(times=times,
+                     values=_window_traces(model, m, (fmap.multipliers * u)[:, None], obs, times),
+                     node_indices=obs.node_indices, source_id=source.source_id)
 
 
 # -------------------------------------------------------------- pencil

@@ -56,11 +56,13 @@ def require_finite(value, field: str) -> float:
 
 
 def as_floats(value):
-    """`value` as a float array, or None where it is ragged or not numbers."""
+    """`value` as a float array, or None where it is ragged or not numbers:
+    `decode`'s rule for arrays, so numeric text ("0.5") is not a number."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        values = np.asarray(value)
+    except ValueError:
         return None
+    return values.astype(float, copy=False) if values.dtype.kind in "biuf" else None
 
 
 def require_indices(value, field: str) -> None:

@@ -360,8 +360,12 @@ class SphereMeridianReflection:
 
 
 def _has_shape(value, shape: tuple) -> bool:
-    values = as_floats(value)
-    return values is not None and values.shape == shape
+    """Whether `value` has `shape`, whatever its entries: the caller checks
+    them one by one and names the entry at fault."""
+    try:
+        return np.shape(value) == shape
+    except ValueError:  # ragged
+        return False
 
 
 def _check_family(obj, family) -> None:
@@ -813,7 +817,8 @@ class RoundSphere:
 
     def check_window(self, desc) -> None:
         _check_family(desc, (self.window,))
-        if not _has_shape(desc.center, (2,)):
+        center = as_floats(desc.center)
+        if center is None or center.shape != (2,):
             raise FieldError("center", "expected [colatitude, longitude]")
         if not (is_real(desc.radius) and desc.radius > 0.0):
             raise FieldError("radius", "must be > 0")
@@ -1015,9 +1020,9 @@ def check_window_of(model: SpectralModel, obs: ObservationSet, field: str = "obs
     and weights the model's there.  Compared by value: `with_mixed_blocks`
     copies share the nodes, so one window serves them all."""
     idx = obs.node_indices
-    require(np.all((idx >= 0) & (idx < model.nodes.shape[0]))
-            and np.array_equal(obs.nodes, model.nodes[idx])
-            and np.array_equal(obs.weights, model.weights[idx]), field,
+    require((idx.size == 0 or idx.min() >= 0 and idx.max() < model.nodes.shape[0])
+            and np.array_equal(obs.nodes, np.take(model.nodes, idx, axis=0))
+            and np.array_equal(obs.weights, np.take(model.weights, idx)), field,
             "expected a window restricted on this model (restrict_to_observation)")
 
 

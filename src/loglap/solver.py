@@ -184,7 +184,10 @@ class ForwardMap:
     """The truncated operator H = diag(mult) + G_V with its eigendecomposition.
 
     One `eigh` serves every solve: U = Q diag(1/w) Q^T F.  Build it with
-    `forward_map`, which keeps the latest one on the model.
+    `forward_map`, which keeps the latest one on the model and builds a new
+    one whenever m or V's node values change.  The map keeps its last solve,
+    keyed by the shape and bytes of F, so a record and a trace of one source
+    cost one solve.  Not a field: a `replace` copy starts without it.
     """
 
     matrix: np.ndarray          # H, (D, D)
@@ -192,12 +195,16 @@ class ForwardMap:
     eigenvectors: np.ndarray    # Q, columns orthonormal
     multipliers: np.ndarray     # mult, the V = 0 diagonal
     cond: float
+    min_abs: float              # min |w|
+    threshold: float            # 1e-10 x max(mult): at or below it H is singular
     label: str
 
     def solve(self, F) -> np.ndarray:
-        """Solve H U = F for F of shape (D,) or (D, S).
+        """Solve H U = F for F of shape (D,) or (D, S); the result is read-only.
 
-        Raises SingularOperatorError when the smallest |eigenvalue| is below
+        A (D,) F is solved as the one column of a (D, 1) stack, so both
+        shapes give the same bits and share the kept solve.  Raises
+        SingularOperatorError when the smallest |eigenvalue| is below
         1e-10 x the largest multiplier, and IllConditionedError when a
         column's relative residual is inconsistent with the conditioning.
         """
@@ -205,15 +212,22 @@ class ForwardMap:
         require(F is not None and F.ndim in (1, 2) and F.shape[0] == D and F.size
                 and np.all(np.isfinite(F)), "F",
                 f"expected {D} finite numbers per column, one per basis function")
-        w = self.eigenvalues
-        amin = float(np.min(np.abs(w)))
-        threshold = 1e-10 * float(np.max(self.multipliers))
-        if amin <= threshold:
+        if self.min_abs <= self.threshold:
             raise SingularOperatorError(
                 f"operator with potential '{self.label}' is numerically singular: "
-                f"min |eigenvalue| = {amin:.3e} <= {threshold:.3e}")
-        Q = self.eigenvectors
-        U = Q @ ((Q.T @ F) / (w if F.ndim == 1 else w[:, None]))
+                f"min |eigenvalue| = {self.min_abs:.3e} <= {self.threshold:.3e}")
+        cols = F.reshape(D, -1)
+        key = (cols.shape, cols.tobytes())
+        last = self.__dict__.get("_last")
+        if last is None or last[0] != key:
+            last = self.__dict__["_last"] = (key, self._solve_columns(cols))
+        return last[1][:, 0] if F.ndim == 1 else last[1]
+
+    def _solve_columns(self, F: np.ndarray) -> np.ndarray:
+        """U = Q diag(1/w) Q^T F for a checked (D, S) stack F, read-only,
+        after each column's residual check."""
+        w, Q = self.eigenvalues, self.eigenvectors
+        U = Q @ ((Q.T @ F) / w[:, None])
         fnorm = np.linalg.norm(F, axis=0)
         res = np.linalg.norm(self.matrix @ U - F, axis=0)
         rel_res = float(np.max(np.divide(res, fnorm, out=np.zeros_like(res),
@@ -223,6 +237,7 @@ class ForwardMap:
             raise IllConditionedError(
                 f"solve residual {rel_res:.3e} exceeds {res_limit:.3e}; "
                 "the truncated operator is too badly conditioned")
+        U.setflags(write=False)
         return U
 
 
@@ -242,7 +257,8 @@ def forward_map(model: SpectralModel, m: float, V: PotentialField) -> ForwardMap
         amax = float(np.max(np.abs(w)))
         cond = amax / amin if amin > 0 else np.inf
         return ForwardMap(matrix=H, eigenvalues=w, eigenvectors=Q, multipliers=mult,
-                          cond=cond, label=V.label)
+                          cond=cond, min_abs=amin, threshold=1e-10 * float(np.max(mult)),
+                          label=V.label)
 
     key = (check_mass(m), V.node_values(model).tobytes())
     return model.memo("forward_map", key, build)

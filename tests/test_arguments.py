@@ -281,6 +281,8 @@ CASES = {
     # chart points, one rule for every argument that holds points
     "points-nan-kernel": (lambda: heat_kernel(half_circle(6)[0], 2.0, 0.5, [np.nan], [0.1]),
                           FieldError, "x"),
+    "points-numeric-text-basis": (lambda: small_model("circle").eigenfunction_values(["0.5"]),
+                                  FieldError, "points"),
     "centers-nan-sources": (lambda: sphere_sources([[np.nan, 0.1]]), FieldError, "centers[0]"),
     "centers-ragged-sources": (lambda: sphere_sources([[[0.1], [0.2, 0.3]]]), FieldError,
                                "centers[0]"),
@@ -403,6 +405,8 @@ CASES = {
     "radius-text-cap": (lambda: restrict_to_observation(build_model("sphere", 4),
                                                         SphericalCap((0.0, 0.0), "a")),
                         FieldError, "radius"),
+    "center-numeric-text-cap": (lambda: restrict_to_observation(
+        build_model("sphere", 4), SphericalCap(("0", "0"), 1.2)), FieldError, "center"),
     **{f"isometry-{name}": (lambda kind=kind, iso=iso: apply_isometry(
         small_model(kind), iso, [0.5] * (1 if kind == "circle" else 2)), FieldError, field)
        for name, kind, iso, field in (
@@ -424,7 +428,7 @@ CASES = {
     "samples-text-project": (lambda: field_from_samples(half_circle(6)[0], ["a"] * 64),
                              FieldError, "f_values"),
     **{f"F-{name}-solve": (lambda F=F: solve_half_circle(F), FieldError, "F")
-       for name, F in (("short", np.ones(5)), ("text", ["a"] * 11),
+       for name, F in (("short", np.ones(5)), ("text", ["a"] * 11), ("numeric-text", ["0.5"] * 11),
                        ("ragged", [[1.0], [2.0, 3.0]]), ("nan", np.full(11, np.nan)))},
     "solution-array-trace": (lambda: trace([0.5], np.ones(11)), FieldError, "solution"),
     "truncation-float": (lambda: build_model("circle", 2.5), FieldError, "truncation"),

@@ -31,6 +31,7 @@ import pytest
 import loglap
 from loglap import models
 from loglap.errors import FieldError
+from loglap.solver import ForwardMap
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -63,10 +64,21 @@ def test_benchmark_ops_and_probe_run(monkeypatch):
                                                   PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    for workload in (workloads.SphereForward(42, smoke=True),
-                     workloads.UcpSweep(42, smoke=True)):
+    sphere = workloads.SphereForward(42, smoke=True)
+    for workload in (sphere, workloads.UcpSweep(42, smoke=True)):
         workload.warm_up()
         workload.op(0)
+    # a record and a trace of one source share one solve: over an op, count
+    # the solves that ForwardMap does not serve from the one it keeps
+    fresh, solve_columns = [], ForwardMap._solve_columns
+
+    def counting(fmap, F):
+        fresh.append(F.shape)
+        return solve_columns(fmap, F)
+
+    monkeypatch.setattr(ForwardMap, "_solve_columns", counting)
+    sphere.op(1)
+    assert len(fresh) == len(sphere.sources), fresh
     reached = {kind: best for kind, (best, _) in workloads.working_range().items()}
     assert reached["circle"] >= 8 and reached["torus"] >= 10 and reached["sphere"] >= 7, reached
 

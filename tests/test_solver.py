@@ -24,6 +24,7 @@ from loglap.models import (
 from loglap.extraction import default_time_grid, heat_trace_of_solution
 from loglap.solver import (
     CauchyRecord,
+    ForwardMap,
     PotentialField,
     SourceFunction,
     assemble_potential_matrix,
@@ -88,6 +89,19 @@ def circle(K, quad=None):
 
 def cos_potential(scale=1.0):
     return PotentialField(lambda th: scale * np.cos(th), label=f"{scale}*cos")
+
+
+def count_fresh_solves(monkeypatch):
+    """The shapes of the stacks that `ForwardMap.solve` solves afresh, not
+    from the solve the map keeps, listed as they happen."""
+    shapes, solve_columns = [], ForwardMap._solve_columns
+
+    def counting(fmap, F):
+        shapes.append(F.shape)
+        return solve_columns(fmap, F)
+
+    monkeypatch.setattr(ForwardMap, "_solve_columns", counting)
+    return shapes
 
 
 # ---------------------------------------------------------------- potential
@@ -317,6 +331,74 @@ class TestForwardMap:
         assert third is not second
         expect = np.diag(third.multipliers) + assemble_potential_matrix(model, V)
         assert np.array_equal(third.matrix, expect)
+
+    def test_record_and_trace_of_a_source_share_one_solve(self, monkeypatch):
+        model = build_model("sphere", 6)
+        obs = restrict_to_observation(model, SphericalCap((0.0, 0.0), 1.2))
+        sources = make_source_basis(model, obs, 3, order=3, seed=1)
+        V = PotentialField(lambda p: 0.2 * np.cos(p[:, 0]), label="0.2*cos")
+        times = default_time_grid(model, 2.0)
+        fresh = count_fresh_solves(monkeypatch)
+        for src in sources:
+            rec = cauchy_record(model, 2.0, V, src, obs)
+            trace = heat_trace_of_solution(model, 2.0, V, src, obs, times)
+            assert trace.source_id == rec.source_id
+        assert fresh == [(model.total_dim, 1)] * 3
+
+    @pytest.mark.parametrize("shape", ["vector", "column"])
+    def test_kept_solve_is_a_fresh_solve(self, shape, monkeypatch):
+        model = circle(16)
+        fmap = forward_map(model, 2.0, cos_potential(0.4))
+        f = np.random.default_rng(2).standard_normal(model.total_dim)
+        F = f if shape == "vector" else f[:, None]
+        fresh = count_fresh_solves(monkeypatch)
+        # the other shape fills the kept solve; a (D,) F is its (D, 1) column
+        first = fmap.solve(f[:, None] if shape == "vector" else f)
+        kept = fmap.solve(F.copy())
+        assert len(fresh) == 1 and kept.shape == F.shape
+        # a `replace` copy holds no solve, so it solves afresh
+        again = dataclasses.replace(fmap).solve(F)
+        assert len(fresh) == 2
+        assert kept.tobytes() == again.tobytes() == first.tobytes()
+
+    def test_f_changed_in_place_is_solved_again(self, monkeypatch):
+        model = circle(8)
+        fmap = forward_map(model, 2.0, cos_potential(0.3))
+        F = np.random.default_rng(4).standard_normal((model.total_dim, 2))
+        fresh = count_fresh_solves(monkeypatch)
+        U = fmap.solve(F)
+        F[0, 1] += 1.0
+        U2 = fmap.solve(F)
+        assert len(fresh) == 2
+        assert np.array_equal(U2[:, 0], U[:, 0]) and not np.array_equal(U2[:, 1], U[:, 1])
+        assert np.linalg.norm(fmap.matrix @ U2 - F) < 1e-12 * np.linalg.norm(F)
+
+    def test_new_m_or_potential_solves_afresh(self, monkeypatch):
+        model = circle(8)
+        amp = np.array([0.3])
+        V = PotentialField(lambda th: amp[0] * np.cos(th), label="amp*cos")
+        f = np.ones(model.total_dim)
+        fresh = count_fresh_solves(monkeypatch)
+        first = forward_map(model, 2.0, V).solve(f)
+        second = forward_map(model, 3.0, V).solve(f)
+        amp[0] = 0.5
+        fmap = forward_map(model, 3.0, V)
+        third = fmap.solve(f)
+        assert len(fresh) == 3
+        assert not np.array_equal(first, second) and not np.array_equal(second, third)
+        assert np.linalg.norm(fmap.matrix @ third - f) < 1e-12 * np.linalg.norm(f)
+
+    def test_solutions_are_read_only_and_kept_apart(self):
+        model = circle(8)
+        fmap = forward_map(model, 2.0, cos_potential(0.3))
+        rng = np.random.default_rng(6)
+        u = fmap.solve(rng.standard_normal(model.total_dim))
+        held = u.copy()
+        U = fmap.solve(rng.standard_normal((model.total_dim, 3)))
+        for out in (u, U):
+            with pytest.raises(ValueError, match="read-only"):
+                out[0] = 0.0
+        assert np.array_equal(u, held)
 
     @pytest.mark.parametrize("m", [0.5, 1.0])
     def test_mass_at_most_one_rejected(self, m):
