@@ -200,15 +200,14 @@ class OrthonormalityReport:
 @dataclass(frozen=True)
 class WindowSampling:
     """Where the continuation certificate samples a window and how it
-    factors the samples B, the certificate's basis (the model's, or a flat
-    torus's window-centred parity basis) at `n_points` window points.  B's
-    columns split into groups (column selector, how often the group's
-    singular values count); `factors()` gives one (w x w) factor R per group
-    of w columns, with R^T R = B^T B on the group, and the model's
-    `certificate` memo keeps them under `key`.  `points` are where the basis
-    is evaluated, None where the factors are built per axis."""
+    factors the samples B, the certificate's basis (the model's, a flat
+    torus's window-centred parity basis or a cap's cap-centred basis) at
+    `n_points` window points.  B's columns split into groups (column
+    selector, how often the group's singular values count); `factors()`
+    gives one (w x w) factor R per group of w columns, with R^T R = B^T B
+    on the group, and the model's `certificate` memo keeps them under
+    `key`."""
 
-    points: Optional[np.ndarray]
     n_points: int
     groups: tuple
     key: tuple
@@ -613,7 +612,7 @@ class FlatTorus:
         if points is not None:
             offsets = points - self._centre(desc)
             return _evaluated(lambda: self.window_values(offsets, table),
-                              ("offsets", offsets.tobytes()), points, points.shape[0],
+                              ("offsets", offsets.tobytes()), points.shape[0],
                               ((slice(None), 1),))
         axes = self._centred_axes(desc, count)
         k, p = np.abs(table["lattice"]), table["parities"]
@@ -637,7 +636,7 @@ class FlatTorus:
                 out.append(R)
             return tuple(out)
 
-        return WindowSampling(None, math.prod(y.size for y in axes), groups,
+        return WindowSampling(math.prod(y.size for y in axes), groups,
                               ("centred", *(y.tobytes() for y in axes)), factors)
 
     def window_synthesis(self, model, idx) -> None:
@@ -818,7 +817,7 @@ class RoundSphere:
     def check_window(self, desc) -> None:
         _check_family(desc, (self.window,))
         center = as_floats(desc.center)
-        if center is None or center.shape != (2,):
+        if center is None or center.shape != (2,) or not np.all(np.isfinite(center)):
             raise FieldError("center", "expected [colatitude, longitude]")
         if not (is_real(desc.radius) and desc.radius > 0.0):
             raise FieldError("radius", "must be > 0")
@@ -845,29 +844,29 @@ class RoundSphere:
         return _cap_chart_to_sphere(desc.center, gg.ravel(), aa.ravel())
 
     def window_sampling(self, model, desc, count: int, points):
-        """The `window_points` grid of a cap centred on the basis pole, one
-        column group per azimuthal order; None for explicit `points` and for
-        any other cap.
+        """The `window_points` grid of any cap, one column group per
+        azimuthal order; None for explicit `points`.
 
-        There every ring point has colatitude arccos(cos gamma), so each
-        column is a Legendre factor on the rings times a trig factor on the
-        n_az > 2 lmax equispaced longitudes, and columns of distinct (order,
-        kind) are orthogonal.  At longitude 0 the cosine columns (for m = 0
-        the only kind) hold the Legendre factors the sine columns share, so
-        each order m >= 1 counts twice; L's multipliers depend on the degree
-        only, so this holds for the certificate's image rows too.
+        The grid is R applied to the polar grid of the cap's radius, R the
+        rotation that takes the basis pole to the cap centre, so in the
+        cap-centred basis Y(R^-1 x), which spans each degree block (where
+        L's multiplier is constant), every cap of one radius has the polar
+        cap's samples.  There each column is a Legendre factor on the rings
+        times a trig factor on the n_az > 2 lmax equispaced longitudes, and
+        columns of distinct (order, kind) are orthogonal.  At longitude 0
+        the cosine columns (for m = 0 the only kind) hold the Legendre
+        factors the sine columns share, so each order m >= 1 counts twice.
         """
-        if points is not None or float(desc.center[0]) != 0.0:
+        if points is not None:
             return None
         gammas, n_az = self._ring_grid(desc, count)
-        rings = _cap_chart_to_sphere(desc.center, gammas, np.zeros_like(gammas))
-        rings[:, 1] = 0.0  # where every cosine factor is 1
+        rings = np.column_stack([np.arccos(np.cos(gammas)), np.zeros_like(gammas)])
         table = model.basis_table
         even = table["kinds"] != 2
         groups = tuple((np.flatnonzero(even & (table["orders"] == m)), 1 if m == 0 else 2)
                        for m in range(int(np.max(table["degrees"])) + 1))
         return _evaluated(lambda: model.eigenfunction_values(rings), ("orders", rings.tobytes()),
-                          rings, rings.shape[0] * n_az, groups)
+                          rings.shape[0] * n_az, groups)
 
     def window_synthesis(self, model, idx) -> Optional[RingSynthesis]:
         """The ring route when the window's node indices `idx` are the first
@@ -1016,11 +1015,12 @@ def restrict_to_observation(model: SpectralModel, descriptor) -> ObservationSet:
 
 
 def check_window_of(model: SpectralModel, obs: ObservationSet, field: str = "obs") -> None:
-    """`obs` must be a window of `model`: its indices in range and its nodes
-    and weights the model's there.  Compared by value: `with_mixed_blocks`
-    copies share the nodes, so one window serves them all."""
-    idx = obs.node_indices
-    require((idx.size == 0 or idx.min() >= 0 and idx.max() < model.nodes.shape[0])
+    """`obs` must be a window of `model`: an integer index array in range,
+    and its nodes and weights the model's there.  Compared by value:
+    `with_mixed_blocks` copies share the nodes, so one window serves them."""
+    idx, n = obs.node_indices, model.nodes.shape[0]
+    require(isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"
+            and (idx.size == 0 or idx.min() >= 0 and idx.max() < n)
             and np.array_equal(obs.nodes, np.take(model.nodes, idx, axis=0))
             and np.array_equal(obs.weights, np.take(model.weights, idx)), field,
             "expected a window restricted on this model (restrict_to_observation)")
@@ -1043,16 +1043,16 @@ def _square(R: np.ndarray) -> np.ndarray:
     return np.pad(R, ((0, R.shape[1] - R.shape[0]), (0, 0)))
 
 
-def _evaluated(values: Callable[[], np.ndarray], key: tuple, points, n_points: int,
+def _evaluated(values: Callable[[], np.ndarray], key: tuple, n_points: int,
                groups) -> WindowSampling:
-    """The sampling that evaluates `values()` at `points` and takes one QR
-    per group.  The groups follow from the model and the route that `key`
-    names, so the key need not hold them."""
+    """The sampling that evaluates `values()` and takes one QR per group.
+    The groups follow from the model and the route that `key` names, so the
+    key need not hold them."""
     def factors():
         B = values()
         return tuple(np.linalg.qr(B[:, cols], mode="r") for cols, _ in groups)
 
-    return WindowSampling(points, n_points, groups, key, factors)
+    return WindowSampling(n_points, groups, key, factors)
 
 
 def certificate_sampling(model: SpectralModel, descriptor, count: int,
@@ -1061,11 +1061,11 @@ def certificate_sampling(model: SpectralModel, descriptor, count: int,
     and how it factors the samples.  An untransformed basis takes its
     manifold's `window_sampling`: on a flat torus the window-centred parity
     basis, per parity class on the `interior_points` grid for `count`
-    (`FlatTorus.window_sampling`); on a cap centred on the sphere basis's
-    pole, per azimuthal order.  A transform, block mixing included, mixes
-    what those routes keep apart; it, an off-pole cap and explicit points on
-    a sphere evaluate the model's basis at the points as one group of all
-    columns counted once.  Explicit `points` must lie in the window."""
+    (`FlatTorus.window_sampling`); on a sphere cap the cap-centred basis,
+    per azimuthal order.  A transform, block mixing included, mixes what
+    those routes keep apart; it and explicit points on a sphere evaluate
+    the model's basis at the points as one group of all columns counted
+    once.  Explicit `points` must lie in the window."""
     if points is None:
         _check_sampling(model, descriptor, count)
     else:
@@ -1082,7 +1082,7 @@ def certificate_sampling(model: SpectralModel, descriptor, count: int,
     if points is None:
         points = interior_points(model, descriptor, count)
     return _evaluated(lambda: model.eigenfunction_values(points), ("points", points.tobytes()),
-                      points, points.shape[0], ((slice(None), 1),))
+                      points.shape[0], ((slice(None), 1),))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ fault numpy or a later step would otherwise report late or not at all.
 """
 
 import re
+from dataclasses import replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -43,8 +44,8 @@ from loglap.extraction import (
 from loglap.models import (AngularInterval, CircleReflection, CircleRotation,
                            SphereAxialRotation, SphereMeridianReflection, SphericalCap,
                            TorusAxisReflection, TorusBox, TorusTranslation, apply_isometry,
-                           build_model, interior_points, restrict_to_observation,
-                           verify_orthonormality, with_mixed_blocks)
+                           build_model, certificate_sampling, check_window_of, interior_points,
+                           restrict_to_observation, verify_orthonormality, with_mixed_blocks)
 from loglap.recovery import isometry_gauge_check, recover_potential, ucp_nullspace_test
 from loglap.solver import (
     PotentialField,
@@ -158,6 +159,13 @@ def foreign_window(name):
                 "nodes": {"quadrature": 128}}[name]
     return restrict_to_observation(build_model("circle", 6, **geometry),
                                    AngularInterval(0.0, np.pi))
+
+
+def recast_window(cast):
+    """`check_window_of` on `half_circle(6)`'s window, its node indices
+    passed through `cast`."""
+    model, obs, _ = half_circle(6)
+    return check_window_of(model, replace(obs, node_indices=cast(obs.node_indices)))
 
 
 def with_window(obs):
@@ -348,6 +356,8 @@ CASES = {
     **{f"window-{name}-{entry}": (call, FieldError, field)
        for name in ("quadrature", "radius", "nodes")
        for entry, (call, field) in with_window(foreign_window(name)).items()},
+    **{f"window-{name}-indices": (lambda cast=cast: recast_window(cast), FieldError, "obs")
+       for name, cast in (("float", lambda idx: idx.astype(float)), ("list", list))},
     "window-radius-equality-b": (lambda: heat_kernel_equality_check(
         half_circle(6)[0], half_circle(6)[0], 2.0, half_circle(6)[1],
         foreign_window("radius"), [0.5]), FieldError, "obs_b"),
@@ -407,6 +417,11 @@ CASES = {
                         FieldError, "radius"),
     "center-numeric-text-cap": (lambda: restrict_to_observation(
         build_model("sphere", 4), SphericalCap(("0", "0"), 1.2)), FieldError, "center"),
+    # a sampling grid that reads no centre still checks it
+    **{f"center-{name}-{entry}": (lambda value=value, call=call: call(
+        build_model("sphere", 4), SphericalCap((value, 0.0), 1.0), 64), FieldError, "center")
+       for name, value in (("nan", np.nan), ("inf", np.inf))
+       for entry, call in (("certificate", certificate_sampling), ("interior", interior_points))},
     **{f"isometry-{name}": (lambda kind=kind, iso=iso: apply_isometry(
         small_model(kind), iso, [0.5] * (1 if kind == "circle" else 2)), FieldError, field)
        for name, kind, iso, field in (

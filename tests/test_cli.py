@@ -154,6 +154,18 @@ def run_cli(sub, cfg_path, out, *extra):
     return main([sub, "--config", cfg_path, "--out", str(out), "--quiet", *extra])
 
 
+def assert_same_ucp_reports(tmp_path, configs):
+    """`loglap ucp` on each config passes and writes the same report, up to
+    the window descriptor, which differs."""
+    docs, descriptors = [], []
+    for i, cfg in enumerate(configs):
+        out = tmp_path / f"out{i}"
+        assert run_cli("ucp", write_config(tmp_path, cfg, f"{i}.json"), out) == 0
+        docs.append(json.loads((out / "ucp_report.json").read_text()))
+        descriptors.append(docs[-1]["fields"].pop("descriptor"))
+    assert descriptors[0] != descriptors[1] and docs[0] == docs[1]
+
+
 class TestValidation:
 
     def test_missing_m_names_field(self):
@@ -371,8 +383,8 @@ class TestSubcommands:
             observation={"kind": "interval", "start": 0.0,
                          "end": float(np.pi / 2)}), "deg.json")
         assert run_cli("ucp", degenerate, tmp_path / "out2") == 1
-        # a cap centred on the sphere's pole takes the per-order route and
-        # must certify what the dense sample matrix certifies
+        # a sphere cap takes the per-order route and must certify what the
+        # dense sample matrix certifies
         polar = write_config(tmp_path, sphere_config(
             model={"kind": "sphere", "truncation": 16},
             observation={"kind": "cap", "center": [0.0, 0.0], "radius": 2.6}),
@@ -398,13 +410,14 @@ class TestSubcommands:
     ], ids=["arc", "box"])
     def test_ucp_report_invariant_under_translation(self, tmp_path, configs):
         # a translated flat window certifies the same, bit for bit
-        docs, descriptors = [], []
-        for i, cfg in enumerate(configs):
-            out = tmp_path / f"out{i}"
-            assert run_cli("ucp", write_config(tmp_path, cfg, f"{i}.json"), out) == 0
-            docs.append(json.loads((out / "ucp_report.json").read_text()))
-            descriptors.append(docs[-1]["fields"].pop("descriptor"))
-        assert descriptors[0] != descriptors[1] and docs[0] == docs[1]
+        assert_same_ucp_reports(tmp_path, configs)
+
+    def test_ucp_report_invariant_under_rotation(self, tmp_path):
+        # a sphere cap certifies the same wherever it sits, bit for bit
+        assert_same_ucp_reports(tmp_path, [sphere_config(
+            model={"kind": "sphere", "truncation": 16},
+            observation={"kind": "cap", "center": center, "radius": 2.4})
+            for center in ([0.0, 0.0], [0.9, 1.7])])
 
     def test_recover_run(self, tmp_path):
         cfg = write_config(tmp_path, circle_config(

@@ -175,20 +175,42 @@ def test_parity_basis_spans_each_orbit():
         model.nodes - centre, model.basis_table))) <= 1e-13
 
 
-def certificate_basis(model, desc, points):
-    """The basis the certificate normalises: the parity basis about the
-    window centre on an untransformed flat torus, the model's basis else."""
-    if model.transform is None and model.kind != "sphere":
+def cap_frame(desc, points):
+    """Sphere chart points x as R^-1 x, R = [e_1 e_2 n] the rotation that
+    takes the pole to the cap centre n, with e_1 and e_2 the unit
+    colatitude and longitude directions at n."""
+    tc, pc = desc.center
+    frame = np.array([[np.cos(tc) * np.cos(pc), np.cos(tc) * np.sin(pc), -np.sin(tc)],
+                      [-np.sin(pc), np.cos(pc), 0.0],
+                      [np.sin(tc) * np.cos(pc), np.sin(tc) * np.sin(pc), np.cos(tc)]])
+    colat, lon = np.asarray(points).T
+    x = np.column_stack([np.sin(colat) * np.cos(lon), np.sin(colat) * np.sin(lon),
+                         np.cos(colat)])
+    y = x @ frame.T
+    return np.column_stack([np.arccos(np.clip(y[:, 2], -1.0, 1.0)),
+                            np.arctan2(y[:, 1], y[:, 0])])
+
+
+def certificate_basis(model, desc, points, grid=True):
+    """The basis the certificate normalises: on an untransformed flat torus
+    the parity basis about the window centre; on an untransformed sphere's
+    default `grid` the cap-centred basis, the model's basis at R^-1 x; the
+    model's basis else (a transform, or explicit points on a sphere)."""
+    if model.transform is not None:
+        return model.eigenfunction_values(points)
+    if model.kind != "sphere":
         return parity_basis(model, points, window_centre(desc))
-    return model.eigenfunction_values(points)
+    return model.eigenfunction_values(cap_frame(desc, points) if grid else points)
 
 
-def dense_certificate(model, m, obs, include_image, multiplier=4):
+def dense_certificate(model, m, obs, include_image, multiplier=4, points=None):
     """The certificate straight from its definition: normalise the columns
-    of [B; B diag(mult)] (or of B), B in `certificate_basis`, and take every
-    singular value."""
-    pts = interior_points(model, obs.descriptor, multiplier * model.total_dim)
-    B = certificate_basis(model, obs.descriptor, pts)
+    of [B; B diag(mult)] (or of B), B in `certificate_basis` at the default
+    grid or the explicit `points`, and take every singular value."""
+    grid = points is None
+    if grid:
+        points = interior_points(model, obs.descriptor, multiplier * model.total_dim)
+    B = certificate_basis(model, obs.descriptor, points, grid)
     if include_image:
         lam = model.flat_eigenvalues()
         B = np.vstack([B, B * ((lam + m) * np.log(lam + m))[None, :]])
@@ -206,7 +228,7 @@ DENSE_CASES = {
     # the leading six eigenspaces of a truncation-12 model, built at 6
     "sphere-K-below-truncation": ("sphere", 6, {}, SphericalCap((0.9, 1.7), 1.4)),
     "circle-quarter-degenerate": ("circle", 16, {}, AngularInterval(0.0, np.pi / 2)),
-    # caps centred on the basis pole take the per-order route
+    # caps centred on the basis pole, whose cap-centred basis is the model's
     "sphere-polar": ("sphere", 8, {}, SphericalCap((0.0, 0.0), 2.4)),
     "sphere-polar-longitude-K16": ("sphere", 16, {}, SphericalCap((0.0, 1.3), 2.6)),
     "sphere-polar-K-below-truncation": ("sphere", 6, {}, SphericalCap((0.0, 0.0), 2.4)),
@@ -219,17 +241,17 @@ DENSE_CASES = {
 }
 
 
-def assert_matches_dense(report, model, obs, include_image, multiplier=4):
-    null_dim, sv = dense_certificate(model, 2.0, obs, include_image, multiplier)
+def assert_matches_dense(report, model, obs, include_image, multiplier=4, points=None):
+    null_dim, sv = dense_certificate(model, 2.0, obs, include_image, multiplier, points)
     assert report.null_dimension == null_dim
     assert report.passed == (null_dim == 0)
     assert abs(report.smallest_singular - sv[-1]) <= 1e-10 * sv[0]
 
 
 class TestUcpDenseReference:
-    """Both variants go through the samples' triangular factor, and polar
+    """Both variants go through the samples' triangular factor, and sphere
     caps through one block per azimuthal order; each must certify what the
-    dense P x D or 2P x D stack certifies."""
+    dense P x D or 2P x D stack certifies in the basis it normalises."""
 
     @pytest.mark.parametrize("include_image", [True, False], ids=["image", "solution"])
     @pytest.mark.parametrize("case", DENSE_CASES.values(), ids=DENSE_CASES.keys())
@@ -249,8 +271,10 @@ class TestCertificateSampling:
                                          "explicit-points"])
     def test_one_group_of_all_columns(self, variant, monkeypatch):
         # a flat torus's default grid splits into parity classes
-        # (TestUcpAxisRoute); its explicit points, like every dense input,
-        # form one group in the basis the certificate normalises
+        # (TestUcpAxisRoute) and a sphere cap's into orders
+        # (TestUcpPolarCapRoute); explicit points, like every dense input,
+        # form one group in the basis the certificate normalises, on a
+        # sphere the model's own, also off the pole
         model, desc = build_model("sphere", 8), SphericalCap((0.0, 0.0), 2.4)
         if variant == "circle":
             model, desc = build_model("circle", 16), AngularInterval(0.0, 4.7)
@@ -263,7 +287,7 @@ class TestCertificateSampling:
             model = with_mixed_blocks(model, seed=3)
         count = 4 * model.total_dim
         expected = interior_points(model, desc, count)
-        points = expected[::2] if variant in ("explicit-points", "circle", "torus") else None
+        points = None if variant == "mixed-blocks" else expected[::2]
         flat = variant in ("circle", "torus")
         drawn = []
 
@@ -277,7 +301,6 @@ class TestCertificateSampling:
         sampling = certificate_sampling(model, desc, count, points)
         assert len(drawn) == (points is None)
         given = expected if points is None else points
-        assert np.array_equal(sampling.points, given)
         assert sampling.n_points == given.shape[0]
         assert len(sampling.groups) == 1
         cols, times = sampling.groups[0]
@@ -288,7 +311,7 @@ class TestCertificateSampling:
         calls = count_basis_calls(monkeypatch)
         (R,) = sampling.factors()
         assert len(calls) == (not flat)
-        B = certificate_basis(model, desc, given)
+        B = certificate_basis(model, desc, given, grid=points is None)
         assert R.shape == (model.total_dim,) * 2
         assert np.max(np.abs(R.T @ R - B.T @ B)) <= 1e-12 * np.max(np.abs(B.T @ B))
 
@@ -305,6 +328,32 @@ def count_basis_calls(monkeypatch):
 
     monkeypatch.setattr(models.SpectralModel, "eigenfunction_values", counting)
     return calls
+
+
+ROUTE_WINDOWS = {
+    "circle": ({}, AngularInterval(0.3, 4.7)),
+    "torus": ({"edges": (2 * np.pi, 3.0)}, TorusBox(((0.5, 4.5), (0.2, 2.5)))),
+    "sphere": ({}, SphericalCap((0.9, 1.7), 1.4)),
+}
+
+
+@pytest.mark.parametrize("kind", models._MANIFOLDS)
+def test_default_grid_takes_a_structured_route(kind, monkeypatch):
+    # every catalog geometry factors the default grid of an untransformed
+    # model in column groups without forming the P x D samples; a new
+    # geometry needs a window here, and a route, not the dense fallback
+    kwargs, desc = ROUTE_WINDOWS[kind]
+    model = build_model(kind, 8, **kwargs)
+    drawn, evaluated = [], count_basis_calls(monkeypatch)
+    monkeypatch.setattr(models, "interior_points", lambda *args: drawn.append(args))
+    if hasattr(model.manifold, "window_values"):
+        values = type(model.manifold).window_values
+        monkeypatch.setattr(type(model.manifold), "window_values", lambda self, y, table: (
+            evaluated.append(values(self, y, table)) or evaluated[-1]))
+    sampling = certificate_sampling(model, desc, 4 * model.total_dim)
+    factors = sampling.factors()
+    assert drawn == [] and len(factors) == len(sampling.groups) > 1
+    assert all(B.shape[0] < sampling.n_points for B in evaluated)
 
 
 MEMO_CASES = {
@@ -333,9 +382,13 @@ class TestCertificateMemo:
         model = build_model(kind, K, **kwargs)
         obs = restrict_to_observation(model, desc)
         sampling = certificate_sampling(model, desc, 4 * model.total_dim)
-        per_axis = sampling.points is None
-        samples = certificate_basis(model, desc, interior_points(
-            model, desc, 4 * model.total_dim) if per_axis else sampling.points)
+        per_axis = sampling.key[0] == "centred"
+        if kind == "sphere":  # the route evaluates the basis on the polar rings
+            gammas, _ = model.manifold._ring_grid(desc, 4 * model.total_dim)
+            samples = model.eigenfunction_values(np.column_stack([gammas, 0 * gammas]))
+        else:
+            samples = certificate_basis(model, desc, interior_points(
+                model, desc, 4 * model.total_dim))
         calls = count_basis_calls(monkeypatch)
         held, built, memo = [], [], models.SpectralModel.memo
 
@@ -400,20 +453,21 @@ class TestCertificateMemo:
     def test_mixed_copy_starts_empty(self, monkeypatch):
         model = build_model("sphere", 8)
         obs = restrict_to_observation(model, SphericalCap((0.9, 1.7), 1.4))
-        plain = ucp_nullspace_test(model, 2.0, obs, include_image=False)
+        points = interior_points(model, obs.descriptor, 4 * model.total_dim)
+        plain = ucp_nullspace_test(model, 2.0, obs, include_image=False, points=points)
         calls = count_basis_calls(monkeypatch)
         mixed = with_mixed_blocks(model, seed=3)
-        report = ucp_nullspace_test(mixed, 2.0, obs, include_image=False)
+        report = ucp_nullspace_test(mixed, 2.0, obs, include_image=False, points=points)
         # same points, so only an empty memo makes the copy evaluate its own basis
         assert len(calls) == 1
-        assert not np.array_equal(calls[0], model.eigenfunction_values(
-            certificate_sampling(model, obs.descriptor, 4 * model.total_dim).points))
+        assert not np.array_equal(calls[0], model.eigenfunction_values(points))
         assert report.n_points == plain.n_points
 
 
 class TestUcpPolarCapRoute:
-    """On a cap centred on the basis pole the default samples sit on rings
-    of n_az equispaced longitudes, and the certificate splits by order."""
+    """In the cap-centred frame the default samples of every cap sit on
+    rings of n_az equispaced longitudes about the pole, and the certificate
+    splits by order."""
 
     @pytest.mark.parametrize("multiplier", [2, 4, 7])
     @pytest.mark.parametrize("K", [8, 32])
@@ -421,13 +475,12 @@ class TestUcpPolarCapRoute:
         model = build_model("sphere", K)
         desc = SphericalCap((0.0, 0.7), 2.6)
         sampling = certificate_sampling(model, desc, multiplier * K * K)
-        ring_points = sampling.points
-        n_az = sampling.n_points // ring_points.shape[0]
+        gammas, n_az = model.manifold._ring_grid(desc, multiplier * K * K)
         # distinct orders, and the two kinds of one order, stay orthogonal
         # on n_az equispaced longitudes exactly when n_az > 2 (K - 1); the
         # order blocks are overdetermined when there are at least K rings
-        assert n_az > 2 * (K - 1)
-        assert ring_points.shape[0] >= K
+        assert n_az > 2 * (K - 1) and sampling.n_points == gammas.size * n_az
+        assert gammas.size >= K
         B = model.eigenfunction_values(
             interior_points(model, desc, multiplier * K * K))
         assert B.shape[0] == sampling.n_points
@@ -445,21 +498,21 @@ class TestUcpPolarCapRoute:
     @pytest.mark.parametrize("include_image", [True, False], ids=["image", "solution"])
     @pytest.mark.parametrize("variant", ["mixed-blocks", "explicit-points", "near-pole"])
     def test_other_inputs_take_dense_route(self, variant, include_image):
+        # a transform, and explicit points on any cap, evaluate the model's
+        # own basis; near the pole its report differs from the cap-centred one
         model = build_model("sphere", 8)
-        desc = SphericalCap((0.0, 0.0), 2.4)
+        desc = SphericalCap((1e-3, 0.0) if variant == "near-pole" else (0.0, 0.0), 2.4)
         points = None
         if variant == "mixed-blocks":
             model = with_mixed_blocks(model, seed=3)
-        elif variant == "explicit-points":
-            points = interior_points(model, desc, 4 * model.total_dim)
         else:
-            desc = SphericalCap((1e-3, 0.0), 2.4)
+            points = interior_points(model, desc, 4 * model.total_dim)
         obs = restrict_to_observation(model, desc)
         assert len(certificate_sampling(model, desc, 4 * model.total_dim,
                                         points).groups) == 1
         report = ucp_nullspace_test(model, 2.0, obs, include_image=include_image,
                                     points=points)
-        assert_matches_dense(report, model, obs, include_image)
+        assert_matches_dense(report, model, obs, include_image, points=points)
 
 
 FLAT_GEOMETRIES = [("torus", {"edges": edges}) for edges in (
@@ -500,7 +553,7 @@ class TestUcpAxisRoute:
             assert_matches_dense(report, model, obs, include_image, multiplier)
         count = multiplier * model.total_dim
         sampling = certificate_sampling(model, desc, count)
-        assert sampling.points is None
+        assert sampling.key[0] == "centred"
         held = model.memo("certificate", sampling.key, lambda: pytest.fail("not held"))
         B = parity_basis(model, interior_points(model, desc, count), window_centre(desc))
         gram = B.T @ B
@@ -600,6 +653,29 @@ class TestUcpTranslationInvariance:
                             for r in (ucp_nullspace_test(model, 2.0, obs, include_image=inc)
                                       for inc in (True, False))])
         assert all(r == reports[0] for r in reports)
+
+
+CAP_CENTRES = [(0.0, 0.0), (0.0, 1.3), (0.9, 1.7), (1.6, 0.3), (np.pi, 0.0)]
+
+
+class TestUcpRotationInvariance:
+    """Every rotation of the round sphere is an isometry, and the
+    certificate normalises in the cap-centred basis: caps of equal radius
+    get the same report wherever they sit, bit for bit, from one memo key."""
+
+    @pytest.mark.parametrize("K", [8, 16, 32])
+    @pytest.mark.parametrize("radius", [1.4, 2.4])
+    def test_rotated_caps_agree(self, radius, K):
+        reports, keys = [], set()
+        for centre in CAP_CENTRES:
+            # a fresh model per cap, so that no memo is shared
+            model = build_model("sphere", K)
+            obs = restrict_to_observation(model, SphericalCap(centre, radius))
+            reports.append([(r.null_dimension, r.smallest_singular, r.n_points)
+                            for r in (ucp_nullspace_test(model, 2.0, obs, include_image=inc)
+                                      for inc in (True, False))])
+            keys.add(certificate_sampling(model, obs.descriptor, 4 * model.total_dim).key)
+        assert all(r == reports[0] for r in reports) and len(keys) == 1
 
 
 # ---------------------------------------------------------------- recovery
