@@ -26,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionError, QuadratureConvergenceError
-from .fields import as_floats, is_real, require, require_count, require_tolerance
+from .fields import (as_floats, is_real, require, require_count, require_finite,
+                     require_indices, require_tolerance)
 from .models import (ObservationSet, SpectralModel, as_points, check_window_of,
                      geodesic_distance, project_function)
 
@@ -56,11 +57,10 @@ __all__ = [
 ]
 
 
-def check_mass(m: float) -> float:
-    """The mass offset must be finite and exceed 1 so that log(lam + m) stays positive."""
-    m = float(m)
-    require(m < np.inf, "m", "expected a finite number")
-    require(m > 1.0, "m", "must be > 1")
+def check_mass(m: float, field: str = "m") -> float:
+    """A finite real mass > 1, so that log(lam + m) stays positive; faults name `field`."""
+    m = require_finite(m, field)
+    require(m > 1.0, field, "must be > 1")
     return m
 
 
@@ -109,7 +109,7 @@ class FieldCoefficients:
 
 @dataclass
 class HeatTrace:
-    """Columnar record of a time-evolved field on observation nodes."""
+    """Columnar record of a time-evolved field: a row per time, a column per node index."""
 
     times: np.ndarray
     values: np.ndarray  # shape (len(times), number of nodes)
@@ -121,6 +121,10 @@ class HeatTrace:
         self.values = np.asarray(self.values, dtype=float)
         require(self.values.ndim == 2 and self.values.shape[0] == self.times.size, "values",
                 "expected one row per time")
+        if self.node_indices is not None:
+            require(np.shape(self.node_indices) == self.values.shape[1:], "node_indices",
+                    f"expected {self.values.shape[1]} entries, one per value column")
+            require_indices(self.node_indices, "node_indices")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ the restricted eigenfamilies, and compares two such datasets block by block.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -65,15 +65,14 @@ def heat_trace_of_field(model: SpectralModel, m: float, solution: FieldCoefficie
     require(np.shape(getattr(solution, "values", None)) == (model.total_dim,), "solution",
             f"expected the FieldCoefficients of a field with {model.total_dim} coefficients")
     weighted = l_multiplier(model.flat_eigenvalues(), m) * solution.values
-    return HeatTrace(times=times,
-                     values=_window_traces(model, m, weighted[:, None], obs, times),
-                     node_indices=obs.node_indices, source_id=source_id)
+    return _window_traces(model, m, weighted[:, None], obs, times, [source_id])[1][0]
 
 
 def _window_traces(model: SpectralModel, m: float, weighted: np.ndarray,
-                   obs: ObservationSet, times: np.ndarray) -> np.ndarray:
-    """e^{-tA} of each weighted coefficient column (D, S) on the window, as
-    one (T, S*|O|) array whose columns s*|O| .. (s+1)*|O|-1 are source s.
+                   obs: ObservationSet, times: np.ndarray, source_ids: list) -> tuple:
+    """(values, traces): e^{-tA} of each weighted coefficient column (D, S) on
+    the window, as one (T, S*|O|) array whose columns s*|O| .. (s+1)*|O|-1 are
+    source s, and the HeatTrace of source_ids[s], a column slice of it.
 
     Every column of block k decays at the rate lambda_k + m, also in a basis
     rotated inside each eigenspace, so the model's window synthesis reduces
@@ -81,20 +80,27 @@ def _window_traces(model: SpectralModel, m: float, weighted: np.ndarray,
     decay product.
     """
     per_block = model.window_synthesis(obs).per_block(weighted)
-    return decay(np.outer(times, model.eigenvalues + m)) @ per_block.reshape(model.truncation, -1)
+    values = decay(np.outer(times, model.eigenvalues + m)) @ per_block.reshape(model.truncation, -1)
+    n = obs.size
+    return values, [HeatTrace(times=times, values=values[:, s * n:(s + 1) * n],
+                              node_indices=obs.node_indices, source_id=source_id)
+                    for s, source_id in enumerate(source_ids)]
+
+
+def _window_pass(model, m, V, obs, sources, times) -> tuple:
+    """(F, values, traces): one solve of F = [f_1 ... f_S] and its `_window_traces`.
+    L u takes the multipliers of the map that solved for u, so a record of
+    the same sources (`cauchy_records`) shares the solve."""
+    F = source_matrix(model, sources)
+    fmap = forward_map(model, m, V)
+    return F, *_window_traces(model, m, fmap.multipliers[:, None] * fmap.solve(F), obs, times,
+                              [src.source_id for src in sources])
 
 
 def heat_trace_of_solution(model: SpectralModel, m: float, V, source, obs: ObservationSet,
                            times) -> HeatTrace:
-    """Forward solve then sample the evolved image of the solution.  L u
-    takes the multipliers of the map that solved for u, and a record of the
-    same source (`cauchy_record`) shares its solve."""
-    fmap = forward_map(model, m, V)
-    u = fmap.solve(source_matrix(model, [source]))[:, 0]
-    times = check_times(times)
-    return HeatTrace(times=times,
-                     values=_window_traces(model, m, (fmap.multipliers * u)[:, None], obs, times),
-                     node_indices=obs.node_indices, source_id=source.source_id)
+    """Forward solve then sample the evolved image of the solution: a one-source pass."""
+    return _window_pass(model, m, V, obs, [source], check_times(times))[2][0]
 
 
 # -------------------------------------------------------------- pencil
@@ -195,7 +201,7 @@ def extract_exponents(trace: HeatTrace, max_order: int) -> ExponentialFit:
 
 @dataclass
 class GelfandData:
-    """Spectral data as seen from the observation set.
+    """Spectral data as seen from `window`, the observation set they were made on.
 
     families[k] holds node samples of a family spanning the residues the
     traces reveal at rate k, so its width is multiplicities[k].  Both modes
@@ -208,21 +214,17 @@ class GelfandData:
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
     families: list[np.ndarray]
-    nodes: np.ndarray
-    weights: np.ndarray
-    node_indices: np.ndarray
+    window: ObservationSet
     mass: float
-    mode: str
+    mode: Literal["internal", "blind"]
     provenance: list[str] = field(default_factory=list)
     traces: Optional[list[HeatTrace]] = field(default=None, metadata={"in_memory": True})
 
     def __post_init__(self):
-        n_nodes, n_blocks = len(np.atleast_1d(self.nodes)), len(np.atleast_1d(self.eigenvalues))
-        for name, count, per in (("weights", n_nodes, "node"), ("node_indices", n_nodes, "node"),
-                                 ("multiplicities", n_blocks, "eigenvalue")):
-            require(np.shape(getattr(self, name)) == (count,), name,
-                    f"expected {count} entries, one per {per}")
-        require_indices(self.node_indices, "node_indices")
+        check_mass(self.mass, "mass")
+        n_nodes, n_blocks = self.window.size, len(np.atleast_1d(self.eigenvalues))
+        require(np.shape(self.multiplicities) == (n_blocks,), "multiplicities",
+                f"expected {n_blocks} entries, one per eigenvalue")
         require_indices(self.multiplicities, "multiplicities")
         require(len(self.families) == n_blocks, "families",
                 f"expected {n_blocks} entries, one per eigenvalue")
@@ -251,14 +253,8 @@ def build_gelfand_data(model: SpectralModel, m: float, V, obs: ObservationSet,
     require(mode in ("internal", "blind"), "mode",
             f"expected 'internal' or 'blind', found {mode!r}")
     sources = list(sources)
-    F = source_matrix(model, sources)
     times = default_time_grid(model, m) if times is None else check_times(times)
-    fmap = forward_map(model, m, V)
-    values = _window_traces(model, m, fmap.multipliers[:, None] * fmap.solve(F), obs, times)
-    n = obs.size
-    traces = [HeatTrace(times=times, values=values[:, s * n:(s + 1) * n],
-                        node_indices=obs.node_indices, source_id=src.source_id)
-              for s, src in enumerate(sources)]
+    F, values, traces = _window_pass(model, m, V, obs, sources, times)
     fit = extract_exponents(HeatTrace(times=times, values=values), model.truncation)
 
     # residues per (source, node, rate) in the weighted node geometry
@@ -272,8 +268,7 @@ def build_gelfand_data(model: SpectralModel, m: float, V, obs: ObservationSet,
     if mode == "internal":
         _check_catalog(model, m, F, fit.exponents, multiplicities)
     return GelfandData(eigenvalues=fit.exponents - m, multiplicities=multiplicities,
-                       families=families, nodes=obs.nodes, weights=obs.weights,
-                       node_indices=obs.node_indices, mass=float(m), mode=mode,
+                       families=families, window=obs, mass=float(m), mode=mode,
                        provenance=[s.source_id for s in sources], traces=traces)
 
 
@@ -287,10 +282,8 @@ def _check_catalog(model, m, F, exponents, multiplicities):
     """Raise unless the fitted rates are the catalog's, one per eigenspace,
     and each rate's residues span exactly that eigenspace's dimension."""
     expected_mu = model.eigenvalues + m
-    if expected_mu.size > 1:
-        match_tol = 0.5 * float(np.min(np.diff(expected_mu)))
-    else:
-        match_tol = 0.5 * float(expected_mu[0])
+    gaps = np.diff(expected_mu) if expected_mu.size > 1 else expected_mu
+    match_tol = 0.5 * float(np.min(gaps))
 
     excited = _excitation_mask(model, F)
     assignment = np.full(model.truncation, -1, dtype=int)
@@ -369,12 +362,12 @@ def compare_gelfand(a: GelfandData, b: GelfandData, *,
     Both datasets must live on the same observation nodes; principal angles
     are measured in the weighted node geometry of the first dataset.
     """
-    check_shared_nodes(a.nodes, b.nodes, "a and b")
+    check_shared_nodes(a.window.nodes, b.window.nodes, "a and b")
     eig_rtol = require_tolerance(eig_rtol, "eig_rtol")
     angle_tol = require_tolerance(angle_tol, "angle_tol")
     n = min(a.eigenvalues.size, b.eigenvalues.size)
     count_mismatch = a.eigenvalues.size != b.eigenvalues.size
-    sw = np.sqrt(a.weights)
+    sw = np.sqrt(a.window.weights)
 
     gaps = np.empty(n)
     mult_ok = np.empty(n, dtype=bool)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import FieldError, PreconditionError
 from .fields import (as_floats, is_real, require, require_count, require_finite,
-                     require_tolerance)
+                     require_indices, require_tolerance)
 
 __all__ = [
     "SpectralModel",
@@ -177,14 +177,21 @@ class SpectralModel:
         return np.repeat(self.eigenvalues, self.multiplicities)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservationSet:
-    """Open observation region, realized on the model's quadrature nodes."""
+    """Open observation region on the model's quadrature nodes: their indices, rows and weights."""
 
-    descriptor: object
+    descriptor: Window
     node_indices: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        n_nodes = len(np.atleast_1d(self.nodes))
+        for name in ("node_indices", "weights"):
+            require(np.shape(getattr(self, name)) == (n_nodes,), name,
+                    f"expected {n_nodes} entries, one per node")
+        require_indices(self.node_indices, "node_indices")
 
     @property
     def size(self) -> int:
@@ -1002,7 +1009,7 @@ def descriptor_contains(model: SpectralModel, descriptor, points) -> np.ndarray:
 
 
 def restrict_to_observation(model: SpectralModel, descriptor) -> ObservationSet:
-    """Collect the quadrature nodes falling inside an open observation set."""
+    """Collect the quadrature nodes inside an open observation set, read-only."""
     model.manifold.check_window(descriptor)
     inside = model.manifold.window_contains(descriptor, model.nodes)
     idx = np.nonzero(inside)[0]
@@ -1011,7 +1018,10 @@ def restrict_to_observation(model: SpectralModel, descriptor) -> ObservationSet:
             "observation set contains no quadrature nodes; enlarge it or refine quadrature")
     if idx.size == model.nodes.shape[0]:
         raise PreconditionError("observation set must leave nodes in the complement")
-    return ObservationSet(descriptor, idx, model.nodes[idx], model.weights[idx])
+    arrays = idx, model.nodes[idx], model.weights[idx]
+    for array in arrays:
+        array.setflags(write=False)
+    return ObservationSet(descriptor, *arrays)
 
 
 def check_window_of(model: SpectralModel, obs: ObservationSet, field: str = "obs") -> None:
@@ -1019,8 +1029,7 @@ def check_window_of(model: SpectralModel, obs: ObservationSet, field: str = "obs
     and its nodes and weights the model's there.  Compared by value:
     `with_mixed_blocks` copies share the nodes, so one window serves them."""
     idx, n = obs.node_indices, model.nodes.shape[0]
-    require(isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"
-            and (idx.size == 0 or idx.min() >= 0 and idx.max() < n)
+    require(isinstance(idx, np.ndarray) and idx.dtype.kind in "iu" and np.all(idx < n)
             and np.array_equal(obs.nodes, np.take(model.nodes, idx, axis=0))
             and np.array_equal(obs.weights, np.take(model.weights, idx)), field,
             "expected a window restricted on this model (restrict_to_observation)")

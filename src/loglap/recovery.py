@@ -163,6 +163,7 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
     """
     m = check_mass(m)
     check_window_of(model, obs)
+    idx = obs.node_indices
     require(is_real(mask_eps) and 0 <= mask_eps <= 1, "mask_eps", "expected a number in [0, 1]")
     records = list(records)
     require(records, "records", "expected at least one record")
@@ -172,7 +173,7 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
                 "records carry no solution (serialized records hold window data "
                 "only); recover from records made by cauchy_records")
         for name, ok in (("mass", rec.mass == m),
-                         ("node_indices", np.array_equal(rec.node_indices, obs.node_indices)),
+                         ("node_indices", np.array_equal(rec.window.node_indices, idx)),
                          ("solution", rec.solution.model is model)):
             if not ok:
                 raise PreconditionError(f"record {rec.source_id}: {name} disagrees with "
@@ -180,17 +181,17 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
     u = np.column_stack([rec.solution.node_values() for rec in records])
     lu = np.column_stack([apply_L(rec.solution, m).node_values() for rec in records])
     admissible = np.abs(u) > mask_eps * np.max(np.abs(u), axis=0)
-    admissible[obs.node_indices] = False
+    admissible[idx] = False
     candidates = np.divide(-lu, u, out=np.full_like(u, np.nan), where=admissible)
     values = _weighted_median(candidates, np.where(admissible, np.abs(u), 0.0))
     mask = admissible.any(axis=1)
     disagreement = np.fmax.reduce(np.abs(candidates - values[:, None]), axis=1)
 
-    values[obs.node_indices] = v_known.values_at(model, obs.nodes)
-    mask[obs.node_indices] = True
+    values[idx] = v_known.values_at(model, obs.nodes)
+    mask[idx] = True
     return RecoveredPotential(nodes=model.nodes, values=values, mask=mask,
                               disagreement=disagreement,
-                              observation_indices=obs.node_indices.copy())
+                              observation_indices=idx.copy())
 
 
 # ------------------------------------------------------------------ gauge

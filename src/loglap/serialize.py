@@ -7,9 +7,9 @@ Python's shortest round-trip repr, so identical inputs produce
 byte-identical files and every numeric value survives write -> read exactly.
 NaN is confined to the CSV tables (coverage gaps); JSON payloads refuse it.
 
-Records, spectral data and reports are dataclasses, and their JSON payload
-is their fields, written by `fields.encode` and read back by `from_payload`
-field by field from the annotations, so adding a field needs no edit here.
+Records, spectral data and reports are dataclasses, whose JSON payload is
+their fields (a window nests as an object), written by `fields.encode` and
+read back by `from_payload` from the annotations: a new field needs no edit.
 A field whose metadata sets "in_memory" (CauchyRecord.solution) is left out
 of the payload and takes its default on load.
 """

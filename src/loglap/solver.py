@@ -17,11 +17,10 @@ from .errors import (
     SingularOperatorError,
     SupportViolationError,
 )
-from .fields import as_floats, is_real, require, require_count, require_indices
+from .fields import as_floats, is_real, require, require_count
 from .models import (
     ObservationSet,
     SpectralModel,
-    Window,
     as_points,
     geodesic_distance,
     project_function,
@@ -294,9 +293,9 @@ class Solution:
 @dataclass(frozen=True)
 class CauchyRecord:
     """One source's columns of a window pass (`cauchy_records`): solution and
-    operator samples on the observation nodes.  `solution` keeps the full
-    coefficient vector for checks off the observation set; it is in-memory
-    only, so serialized records load with solution None.
+    operator samples on the nodes of `window`, the pass's observation set.
+    `solution` keeps the full coefficient vector for checks off the window;
+    it is in-memory only, so serialized records load with solution None.
     """
 
     kind: str
@@ -304,21 +303,17 @@ class CauchyRecord:
     mass: float
     source_id: str
     potential_label: str
-    descriptor: Window
-    node_indices: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
+    window: ObservationSet
     u_values: np.ndarray
     lu_values: np.ndarray
     solution: Optional[FieldCoefficients] = field(default=None,
                                                   metadata={"in_memory": True})
 
     def __post_init__(self):
-        n_nodes = len(np.atleast_1d(self.nodes))
-        for name in ("node_indices", "weights", "u_values", "lu_values"):
-            require(np.shape(getattr(self, name)) == (n_nodes,), name,
-                    f"expected {n_nodes} entries, one per node")
-        require_indices(self.node_indices, "node_indices")
+        check_mass(self.mass, "mass")
+        for name in ("u_values", "lu_values"):
+            require(np.shape(getattr(self, name)) == (self.window.size,), name,
+                    f"expected {self.window.size} entries, one per node")
 
 
 def cauchy_records(model: SpectralModel, m: float, V: PotentialField,
@@ -330,13 +325,11 @@ def cauchy_records(model: SpectralModel, m: float, V: PotentialField,
     F = source_matrix(model, sources)
     fmap = forward_map(model, m, V)
     U = fmap.solve(F)
-    window = model.window_synthesis(obs)
-    u_obs, lu_obs = window.values(U), window.values(fmap.multipliers[:, None] * U)
+    synthesis = model.window_synthesis(obs)
+    u_obs, lu_obs = synthesis.values(U), synthesis.values(fmap.multipliers[:, None] * U)
     return [CauchyRecord(kind=model.kind, truncation=model.truncation, mass=float(m),
                          source_id=src.source_id, potential_label=V.label,
-                         descriptor=obs.descriptor, node_indices=obs.node_indices.copy(),
-                         nodes=obs.nodes.copy(), weights=obs.weights.copy(),
-                         u_values=u_obs[:, s].copy(), lu_values=lu_obs[:, s].copy(),
+                         window=obs, u_values=u_obs[:, s].copy(), lu_values=lu_obs[:, s].copy(),
                          solution=FieldCoefficients(model, U[:, s].copy()))
             for s, src in enumerate(sources)]
 

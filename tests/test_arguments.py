@@ -132,6 +132,14 @@ def with_mass(m):
                                      "m": m})]
 
 
+def artifact(name):
+    """A record or the spectral data of `half_circle(3)`'s window."""
+    if name == "record":
+        model, obs, sources = half_circle(3)
+        return cauchy_records(model, 2.0, V, sources, obs)[0]
+    return gelfand(64)
+
+
 def foreign_sources(call):
     """`call` on the K=6 circle with the sources of the K=8 circle."""
     model, obs, _ = half_circle(6)
@@ -332,6 +340,11 @@ CASES = {
     # the mass, infinite and at most 1, at every entry point
     **{f"mass-inf-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(np.inf))},
     **{f"mass-one-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(1.0))},
+    # an artifact's mass, as the m it was made with: finite and > 1
+    **{f"mass-{name}-{kind}": (lambda value=value, kind=kind: replace(
+        artifact(kind), mass=value), FieldError, "mass")
+       for name, value in (("one", 1.0), ("inf", np.inf), ("text", "2"))
+       for kind in ("record", "gelfand")},
     # shared window nodes
     "nodes-compare": (lambda: compare_gelfand(gelfand(64), gelfand(128)), PreconditionError,
                       "a and b"),
@@ -356,8 +369,10 @@ CASES = {
     **{f"window-{name}-{entry}": (call, FieldError, field)
        for name in ("quadrature", "radius", "nodes")
        for entry, (call, field) in with_window(foreign_window(name)).items()},
-    **{f"window-{name}-indices": (lambda cast=cast: recast_window(cast), FieldError, "obs")
-       for name, cast in (("float", lambda idx: idx.astype(float)), ("list", list))},
+    # float indices fail where the window is built, a list where it is used
+    **{f"window-{name}-indices": (lambda cast=cast: recast_window(cast), FieldError, field)
+       for name, cast, field in (("float", lambda idx: idx.astype(float), "node_indices"),
+                                 ("list", list, "obs"))},
     "window-radius-equality-b": (lambda: heat_kernel_equality_check(
         half_circle(6)[0], half_circle(6)[0], 2.0, half_circle(6)[1],
         foreign_window("radius"), [0.5]), FieldError, "obs_b"),
@@ -446,6 +461,11 @@ CASES = {
        for name, F in (("short", np.ones(5)), ("text", ["a"] * 11), ("numeric-text", ["0.5"] * 11),
                        ("ragged", [[1.0], [2.0, 3.0]]), ("nan", np.full(11, np.nan)))},
     "solution-array-trace": (lambda: trace([0.5], np.ones(11)), FieldError, "solution"),
+    # a trace's node indices: one integer >= 0 per value column, or none
+    **{f"node_indices-{name}-trace": (lambda idx=idx: HeatTrace(
+        [0.1, 0.2], np.ones((2, 3)), node_indices=idx), FieldError, "node_indices")
+       for name, idx in (("short", [1, 2]), ("negative", [0, -1, 2]),
+                         ("float", [0.0, 1.0, 2.0]))},
     "truncation-float": (lambda: build_model("circle", 2.5), FieldError, "truncation"),
     "potential-nan": (lambda: forward_map(half_circle(6)[0], 2.0, NAN_V), FieldError, "V"),
 }

@@ -12,7 +12,9 @@ class, the catalog is one table of those classes, and the window and
 isometry families are read from it, each class in one manifold's family.
 `make_manifold` takes only the parameters of the kind's constructor.  Only
 the count rule (`fields.require_count`) tests for an integer, and only
-`fields.py` lists a dataclass's fields: the JSON codec has one home.  Every
+`fields.py` lists a dataclass's fields: the JSON codec has one home.  Only
+`ObservationSet` declares a window's node indices and weights: records and
+spectral data hold the window they were made on.  Every
 error class is raised somewhere in the package or is a base of one that is,
 and the package raises no class that `errors.py` does not define.
 """
@@ -230,6 +232,25 @@ def test_the_codec_has_one_home():
              for node in ast.walk(ast.parse((root / "serialize.py").read_text()))
              if isinstance(node, (ast.Name, ast.alias))}
     assert not names & {"WINDOWS", "ISOMETRIES"}, "serialize.py names the tagged families"
+
+
+def window_declarations(tree: ast.AST):
+    """(line, name) of every class whose body declares both `node_indices`
+    and `weights`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            declared = {stmt.target.id for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+            if {"node_indices", "weights"} <= declared:
+                yield node.lineno, node.name
+
+
+def test_the_window_has_one_home():
+    root = Path(loglap.__file__).resolve().parent
+    found = [(f"{path.relative_to(root.parent)}:{line}", name)
+             for path in sorted(root.rglob("*.py"))
+             for line, name in window_declarations(ast.parse(path.read_text(), str(path)))]
+    assert [name for _, name in found] == ["ObservationSet"], f"window fields declared at {found}"
 
 
 def raised_names(tree: ast.AST):

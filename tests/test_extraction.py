@@ -335,6 +335,12 @@ class TestExponentExtraction:
 
 
 class TestBuildGelfandData:
+    def test_data_and_traces_hold_the_window_they_were_given(self):
+        model, obs, basis = circle_setup(5)
+        data = build_gelfand_data(model, 2.0, zero_potential, obs, basis)
+        assert data.window is obs
+        assert all(trace.node_indices is obs.node_indices for trace in data.traces)
+
     def test_circle_catalog_recovery(self):
         model, obs, basis = circle_setup(5)
         data = build_gelfand_data(model, 2.0, zero_potential, obs, basis)
@@ -601,8 +607,7 @@ class TestCompareGelfand:
             multiplicities=np.array([1, 1, 2, 2]),
             families=[data.families[0], data.families[1][:, :1],
                       data.families[2], data.families[3]],
-            nodes=data.nodes, weights=data.weights,
-            node_indices=data.node_indices, mass=data.mass,
+            window=data.window, mass=data.mass,
             mode=data.mode, provenance=list(data.provenance))
         report = compare_gelfand(data, clipped)
         assert not report.passed

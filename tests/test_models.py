@@ -7,7 +7,7 @@ shares no code with the catalog implementation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -376,6 +376,23 @@ class TestObservationSets:
         assert obs.nodes.shape[0] > 0
         assert obs.nodes.shape[0] < model.nodes.shape[0]
         assert np.allclose(obs.weights, model.weights[obs.node_indices])
+
+    def test_window_is_frozen_and_read_only(self):
+        # records and spectral data hold the window itself, not a copy
+        model = build_model("circle", 5)
+        obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
+        for name in ("node_indices", "nodes", "weights"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(obs, name)[0] = 1
+        with pytest.raises(FrozenInstanceError):
+            obs.descriptor = AngularInterval(0.5, 1.0)
+
+    @pytest.mark.parametrize("name", ["node_indices", "weights"])
+    def test_one_index_and_weight_per_node(self, name):
+        model = build_model("circle", 5)
+        obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
+        with pytest.raises(FieldError, match=f"^{name}: expected {obs.size} entries, one per node"):
+            replace(obs, **{name: getattr(obs, name)[1:]})
 
     def test_full_circle_rejected(self):
         model = build_model("circle", 5)

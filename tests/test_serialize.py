@@ -3,7 +3,7 @@
 import json
 import re
 import typing
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from loglap.models import (
     CircleReflection,
     CircleRotation,
     Isometry,
+    ObservationSet,
     SphereAxialRotation,
     SphereMeridianReflection,
     SphericalCap,
@@ -66,6 +67,11 @@ from loglap.solver import (CauchyRecord, PotentialField, Solution, cauchy_record
 def payload_equal(a, b) -> bool:
     """Equality on what an artifact stores (in-memory fields are not part of it)."""
     return type(a) is type(b) and encode(a) == encode(b)
+
+
+def in_window(payload, **changes):
+    """A record or spectral-data payload with `changes` made to its window."""
+    return {**payload, "window": {**payload["window"], **changes}}
 
 
 def half_circle(K=5, m=2.0):
@@ -196,13 +202,16 @@ class TestRecordDump:
     @pytest.mark.parametrize("name", ["node_indices", "weights", "u_values", "lu_values"])
     def test_disagreeing_lengths_refused(self, name):
         record = self._record()
+        owner = record.window if name in ("node_indices", "weights") else record
         with pytest.raises(FieldError, match=f"^{name}: expected 31 entries, one per node"):
-            replace(record, **{name: getattr(record, name)[:3]})
+            replace(owner, **{name: getattr(owner, name)[:3]})
 
     @pytest.mark.parametrize("doctor, message", [
-        (lambda p: {**p, "u_values": p["u_values"][:3], "weights": p["weights"][:1]},
-         "weights: expected 31 entries, one per node"),
-        (lambda p: {**p, "nodes": p["nodes"][1:]}, "node_indices: expected 30 entries"),
+        (lambda p: in_window({**p, "u_values": p["u_values"][:3]},
+                             weights=p["window"]["weights"][:1]),
+         "window.weights: expected 31 entries, one per node"),
+        (lambda p: in_window(p, nodes=p["window"]["nodes"][1:]),
+         "window.node_indices: expected 30 entries"),
         (lambda p: {**p, "lu_values": [p["lu_values"]]}, "lu_values: expected 31 entries"),
     ], ids=["u-and-weights", "nodes", "lu_values"])
     def test_disagreeing_lengths_name_file_and_field(self, tmp_path, doctor, message):
@@ -217,14 +226,14 @@ class TestRecordDump:
     def test_indices_not_counts_refused(self, tmp_path, shift):
         record = self._record()
         with pytest.raises(FieldError, match="^node_indices: expected integers >= 0"):
-            replace(record, node_indices=shift(record.node_indices))
+            replace(record.window, node_indices=shift(record.window.node_indices))
         path = tmp_path / "rec.json"
         dump_record(record, path)
         payload = json.loads(path.read_text())
-        path.write_text(json.dumps({**payload, "node_indices": [
-            shift(i) for i in range(len(payload["node_indices"]))]}))
+        path.write_text(json.dumps(in_window(payload, node_indices=[
+            shift(i) for i in range(len(payload["window"]["node_indices"]))])))
         with pytest.raises(SerializationError, match=re.escape(
-                f"{path}: node_indices: expected integers >= 0")):
+                f"{path}: window.node_indices: expected integers >= 0")):
             load_record(path)
 
     def test_manifest(self, tmp_path):
@@ -491,6 +500,10 @@ def indices_of(shape):
     return hnp.arrays(np.int64, shape, elements=st.integers(0, 2 ** 62))
 
 
+masses = st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)
+modes = st.sampled_from(["internal", "blind"])
+
+
 arrays = arrays_of(shapes)
 pairs = st.tuples(finite, finite)
 KINDS = {Window: st.one_of(
@@ -518,39 +531,45 @@ def values_of(hint):
 
 
 @st.composite
+def windows(draw, n_nodes):
+    """An ObservationSet of `n_nodes` nodes, as its own checks require: one
+    node index (an integer >= 0) and one weight per node."""
+    return ObservationSet(draw(KINDS[Window]), draw(indices_of(n_nodes)),
+                          draw(arrays_of((n_nodes, draw(st.integers(1, 3))))),
+                          draw(arrays_of(n_nodes)))
+
+
+@st.composite
 def gelfand_data(draw):
-    """GelfandData whose shapes agree, as its own checks require: one weight
-    and node index (an integer >= 0) per node, one multiplicity and family
-    per eigenvalue, and families[k] of width multiplicities[k].  There is at
-    least one node, since an empty family cannot keep its width through
-    JSON."""
+    """GelfandData whose shapes agree, as its own checks require: a window,
+    one multiplicity and family per eigenvalue, families[k] of width
+    multiplicities[k] and a row per window node, a mode of the two and a
+    mass > 1.  There is at least one node, since an empty family cannot keep
+    its width through JSON."""
     n_nodes = draw(st.integers(1, 4))
     widths = draw(st.lists(st.integers(0, 3), max_size=4))
     return GelfandData(
         eigenvalues=draw(arrays_of(len(widths))),
         multiplicities=np.array(widths, dtype=np.int64),
         families=[draw(arrays_of((n_nodes, w))) for w in widths],
-        nodes=draw(arrays_of((n_nodes, draw(st.integers(1, 3))))),
-        weights=draw(arrays_of(n_nodes)), node_indices=draw(indices_of(n_nodes)),
-        mass=draw(finite), mode=draw(st.text(max_size=8)),
+        window=draw(windows(n_nodes)), mass=draw(masses), mode=draw(modes),
         provenance=draw(st.lists(st.text(max_size=8), max_size=4)))
 
 
 def built(cls, **fixed):
     """`cls` with each payload field drawn by its annotation, or from `fixed`."""
     hints = typing.get_type_hints(cls)
-    return st.builds(cls, **{f.name: values_of(hints[f.name]) for f in fields(cls)
-                             if not f.metadata.get("in_memory")} | fixed)
+    return st.builds(cls, **fixed, **{f.name: values_of(hints[f.name]) for f in fields(cls)
+                                      if not f.metadata.get("in_memory") and f.name not in fixed})
 
 
 @st.composite
 def cauchy_records(draw):
-    """CauchyRecord whose arrays agree, as its own checks require: one row of
-    nodes, node index (an integer >= 0), weight, u and Lu sample per node."""
+    """CauchyRecord whose arrays agree, as its own checks require: a window,
+    one u and Lu sample per window node, and a mass > 1."""
     n_nodes = draw(st.integers(0, 4))
-    per_node = dict.fromkeys(("weights", "u_values", "lu_values"), arrays_of(n_nodes))
-    return draw(built(CauchyRecord, nodes=arrays_of((n_nodes, draw(st.integers(1, 3)))),
-                      node_indices=indices_of(n_nodes), **per_node))
+    per_node = dict.fromkeys(("u_values", "lu_values"), arrays_of(n_nodes))
+    return draw(built(CauchyRecord, window=windows(n_nodes), mass=masses, **per_node))
 
 
 def instances(cls):
@@ -564,7 +583,9 @@ def instances(cls):
 def array_pairs(a, b):
     for f in fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, list) and isinstance(y, list):
+        if is_dataclass(x) and is_dataclass(y):
+            yield from array_pairs(x, y)
+        elif isinstance(x, list) and isinstance(y, list):
             yield from (pair for pair in zip(x, y) if isinstance(pair[0], np.ndarray))
         elif isinstance(x, np.ndarray):
             yield x, y
@@ -646,8 +667,12 @@ class TestMalformedArtifacts:
          "ambient: unknown field of GelfandData"),
         (lambda p: [p], "expected a JSON object, found list"),
         (lambda p: {**p, "mass": "two"}, "mass: expected a finite number"),
-        (lambda p: {**p, "mode": 3}, "mode: expected a string"),
-        (lambda p: {**p, "node_indices": [[1, 2], [3]]}, "node_indices: not a rectangular array"),
+        (lambda p: {**p, "mode": 3}, "mode: expected one of ['internal', 'blind'], found 3"),
+        (lambda p: {**p, "mode": "nonsense"},
+         "mode: expected one of ['internal', 'blind'], found 'nonsense'"),
+        (lambda p: {**p, "mass": 0.5}, "mass: must be > 1"),
+        (lambda p: in_window(p, node_indices=[[1, 2], [3]]),
+         "window.node_indices: not a rectangular array"),
         (lambda p: {**p, "families": [["a"]]}, "families[0]: expected an array of numbers"),
         (lambda p: {**p, "families": {"0": []}}, "families: expected a list"),
         (lambda p: {**p, "version": 2}, "version: unsupported version 2"),
@@ -656,22 +681,43 @@ class TestMalformedArtifacts:
                                       *p["families"][2:]]}, "families[1]: expected shape"),
         (lambda p: {**p, "multiplicities": p["multiplicities"][1:]},
          "multiplicities: expected 5 entries, one per eigenvalue"),
-        (lambda p: {**p, "weights": p["weights"][1:]}, "weights: expected 31 entries, one per node"),
-        (lambda p: {**p, "node_indices": [i + 0.5 for i in p["node_indices"]]},
-         "node_indices: expected integers >= 0"),
-        (lambda p: {**p, "node_indices": [-1 - i for i in p["node_indices"]]},
-         "node_indices: expected integers >= 0"),
+        (lambda p: in_window(p, weights=p["window"]["weights"][1:]),
+         "window.weights: expected 31 entries, one per node"),
+        (lambda p: in_window(p, node_indices=[i + 0.5 for i in p["window"]["node_indices"]]),
+         "window.node_indices: expected integers >= 0"),
+        (lambda p: in_window(p, node_indices=[-1 - i for i in p["window"]["node_indices"]]),
+         "window.node_indices: expected integers >= 0"),
         (lambda p: {**p, "multiplicities": [float(k) for k in p["multiplicities"]]},
          "multiplicities: expected integers >= 0"),
-    ], ids=["missing", "unknown", "ambient", "list", "scalar", "string", "ragged", "strings",
-            "not-a-list", "version", "format", "family-shape", "multiplicities", "weights",
-            "fractional-indices", "negative-indices", "float-multiplicities"])
+        (lambda p: {**{k: v for k, v in p.items() if k != "window"},
+                    **{k: v for k, v in p["window"].items() if k != "descriptor"}},
+         "node_indices: unknown field of GelfandData"),
+    ], ids=["missing", "unknown", "ambient", "list", "scalar", "string", "mode", "low-mass",
+            "ragged", "strings", "not-a-list", "version", "format", "family-shape",
+            "multiplicities", "weights", "fractional-indices", "negative-indices",
+            "float-multiplicities", "flat-window"])
     def test_gelfand_errors_name_the_field(self, tmp_path, doctor, message):
         path = _gelfand_path(tmp_path)
         path.write_text(json.dumps(doctor(json.loads(path.read_text()))))
         with pytest.raises(SerializationError, match=f"^{path}: ") as info:
             load_gelfand(path)
         assert message in str(info.value)
+
+    @pytest.mark.parametrize("doctor, message", [
+        (lambda p: in_window(p, weights=p["window"]["weights"][1:]),
+         "window.weights: expected 31 entries, one per node"),
+        (lambda p: {**p, "mass": 0.5}, "mass: must be > 1"),
+        (lambda p: {**{k: v for k, v in p.items() if k != "window"}, **p["window"]},
+         "descriptor: unknown field of CauchyRecord"),
+    ], ids=["window-weights", "low-mass", "flat-window"])
+    def test_record_errors_name_the_field(self, tmp_path, doctor, message):
+        # a file written before records nested their window is refused, by
+        # the first of its window fields in sorted order
+        path = tmp_path / "rec.json"
+        dump_record(TestRecordDump._record(), path)
+        path.write_text(json.dumps(doctor(json.loads(path.read_text()))))
+        with pytest.raises(SerializationError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_record(path)
 
     def test_truncated_json(self, tmp_path):
         path = _gelfand_path(tmp_path)

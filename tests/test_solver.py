@@ -669,7 +669,7 @@ class TestCauchyRecord:
         assert rec.potential_label == "0.3*cos"
         assert rec.u_values.shape == (obs.size,)
         assert rec.lu_values.shape == (obs.size,)
-        assert np.array_equal(rec.nodes, obs.nodes)
+        assert np.array_equal(rec.window.nodes, obs.nodes)
         assert rec.solution.values.shape == (model.total_dim,)
 
     def test_record_immutable(self):
@@ -716,7 +716,7 @@ class TestCauchyRecords:
             for a, b in ((rec.u_values, alone.u_values), (rec.lu_values, alone.lu_values),
                          (rec.solution.values, alone.solution.values)):
                 assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
-            assert np.array_equal(rec.nodes, obs.nodes)
+            assert np.array_equal(rec.window.nodes, obs.nodes)
 
     @pytest.mark.parametrize("case", ["circle", "torus", "sphere", "mixed"])
     def test_one_source_batch_is_the_mat_vec_record(self, case):
@@ -735,6 +735,12 @@ class TestCauchyRecords:
                 assert np.max(np.abs(values - dense)) <= 1e-13 * np.max(np.abs(dense))
             else:
                 assert np.array_equal(values, dense)
+
+    @pytest.mark.parametrize("case", ["circle", "sphere"])
+    def test_records_hold_the_window_they_were_given(self, case):
+        model, obs, V = window_case(case)
+        records = cauchy_records(model, 2.0, V, make_source_basis(model, obs, 4), obs)
+        assert all(rec.window is obs for rec in records)
 
     def test_no_sources_rejected(self):
         model, obs, V = window_case("circle")
