@@ -236,10 +236,10 @@ def heat_kernel_equality_check(model_a: SpectralModel, model_b: SpectralModel,
     """
     check_mass(m)
     tolerance = require_tolerance(tolerance, "tolerance")
-    check_shared_nodes(obs_a.nodes, obs_b.nodes, "obs_a and obs_b")
     times = check_times(times)
     check_window_of(model_a, obs_a, "obs_a")
     check_window_of(model_b, obs_b, "obs_b")
+    check_shared_nodes(obs_a.nodes, obs_b.nodes, "obs_a and obs_b")
     rows_a = model_a.node_basis()[obs_a.node_indices]
     rows_b = model_b.node_basis()[obs_b.node_indices]
     mu_a = model_a.flat_eigenvalues() + m

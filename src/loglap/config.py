@@ -254,7 +254,8 @@ def config_potential(cfg: ExperimentConfig) -> PotentialField:
     if spec.id == "zero":
         return zero_potential
     if spec.id == "constant":
-        return PotentialField(const=float(spec.value), label=f"constant({spec.value})")
+        return PotentialField(lambda coords: np.full(len(coords), float(spec.value)),
+                              label=f"constant({spec.value})")
 
     def harmonic(coords):
         pts = np.asarray(coords, dtype=float).reshape(len(coords), -1)  # circle: (P,)
@@ -273,8 +274,7 @@ def config_sources(cfg: ExperimentConfig, model: SpectralModel,
 
 
 def config_times(cfg: ExperimentConfig, model: SpectralModel) -> np.ndarray:
+    """The default grid, or a uniform one with as many samples."""
     spec = cfg.times
-    if spec.kind == "default":
-        return default_time_grid(model, cfg.m, samples=spec.samples)
-    return np.linspace(spec.start, spec.stop,
-                       spec.samples if spec.samples is not None else 4 * model.truncation)
+    grid = default_time_grid(model, cfg.m, samples=spec.samples)
+    return grid if spec.kind == "default" else np.linspace(spec.start, spec.stop, grid.size)

@@ -221,6 +221,7 @@ class GelfandData:
     traces: Optional[list[HeatTrace]] = field(default=None, metadata={"in_memory": True})
 
     def __post_init__(self):
+        require(isinstance(self.window, ObservationSet), "window", "expected an ObservationSet")
         check_mass(self.mass, "mass")
         n_nodes, n_blocks = self.window.size, len(np.atleast_1d(self.eigenvalues))
         require(np.shape(self.multiplicities) == (n_blocks,), "multiplicities",

@@ -179,7 +179,9 @@ class SpectralModel:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Open observation region on the model's quadrature nodes: their indices, rows and weights."""
+    """Open observation region on the model's quadrature nodes: their indices,
+    rows and weights.  Holds read-only copies of the arrays it is given, so
+    records and spectral data can share it."""
 
     descriptor: Window
     node_indices: np.ndarray
@@ -187,11 +189,19 @@ class ObservationSet:
     weights: np.ndarray
 
     def __post_init__(self):
+        require(type(self.descriptor) in WINDOWS, "descriptor",
+                f"expected one of {[c.name for c in WINDOWS]}")
         n_nodes = len(np.atleast_1d(self.nodes))
         for name in ("node_indices", "weights"):
             require(np.shape(getattr(self, name)) == (n_nodes,), name,
                     f"expected {n_nodes} entries, one per node")
+        require(isinstance(self.node_indices, np.ndarray), "node_indices",
+                "expected an array of integers >= 0")
         require_indices(self.node_indices, "node_indices")
+        for name in ("node_indices", "nodes", "weights"):
+            array = np.array(getattr(self, name))
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def size(self) -> int:
@@ -1018,18 +1028,16 @@ def restrict_to_observation(model: SpectralModel, descriptor) -> ObservationSet:
             "observation set contains no quadrature nodes; enlarge it or refine quadrature")
     if idx.size == model.nodes.shape[0]:
         raise PreconditionError("observation set must leave nodes in the complement")
-    arrays = idx, model.nodes[idx], model.weights[idx]
-    for array in arrays:
-        array.setflags(write=False)
-    return ObservationSet(descriptor, *arrays)
+    return ObservationSet(descriptor, idx, model.nodes[idx], model.weights[idx])
 
 
 def check_window_of(model: SpectralModel, obs: ObservationSet, field: str = "obs") -> None:
-    """`obs` must be a window of `model`: an integer index array in range,
-    and its nodes and weights the model's there.  Compared by value:
+    """`obs` must be a window of `model`: a nonempty one, its indices in
+    range, and its nodes and weights the model's there.  Compared by value:
     `with_mixed_blocks` copies share the nodes, so one window serves them."""
-    idx, n = obs.node_indices, model.nodes.shape[0]
-    require(isinstance(idx, np.ndarray) and idx.dtype.kind in "iu" and np.all(idx < n)
+    require(isinstance(obs, ObservationSet), field, "expected an ObservationSet")
+    idx = obs.node_indices
+    require(idx.size and np.all(idx < model.nodes.shape[0])
             and np.array_equal(obs.nodes, np.take(model.nodes, idx, axis=0))
             and np.array_equal(obs.weights, np.take(model.weights, idx)), field,
             "expected a window restricted on this model (restrict_to_observation)")

@@ -227,10 +227,9 @@ def isometry_gauge_check(model: SpectralModel, m: float, V: PotentialField,
 
     # stage 1: intertwining on a random truncated field
     u = random_field(model, seed=seed)
-    mapped_nodes = apply_isometry(model, isometry, model.nodes)
-    pulled = field_from_samples(model, u.evaluate(mapped_nodes))
-    lhs = apply_L(pulled, m).node_values()
-    rhs = apply_L(u, m).evaluate(mapped_nodes)
+    B = model.eigenfunction_values(apply_isometry(model, isometry, model.nodes))
+    lhs = apply_L(field_from_samples(model, B @ u.values), m).node_values()
+    rhs = B @ apply_L(u, m).values
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
     intertwining = float(np.max(np.abs(lhs - rhs))) / scale
 

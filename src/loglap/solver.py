@@ -37,29 +37,20 @@ class PotentialField:
 
     The callable receives angles (P,) on the circle, coordinate rows (P, n)
     on the torus, and (colatitude, longitude) rows (P, 2) on the sphere.
-    `const` short-circuits to a constant and `func=None, const=None` is the
-    zero potential.
+    `func=None` is the zero potential.
     """
 
     func: Optional[Callable] = None
-    const: Optional[float] = None
     label: str = ""
-
-    def __post_init__(self):
-        require(self.const is None or is_real(self.const), "const", "expected a number or None")
 
     def values_at(self, model: SpectralModel, points) -> np.ndarray:
         pts = as_points(points, model.dimension)
         n = pts.shape[0]
-        if self.func is not None:
-            out = np.asarray(self.func(model.manifold.natural_coordinates(pts)),
-                             dtype=float)
-            require(out.shape == (n,), "V", f"{self.label!r} returned shape {out.shape}, "
-                                            f"expected ({n},)")
-        elif self.const is not None:
-            out = np.full(n, float(self.const))
-        else:
+        if self.func is None:
             return np.zeros(n)
+        out = np.asarray(self.func(model.manifold.natural_coordinates(pts)), dtype=float)
+        require(out.shape == (n,), "V", f"{self.label!r} returned shape {out.shape}, "
+                                        f"expected ({n},)")
         require(np.all(np.isfinite(out)), "V", f"{self.label!r} has non-finite values")
         return out
 
@@ -68,7 +59,7 @@ class PotentialField:
 
     @property
     def is_zero(self) -> bool:
-        return self.func is None and (self.const is None or self.const == 0.0)
+        return self.func is None
 
 
 zero_potential = PotentialField(label="zero")
@@ -310,6 +301,7 @@ class CauchyRecord:
                                                   metadata={"in_memory": True})
 
     def __post_init__(self):
+        require(isinstance(self.window, ObservationSet), "window", "expected an ObservationSet")
         check_mass(self.mass, "mass")
         for name in ("u_values", "lu_values"):
             require(np.shape(getattr(self, name)) == (self.window.size,), name,

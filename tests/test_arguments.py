@@ -170,8 +170,8 @@ def foreign_window(name):
 
 
 def recast_window(cast):
-    """`check_window_of` on `half_circle(6)`'s window, its node indices
-    passed through `cast`."""
+    """`half_circle(6)`'s window rebuilt with its node indices passed
+    through `cast`, then checked by `check_window_of`."""
     model, obs, _ = half_circle(6)
     return check_window_of(model, replace(obs, node_indices=cast(obs.node_indices)))
 
@@ -369,10 +369,12 @@ CASES = {
     **{f"window-{name}-{entry}": (call, FieldError, field)
        for name in ("quadrature", "radius", "nodes")
        for entry, (call, field) in with_window(foreign_window(name)).items()},
-    # float indices fail where the window is built, a list where it is used
-    **{f"window-{name}-indices": (lambda cast=cast: recast_window(cast), FieldError, field)
-       for name, cast, field in (("float", lambda idx: idx.astype(float), "node_indices"),
-                                 ("list", list, "obs"))},
+    **{f"window-none-{entry}": (call, FieldError, field)
+       for entry, (call, field) in with_window(None).items()},
+    # float and list indices fail where the window is built
+    **{f"window-{name}-indices": (lambda cast=cast: recast_window(cast), FieldError,
+                                  "node_indices")
+       for name, cast in (("float", lambda idx: idx.astype(float)), ("list", list))},
     "window-radius-equality-b": (lambda: heat_kernel_equality_check(
         half_circle(6)[0], half_circle(6)[0], 2.0, half_circle(6)[1],
         foreign_window("radius"), [0.5]), FieldError, "obs_b"),
@@ -424,8 +426,6 @@ CASES = {
        for entry, call in with_time(value).items()},
     "radius-text-sources": (lambda: make_source_basis(*half_circle(6)[:2], 2, radius="a"),
                             FieldError, "radius"),
-    "const-text-potential": (lambda: PotentialField(const="a").node_values(half_circle(6)[0]),
-                             FieldError, "const"),
     "lam-text-log": (lambda: log_identity_quadrature("a"), FieldError, "lam"),
     "radius-text-cap": (lambda: restrict_to_observation(build_model("sphere", 4),
                                                         SphericalCap((0.0, 0.0), "a")),

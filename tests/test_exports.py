@@ -11,7 +11,8 @@ what differs between manifolds is a method or class data of the manifold
 class, the catalog is one table of those classes, and the window and
 isometry families are read from it, each class in one manifold's family.
 `make_manifold` takes only the parameters of the kind's constructor.  Only
-the count rule (`fields.require_count`) tests for an integer, and only
+the count rule (`fields.require_count`) tests for an integer, only the
+index rule (`fields.require_indices`) tests an array's dtype for one, and only
 `fields.py` lists a dataclass's fields: the JSON codec has one home.  Only
 `ObservationSet` declares a window's node indices and weights: records and
 spectral data hold the window they were made on.  Every
@@ -202,6 +203,35 @@ def test_only_the_count_rule_tests_for_an_integer():
              for path in sorted(root.rglob("*.py"))
              for line in integral_uses(ast.parse(path.read_text(), str(path)))]
     assert not found, f"integer tests outside the count rule at {found}"
+
+
+def integer_dtype_tests(tree: ast.AST):
+    """Line numbers of every test of an array's dtype for integers outside
+    the index rule `require_indices`: a `.dtype.kind` compared with integer
+    kinds alone ("i", "u", "iu"), or a use of `np.integer`."""
+    rule = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "require_indices"
+            for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if id(node) in rule:
+            continue
+        left = getattr(node, "left", None)
+        if (isinstance(node, ast.Compare) and isinstance(left, ast.Attribute)
+                and left.attr == "kind" and getattr(left.value, "attr", None) == "dtype"
+                and any(isinstance(c, ast.Constant) and isinstance(c.value, str) and c.value
+                        and set(c.value) <= set("iu") for c in node.comparators)
+                or isinstance(node, ast.Attribute) and node.attr == "integer"):
+            yield node.lineno
+
+
+def test_only_the_index_rule_tests_an_integer_dtype():
+    # a window's node indices are checked where it is built, so no later
+    # stage repeats the test
+    root = Path(loglap.__file__).resolve().parent
+    found = [f"{path.relative_to(root.parent)}:{line}"
+             for path in sorted(root.rglob("*.py"))
+             for line in integer_dtype_tests(ast.parse(path.read_text(), str(path)))]
+    assert not found, f"integer dtype tests outside the index rule at {found}"
 
 
 def field_listings(tree: ast.AST):

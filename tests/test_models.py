@@ -18,6 +18,7 @@ from loglap.models import (
     CircleReflection,
     CircleRotation,
     DenseSynthesis,
+    ObservationSet,
     RingSynthesis,
     SphereAxialRotation,
     SphericalCap,
@@ -393,6 +394,27 @@ class TestObservationSets:
         obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
         with pytest.raises(FieldError, match=f"^{name}: expected {obs.size} entries, one per node"):
             replace(obs, **{name: getattr(obs, name)[1:]})
+
+    @pytest.mark.parametrize("descriptor", [None, (0.0, np.pi), CircleRotation(0.5)],
+                             ids=["none", "tuple", "isometry"])
+    def test_descriptor_is_a_window(self, descriptor):
+        model = build_model("circle", 5)
+        obs = restrict_to_observation(model, AngularInterval(0.0, np.pi))
+        with pytest.raises(FieldError, match="^descriptor: expected one of"):
+            replace(obs, descriptor=descriptor)
+
+    def test_list_indices_refused_by_hand(self):
+        with pytest.raises(FieldError, match="^node_indices: expected an array of integers"):
+            ObservationSet(AngularInterval(0, 1), [0, 1], np.zeros((2, 1)), np.ones(2))
+
+    def test_window_by_hand_holds_read_only_copies(self):
+        given = np.array([0, 1]), np.zeros((2, 1)), np.ones(2)
+        obs = ObservationSet(AngularInterval(0.0, 1.0), *given)
+        held = obs.node_indices, obs.nodes, obs.weights
+        for array, kept in zip(given, held):
+            assert array.flags.writeable and not kept.flags.writeable
+            array[0] = 7
+            assert 7 not in kept
 
     def test_full_circle_rejected(self):
         model = build_model("circle", 5)

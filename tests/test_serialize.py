@@ -1,6 +1,8 @@
 """Round-trip and determinism tests for the artifact serializers."""
 
+import importlib
 import json
+import pkgutil
 import re
 import typing
 from dataclasses import fields, is_dataclass, replace
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import loglap
 from loglap.calculus import GrigoryanReport, HeatTrace, KernelMatchReport, SanityReport
 from loglap.errors import FieldError
 from loglap.extraction import GelfandData, MatchReport, build_gelfand_data
@@ -646,6 +649,53 @@ class TestFieldCoverage:
         obj = data.draw(instances(cls))
         expected = {f.name for f in fields(cls)} - self.SKIPPED.get(cls, set())
         assert set(encode(obj)) == expected
+
+
+def window_fields() -> list:
+    """(class, field) for every dataclass field in the package annotated `ObservationSet`."""
+    modules = [importlib.import_module(f"loglap.{info.name}")
+               for info in pkgutil.iter_modules(loglap.__path__)]
+    classes = {cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and is_dataclass(cls)}
+    return sorted(((cls, name) for cls in classes
+                   for name, hint in typing.get_type_hints(cls).items()
+                   if hint is ObservationSet), key=lambda pair: pair[0].__name__)
+
+
+class TestWindowFields:
+    """Every field that holds a window refuses what is not one, naming itself."""
+
+    FIELDS = window_fields()
+
+    def test_records_and_spectral_data_hold_windows(self):
+        assert set(self.FIELDS) >= {(CauchyRecord, "window"), (GelfandData, "window")}
+
+    @pytest.mark.parametrize("cls, name", FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in FIELDS])
+    @pytest.mark.parametrize("value", [None, "x", AngularInterval(0.0, 1.0)],
+                             ids=["none", "text", "descriptor"])
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_non_window_refused(self, cls, name, value, data):
+        obj = data.draw(instances(cls))
+        with pytest.raises(FieldError) as info:
+            replace(obj, **{name: value})
+        assert info.value.field == name
+
+    @pytest.mark.parametrize("dump, load", [(dump_record, load_record),
+                                            (dump_gelfand, load_gelfand)],
+                             ids=["record", "gelfand"])
+    def test_loaded_window_is_read_only(self, tmp_path, dump, load):
+        model, obs, m = half_circle()
+        sources = make_source_basis(model, obs, 2)
+        made = (cauchy_record(model, m, zero_potential, sources[0], obs) if dump is dump_record
+                else build_gelfand_data(model, m, zero_potential, obs, sources))
+        dump(made, tmp_path / "artifact.json")
+        loaded = load(tmp_path / "artifact.json")
+        for window in (made.window, loaded.window):
+            for name in ("node_indices", "nodes", "weights"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(window, name)[0] = 1
 
 
 def _gelfand_path(tmp_path):

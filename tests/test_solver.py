@@ -91,6 +91,10 @@ def cos_potential(scale=1.0):
     return PotentialField(lambda th: scale * np.cos(th), label=f"{scale}*cos")
 
 
+def constant_potential(value, label=""):
+    return PotentialField(lambda th: np.full(len(th), value), label=label)
+
+
 def count_fresh_solves(monkeypatch):
     """The shapes of the stacks that `ForwardMap.solve` solves afresh, not
     from the solve the map keeps, listed as they happen."""
@@ -116,7 +120,7 @@ class TestPotentialField:
 
     def test_constant_potential(self):
         model = circle(6)
-        v = PotentialField(const=0.7).node_values(model)
+        v = constant_potential(0.7).node_values(model)
         assert np.all(v == 0.7)
 
     def test_callable_receives_natural_coordinates(self):
@@ -188,7 +192,7 @@ class TestOperatorSpectrum:
 
     def test_constant_potential_shifts_spectrum(self):
         model = circle(8)
-        eigs = forward_map(model, 2.0, PotentialField(const=1.0)).eigenvalues
+        eigs = forward_map(model, 2.0, constant_potential(1.0)).eigenvalues
         assert abs(eigs[0] - SMALLEST_SHIFTED) < 1e-12
         expect = np.sort(l_multiplier(model.flat_eigenvalues(), 2.0) + 1.0)
         assert np.max(np.abs(eigs - expect)) < 1e-12
@@ -248,13 +252,13 @@ class TestSolve:
         # V = -2 log 2 cancels the ground multiplier at m=2
         model = circle(4)
         with pytest.raises(SingularOperatorError):
-            forward_map(model, 2.0, PotentialField(const=-MULT0_M2)).solve(
+            forward_map(model, 2.0, constant_potential(-MULT0_M2)).solve(
                 np.ones(model.total_dim))
 
     def test_condition_limit(self):
         # condition number above 1e6: the solve goes through and is consistent
         model = circle(8)
-        V = PotentialField(const=-MULT0_M2 + 1e-5)
+        V = constant_potential(-MULT0_M2 + 1e-5)
         f = np.ones(model.total_dim)
         fmap = forward_map(model, 2.0, V)
         u = fmap.solve(f)
@@ -414,7 +418,7 @@ class TestForwardMap:
 
     @pytest.mark.parametrize("V", [
         PotentialField(lambda th: np.where(th < 1.0, np.nan, np.cos(th)), label="bad"),
-        PotentialField(const=np.inf, label="bad")], ids=["nan-callable", "inf-constant"])
+        constant_potential(np.inf, "bad")], ids=["nan-callable", "inf-constant"])
     def test_non_finite_potential_rejected(self, V):
         # unchecked, a NaN potential reaches eigh, which fails to converge
         with pytest.raises(FieldError, match="^V: 'bad' has non-finite values"):
