@@ -135,8 +135,8 @@ def extract_exponents(trace: HeatTrace, max_order: int) -> ExponentialFit:
     for name, samples in (("trace.times", times), ("trace.values", vals)):
         require(np.isfinite(samples).all(), name, "expected finite numbers")
     J = times.size
-    require(vals.ndim == 2 and vals.shape[0] == J, "trace.values",
-            "expected one row per sample time")
+    require(vals.ndim == 2 and vals.shape[0] == J and vals.shape[1] > 0, "trace.values",
+            "expected one row per sample time and at least one channel")
     steps = np.diff(times)
     if J < 2 or np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1e-300):
         raise GridTooCoarseError("exponent extraction needs a uniform time grid")

@@ -82,6 +82,24 @@ GOLDEN_ANGLE = 2.399963229728653
 # model container
 
 
+def kept(owner, slot: str, key, build):
+    """`build()` for `key`, which names all its inputs, kept on `owner` in
+    `slot` until another key replaces it.  Callers share it, so its arrays
+    (the value, a tuple value's items or a dataclass value's fields) are made
+    read-only.  Not a field: a `replace` copy of the owner starts empty."""
+    store = owner.__dict__.setdefault("_memo", {})
+    held = store.get(slot)
+    if held is not None and held[0] == key:
+        return held[1]
+    value = build()
+    items = value if isinstance(value, tuple) else getattr(value, "__dict__", {}).values()
+    for a in (value, *items):
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    store[slot] = (key, value)
+    return value
+
+
 @dataclass
 class SpectralModel:
     """Immutable-by-convention bundle of eigendata and quadrature.
@@ -131,22 +149,7 @@ class SpectralModel:
         values = self.manifold.basis_values(as_points(points, self.dimension), self.basis_table)
         return values if self.transform is None else values @ self.transform
 
-    def memo(self, slot: str, key, build):
-        """`build()` for `key`, kept in `slot` until another key replaces it.
-        Callers share it, so its arrays (the value, a tuple value's items or a
-        dataclass value's fields) are made read-only.  Not a field: a
-        `replace` copy starts empty."""
-        store = self.__dict__.setdefault("_memo", {})
-        held = store.get(slot)
-        if held is not None and held[0] == key:
-            return held[1]
-        value = build()
-        items = value if isinstance(value, tuple) else getattr(value, "__dict__", {}).values()
-        for a in (value, *items):
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
-        store[slot] = (key, value)
-        return value
+    memo = kept
 
     def node_basis(self) -> np.ndarray:
         """All basis functions at the quadrature nodes, (N, D), read-only."""
@@ -192,6 +195,7 @@ class ObservationSet:
         require(type(self.descriptor) in WINDOWS, "descriptor",
                 f"expected one of {[c.name for c in WINDOWS]}")
         n_nodes = len(np.atleast_1d(self.nodes))
+        require(n_nodes > 0, "nodes", "expected at least one node")
         for name in ("node_indices", "weights"):
             require(np.shape(getattr(self, name)) == (n_nodes,), name,
                     f"expected {n_nodes} entries, one per node")
@@ -1032,12 +1036,13 @@ def restrict_to_observation(model: SpectralModel, descriptor) -> ObservationSet:
 
 
 def check_window_of(model: SpectralModel, obs: ObservationSet, field: str = "obs") -> None:
-    """`obs` must be a window of `model`: a nonempty one, its indices in
+    """`obs` must be a window of `model`: of its window family, its indices in
     range, and its nodes and weights the model's there.  Compared by value:
     `with_mixed_blocks` copies share the nodes, so one window serves them."""
     require(isinstance(obs, ObservationSet), field, "expected an ObservationSet")
     idx = obs.node_indices
-    require(idx.size and np.all(idx < model.nodes.shape[0])
+    require(type(obs.descriptor) is model.manifold.window
+            and np.all(idx < model.nodes.shape[0])
             and np.array_equal(obs.nodes, np.take(model.nodes, idx, axis=0))
             and np.array_equal(obs.weights, np.take(model.weights, idx)), field,
             "expected a window restricted on this model (restrict_to_observation)")

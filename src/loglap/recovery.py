@@ -14,7 +14,7 @@ import numpy as np
 from .calculus import (apply_L, check_mass, field_from_samples,
                        l_multiplier, random_field)
 from .errors import PreconditionError, UnderdeterminedSamplingError
-from .fields import is_real, require, require_count, require_tolerance
+from .fields import require, require_count, require_tolerance
 from .models import (
     Isometry,
     ObservationSet,
@@ -113,6 +113,8 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet, *,
 
 # --------------------------------------------------------------- recovery
 
+MASK_EPS = 1e-6  # a source is admissible where |u| exceeds this fraction of its largest |u|
+
 
 @dataclass
 class RecoveredPotential:
@@ -149,8 +151,7 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
-                      v_known: PotentialField, records, *,
-                      mask_eps: float = 1e-6) -> RecoveredPotential:
+                      v_known: PotentialField, records) -> RecoveredPotential:
     """Recover the potential outside the window from observation records.
 
     Off the window the sources vanish, so the equation pins the potential
@@ -164,7 +165,6 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
     m = check_mass(m)
     check_window_of(model, obs)
     idx = obs.node_indices
-    require(is_real(mask_eps) and 0 <= mask_eps <= 1, "mask_eps", "expected a number in [0, 1]")
     records = list(records)
     require(records, "records", "expected at least one record")
     for rec in records:
@@ -180,7 +180,7 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
                                         "the model, m and obs of this call")
     u = np.column_stack([rec.solution.node_values() for rec in records])
     lu = np.column_stack([apply_L(rec.solution, m).node_values() for rec in records])
-    admissible = np.abs(u) > mask_eps * np.max(np.abs(u), axis=0)
+    admissible = np.abs(u) > MASK_EPS * np.max(np.abs(u), axis=0)
     admissible[idx] = False
     candidates = np.divide(-lu, u, out=np.full_like(u, np.nan), where=admissible)
     values = _weighted_median(candidates, np.where(admissible, np.abs(u), 0.0))

@@ -22,7 +22,9 @@ from .models import (
     ObservationSet,
     SpectralModel,
     as_points,
+    check_window_of,
     geodesic_distance,
+    kept,
     project_function,
 )
 
@@ -129,6 +131,7 @@ def make_source_basis(model: SpectralModel, obs: ObservationSet, count: int, *,
     Explicit centers or a radius that push a support outside the set raise
     SupportViolationError.
     """
+    check_window_of(model, obs)
     require_count(count, "count")
     if centers is not None:
         require(len(centers) == count, "centers",
@@ -175,9 +178,9 @@ class ForwardMap:
 
     One `eigh` serves every solve: U = Q diag(1/w) Q^T F.  Build it with
     `forward_map`, which keeps the latest one on the model and builds a new
-    one whenever m or V's node values change.  The map keeps its last solve,
-    keyed by the shape and bytes of F, so a record and a trace of one source
-    cost one solve.  Not a field: a `replace` copy starts without it.
+    one whenever m, V's label or V's node values change.  The map keeps its
+    last solve in its own memo (`kept`), keyed by the shape and bytes of F,
+    so a record and a trace of one source cost one solve.
     """
 
     matrix: np.ndarray          # H, (D, D)
@@ -207,15 +210,12 @@ class ForwardMap:
                 f"operator with potential '{self.label}' is numerically singular: "
                 f"min |eigenvalue| = {self.min_abs:.3e} <= {self.threshold:.3e}")
         cols = F.reshape(D, -1)
-        key = (cols.shape, cols.tobytes())
-        last = self.__dict__.get("_last")
-        if last is None or last[0] != key:
-            last = self.__dict__["_last"] = (key, self._solve_columns(cols))
-        return last[1][:, 0] if F.ndim == 1 else last[1]
+        U = kept(self, "solve", (cols.shape, cols.tobytes()), lambda: self._solve_columns(cols))
+        return U[:, 0] if F.ndim == 1 else U
 
     def _solve_columns(self, F: np.ndarray) -> np.ndarray:
-        """U = Q diag(1/w) Q^T F for a checked (D, S) stack F, read-only,
-        after each column's residual check."""
+        """U = Q diag(1/w) Q^T F for a checked (D, S) stack F, after each
+        column's residual check."""
         w, Q = self.eigenvalues, self.eigenvectors
         U = Q @ ((Q.T @ F) / w[:, None])
         fnorm = np.linalg.norm(F, axis=0)
@@ -227,18 +227,14 @@ class ForwardMap:
             raise IllConditionedError(
                 f"solve residual {rel_res:.3e} exceeds {res_limit:.3e}; "
                 "the truncated operator is too badly conditioned")
-        U.setflags(write=False)
         return U
 
 
 def forward_map(model: SpectralModel, m: float, V: PotentialField) -> ForwardMap:
-    """The factored operator for (model, m, V), reused while m and V's node
-    values stay the same.
-
-    The model's memo holds one map.  It is keyed by m and the bytes of V's
-    node values, not by the identity of V, so a potential whose closure
-    changed is refactored rather than served stale.
-    """
+    """The factored operator for (model, m, V), kept in the model's memo under
+    m, V's label and the bytes of V's node values, not the identity of V: a
+    potential whose closure changed is refactored rather than served stale,
+    and a map always names the potential it was asked for."""
     def build() -> ForwardMap:
         mult = l_multiplier(model.flat_eigenvalues(), m)
         H = np.diag(mult) + assemble_potential_matrix(model, V)
@@ -250,7 +246,7 @@ def forward_map(model: SpectralModel, m: float, V: PotentialField) -> ForwardMap
                           cond=cond, min_abs=amin, threshold=1e-10 * float(np.max(mult)),
                           label=V.label)
 
-    key = (check_mass(m), V.node_values(model).tobytes())
+    key = (check_mass(m), V.label, V.node_values(model).tobytes())
     return model.memo("forward_map", key, build)
 
 

@@ -41,7 +41,7 @@ from loglap.extraction import (
     extract_exponents,
     heat_trace_of_field,
 )
-from loglap.models import (AngularInterval, CircleReflection, CircleRotation,
+from loglap.models import (AngularInterval, CircleReflection, CircleRotation, ObservationSet,
                            SphereAxialRotation, SphereMeridianReflection, SphericalCap,
                            TorusAxisReflection, TorusBox, TorusTranslation, apply_isometry,
                            build_model, certificate_sampling, check_window_of, interior_points,
@@ -176,6 +176,12 @@ def recast_window(cast):
     return check_window_of(model, replace(obs, node_indices=cast(obs.node_indices)))
 
 
+def cap_window():
+    """`half_circle(6)`'s window with a cap descriptor, a window of another
+    family: every node field is the model's own."""
+    return replace(half_circle(6)[1], descriptor=SphericalCap((0.0, 0.0), 1.0))
+
+
 def with_window(obs):
     """Every entry point that takes a window of `half_circle(6)`'s model,
     called with `obs`, and the name of that argument."""
@@ -227,12 +233,6 @@ def with_seed(value):
     if value is not None:
         calls["sources"] = lambda: make_source_basis(model, obs, 2, seed=value)
     return calls
-
-
-def with_mask_eps(value):
-    model, obs, sources = half_circle(6)
-    return recover_potential(model, 2.0, obs, V, cauchy_records(model, 2.0, V, sources, obs),
-                             mask_eps=value)
 
 
 def with_time(t):
@@ -294,6 +294,8 @@ CASES = {
                                  FieldError, "trace.values"),
     "trace-nan-times-extract": (lambda: exponents(times=np.append(TIMES[:-1], np.nan)),
                                 FieldError, "trace.times"),
+    "trace-no-channels-extract": (lambda: exponents(values=np.zeros((TIMES.size, 0))),
+                                  FieldError, "trace.values"),
     # chart points, one rule for every argument that holds points
     "points-nan-kernel": (lambda: heat_kernel(half_circle(6)[0], 2.0, 0.5, [np.nan], [0.1]),
                           FieldError, "x"),
@@ -334,9 +336,6 @@ CASES = {
     # seeds: integers >= 0, None only where it is the default
     **{f"seed-{value!r}-{entry}": (call, FieldError, "seed")
        for value in ("a", 2.5, -1, True, None) for entry, call in with_seed(value).items()},
-    # the recovery mask threshold, a fraction of the largest |u| in [0, 1]
-    **{f"mask_eps-{value!r}": (lambda value=value: with_mask_eps(value), FieldError, "mask_eps")
-       for value in ("a", None, np.nan, 2.0, -1.0, True)},
     # the mass, infinite and at most 1, at every entry point
     **{f"mass-inf-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(np.inf))},
     **{f"mass-one-{i}": (call, FieldError, "m") for i, call in enumerate(with_mass(1.0))},
@@ -371,6 +370,16 @@ CASES = {
        for entry, (call, field) in with_window(foreign_window(name)).items()},
     **{f"window-none-{entry}": (call, FieldError, field)
        for entry, (call, field) in with_window(None).items()},
+    # a window of another family than the model's
+    **{f"window-cap-{entry}": (call, FieldError, field)
+       for entry, (call, field) in with_window(cap_window()).items()},
+    "window-cap-check": (lambda: check_window_of(half_circle(6)[0], cap_window()), FieldError,
+                         "obs"),
+    "window-cap-sources": (lambda: make_source_basis(half_circle(6)[0], cap_window(), 2),
+                           FieldError, "obs"),
+    # a window holds at least one node
+    "window-empty": (lambda: ObservationSet(AngularInterval(0.0, 1.0), np.zeros(0, int),
+                                            np.zeros((0, 1)), np.zeros(0)), FieldError, "nodes"),
     # float and list indices fail where the window is built
     **{f"window-{name}-indices": (lambda cast=cast: recast_window(cast), FieldError,
                                   "node_indices")

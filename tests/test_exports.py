@@ -283,6 +283,27 @@ def test_the_window_has_one_home():
     assert [name for _, name in found] == ["ObservationSet"], f"window fields declared at {found}"
 
 
+def instance_dict_uses(tree: ast.AST):
+    """Line numbers of every `.__dict__` attribute outside the kept-value
+    helper `kept`."""
+    rule = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "kept"
+            for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__" and id(node) not in rule:
+            yield node.lineno
+
+
+def test_kept_values_have_one_home():
+    # `models.kept` alone stores values on an object between calls, keyed by
+    # all the inputs of each value
+    root = Path(loglap.__file__).resolve().parent
+    found = [f"{path.relative_to(root.parent)}:{line}"
+             for path in sorted(root.rglob("*.py"))
+             for line in instance_dict_uses(ast.parse(path.read_text(), str(path)))]
+    assert not found, f"`__dict__` used outside models.kept at {found}"
+
+
 def raised_names(tree: ast.AST):
     """(line, name) of every `raise Name(...)` or `raise Name`."""
     for node in ast.walk(tree):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loglap import models
+from loglap import models, recovery
 from loglap.calculus import apply_L, heat_kernel_equality_check, heat_kernel_matrix
 from loglap.errors import PreconditionError, UnderdeterminedSamplingError
 from loglap.models import (
@@ -734,10 +734,12 @@ class TestRecoverPotential:
                               V.values_at(model, obs.nodes))
         assert np.all(out.mask[obs.node_indices])
 
-    def test_mask_contract_and_empty_coverage(self):
+    def test_mask_contract_and_empty_coverage(self, monkeypatch):
+        # at a threshold of the largest |u| itself no node off the window is admissible
+        monkeypatch.setattr(recovery, "MASK_EPS", 1.0)
         centers = np.linspace(1.26, 1.88, 6)
         model, obs, V, records = cosine_records(16, centers)
-        out = recover_potential(model, 1.1, obs, V, records, mask_eps=1.0)
+        out = recover_potential(model, 1.1, obs, V, records)
         hidden = ~out.mask
         assert np.any(hidden)
         assert np.all(np.isnan(out.values[hidden]))

@@ -535,8 +535,9 @@ def values_of(hint):
 
 @st.composite
 def windows(draw, n_nodes):
-    """An ObservationSet of `n_nodes` nodes, as its own checks require: one
-    node index (an integer >= 0) and one weight per node."""
+    """An ObservationSet of `n_nodes` nodes, as its own checks require: at
+    least one node, and one node index (an integer >= 0) and one weight per
+    node."""
     return ObservationSet(draw(KINDS[Window]), draw(indices_of(n_nodes)),
                           draw(arrays_of((n_nodes, draw(st.integers(1, 3))))),
                           draw(arrays_of(n_nodes)))
@@ -570,7 +571,7 @@ def built(cls, **fixed):
 def cauchy_records(draw):
     """CauchyRecord whose arrays agree, as its own checks require: a window,
     one u and Lu sample per window node, and a mass > 1."""
-    n_nodes = draw(st.integers(0, 4))
+    n_nodes = draw(st.integers(1, 4))
     per_node = dict.fromkeys(("u_values", "lu_values"), arrays_of(n_nodes))
     return draw(built(CauchyRecord, window=windows(n_nodes), mass=masses, **per_node))
 

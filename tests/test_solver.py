@@ -424,6 +424,17 @@ class TestForwardMap:
         with pytest.raises(FieldError, match="^V: 'bad' has non-finite values"):
             forward_map(circle(8), 2.0, V)
 
+    def test_equal_values_under_another_label_name_the_caller(self):
+        # the map's key holds V's label, so a kept map names the potential it was built for
+        model = circle(4)
+        assert forward_map(model, 2.0, zero_potential).label == "zero"
+        zero = constant_potential(0.0, "constant(0)")
+        assert forward_map(model, 2.0, zero).label == "constant(0)"
+        forward_map(model, 2.0, constant_potential(-MULT0_M2, "first"))
+        with pytest.raises(SingularOperatorError, match="potential 'second'"):
+            forward_map(model, 2.0, constant_potential(-MULT0_M2, "second")).solve(
+                np.ones(model.total_dim))
+
     def test_mixed_block_copy_refactors(self):
         model = circle(8)
         V = cos_potential(0.3)
