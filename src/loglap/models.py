@@ -224,10 +224,11 @@ class WindowSampling:
     factors the samples B, the certificate's basis (the model's, a flat
     torus's window-centred parity basis or a cap's cap-centred basis) at
     `n_points` window points.  B's columns split into groups (column
-    selector, how often the group's singular values count); `factors()`
-    gives one (w x w) factor R per group of w columns, with R^T R = B^T B
-    on the group, and the model's `certificate` memo keeps them under
-    `key`."""
+    selector, how often the group's singular values count): on the
+    structured routes the model's, built once with it in its basis table,
+    on the dense route one group of all columns.  `factors()` gives one
+    (w x w) factor R per group of w columns, with R^T R = B^T B on the
+    group, and the model's `certificate` memo keeps them under `key`."""
 
     n_points: int
     groups: tuple
@@ -510,6 +511,15 @@ class FlatTorus:
         first = np.argmax(table["lattice"] != 0, axis=1)
         parities[np.arange(first.size), first] = table["kinds"] == 2
         table["parities"] = parities
+        # the certificate's column groups (`window_sampling`): the parity
+        # classes, p read as a binary number, each in the band's row-major
+        # order, with the class parity and the per-axis band indices k - p
+        index = np.abs(table["lattice"]) - parities
+        cls = parities @ (1 << np.arange(n)[::-1])
+        band = np.lexsort(index.T[::-1])
+        classes = [cols for cols in (band[cls[band] == c] for c in range(1 << n)) if cols.size]
+        table["groups"] = tuple((cols, 1) for cols in classes)
+        table["bands"] = tuple((parities[cols[0]], index[cols]) for cols in classes)
         if quadrature is None:
             j_max = np.max(np.abs(table["lattice"]), axis=0)
             counts = tuple(int(max(4 * jm + 4, self.node_floor)) for jm in j_max)
@@ -620,14 +630,16 @@ class FlatTorus:
 
         On the grid's exactly symmetric per-axis offsets each axis's even and
         odd columns are orthogonal, so the basis splits into 2^n orthogonal
-        parity classes, one group each.  Per axis, one QR factors the even
-        columns cos(k w y), k = 0..J_a, and one the odd ones sin(k w y), k =
-        1..J_a; class p's factor is the rows and columns of R_1^{p_1} (x) ...
-        (x) R_n^{p_n} at its band indices (Van Loan, J. Comput. Appl. Math.
-        123, 2000).  R_a^p's column k is zero below row k and the band is a
-        lower set in k (each eigenvalue grows with every k_a), so those rows
-        carry the class, and in the band's row-major order the factor is
-        upper triangular.  A coarse axis grid pads R_a^p with zero rows.
+        parity classes, one group each: `build` puts them in the basis table
+        once, as `groups` and as `bands`, each class's parity and per-axis
+        band indices.  Per axis, one QR factors the even columns cos(k w y),
+        k = 0..J_a, and one the odd ones sin(k w y), k = 1..J_a; class p's
+        factor is the rows and columns of R_1^{p_1} (x) ... (x) R_n^{p_n} at
+        its band indices (Van Loan, J. Comput. Appl. Math. 123, 2000).
+        R_a^p's column k is zero below row k and the band is a lower set in k
+        (each eigenvalue grows with every k_a), so those rows carry the
+        class, and in the band's row-major order the factor is upper
+        triangular.  A coarse axis grid pads R_a^p with zero rows.
         """
         table = model.basis_table
         if points is not None:
@@ -636,28 +648,24 @@ class FlatTorus:
                               ("offsets", offsets.tobytes()), points.shape[0],
                               ((slice(None), 1),))
         axes = self._centred_axes(desc, count)
-        k, p = np.abs(table["lattice"]), table["parities"]
-        index = k - p  # row and column of R_a^p per axis
-        cls = p @ (1 << np.arange(self.dimension)[::-1])  # p read as a binary number
-        order = np.lexsort(index.T[::-1])  # row-major in the band
-        groups = tuple((order[cls[order] == c], 1) for c in np.unique(cls))
+        tops = np.max(np.abs(table["lattice"]), axis=0)
 
         def factors():
             per_axis = []
-            for axis, (y, top) in enumerate(zip(axes, np.max(k, axis=0))):
+            for axis, (y, top) in enumerate(zip(axes, tops)):
                 E = self._axis_trig(axis, y, top)
                 per_axis.append([_square(np.linalg.qr(part, mode="r"))
                                  for part in (E[:, :top + 1], E[:, top + 1:])])
             out = []
-            for cols, _ in groups:
-                R = np.ones((cols.size, cols.size))
+            for parity, index in table["bands"]:
+                R = np.ones((index.shape[0],) * 2)
                 for axis, Rs in enumerate(per_axis):
-                    i = index[cols, axis]
-                    R *= Rs[p[cols[0], axis]][np.ix_(i, i)]
+                    i = index[:, axis]  # row and column of R_a^p
+                    R *= Rs[parity[axis]][np.ix_(i, i)]
                 out.append(R)
             return tuple(out)
 
-        return WindowSampling(math.prod(y.size for y in axes), groups,
+        return WindowSampling(math.prod(y.size for y in axes), table["groups"],
                               ("centred", *(y.tobytes() for y in axes)), factors)
 
     def window_synthesis(self, model, idx) -> None:
@@ -776,7 +784,12 @@ class RoundSphere:
         nodes = np.column_stack([cg.ravel(), lg.ravel()])
         wg = np.repeat(wmu, n_lon) * (TWO_PI / n_lon) * self.radius ** 2
         table = {"degrees": np.array(degs), "orders": np.array(orders),
-                 "kinds": np.array(kinds, dtype=np.int8)}
+                 "kinds": np.array(kinds, dtype=np.int8),
+                 # the certificate's column groups (`window_sampling`): order
+                 # m's cosine columns l^2 + 2m - 1 (for m = 0 column l^2),
+                 # l = m..K-1, counted once for m = 0 and twice otherwise
+                 "groups": tuple((np.arange(m, K) ** 2 + max(2 * m - 1, 0), 1 if m == 0 else 2)
+                                 for m in range(K))}
         return SpectralModel(self, K, np.asarray(eigenvalues, dtype=float),
                              np.asarray(multiplicities, dtype=int),
                              nodes, wg, (n_colat, n_lon), table)
@@ -877,17 +890,15 @@ class RoundSphere:
         columns of distinct (order, kind) are orthogonal.  At longitude 0
         the cosine columns (for m = 0 the only kind) hold the Legendre
         factors the sine columns share, so each order m >= 1 counts twice.
+        `build` puts these groups, every column but the sine ones, in the
+        basis table once.
         """
         if points is not None:
             return None
         gammas, n_az = self._ring_grid(desc, count)
         rings = np.column_stack([np.arccos(np.cos(gammas)), np.zeros_like(gammas)])
-        table = model.basis_table
-        even = table["kinds"] != 2
-        groups = tuple((np.flatnonzero(even & (table["orders"] == m)), 1 if m == 0 else 2)
-                       for m in range(int(np.max(table["degrees"])) + 1))
         return _evaluated(lambda: model.eigenfunction_values(rings), ("orders", rings.tobytes()),
-                          rings.shape[0] * n_az, groups)
+                          rings.shape[0] * n_az, model.basis_table["groups"])
 
     def window_synthesis(self, model, idx) -> Optional[RingSynthesis]:
         """The ring route when the window's node indices `idx` are the first
@@ -1062,7 +1073,9 @@ def interior_points(model: SpectralModel, descriptor, count: int) -> np.ndarray:
 
 def _square(R: np.ndarray) -> np.ndarray:
     """A QR's triangular factor R with zero rows appended to make it square."""
-    return np.pad(R, ((0, R.shape[1] - R.shape[0]), (0, 0)))
+    out = np.zeros((R.shape[1], R.shape[1]))
+    out[:R.shape[0]] = R
+    return out
 
 
 def _evaluated(values: Callable[[], np.ndarray], key: tuple, n_points: int,
@@ -1084,10 +1097,11 @@ def certificate_sampling(model: SpectralModel, descriptor, count: int,
     manifold's `window_sampling`: on a flat torus the window-centred parity
     basis, per parity class on the `interior_points` grid for `count`
     (`FlatTorus.window_sampling`); on a sphere cap the cap-centred basis,
-    per azimuthal order.  A transform, block mixing included, mixes what
-    those routes keep apart; it and explicit points on a sphere evaluate
-    the model's basis at the points as one group of all columns counted
-    once.  Explicit `points` must lie in the window."""
+    per azimuthal order.  Those groups are the basis table's `groups`,
+    built once with the model.  A transform, block mixing included, mixes
+    what those routes keep apart; it and explicit points on a sphere
+    evaluate the model's basis at the points as one group of all columns
+    counted once.  Explicit `points` must lie in the window."""
     if points is None:
         _check_sampling(model, descriptor, count)
     else:

@@ -56,13 +56,18 @@ class UcpReport:
 
 def _certificate_values(R: np.ndarray, mult) -> np.ndarray:
     """Singular values of the column-normalised [R; R diag(mult)], or of R
-    when `mult` is None.  `R` is left as it is."""
-    stack = R if mult is None else np.vstack([R, R * mult[None, :]])
+    when `mult` is None, in descending order.  `R` is left as it is: the
+    memo's R is read-only, so the stack is one new array, normalised in
+    place."""
+    rows = R.shape[0]
+    stack = np.empty((rows if mult is None else 2 * rows, R.shape[1]))
+    stack[:rows] = R
+    if mult is not None:
+        np.multiply(R, mult, out=stack[rows:])
     # unit column norms: rank must not depend on how the operator scales
     # individual basis directions
-    scale = np.maximum(np.linalg.norm(stack, axis=0), 1e-300)[None, :]
-    # the memo's R is read-only; the quotient is a new array
-    return np.linalg.svd(stack / scale, compute_uv=False)
+    stack /= np.maximum(np.linalg.norm(stack, axis=0), 1e-300)
+    return np.linalg.svd(stack, compute_uv=False)
 
 
 def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet, *,
@@ -100,13 +105,14 @@ def ucp_nullspace_test(model: SpectralModel, m: float, obs: ObservationSet, *,
             f"{dim}-dimensional space; need at least {2 * dim}")
     mult = l_multiplier(model.flat_eigenvalues(), m) if include_image else None
     factors = model.memo("certificate", sampling.key, sampling.factors)
-    sv = np.concatenate([
-        np.repeat(_certificate_values(R, None if mult is None else mult[cols]), count)
-        for R, (cols, count) in zip(factors, sampling.groups)])
-    null_dim = int(np.sum(sv < 1e-9 * np.max(sv)))
+    values = [_certificate_values(R, None if mult is None else mult[cols])
+              for R, (cols, _) in zip(factors, sampling.groups)]
+    cutoff = 1e-9 * max(sv[0] for sv in values)
+    null_dim = sum(count * int(np.count_nonzero(sv < cutoff))
+                   for sv, (_, count) in zip(values, sampling.groups))
     return UcpReport(truncation=model.truncation, descriptor=obs.descriptor,
                      null_dimension=null_dim,
-                     smallest_singular=float(np.min(sv)),
+                     smallest_singular=float(min(sv[-1] for sv in values)),
                      passed=null_dim == 0, n_points=int(sampling.n_points),
                      include_image=include_image)
 

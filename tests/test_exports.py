@@ -17,7 +17,9 @@ index rule (`fields.require_indices`) tests an array's dtype for one, and only
 `ObservationSet` declares a window's node indices and weights: records and
 spectral data hold the window they were made on.  Every
 error class is raised somewhere in the package or is a base of one that is,
-and the package raises no class that `errors.py` does not define.
+and the package raises no class that `errors.py` does not define.  Building
+a model and running the continuation certificate on it import no
+`numpy.ma`, which every fresh CLI process would pay for.
 """
 
 import ast
@@ -25,7 +27,9 @@ import builtins
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -119,6 +123,36 @@ def test_modules_import_only_stdlib_numpy_and_loglap():
              for path in sorted(root.rglob("*.py"))
              for line, name in foreign_imports(ast.parse(path.read_text(), str(path)))]
     assert not found, f"imports beyond the standard library and numpy at {found}"
+
+
+CERTIFICATE_RUN = """
+import sys
+import numpy as np
+from loglap.models import (AngularInterval, SphericalCap, TorusBox, build_model,
+                           restrict_to_observation)
+from loglap.recovery import ucp_nullspace_test
+for kind, geometry, desc in [
+        ("circle", {}, AngularInterval(0.0, 4.7)),
+        ("torus", {"edges": (2 * np.pi, 2 * np.pi)}, TorusBox(((0.5, 4.5), (1.0, 5.0)))),
+        ("sphere", {}, SphericalCap((0.0, 0.0), 2.4))]:
+    model = build_model(kind, 8, **geometry)
+    obs = restrict_to_observation(model, desc)
+    for include_image in (True, False):
+        ucp_nullspace_test(model, 2.0, obs, include_image=include_image)
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_certificate_imports_no_masked_arrays():
+    # `np.unique` imports numpy.ma on first use (about 10 ms); a fresh
+    # interpreter shows what building models and certifying windows load
+    src = str(Path(loglap.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CERTIFICATE_RUN], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 KIND_TAGS = {"circle", "torus", "sphere"}

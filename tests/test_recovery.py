@@ -316,6 +316,98 @@ class TestCertificateSampling:
         assert np.max(np.abs(R.T @ R - B.T @ B)) <= 1e-12 * np.max(np.abs(B.T @ B))
 
 
+class TestCertificateValues:
+    """Each group's singular values come from one stack, normalised in place;
+    they must be those of the stack built from its definition."""
+
+    @pytest.mark.parametrize("zero_column", [False, True], ids=["full", "zero-column"])
+    @pytest.mark.parametrize("include_image", [True, False], ids=["image", "solution"])
+    @pytest.mark.parametrize("width", [1, 7, 32])
+    def test_matches_stacked_reference(self, width, include_image, zero_column):
+        rng = np.random.default_rng(width)
+        R = np.triu(rng.standard_normal((width, width)))
+        if zero_column:  # its norm takes the 1e-300 floor
+            R[:, rng.integers(width)] = 0.0
+        R.setflags(write=False)  # as the memo holds it
+        before = R.copy()
+        mult = rng.uniform(0.5, 40.0, size=width) if include_image else None
+        stack = R if mult is None else np.vstack([R, R * mult])
+        norms = np.maximum(np.linalg.norm(stack, axis=0), 1e-300)
+        expected = np.linalg.svd(stack / norms, compute_uv=False)
+        values = recovery._certificate_values(R, mult)
+        assert values.shape == expected.shape and np.all(np.diff(values) <= 0)
+        assert np.max(np.abs(values - expected)) <= 1e-14 * expected[0]
+        assert np.array_equal(R, before)
+        if zero_column:  # a null direction, not a division by zero
+            assert np.all(np.isfinite(values)) and values[-1] <= 1e-14 * values[0]
+
+
+def groups_by_rule(model):
+    """The certificate's column groups derived from the basis table alone:
+    on a sphere one group of cosine columns per order, on a flat torus one
+    per parity class, in the band's row-major order."""
+    table = model.basis_table
+    if model.kind == "sphere":
+        even = table["kinds"] != 2
+        return [(np.flatnonzero(even & (table["orders"] == m)), 1 if m == 0 else 2)
+                for m in range(int(np.max(table["degrees"])) + 1)]
+    k, p = np.abs(table["lattice"]), table["parities"]
+    cls = p @ (1 << np.arange(model.dimension)[::-1])
+    order = np.lexsort((k - p).T[::-1])
+    return [(order[cls[order] == c], 1) for c in np.unique(cls)]
+
+
+GROUP_GEOMETRIES = {
+    "circle": ("circle", {}, AngularInterval(0.3, 4.7)),
+    "torus": ("torus", {"edges": (2 * np.pi, 2 * np.pi)}, TorusBox(((0.5, 4.5), (1.0, 5.0)))),
+    "torus-2.2pi": ("torus", {"edges": (2 * np.pi, 2.2 * np.pi)},
+                    TorusBox(((0.5, 4.5), (1.0, 5.0)))),
+    "sphere": ("sphere", {}, SphericalCap((0.0, 0.0), 2.4)),
+}
+
+
+class TestCertificateGroups:
+    """`build` puts the certificate's column groups in the basis table once;
+    every default-grid sampling of the model reads them from there."""
+
+    @pytest.mark.parametrize("K", [2, 8, 16])
+    @pytest.mark.parametrize("case", GROUP_GEOMETRIES.values(), ids=GROUP_GEOMETRIES.keys())
+    def test_groups_built_with_the_model(self, case, K):
+        kind, kwargs, desc = case
+        model = build_model(kind, K, **kwargs)
+        table = model.basis_table
+        groups = table["groups"]
+        cols = np.concatenate([c for c, _ in groups])
+        # a partition of the certificate's columns: on a sphere every column
+        # but the sine ones, whose Legendre factors the cosines carry
+        certified = (np.flatnonzero(table["kinds"] != 2) if kind == "sphere"
+                     else np.arange(model.total_dim))
+        assert np.array_equal(np.sort(cols), certified)
+        if kind == "sphere":
+            assert [np.unique(table["orders"][c]).tolist() for c, _ in groups] == [
+                [m] for m in range(K)]
+            assert [count for _, count in groups] == [1] + [2] * (K - 1)
+        else:
+            assert all(count == 1 for _, count in groups)
+            # each class's parity and per-axis band indices, where its
+            # factor reads the per-axis triangular factors
+            p, k = table["parities"], np.abs(table["lattice"])
+            assert len(table["bands"]) == len(groups)
+            for (c, _), (parity, index) in zip(groups, table["bands"]):
+                assert np.all(p[c] == parity) and np.array_equal(index, k[c] - p[c])
+        assert sum(c.size * count for c, count in groups) == model.total_dim
+        expected = groups_by_rule(model)
+        assert len(groups) == len(expected)
+        for (c, count), (c_rule, count_rule) in zip(groups, expected):
+            assert np.array_equal(c, c_rule) and count == count_rule
+        assert certificate_sampling(model, desc, 4 * model.total_dim).groups is groups
+        # a transform mixes what the groups keep apart: one group of all columns
+        (mixed_cols, times), = certificate_sampling(
+            with_mixed_blocks(model, seed=3), desc, 4 * model.total_dim).groups
+        every = np.arange(model.total_dim)
+        assert times == 1 and np.array_equal(every[mixed_cols], every)
+
+
 def count_basis_calls(monkeypatch):
     """Record the values of every basis evaluation, made through the
     method the benchmark's tracer times as `models.basis`."""
