@@ -26,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionError, QuadratureConvergenceError
-from .fields import (as_floats, is_real, require, require_count, require_finite,
-                     require_indices, require_tolerance)
+from .fields import (has_shape, is_real, require, require_array, require_count,
+                     require_finite, require_indices, require_tolerance)
 from .models import (ObservationSet, SpectralModel, as_points, check_window_of,
                      geodesic_distance, project_function)
 
@@ -66,10 +66,9 @@ def check_mass(m: float, field: str = "m") -> float:
 
 def check_times(times) -> np.ndarray:
     """A nonempty 1-d grid of finite times > 0, as a float array."""
-    times = as_floats(times)
-    require(times is not None and times.ndim == 1 and times.size
-            and np.all(np.isfinite(times) & (times > 0)),
-            "times", "expected a nonempty list of positive times")
+    reason = "expected a nonempty list of positive times"
+    times = require_array(times, "times", (None,), reason)
+    require(times.size and np.all(np.isfinite(times) & (times > 0)), "times", reason)
     return times
 
 
@@ -80,7 +79,8 @@ def check_samples(samples) -> int:
 
 def check_shared_nodes(nodes_a, nodes_b, names: str) -> None:
     """Raise PreconditionError unless two node sets agree to 1e-12."""
-    if np.shape(nodes_a) != np.shape(nodes_b) or np.max(np.abs(nodes_a - nodes_b)) > 1e-12:
+    a, b = (require_array(nodes, names) for nodes in (nodes_a, nodes_b))
+    if a.shape != b.shape or np.max(np.abs(a - b)) > 1e-12:
         raise PreconditionError(f"{names} are sampled on different observation nodes")
 
 
@@ -96,9 +96,9 @@ class FieldCoefficients:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        require(self.values.shape == (self.model.total_dim,), "values",
-                f"expected {self.model.total_dim} entries, one per basis function")
+        self.values = require_array(self.values, "values", (self.model.total_dim,),
+                                    f"expected {self.model.total_dim} entries, "
+                                    "one per basis function")
 
     def evaluate(self, points) -> np.ndarray:
         return self.model.eigenfunction_values(points) @ self.values
@@ -117,12 +117,11 @@ class HeatTrace:
     source_id: Optional[str] = None
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        require(self.values.ndim == 2 and self.values.shape[0] == self.times.size, "values",
-                "expected one row per time")
+        self.times = require_array(self.times, "times", (None,), "expected a list of times")
+        self.values = require_array(self.values, "values", (self.times.size, None),
+                                    "expected one row per time")
         if self.node_indices is not None:
-            require(np.shape(self.node_indices) == self.values.shape[1:], "node_indices",
+            require(has_shape(self.node_indices, self.values.shape[1:]), "node_indices",
                     f"expected {self.values.shape[1]} entries, one per value column")
             require_indices(self.node_indices, "node_indices")
 

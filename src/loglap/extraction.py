@@ -20,7 +20,8 @@ from .errors import (
     RankAmbiguousError,
     UnderExcitedEigenspaceError,
 )
-from .fields import require, require_count, require_indices, require_tolerance
+from .fields import (has_shape, require, require_array, require_count, require_indices,
+                     require_tolerance)
 from .models import ObservationSet, SpectralModel
 from .solver import forward_map, source_matrix
 
@@ -62,7 +63,7 @@ def heat_trace_of_field(model: SpectralModel, m: float, solution: FieldCoefficie
     """Sample e^{-tA} L u on the observation nodes for each listed time."""
     check_mass(m)
     times = check_times(times)
-    require(np.shape(getattr(solution, "values", None)) == (model.total_dim,), "solution",
+    require(has_shape(getattr(solution, "values", None), (model.total_dim,)), "solution",
             f"expected the FieldCoefficients of a field with {model.total_dim} coefficients")
     weighted = l_multiplier(model.flat_eigenvalues(), m) * solution.values
     return _window_traces(model, m, weighted[:, None], obs, times, [source_id])[1][0]
@@ -130,13 +131,11 @@ def extract_exponents(trace: HeatTrace, max_order: int) -> ExponentialFit:
     must reproduce the samples to 1e-6 relative.
     """
     max_order = require_count(max_order, "max_order")
-    times = np.asarray(trace.times, dtype=float)
-    vals = np.asarray(trace.values, dtype=float)
+    times, vals = trace.times, trace.values  # the trace has checked their shapes
     for name, samples in (("trace.times", times), ("trace.values", vals)):
         require(np.isfinite(samples).all(), name, "expected finite numbers")
     J = times.size
-    require(vals.ndim == 2 and vals.shape[0] == J and vals.shape[1] > 0, "trace.values",
-            "expected one row per sample time and at least one channel")
+    require(vals.shape[1] > 0, "trace.values", "expected at least one channel")
     steps = np.diff(times)
     if J < 2 or np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1e-300):
         raise GridTooCoarseError("exponent extraction needs a uniform time grid")
@@ -223,15 +222,16 @@ class GelfandData:
     def __post_init__(self):
         require(isinstance(self.window, ObservationSet), "window", "expected an ObservationSet")
         check_mass(self.mass, "mass")
-        n_nodes, n_blocks = self.window.size, len(np.atleast_1d(self.eigenvalues))
-        require(np.shape(self.multiplicities) == (n_blocks,), "multiplicities",
+        n_blocks = require_array(self.eigenvalues, "eigenvalues", (None,)).size
+        n_nodes = self.window.size
+        require(has_shape(self.multiplicities, (n_blocks,)), "multiplicities",
                 f"expected {n_blocks} entries, one per eigenvalue")
         require_indices(self.multiplicities, "multiplicities")
         require(len(self.families) == n_blocks, "families",
                 f"expected {n_blocks} entries, one per eigenvalue")
         for k, (family, width) in enumerate(zip(self.families, self.multiplicities)):
-            require(np.shape(family) == (n_nodes, width), f"families[{k}]",
-                    f"expected shape ({n_nodes}, {width}), found {np.shape(family)}")
+            require_array(family, f"families[{k}]", (n_nodes, width),
+                          f"expected shape ({n_nodes}, {width})")
 
 
 def _excitation_mask(model: SpectralModel, F: np.ndarray) -> np.ndarray:

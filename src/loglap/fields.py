@@ -55,14 +55,28 @@ def require_finite(value, field: str) -> float:
     return float(value)
 
 
-def as_floats(value):
-    """`value` as a float array, or None where it is ragged or not numbers:
-    `decode`'s rule for arrays, so numeric text ("0.5") is not a number."""
+def has_shape(value, shape: tuple) -> bool:
+    """Whether `value` has `shape` (None leaves an axis free), whatever its
+    entries, so that a check of each entry can name it; a ragged value has none."""
+    try:
+        found = np.shape(value)
+    except ValueError:  # ragged
+        return False
+    return len(found) == len(shape) and all(n is None or n == f for n, f in zip(shape, found))
+
+
+def require_array(value, field: str, shape: tuple | None = None,
+                  reason: str = "expected an array of numbers") -> np.ndarray:
+    """`value` as a float array if it is rectangular, holds numbers (bool, int or
+    float: `decode`'s rule, so numeric text is not one) and has `shape` (any for
+    None; `has_shape`), else FieldError(field, reason): the one rule for arrays."""
     try:
         values = np.asarray(value)
-    except ValueError:
-        return None
-    return values.astype(float, copy=False) if values.dtype.kind in "biuf" else None
+    except ValueError:  # ragged
+        raise FieldError(field, reason) from None
+    require(values.dtype.kind in "biuf" and (shape is None or has_shape(values, shape)),
+            field, reason)
+    return values.astype(float, copy=False)
 
 
 def require_indices(value, field: str) -> None:

@@ -32,8 +32,8 @@ from typing import Callable, ClassVar, Optional, Union
 import numpy as np
 
 from .errors import FieldError, PreconditionError
-from .fields import (as_floats, is_real, require, require_count, require_finite,
-                     require_indices, require_tolerance)
+from .fields import (has_shape, is_real, require, require_array, require_count,
+                     require_finite, require_indices, require_tolerance)
 
 __all__ = [
     "SpectralModel",
@@ -194,11 +194,11 @@ class ObservationSet:
     def __post_init__(self):
         require(type(self.descriptor) in WINDOWS, "descriptor",
                 f"expected one of {[c.name for c in WINDOWS]}")
-        n_nodes = len(np.atleast_1d(self.nodes))
+        n_nodes = len(require_array(self.nodes, "nodes", (None, None), "expected one row per node"))
         require(n_nodes > 0, "nodes", "expected at least one node")
-        for name in ("node_indices", "weights"):
-            require(np.shape(getattr(self, name)) == (n_nodes,), name,
-                    f"expected {n_nodes} entries, one per node")
+        per_node = f"expected {n_nodes} entries, one per node"
+        require(has_shape(self.node_indices, (n_nodes,)), "node_indices", per_node)
+        require_array(self.weights, "weights", (n_nodes,), per_node)
         require(isinstance(self.node_indices, np.ndarray), "node_indices",
                 "expected an array of integers >= 0")
         require_indices(self.node_indices, "node_indices")
@@ -380,15 +380,6 @@ class SphereMeridianReflection:
     name: ClassVar[str] = "sphere_meridian_reflection"
 
 
-def _has_shape(value, shape: tuple) -> bool:
-    """Whether `value` has `shape`, whatever its entries: the caller checks
-    them one by one and names the entry at fault."""
-    try:
-        return np.shape(value) == shape
-    except ValueError:  # ragged
-        return False
-
-
 def _check_family(obj, family) -> None:
     if type(obj) not in family:
         raise FieldError("kind", f"expected one of {[c.name for c in family]}, "
@@ -404,7 +395,7 @@ def _chart_affine(manifold, isometry, pts, inverse: bool) -> np.ndarray:
 
 
 def _torus_translation(iso, n: int) -> tuple:
-    if not _has_shape(iso.shift, (n,)):
+    if not has_shape(iso.shift, (n,)):
         raise FieldError("shift", f"expected {n} entries, one per torus axis")
     return 1.0, [require_finite(s, f"shift[{i}]") for i, s in enumerate(iso.shift)]
 
@@ -565,7 +556,7 @@ class FlatTorus:
     def check_window(self, desc) -> None:
         _check_family(desc, (self.window,))
         ivs = desc.intervals
-        if not _has_shape(ivs, (self.dimension, 2)):
+        if not has_shape(ivs, (self.dimension, 2)):
             raise FieldError("intervals", "expected one [start, end] pair per torus axis")
         for i, ((a, b), p) in enumerate(zip(ivs, self.periods)):
             if not (is_real(a) and is_real(b) and 0.0 <= a < b <= p):
@@ -850,9 +841,8 @@ class RoundSphere:
 
     def check_window(self, desc) -> None:
         _check_family(desc, (self.window,))
-        center = as_floats(desc.center)
-        if center is None or center.shape != (2,) or not np.all(np.isfinite(center)):
-            raise FieldError("center", "expected [colatitude, longitude]")
+        center = require_array(desc.center, "center", (2,), "expected [colatitude, longitude]")
+        require(np.all(np.isfinite(center)), "center", "expected [colatitude, longitude]")
         if not (is_real(desc.radius) and desc.radius > 0.0):
             raise FieldError("radius", "must be > 0")
         if not desc.radius < np.pi - 1e-12:
@@ -995,8 +985,7 @@ def as_points(points, dim: int, field: str = "points") -> np.ndarray:
     """Chart points as (P, dim) floats, one point or a 1-d chart's points given
     flat; ragged, non-numeric or non-finite input raises FieldError(field)."""
     reason = f"expected finite chart points of shape (P, {dim})"
-    pts = as_floats(points)
-    require(pts is not None, field, reason)
+    pts = require_array(points, field, reason=reason)
     if pts.ndim == 1:
         pts = pts[:, None] if dim == 1 else pts[None, :]
     require(pts.ndim == 2 and pts.shape[1] == dim and np.all(np.isfinite(pts)), field, reason)
@@ -1009,9 +998,8 @@ def as_points(points, dim: int, field: str = "points") -> np.ndarray:
 
 def project_function(model: SpectralModel, f_values) -> np.ndarray:
     """Coefficients <f, phi_{k,l}> for every materialized basis function."""
-    f = as_floats(f_values)
-    require(f is not None and f.shape == (model.nodes.shape[0],), "f_values",
-            "samples must be given on the model quadrature nodes")
+    f = require_array(f_values, "f_values", (model.nodes.shape[0],),
+                      "samples must be given on the model quadrature nodes")
     return model.node_basis().T @ (model.weights * f)
 
 

@@ -17,7 +17,7 @@ from .errors import (
     SingularOperatorError,
     SupportViolationError,
 )
-from .fields import as_floats, is_real, require, require_count
+from .fields import is_real, require, require_array, require_count
 from .models import (
     ObservationSet,
     SpectralModel,
@@ -50,9 +50,8 @@ class PotentialField:
         n = pts.shape[0]
         if self.func is None:
             return np.zeros(n)
-        out = np.asarray(self.func(model.manifold.natural_coordinates(pts)), dtype=float)
-        require(out.shape == (n,), "V", f"{self.label!r} returned shape {out.shape}, "
-                                        f"expected ({n},)")
+        out = require_array(self.func(model.manifold.natural_coordinates(pts)), "V", (n,),
+                            f"{self.label!r} must return {n} numbers, one per point")
         require(np.all(np.isfinite(out)), "V", f"{self.label!r} has non-finite values")
         return out
 
@@ -86,7 +85,7 @@ def assemble_potential_matrix(model: SpectralModel, V: PotentialField) -> np.nda
 def bump_profile(s, order: int = 1):
     """Peak-normalized compact profile exp(1 - 1/(1-s^2)^order) on |s|<1."""
     require_count(order, "order")
-    s = np.asarray(s, dtype=float)
+    s = require_array(s, "s", reason="expected real numbers")
     out = np.zeros(s.shape)
     inside = np.abs(s) < 1.0
     si = s[inside]
@@ -201,10 +200,10 @@ class ForwardMap:
         1e-10 x the largest multiplier, and IllConditionedError when a
         column's relative residual is inconsistent with the conditioning.
         """
-        F, D = as_floats(F), self.matrix.shape[0]
-        require(F is not None and F.ndim in (1, 2) and F.shape[0] == D and F.size
-                and np.all(np.isfinite(F)), "F",
-                f"expected {D} finite numbers per column, one per basis function")
+        D = self.matrix.shape[0]
+        reason = f"expected {D} finite numbers per column, one per basis function"
+        F = require_array(F, "F", reason=reason)
+        require(0 < F.ndim < 3 and len(F) == D and F.size and np.isfinite(F).all(), "F", reason)
         if self.min_abs <= self.threshold:
             raise SingularOperatorError(
                 f"operator with potential '{self.label}' is numerically singular: "
@@ -300,8 +299,8 @@ class CauchyRecord:
         require(isinstance(self.window, ObservationSet), "window", "expected an ObservationSet")
         check_mass(self.mass, "mass")
         for name in ("u_values", "lu_values"):
-            require(np.shape(getattr(self, name)) == (self.window.size,), name,
-                    f"expected {self.window.size} entries, one per node")
+            require_array(getattr(self, name), name, (self.window.size,),
+                          f"expected {self.window.size} entries, one per node")
 
 
 def cauchy_records(model: SpectralModel, m: float, V: PotentialField,

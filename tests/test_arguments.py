@@ -20,6 +20,7 @@ import pytest
 
 from loglap import recovery
 from loglap.calculus import (
+    FieldCoefficients,
     HeatTrace,
     apply_L,
     check_times,
@@ -49,6 +50,7 @@ from loglap.models import (AngularInterval, CircleReflection, CircleRotation, Ob
 from loglap.recovery import isometry_gauge_check, recover_potential, ucp_nullspace_test
 from loglap.solver import (
     PotentialField,
+    bump_profile,
     cauchy_records,
     forward_map,
     make_source_basis,
@@ -478,6 +480,44 @@ CASES = {
     "truncation-float": (lambda: build_model("circle", 2.5), FieldError, "truncation"),
     "potential-nan": (lambda: forward_map(half_circle(6)[0], 2.0, NAN_V), FieldError, "V"),
 }
+
+
+RAGGED = [[0.1], [0.2, 0.3]]
+ARC = AngularInterval(0.0, 1.0)
+
+# arrays, one rule (`fields.require_array`) for every array argument and
+# record field: ragged or text input names its field, not numpy's fault
+ARRAY_CASES = {
+    "window-node_indices": (lambda: ObservationSet(ARC, [[0], [1, 2]], np.zeros((2, 1)),
+                                                   np.ones(2)), "node_indices"),
+    "window-weights": (lambda: ObservationSet(ARC, np.arange(2), np.zeros((2, 1)), RAGGED),
+                       "weights"),
+    "window-nodes": (lambda: ObservationSet(ARC, np.arange(2), RAGGED, np.ones(2)), "nodes"),
+    "trace-node_indices": (lambda: HeatTrace([0.1, 0.2], np.ones((2, 3)),
+                                             node_indices=[[0], [1, 2]]), "node_indices"),
+    "trace-text-values": (lambda: HeatTrace([0.1, 0.2], [["a"] * 3] * 2), "values"),
+    "trace-times": (lambda: HeatTrace(RAGGED, np.ones((2, 3))), "times"),
+    "record-u_values": (lambda: replace(artifact("record"), u_values=RAGGED), "u_values"),
+    "field-values": (lambda: FieldCoefficients(half_circle(6)[0], RAGGED), "values"),
+    "field-text-values": (lambda: FieldCoefficients(half_circle(6)[0], ["a"] * 11), "values"),
+    "potential-ragged": (lambda: forward_map(half_circle(6)[0], 2.0, PotentialField(
+        lambda th: [[0.0]] + [[1.0, 2.0]] * (th.size - 1), label="ragged")), "V"),
+    "potential-text": (lambda: forward_map(half_circle(6)[0], 2.0, PotentialField(
+        lambda th: np.full(th.shape, "a"), label="text")), "V"),
+    "gelfand-eigenvalues": (lambda: replace(artifact("gelfand"), eigenvalues=RAGGED),
+                            "eigenvalues"),
+    "gelfand-family": (lambda: replace(artifact("gelfand"), families=[
+        RAGGED, *artifact("gelfand").families[1:]]), "families[0]"),
+    "bump-text": (lambda: bump_profile("a"), "s"),
+}
+
+
+@pytest.mark.parametrize("call, name", ARRAY_CASES.values(), ids=ARRAY_CASES.keys())
+def test_malformed_array_names_its_field(call, name):
+    # FieldError is a ValueError, so only its type and field tell it from numpy's own
+    with pytest.raises(FieldError) as info:
+        call()
+    assert info.value.field == name
 
 
 @pytest.mark.parametrize("call, error, name", CASES.values(), ids=CASES.keys())

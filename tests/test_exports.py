@@ -14,6 +14,7 @@ isometry families are read from it, each class in one manifold's family.
 the count rule (`fields.require_count`) tests for an integer, only the
 index rule (`fields.require_indices`) tests an array's dtype for one, and only
 `fields.py` lists a dataclass's fields: the JSON codec has one home.  Only
+`fields.py` calls `np.shape`: arrays are read by one rule.  Only
 `ObservationSet` declares a window's node indices and weights: records and
 spectral data hold the window they were made on.  Every
 error class is raised somewhere in the package or is a base of one that is,
@@ -266,6 +267,30 @@ def test_only_the_index_rule_tests_an_integer_dtype():
              for path in sorted(root.rglob("*.py"))
              for line in integer_dtype_tests(ast.parse(path.read_text(), str(path)))]
     assert not found, f"integer dtype tests outside the index rule at {found}"
+
+
+def shape_reads(tree: ast.AST):
+    """(line, name) of every call of `np.shape` and every use of the names
+    the array rule replaced."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "shape" and getattr(node.func.value, "id", None) == "np"):
+            yield node.lineno, "np.shape"
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "name", None)
+        if name in ("as_floats", "_has_shape"):
+            yield node.lineno, name
+
+
+def test_only_the_array_rule_reads_a_shape():
+    # `fields.require_array` and its shape test `fields.has_shape` read
+    # every array argument and record field, so a ragged or text array
+    # raises a FieldError naming it, never numpy's own error
+    root = Path(loglap.__file__).resolve().parent
+    found = [f"{path.relative_to(root.parent)}:{line} {name}"
+             for path in sorted(root.rglob("*.py"))
+             for line, name in shape_reads(ast.parse(path.read_text(), str(path)))
+             if not (path.name == "fields.py" and name == "np.shape")]
+    assert not found, f"shapes read outside the array rule at {found}"
 
 
 def field_listings(tree: ast.AST):
