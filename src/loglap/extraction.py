@@ -130,6 +130,7 @@ def extract_exponents(trace: HeatTrace, max_order: int) -> ExponentialFit:
     are noise and must sit below 1e-3 of the last kept one; the fitted sum
     must reproduce the samples to 1e-6 relative.
     """
+    require(isinstance(trace, HeatTrace), "trace", "expected a HeatTrace")
     max_order = require_count(max_order, "max_order")
     times, vals = trace.times, trace.values  # the trace has checked their shapes
     for name, samples in (("trace.times", times), ("trace.values", vals)):
@@ -363,6 +364,8 @@ def compare_gelfand(a: GelfandData, b: GelfandData, *,
     Both datasets must live on the same observation nodes; principal angles
     are measured in the weighted node geometry of the first dataset.
     """
+    for name, data in (("a", a), ("b", b)):
+        require(isinstance(data, GelfandData), name, "expected a GelfandData")
     check_shared_nodes(a.window.nodes, b.window.nodes, "a and b")
     eig_rtol = require_tolerance(eig_rtol, "eig_rtol")
     angle_tol = require_tolerance(angle_tol, "angle_tol")

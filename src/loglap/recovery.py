@@ -26,7 +26,7 @@ from .models import (
     isometry_preserves_set,
     project_function,
 )
-from .solver import PotentialField, forward_map, make_source_basis
+from .solver import CauchyRecord, PotentialField, forward_map, make_source_basis
 
 __all__ = [
     "GaugeReport",
@@ -173,7 +173,8 @@ def recover_potential(model: SpectralModel, m: float, obs: ObservationSet,
     idx = obs.node_indices
     records = list(records)
     require(records, "records", "expected at least one record")
-    for rec in records:
+    for i, rec in enumerate(records):
+        require(isinstance(rec, CauchyRecord), f"records[{i}]", "expected a CauchyRecord")
         if rec.solution is None:
             raise PreconditionError(
                 "records carry no solution (serialized records hold window data "

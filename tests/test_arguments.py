@@ -1,12 +1,12 @@
 """Argument rules: each misuse raises a typed error that names the argument.
 
 The time-grid, sample-count, mass, shared-node, quadrature-count,
-geometry, window, source-stack, point, count (seeds included), tolerance and
-finite-number rules have one definition each (`calculus.check_times`,
+geometry, window, source-stack, point, count (seeds included), tolerance,
+finite-number and array rules have one definition each (`calculus.check_times`,
 `calculus.check_samples`, `calculus.check_mass`, `calculus.check_shared_nodes`,
 `models.node_counts`, `models.make_manifold`, `models.check_window_of`,
 `solver.source_matrix`, `models.as_points`, `fields.require_count`,
-`fields.require_tolerance`, `fields.require_finite`);
+`fields.require_tolerance`, `fields.require_finite`, `fields.require_array`);
 every case below is one caller of one rule, or one argument check whose
 fault numpy or a later step would otherwise report late or not at all.
 """
@@ -477,6 +477,15 @@ CASES = {
         [0.1, 0.2], np.ones((2, 3)), node_indices=idx), FieldError, "node_indices")
        for name, idx in (("short", [1, 2]), ("negative", [0, -1, 2]),
                          ("float", [0.0, 1.0, 2.0]))},
+    # a wrong object where an artifact is expected
+    **{f"object-{name}-{entry}": (lambda value=value, call=call: call(value), FieldError, field)
+       for name, value in (("list", [1]), ("none", None), ("dict", {"values": [1.0]}))
+       for entry, (call, field) in {
+           "extract": (lambda x: extract_exponents(x, 4), "trace"),
+           "compare-a": (lambda x: compare_gelfand(x, gelfand(64)), "a"),
+           "compare-b": (lambda x: compare_gelfand(gelfand(64), x), "b"),
+           "recover": (lambda x: recover_potential(half_circle(6)[0], 2.0, half_circle(6)[1],
+                                                   V, [x]), "records[0]")}.items()},
     "truncation-float": (lambda: build_model("circle", 2.5), FieldError, "truncation"),
     "potential-nan": (lambda: forward_map(half_circle(6)[0], 2.0, NAN_V), FieldError, "V"),
 }
