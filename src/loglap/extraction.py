@@ -223,8 +223,8 @@ class GelfandData:
     def __post_init__(self):
         require(isinstance(self.window, ObservationSet), "window", "expected an ObservationSet")
         check_mass(self.mass, "mass")
-        n_blocks = require_array(self.eigenvalues, "eigenvalues", (None,)).size
-        n_nodes = self.window.size
+        self.eigenvalues = require_array(self.eigenvalues, "eigenvalues", (None,))
+        n_nodes, n_blocks = self.window.size, self.eigenvalues.size
         require(has_shape(self.multiplicities, (n_blocks,)), "multiplicities",
                 f"expected {n_blocks} entries, one per eigenvalue")
         require_indices(self.multiplicities, "multiplicities")

@@ -575,6 +575,14 @@ class TestCompareGelfand:
         assert np.max(report.max_angles) < 1e-10
         assert report.failure_index == -1
 
+    def test_listed_eigenvalues_compare_as_an_array(self):
+        # spectral data keep the float array their check returns
+        model, obs, basis = circle_setup(4)
+        data = build_gelfand_data(model, 2.0, zero_potential, obs, basis)
+        listed = dataclasses.replace(data, eigenvalues=data.eigenvalues.tolist())
+        assert np.array_equal(listed.eigenvalues, data.eigenvalues)
+        assert compare_gelfand(listed, data).passed
+
     def test_radius_discrimination(self):
         datasets = []
         for radius in (1.0, 1.01):
