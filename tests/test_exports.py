@@ -276,7 +276,8 @@ def shape_reads(tree: ast.AST):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "shape" and getattr(node.func.value, "id", None) == "np"):
             yield node.lineno, "np.shape"
-        name = node.id if isinstance(node, ast.Name) else getattr(node, "name", None)
+        name = (node.id if isinstance(node, ast.Name)
+                else getattr(node, "attr", getattr(node, "name", None)))
         if name in ("as_floats", "_has_shape"):
             yield node.lineno, name
 
